@@ -80,38 +80,53 @@ def _slice_segments(v: np.ndarray, axis: int) -> list[tuple[float, float]]:
 
 def _line_optimize(
     fn, segments: list[tuple[float, float]], minimize: bool, samples: int = 65
-) -> tuple[float, float]:
-    """Dense sampling plus golden-section polish on each interval."""
+) -> tuple[float, float, int]:
+    """Dense sampling plus golden-section polish on each interval.
+
+    Returns the best (t, value) and the number of `fn` calls made.
+    """
     phi = (math.sqrt(5.0) - 1.0) / 2.0
     best_t, best_val = math.nan, math.inf if minimize else -math.inf
+    calls = 0
+
+    def counted(t: float) -> float:
+        nonlocal calls
+        calls += 1
+        return fn(t)
+
     for lo, hi in segments:
         if not hi > lo:
             continue
         ts = np.linspace(lo, hi, samples)
-        vals = np.array([fn(t) for t in ts])
+        vals = np.array([counted(t) for t in ts])
         idx = int(np.nanargmin(vals) if minimize else np.nanargmax(vals))
         a = ts[max(idx - 1, 0)]
         b = ts[min(idx + 1, samples - 1)]
         c, d = b - phi * (b - a), a + phi * (b - a)
-        fc, fd = fn(c), fn(d)
+        fc, fd = counted(c), counted(d)
         for _ in range(60):
             take_left = (fc < fd) if minimize else (fc > fd)
             if take_left:
                 b, d, fd = d, c, fc
                 c = b - phi * (b - a)
-                fc = fn(c)
+                fc = counted(c)
             else:
                 a, c, fc = c, d, fd
                 d = a + phi * (b - a)
-                fd = fn(d)
+                fd = counted(d)
         t_star = 0.5 * (a + b)
-        candidates = [(t_star, fn(t_star)), (ts[idx], vals[idx]), (lo, fn(lo)), (hi, fn(hi))]
+        candidates = [
+            (t_star, counted(t_star)),
+            (ts[idx], vals[idx]),
+            (lo, counted(lo)),
+            (hi, counted(hi)),
+        ]
         for t, val in candidates:
             if np.isnan(val):
                 continue
             if (minimize and val < best_val) or (not minimize and val > best_val):
                 best_t, best_val = t, val
-    return best_t, best_val
+    return best_t, best_val, calls
 
 
 def _coordinate_descent(
@@ -134,8 +149,8 @@ def _coordinate_descent(
                 w[axis] = t
                 return fn(w)
 
-            t_best, val_best = _line_optimize(line, segments, minimize)
-            evals += 65 + 64
+            t_best, val_best, calls = _line_optimize(line, segments, minimize)
+            evals += calls
             better = (val_best < current) if minimize else (val_best > current)
             if not math.isnan(t_best) and better:
                 v[axis] = t_best
@@ -448,10 +463,10 @@ def _coordinate_descent_ball(
                 w[axis] = t
                 return fn(w)
 
-            t_best, val_best = _line_optimize(
+            t_best, val_best, calls = _line_optimize(
                 line, [(1.0 - half, 1.0 + half)], minimize
             )
-            evals += 65 + 64
+            evals += calls
             better = (val_best < current) if minimize else (val_best > current)
             if not math.isnan(t_best) and better:
                 v[axis] = t_best

@@ -696,7 +696,8 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except QuadratureError as exc:
+    except RuntimeError as exc:
+        # QuadratureError and a non-converging continued fraction alike
         print(f"computation failed: {exc}", file=sys.stderr)
         return 1
     try:

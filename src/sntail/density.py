@@ -46,6 +46,8 @@ DISCRETE_MODELS = ("rademacher", "degenerate-first-coordinate")
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
+_IID_KINDS = ("iid-normal", "iid-student-t", "iid-folded-normal")
+
 
 class QuadratureError(RuntimeError):
     """Raised when a quadrature cannot reach its error budget."""
@@ -125,9 +127,15 @@ class DensityModel:
         return False
 
     def _coordinate_log_pdf(self, x: np.ndarray) -> np.ndarray:
+        # In place on fresh temporaries: same operations, fewer allocations.
         if self.kind == "iid-normal":
-            z = (x - self.mu) / self.sigma
-            return -0.5 * z * z - math.log(self.sigma) - _LOG_SQRT_2PI
+            z = x - self.mu
+            z /= self.sigma
+            out = -0.5 * z
+            out *= z
+            out -= math.log(self.sigma)
+            out -= _LOG_SQRT_2PI
+            return out
         if self.kind == "iid-student-t":
             nu = self.nu
             logc = (
@@ -135,23 +143,30 @@ class DensityModel:
                 - math.lgamma(0.5 * nu)
                 - 0.5 * math.log(nu * math.pi)
             )
-            return logc - 0.5 * (nu + 1.0) * np.log1p(x * x / nu)
+            out = x * x
+            out /= nu
+            np.log1p(out, out=out)
+            out *= 0.5 * (nu + 1.0)
+            return np.subtract(logc, out, out=out)
         if self.kind == "iid-folded-normal":
             y = x - self.shift
-            out = np.where(
-                y >= 0.0,
-                -0.5 * y * y + math.log(2.0) - _LOG_SQRT_2PI,
-                -np.inf,
-            )
+            out = -0.5 * y
+            out *= y
+            out += math.log(2.0)
+            out -= _LOG_SQRT_2PI
+            out[~(y >= 0.0)] = -np.inf
             return out
         raise ValueError(f"no coordinate density for kind {self.kind!r}")
+
+    def _gaussian_log_norm(self) -> float:
+        return -self.n * _LOG_SQRT_2PI - float(np.sum(np.log(np.diag(self.chol))))
 
     def pdf(self, x: np.ndarray) -> np.ndarray:
         """Joint density at points stacked in the last axis of `x`."""
         x = np.asarray(x, dtype=float)
         if x.shape[-1] != self.n:
             raise ValueError(f"points must have last dimension {self.n}")
-        if self.kind in ("iid-normal", "iid-student-t", "iid-folded-normal"):
+        if self.kind in _IID_KINDS:
             with np.errstate(invalid="ignore"):
                 logf = self._coordinate_log_pdf(x).sum(axis=-1)
             return np.exp(logf)
@@ -160,10 +175,7 @@ class DensityModel:
             flat = dev.reshape(-1, self.n)
             y = solve_triangular(self.chol, flat.T, lower=True)
             q = np.sum(y * y, axis=0).reshape(x.shape[:-1])
-            log_norm = -self.n * _LOG_SQRT_2PI - np.sum(
-                np.log(np.diag(self.chol))
-            )
-            return np.exp(log_norm - 0.5 * q)
+            return np.exp(self._gaussian_log_norm() - 0.5 * q)
         if self.kind == "user":
             out = np.asarray(self.fn(x), dtype=float)
             if out.shape != x.shape[:-1]:
@@ -172,6 +184,56 @@ class DensityModel:
                 raise ValueError("user density returned negative values")
             return out
         raise ValueError(f"unknown model kind {self.kind!r}")
+
+    def ray_pdf(self, rays: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """Joint density along rays: out[r, i] = f(z[i] * rays[r]).
+
+        `rays` holds directions (1, v) in its rows, shape (k, n); `z` is a
+        1-D array of ray parameters.  Each kind uses its own structure, so
+        the (k, len(z), n) array of points is formed only for user
+        densities, which offer no other route:
+
+          iid       the coordinate log-densities summed one coordinate at
+                    a time, left to right (the order of `pdf`'s axis sum up
+                    to n = 7, so values agree bit for bit there); the first
+                    coordinate is z itself on every ray, so its term is
+                    computed once.
+          gaussian  one triangular solve per ray, not per point.  With
+                    y = L^-1 ray, a = |y|^2, c = L^-1 mean and b = y.c, the
+                    quadratic form is a (z - b/a)^2 + |(b/a) y - c|^2; the
+                    residual is formed as a vector, so nothing cancels.
+        """
+        rays = np.atleast_2d(np.asarray(rays, dtype=float))
+        z = np.asarray(z, dtype=float)
+        if rays.ndim != 2 or rays.shape[1] != self.n:
+            raise ValueError(f"rays must have shape (k, {self.n})")
+        if z.ndim != 1:
+            raise ValueError("ray parameters must be a 1-D array")
+        if (rays[:, 0] != 1.0).any():
+            raise ValueError("rays must have first coordinate 1")
+        if self.kind in _IID_KINDS:
+            with np.errstate(invalid="ignore"):
+                logf = self._coordinate_log_pdf(z)
+                for j in range(1, self.n):
+                    logf = logf + self._coordinate_log_pdf(z * rays[:, j : j + 1])
+            return np.exp(logf, out=logf)
+        if self.kind == "gaussian":
+            y = solve_triangular(self.chol, rays.T, lower=True)
+            a = np.sum(y * y, axis=0)
+            if np.any(self.mean):
+                c = solve_triangular(self.chol, self.mean, lower=True)
+                shift = (c @ y) / a
+                resid = shift * y - c[:, None]
+                q = z - shift[:, None]
+                q *= q
+                q *= a[:, None]
+                q += np.sum(resid * resid, axis=0)[:, None]
+            else:
+                q = np.multiply.outer(a, z * z)
+            q *= -0.5
+            q += self._gaussian_log_norm()
+            return np.exp(q, out=q)
+        return self.pdf(z[None, :, None] * rays[:, None, :])
 
     def draw_from_uniforms(self, u: np.ndarray) -> np.ndarray:
         """Map uniform(0,1) draws of shape (k, n) to model samples.
@@ -267,7 +329,7 @@ def _scan_support(
 def _profile_quad(
     model: DensityModel, v: np.ndarray, variant: str, mirror: bool = False
 ) -> float:
-    vec = _ray_vector(model, v)
+    ray = _ray_vector(model, v)[None, :]
     n = model.n
 
     if variant == "paper" and not mirror:
@@ -279,7 +341,7 @@ def _profile_quad(
 
     def psi(z: np.ndarray) -> np.ndarray:
         z = np.atleast_1d(np.asarray(z, dtype=float))
-        base = model.pdf(z[:, None] * vec[None, :])
+        base = model.ray_pdf(ray, z)[0]
         if weight_pow:
             base = base * np.abs(z) ** weight_pow
         return base
@@ -326,8 +388,11 @@ class ZPlan:
     """Fixed Gauss-Legendre composite rule along the ray parameter.
 
     Built once per region from probe directions, then reused for every
-    profile in a batch.  Intended for smooth full-support densities; models
-    with support edges should go through the adaptive scalar path.
+    profile in a batch.  `profile_batch` evaluates the density at the nodes
+    through `DensityModel.ray_pdf`, as do the support scan and the adaptive
+    scalar path, so each model kind has one ray evaluator.  Intended for
+    smooth full-support densities; models with support edges should go
+    through the adaptive scalar path.
     """
 
     pos_nodes: np.ndarray
@@ -350,10 +415,10 @@ def build_z_plan(
     probe_vs = np.atleast_2d(np.asarray(probe_vs, dtype=float))
     z_lo, z_hi = 0.0, 0.0
     for v in probe_vs:
-        vec = _ray_vector(model, v)
+        ray = _ray_vector(model, v)[None, :]
 
         def psi(z: np.ndarray) -> np.ndarray:
-            return model.pdf(z[:, None] * vec[None, :])
+            return model.ray_pdf(ray, z)[0]
 
         span = _scan_support(psi, -1.0, 1.0)
         if span is None:
@@ -385,7 +450,7 @@ def profile_batch(
     vs: np.ndarray,
     variant: str,
     plan: ZPlan,
-    chunk: int = 4096,
+    chunk: int = 256,
 ) -> np.ndarray:
     """Vectorized profiles for points stacked in rows of `vs`."""
     vs = np.atleast_2d(np.asarray(vs, dtype=float))
@@ -408,8 +473,7 @@ def profile_batch(
         vecs = np.concatenate(
             (np.ones((block.shape[0], 1)), block), axis=1
         )
-        pts = nodes[None, :, None] * vecs[:, None, :]
-        out[start : start + chunk] = model.pdf(pts) @ weights
+        out[start : start + chunk] = model.ray_pdf(vecs, nodes) @ weights
     return out
 
 

@@ -415,22 +415,32 @@ def run_verify(
                 f"degenerate-coordinate oracle returned {deg.value:.12g}, expected exactly 0"
             )
 
-    # Log-growth limit of K: correct as a limit, approached at O(1/log n).
-    limit = log_growth_limit(beta)
-    far = log_growth_check(beta, [int(1e19)])[0][1]
-    near = log_growth_check(beta, [2000])[0][1]
-    entries.append(
-        LedgerEntry(
-            quantity=f"log_growth_limit(beta={beta:g})",
-            paper_value=limit,
-            corrected_value=limit,
-            oracle_value=far,
-            status="confirmed" if abs(far / limit - 1.0) <= 0.1 else "discrepant",
-            note=(
-                f"limit approached at O(1/log n): value {near:.6g} at n=2000 vs "
-                f"{far:.6g} at n=1e19"
-            ),
-        )
-    )
-
+    entries.append(_log_growth_entry(beta))
     return VerifyReport(entries=tuple(entries), internal_failures=tuple(failures))
+
+
+def _log_growth_entry(beta: float) -> LedgerEntry:
+    """Log-growth limit of K: correct as a limit, approached at O(1/log n).
+
+    Stirling on the printed K gives log_n K(n) / n = limit
+    + c_beta / (2 log n) + O(1/n) with c_beta = 1 + log(pi) - log(beta - 1),
+    so the reading at n = 1e19 is judged against that expansion, which it
+    resolves at any beta, not against the bare limit.
+    """
+    far_n = int(1e19)
+    limit = log_growth_limit(beta)
+    far = log_growth_check(beta, [far_n])[0][1]
+    near = log_growth_check(beta, [2000])[0][1]
+    c_beta = 1.0 + math.log(math.pi) - math.log(beta - 1.0)
+    expansion = limit + c_beta / (2.0 * math.log(far_n))
+    return LedgerEntry(
+        quantity=f"log_growth_limit(beta={beta:g})",
+        paper_value=limit,
+        corrected_value=limit,
+        oracle_value=far,
+        status=_status(expansion, far),
+        note=(
+            f"limit approached at O(1/log n): value {near:.6g} at n=2000 vs "
+            f"{far:.6g} at n=1e19"
+        ),
+    )

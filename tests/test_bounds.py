@@ -8,6 +8,7 @@ import pytest
 
 from sntail.analytic_core import AntiHessianSpec, build_anti_hessian, g_many
 from sntail.bounds import (
+    _line_optimize,
     curvature_functionals,
     envelope_bounds,
     unit_ball_volume,
@@ -119,3 +120,15 @@ def test_extremizer_points_are_recorded():
     assert objective(cert.h_min_point) == pytest.approx(cert.G, rel=2e-6)
     r_big = math.sqrt(cert.epsilon / cert.lam)
     assert np.linalg.norm(cert.h_max_point - 1.0) <= r_big * (1.0 + 1e-9)
+
+
+def test_line_search_reports_its_calls():
+    calls = []
+
+    def fn(t: float) -> float:
+        calls.append(t)
+        return (t - 0.3) ** 2
+
+    t, val, reported = _line_optimize(fn, [(-1.0, 0.0), (0.2, 1.0), (2.0, 2.0)], True)
+    assert reported == len(calls) > 0
+    assert t == pytest.approx(0.3, abs=1e-8) and val <= 1e-16

@@ -7,6 +7,7 @@ import json
 
 import pytest
 
+import sntail.cli as cli
 from sntail.cli import (
     ExperimentConfig,
     UsageError,
@@ -186,6 +187,18 @@ def test_exit_code_one_on_computation_failure(capsys):
                  "--eps", "0.1"])
     assert code == 1
     assert "computation failed" in capsys.readouterr().err
+
+
+def test_exit_code_one_on_runtime_error(monkeypatch, capsys):
+    # a non-converging continued fraction raises a bare RuntimeError
+    def stalled(config):
+        raise RuntimeError("continued fraction did not converge")
+
+    monkeypatch.setitem(cli._RUNNERS, "constants", stalled)
+    assert main(["constants", "--n", "3"]) == 1
+    err = capsys.readouterr().err
+    assert "computation failed: continued fraction did not converge" in err
+    assert "Traceback" not in err
 
 
 def test_exit_code_two_on_usage_error(capsys):

@@ -151,3 +151,77 @@ def test_profile_vanishes_off_support():
     model = DensityModel.iid_folded_normal(2)
     got = h_profile(model, RadialProfileQuery(np.array([-1.0]), "weighted"))
     assert got == 0.0
+
+
+def _kernel_models(n: int) -> list[tuple[DensityModel, bool]]:
+    """Models for the ray-kernel checks, each with whether values must be exact."""
+    cov = 0.6 * np.eye(n) + 0.4 * np.ones((n, n))
+    cov[0, n - 1] = cov[n - 1, 0] = -0.25
+    mean = np.linspace(0.3, -0.5, n)
+
+    def user_fn(x: np.ndarray) -> np.ndarray:
+        return np.exp(-0.5 * np.sum((x - 0.2) ** 2, axis=-1)) / (2.0 * math.pi) ** (n / 2)
+
+    return [
+        (DensityModel.iid_normal(n, mu=0.4, sigma=1.7), True),
+        (DensityModel.iid_student_t(n, nu=5.0), True),
+        (DensityModel.iid_folded_normal(n, shift=1.0), True),
+        (DensityModel.gaussian(np.zeros(n), cov), False),
+        (DensityModel.gaussian(mean, cov), False),
+        (DensityModel.user(n, user_fn), True),
+    ]
+
+
+def _assert_kernel_matches(got: np.ndarray, expect: np.ndarray, exact: bool) -> None:
+    assert got.shape == expect.shape
+    np.testing.assert_array_equal(got == 0.0, expect == 0.0)
+    if exact:
+        np.testing.assert_array_equal(got, expect)
+    else:
+        np.testing.assert_allclose(got, expect, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_ray_pdf_matches_pdf_on_materialized_points(n):
+    rng = np.random.default_rng(100 + n)
+    vs = 1.0 + 0.5 * rng.standard_normal((37, n - 1))
+    vs[0] = -1.0  # a ray that never meets the folded support
+    rays = np.concatenate((np.ones((vs.shape[0], 1)), vs), axis=1)
+    # exp(-q/2) turns the rounding of q into a relative error of about
+    # q/2 ulp in either route, so the nodes stop where q/2 stays below ~100
+    z = np.concatenate((-np.geomspace(3.0, 1e-3, 20), [0.0], np.geomspace(1e-3, 3.0, 20)))
+    for model, exact in _kernel_models(n):
+        got = model.ray_pdf(rays, z)
+        expect = model.pdf(z[None, :, None] * rays[:, None, :])
+        _assert_kernel_matches(got, expect, exact)
+        if model.kind == "iid-folded-normal":
+            assert np.all(got[0][z > 0.0] == 0.0) and np.any(got > 0.0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_profile_batch_matches_pdf_on_materialized_points(n):
+    rng = np.random.default_rng(200 + n)
+    vs = 1.0 + 0.4 * rng.standard_normal((53, n - 1))
+    rays = np.concatenate((np.ones((vs.shape[0], 1)), vs), axis=1)
+    for model, exact in _kernel_models(n):
+        plan = density.build_z_plan(model, vs[:4])
+        for variant in density.PROFILE_VARIANTS:
+            if variant == "paper":
+                nodes = np.concatenate((plan.neg_nodes, plan.pos_nodes))
+                weights = np.concatenate((plan.neg_weights, plan.pos_weights))
+            else:
+                nodes = plan.pos_nodes
+                weights = plan.pos_weights * plan.pos_nodes ** (n - 1)
+            expect = model.pdf(nodes[None, :, None] * rays[:, None, :]) @ weights
+            got = density.profile_batch(model, vs, variant, plan)
+            _assert_kernel_matches(got, expect, exact)
+
+
+def test_ray_pdf_rejects_bad_rays():
+    model = DensityModel.iid_normal(3)
+    with pytest.raises(ValueError):
+        model.ray_pdf(np.array([[1.0, 1.0]]), np.ones(4))
+    with pytest.raises(ValueError):
+        model.ray_pdf(np.array([[2.0, 1.0, 1.0]]), np.ones(4))
+    with pytest.raises(ValueError):
+        model.ray_pdf(np.ones((1, 3)), np.ones((2, 2)))

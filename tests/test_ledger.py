@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+import sntail.ledger as ledger
 from sntail.ledger import LEDGER_FIELDS, LedgerEntry, VerifyReport, run_verify
 
 
@@ -68,3 +69,16 @@ def test_run_verify_rejects_bad_input():
         run_verify(n=1)
     with pytest.raises(ValueError):
         run_verify(beta=1.0)
+
+
+def test_log_growth_row_judged_against_expansion(monkeypatch):
+    # the n = 1e19 reading sits 5% to 20% off the bare limit for these betas;
+    # against limit + c_beta / (2 log n) it is exact up to rounding
+    for beta in (1.5, 2.0, 3.0):
+        entry = ledger._log_growth_entry(beta)
+        assert entry.status == "confirmed", entry
+        assert entry.paper_value == pytest.approx((1.0 - beta) / (2.0 * beta))
+    true_limit = ledger.log_growth_limit
+    monkeypatch.setattr(ledger, "log_growth_limit", lambda beta: 1.01 * true_limit(beta))
+    for beta in (1.5, 2.0, 3.0):
+        assert ledger._log_growth_entry(beta).status == "discrepant"
