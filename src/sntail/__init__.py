@@ -36,7 +36,6 @@ from .asymptotics import (
 )
 from .bounds import (
     BoundsCertificate,
-    CurvatureResult,
     SandwichReport,
     curvature_functionals,
     envelope_bounds,
@@ -99,7 +98,6 @@ __all__ = [
     "predict_tail",
     "reference_bound",
     "BoundsCertificate",
-    "CurvatureResult",
     "SandwichReport",
     "curvature_functionals",
     "envelope_bounds",

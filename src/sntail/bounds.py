@@ -3,10 +3,11 @@
 The criterion function g sits below its maximum by at least lam*r**2 and at
 most mu*r**2 on the unit ball (r = distance to the all-ones point), where
 lam and mu are the infimum and supremum of the normalized drop
-(g(1) - g(v)) / ||v - 1||**2.  Trapping the localized tail region between
-the two balls of radius sqrt(eps/mu) and sqrt(eps/lam) converts profile
-extrema over those balls into explicit upper and lower tail bounds, valid
-at finite epsilon rather than asymptotically.
+(g(1) - g(v)) / ||v - 1||**2; for beta = 2 both are in closed form.
+Trapping the localized tail region between the two balls of radius
+sqrt(eps/mu) and sqrt(eps/lam) converts profile extrema over those balls
+into explicit upper and lower tail bounds, valid at finite epsilon rather
+than asymptotically.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic_core import AntiHessianSpec, structured_anti_hessian, g_many
+from .analytic_core import g_many  # noqa: F401  (perfbench counts bounds.g_many)
 from .density import (
     DensityModel,
     RadialProfileQuery,
@@ -25,10 +26,9 @@ from .density import (
     h_profile,
     profile_batch,
 )
-from .oracles import region_tail_integral, tail_window
+from .oracles import _directions, region_tail_integral, tail_window
 
 __all__ = [
-    "CurvatureResult",
     "BoundsCertificate",
     "SandwichReport",
     "curvature_functionals",
@@ -37,9 +37,10 @@ __all__ = [
     "unit_ball_volume",
 ]
 
-_PUNCTURE = 1e-6
-_GRID_AXIS = 401
-_MULTISTART = 64
+# Per ball dimension: the count passed to the sphere rule `_directions` and
+# the number of radii.  Dim 1 has the two directions +-1; dim 2 the 128
+# angles 2*pi*k/128; dim 3 a 7 x 16 polar-cosine by azimuth grid.
+_BALL_GRID = {1: (1, 257), 2: (128, 49), 3: (8, 49)}
 
 
 def unit_ball_volume(dim: int) -> float:
@@ -47,42 +48,6 @@ def unit_ball_volume(dim: int) -> float:
     if dim < 1:
         raise ValueError(f"dimension must be >= 1, got {dim}")
     return math.pi ** (0.5 * dim) / math.gamma(0.5 * dim + 1.0)
-
-
-@dataclass(frozen=True)
-class CurvatureResult:
-    """Curvature functionals with optimizer diagnostics."""
-
-    lam: float
-    mu: float
-    lam_point: np.ndarray
-    mu_point: np.ndarray
-    evaluations: int
-    certified: bool
-
-
-def _ratio_many(vs: np.ndarray, n: int, beta: float, g_max: float) -> np.ndarray:
-    dev = vs - 1.0
-    r2 = np.sum(dev * dev, axis=-1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = (g_max - g_many(vs, beta)) / r2
-    out[r2 <= _PUNCTURE * _PUNCTURE] = np.nan
-    out[r2 > 1.0] = np.nan
-    return out
-
-
-def _slice_segments(v: np.ndarray, axis: int) -> list[tuple[float, float]]:
-    """Feasible intervals for coordinate `axis` inside the punctured unit ball."""
-    other = np.delete(v, axis) - 1.0
-    r2_other = float(np.dot(other, other))
-    if r2_other >= 1.0:
-        return []
-    half = math.sqrt(1.0 - r2_other)
-    lo, hi = 1.0 - half, 1.0 + half
-    if r2_other < _PUNCTURE * _PUNCTURE:
-        gap = math.sqrt(_PUNCTURE * _PUNCTURE - r2_other)
-        return [(lo, 1.0 - gap), (1.0 + gap, hi)]
-    return [(lo, hi)]
 
 
 def _line_optimize(
@@ -136,169 +101,54 @@ def _line_optimize(
     return best_t, best_val, calls
 
 
-def _coordinate_descent(
-    fn, start: np.ndarray, minimize: bool, max_sweeps: int = 60
-) -> tuple[np.ndarray, float, int, bool]:
-    """Cyclic coordinate optimization within the punctured unit ball."""
-    v = start.astype(float).copy()
-    current = fn(v)
-    evals = 1
-    converged = False
-    for _ in range(max_sweeps):
-        previous = current
-        for axis in range(v.size):
-            segments = _slice_segments(v, axis)
-            if not segments:
-                continue
+def curvature_functionals(n: int, beta: float = 2.0) -> tuple[float, float]:
+    """Infimum lam and supremum mu of (g(1) - g(v)) / ||v - 1||**2 on the unit ball.
 
-            def line(t: float) -> float:
-                w = v.copy()
-                w[axis] = t
-                return fn(w)
+    For beta = 2, with m = n - 1 and B = sqrt(n + 1 + 2*sqrt(m)):
 
-            t_best, val_best, calls = _line_optimize(line, segments, minimize)
-            evals += calls
-            better = (val_best < current) if minimize else (val_best > current)
-            if not math.isnan(t_best) and better:
-                v[axis] = t_best
-                current = val_best
-        if abs(previous - current) <= 1e-13 * max(1.0, abs(current)):
-            converged = True
-            break
-    return v, current, evals, converged
+        lam = 1 / (B * (sqrt(n)*B + n + sqrt(m))),   attained at v = 1 + 1/sqrt(m),
+        mu  = 1 / (sqrt(n) + sqrt(m)) = sqrt(n) - sqrt(m),   attained at v = 1 - e_1.
 
+    Proof sketch.  With d = v - 1, s = sum d_j and r = ||d|| in (0, 1],
+    g = (n + s) / sqrt(Q) with Q = n + 2s + r**2, so the ratio R depends on
+    (r, s) alone, over |s| <= r*sqrt(m).  Since n*Q - (n + s)**2 = n*r**2 - s**2,
 
-def _grid_extrema(
-    fn_many, dim: int, lo: float, hi: float, axis_points: int
-) -> tuple[np.ndarray, float, np.ndarray, float, int]:
-    """Chunked tensor-grid scan; returns argmin/argmax and evaluation count."""
-    axis = np.linspace(lo, hi, axis_points)
-    best_min, best_max = math.inf, -math.inf
-    argmin = argmax = np.full(dim, (lo + hi) / 2.0)
-    evals = 0
-    if dim == 1:
-        pts = axis[:, None]
-        vals = fn_many(pts)
-        evals = pts.shape[0]
-        finite = ~np.isnan(vals)
-        if np.any(finite):
-            i_min = int(np.nanargmin(vals))
-            i_max = int(np.nanargmax(vals))
-            return pts[i_min], float(vals[i_min]), pts[i_max], float(vals[i_max]), evals
-        return argmin, best_min, argmax, best_max, evals
-    tail_grids = np.meshgrid(*([axis] * (dim - 1)), indexing="ij")
-    tail = np.stack([t.ravel() for t in tail_grids], axis=1)
-    for x0 in axis:
-        pts = np.concatenate((np.full((tail.shape[0], 1), x0), tail), axis=1)
-        vals = fn_many(pts)
-        evals += pts.shape[0]
-        if np.all(np.isnan(vals)):
-            continue
-        i_min = int(np.nanargmin(vals))
-        i_max = int(np.nanargmax(vals))
-        if vals[i_min] < best_min:
-            best_min, argmin = float(vals[i_min]), pts[i_min].copy()
-        if vals[i_max] > best_max:
-            best_max, argmax = float(vals[i_max]), pts[i_max].copy()
-    return argmin, best_min, argmax, best_max, evals
+        R = (n*r**2 - s**2) / (r**2 * sqrt(Q) * (sqrt(n)*sqrt(Q) + n + s)),
 
+    a form free of cancellation.  For fixed r, R = (sqrt(n) - g) / r**2 is largest
+    where g is least and least where g is largest; dg/ds = (s + r**2) / Q**1.5,
+    so g falls to its minimum at s = -r**2 and rises toward both ends
+    s = +-r*sqrt(m).
+    mu: at s = -r**2, Q = n - r**2 and R = 1 / (sqrt(n) + sqrt(n - r**2)), which
+    increases in r up to r = 1.  (For n = 2 only s = +-r exist; on s = -r,
+    R = 1 / (B_r*(sqrt(2)*B_r + 2 - r)) with B_r = sqrt(1 + (1 - r)**2), which
+    also increases to the same value at r = 1.)
+    lam: g is largest at an end s = +-r*sqrt(m), where n*r**2 - s**2 = r**2 and
+    R = 1 / (B_r*(sqrt(n)*B_r + n +- r*sqrt(m))), B_r = sqrt(n +- 2r*sqrt(m) + r**2).
+    The minus end has the smaller B_r and the smaller n - r*sqrt(m) > 0, so the
+    larger R; on the plus end B_r and n + r*sqrt(m) grow with r, so R is least
+    at r = 1.
 
-def _multistart_points(dim: int, count: int) -> np.ndarray:
-    """Deterministic start set: axis extremes, diagonals, and seeded fills."""
-    starts = []
-    for radius in (0.98, 0.5, 1e-3):
-        for axis in range(dim):
-            for sign in (1.0, -1.0):
-                e = np.zeros(dim)
-                e[axis] = sign * radius
-                starts.append(1.0 + e)
-        starts.append(1.0 + np.full(dim, radius / math.sqrt(dim)))
-        starts.append(1.0 - np.full(dim, radius / math.sqrt(dim)))
-    rng = np.random.default_rng(np.random.Philox(key=20240817))
-    while len(starts) < count:
-        direction = rng.standard_normal(dim)
-        direction /= np.linalg.norm(direction)
-        radius = rng.random() ** (1.0 / dim)
-        starts.append(1.0 + max(radius, 2.0 * _PUNCTURE) * direction)
-    return np.asarray(starts[:count])
-
-
-def curvature_functionals(
-    n: int, beta: float = 2.0, detail: bool = False
-) -> tuple[float, float] | CurvatureResult:
-    """Infimum and supremum of (g(1) - g(v)) / ||v - 1||**2 on the unit ball.
-
-    The ratio's limit set at v -> 1 is [lam_min(A)/2, lam_max(A)/2], so those
-    eigenvalue brackets are always folded into the result: lam never exceeds
-    lam_min(A)/2 and mu never falls below lam_max(A)/2.  With `detail`, the
-    attained points (best sampled ratios), evaluation count, and a certified
-    flag (all descents converged) come along.
+    No bound uses another beta, so any other value raises ValueError.
     """
-    spec = AntiHessianSpec(n, beta)
-    dim = n - 1
-    g_max = float(n ** (1.0 - 1.0 / beta))
-    rep, simple = structured_anti_hessian(spec).eigenvalues()
-    eig_lo, eig_hi = min(rep, simple), max(rep, simple)
-
-    def fn_many(vs: np.ndarray) -> np.ndarray:
-        return _ratio_many(vs, n, beta, g_max)
-
-    def fn_one(v: np.ndarray) -> float:
-        return float(fn_many(v[None, :])[0])
-
-    evals = 0
-    if dim <= 3:
-        axis_points = _GRID_AXIS if dim < 3 else 201
-        argmin, _, argmax, _, grid_evals = _grid_extrema(
-            fn_many, dim, 0.0, 2.0, axis_points
-        )
-        evals += grid_evals
-        seeds_min = [argmin]
-        seeds_max = [argmax]
-    else:
-        starts = _multistart_points(dim, _MULTISTART)
-        vals = fn_many(starts)
-        evals += starts.shape[0]
-        order = np.argsort(vals)
-        finite = [i for i in order if not np.isnan(vals[i])]
-        # Positivity of the fused output is structural (eigen bracket plus a
-        # strict global max at the all-ones point), so a handful of polished
-        # starts suffices in high dimension.
-        seeds_min = [starts[i] for i in finite[:4]]
-        seeds_max = [starts[i] for i in finite[-4:]]
-
-    certified = True
-    lam_val, lam_point = math.inf, seeds_min[0]
-    for seed in seeds_min:
-        point, val, used, ok = _coordinate_descent(fn_one, seed, minimize=True)
-        evals += used
-        certified &= ok
-        if val < lam_val:
-            lam_val, lam_point = val, point
-    mu_val, mu_point = -math.inf, seeds_max[0]
-    for seed in seeds_max:
-        point, val, used, ok = _coordinate_descent(fn_one, seed, minimize=False)
-        evals += used
-        certified &= ok
-        if val > mu_val:
-            mu_val, mu_point = val, point
-
-    lam = min(lam_val, 0.5 * eig_lo)
-    mu = max(mu_val, 0.5 * eig_hi)
-    result = CurvatureResult(
-        lam=float(lam),
-        mu=float(mu),
-        lam_point=np.asarray(lam_point),
-        mu_point=np.asarray(mu_point),
-        evaluations=evals,
-        certified=bool(certified),
-    )
-    return result if detail else (result.lam, result.mu)
+    if beta != 2.0:
+        raise ValueError(f"curvature functionals need beta = 2, got {beta}")
+    if n < 2:
+        raise ValueError(f"n must be >= 2, got {n}")
+    root_n, root_m = math.sqrt(n), math.sqrt(n - 1)
+    big = math.sqrt(n + 1.0 + 2.0 * root_m)
+    lam = 1.0 / (big * (root_n * big + n + root_m))
+    mu = 1.0 / (root_n + root_m)
+    return lam, mu
 
 
 @dataclass(frozen=True)
 class BoundsCertificate:
-    """Explicit finite-epsilon tail envelope with optimizer diagnostics."""
+    """Explicit finite-epsilon tail envelope.
+
+    `certified` says whether the profile z-plan passed its embedded check;
+    `evaluations` counts the objective evaluations of the ball search.
+    """
 
     n: int
     beta: float
@@ -311,8 +161,6 @@ class BoundsCertificate:
     lower: float
     evaluations: int
     certified: bool
-    lam_point: np.ndarray
-    mu_point: np.ndarray
     h_max_point: np.ndarray
     h_min_point: np.ndarray
 
@@ -333,51 +181,36 @@ class BoundsCertificate:
 
 def _ball_grid(dim: int, radius: float) -> np.ndarray:
     """Deterministic search grid for the closed ball around the all-ones point."""
-    if dim == 1:
-        return 1.0 + np.linspace(-radius, radius, 513)[:, None]
-    if dim == 2:
-        theta = np.linspace(0.0, 2.0 * math.pi, 129)[:-1]
-        dirs = np.stack((np.cos(theta), np.sin(theta)), axis=1)
-    else:
-        mu_nodes, _ = np.polynomial.legendre.leggauss(8)
-        phi = np.linspace(0.0, 2.0 * math.pi, 17)[:-1]
-        sin_t = np.sqrt(1.0 - mu_nodes**2)
-        dirs = np.stack(
-            (
-                np.outer(sin_t, np.cos(phi)).ravel(),
-                np.outer(sin_t, np.sin(phi)).ravel(),
-                np.repeat(mu_nodes, phi.size),
-            ),
-            axis=1,
-        )
-    radii = np.linspace(0.0, radius, 49)
+    count, radial = _BALL_GRID[dim]
+    # Exchangeable models take their ball extrema on the diagonal, which the
+    # dim-3 rule misses by about 10 degrees (the dim-1 and dim-2 rules hold it).
+    diagonal = np.full((1, dim), 1.0 / math.sqrt(dim))
+    dirs = np.vstack((_directions(dim, count)[0].reshape(-1, dim), diagonal, -diagonal))
+    radii = np.linspace(0.0, radius, radial)
     pts = 1.0 + radii[None, :, None] * dirs[:, None, :]
     return pts.reshape(-1, dim)
 
 
-def envelope_bounds(
-    model: DensityModel,
-    n: int,
-    epsilon: float,
-    curvature: CurvatureResult | None = None,
-) -> BoundsCertificate:
+def envelope_bounds(model: DensityModel, n: int, epsilon: float) -> BoundsCertificate:
     """Upper and lower tail bounds from profile extrema over curvature balls.
 
     H is the supremum and G the infimum of prod|v_j| * h_paper(v) over the
     balls ||v - 1||**2 <= eps/lam and <= eps/mu respectively; then
     upper = H * V * (eps/lam)**((n-1)/2) and lower = G * V * (eps/mu)**((n-1)/2)
-    with V the unit-ball volume in n - 1 dimensions.  Requires eps < lam so
-    the localized region stays inside the unit ball.  `curvature` is
-    `curvature_functionals(n, 2, detail=True)`, computed here when not
-    given; its certified flag and evaluation count pass to the certificate.
+    with V the unit-ball volume in n - 1 dimensions and lam, mu the exact
+    `curvature_functionals(n)`.  Requires 2 <= n <= 4, the range of the ball
+    grid and of the region quadrature, and eps < lam so the localized region
+    stays inside the unit ball.  The extrema are searched on a z-plan sized
+    by `build_z_plan`'s embedded check; when no plan passes it (a density
+    with a support edge) the search runs on the finest plan tried and the
+    certificate reads `certified=False`.  Either way the extrema found are
+    re-checked with the adaptive `h_profile`.
     """
+    if not 2 <= n <= 4:
+        raise ValueError(f"envelope bounds need 2 <= n <= 4, got n = {n}")
     if model.n != n:
         raise ValueError(f"model dimension {model.n} does not match n = {n}")
-    if curvature is None:
-        curvature = curvature_functionals(n, 2.0, detail=True)
-    lam, mu = curvature.lam, curvature.mu
-    if not 0.0 < lam <= mu:
-        raise ValueError(f"need 0 < lambda <= mu, got {lam}, {mu}")
+    lam, mu = curvature_functionals(n)
     if not 0.0 < epsilon < lam:
         raise ValueError(
             f"epsilon must lie in (0, lambda) = (0, {lam:.6g}), got {epsilon}"
@@ -389,12 +222,12 @@ def envelope_bounds(
     probe_dirs = np.concatenate((np.eye(dim), -np.eye(dim), np.ones((1, dim)) / math.sqrt(dim)))
     probes = np.vstack((np.ones((1, dim)), 1.0 + r_big * probe_dirs))
     try:
-        plan = build_z_plan(model, probes)
+        plan, certified = build_z_plan(model, probes), True
     except ZPlanError as exc:
         # A support edge inside a panel (the folded normal): the search runs
         # on the finest plan tried, and its extrema are re-checked below with
         # the adaptive h_profile, as they always are.
-        plan = exc.finest
+        plan, certified = exc.finest, False
 
     def objective_many(vs: np.ndarray) -> np.ndarray:
         return profile_batch(model, vs, "paper", plan) * np.prod(np.abs(vs), axis=-1)
@@ -439,10 +272,8 @@ def envelope_bounds(
         G=float(h_min),
         upper=float(upper),
         lower=float(lower),
-        evaluations=used_max + used_min + curvature.evaluations,
-        certified=curvature.certified,
-        lam_point=curvature.lam_point,
-        mu_point=curvature.mu_point,
+        evaluations=used_max + used_min,
+        certified=certified,
         h_max_point=np.asarray(h_max_point),
         h_min_point=np.asarray(h_min_point),
     )
@@ -503,26 +334,22 @@ class SandwichReport:
         return self.certificate.upper
 
 
-def validate_sandwich(
-    model: DensityModel,
-    n: int,
-    epsilon: float,
-    curvature: CurvatureResult | None = None,
-) -> SandwichReport:
+def validate_sandwich(model: DensityModel, n: int, epsilon: float) -> SandwichReport:
     """Check the tail envelope against the region-integral oracle.
 
     The integral uses the as-published region integrand prod(v_j) * h_paper,
     matching what the envelope bounds actually bracket.  Also verifies that
     the localized region stays inside the ball of radius sqrt(eps/lambda)
-    (it must, by the quadratic minorant, as long as eps < lambda).
-    `curvature` goes to `envelope_bounds`.
+    (it must, by the quadratic minorant, as long as eps < lambda), with
+    lambda the exact value `envelope_bounds` takes from
+    `curvature_functionals(n)`.
     """
     if not 2 <= n <= 4:
         raise ValueError(f"sandwich validation needs 2 <= n <= 4, got {n}")
     window = tail_window(n, 2.0)
     if not 0.0 < epsilon < window:
         raise ValueError(f"epsilon must lie in (0, {window:.6g})")
-    cert = envelope_bounds(model, n, epsilon, curvature)
+    cert = envelope_bounds(model, n, epsilon)
     oracle = region_tail_integral(model, n, epsilon, 2.0, integrand="paper")
 
     from .oracles import _coordinate_range

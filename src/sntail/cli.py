@@ -521,16 +521,16 @@ def _run_bounds(config: ExperimentConfig):
     model = _require_continuous(config)
     if config.beta != 2.0:
         raise UsageError("bounds are defined for beta = 2")
-    curvature = curvature_functionals(config.n, 2.0, detail=True)
-    records = []
+    if not 2 <= config.n <= 4:
+        raise UsageError(f"bounds needs 2 <= n <= 4, got n = {config.n}")
+    lam, _ = curvature_functionals(config.n)
     for eps in config.eps:
-        if not 0.0 < eps < curvature.lam:
+        if not 0.0 < eps < lam:
             raise UsageError(
-                f"eps must lie in (0, lambda) = (0, {curvature.lam:.6g}) for "
+                f"eps must lie in (0, lambda) = (0, {lam:.6g}) for "
                 f"bounds, got {eps:g}"
             )
-        cert = envelope_bounds(model, config.n, eps, curvature)
-        records.append(cert.to_record())
+    records = [envelope_bounds(model, config.n, eps).to_record() for eps in config.eps]
     fieldnames = ("n", "beta", "eps", "lambda", "mu", "H", "G",
                   "lower", "upper", "certified")
     return records, fieldnames, 0
@@ -628,6 +628,10 @@ def _run_verify(config: ExperimentConfig):
 
 
 def _run_counterexample(config: ExperimentConfig):
+    if len(config.eps) != 1:
+        raise UsageError(
+            f"counterexample takes exactly one eps value, got {len(config.eps)}"
+        )
     n = config.n
     records = []
     code = 0

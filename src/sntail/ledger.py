@@ -323,10 +323,10 @@ def run_verify(
     if continuous and beta == 2.0 and 2 <= n <= 4:
         from .bounds import curvature_functionals
 
-        curvature = curvature_functionals(n, 2.0, detail=True)
-        eps_sw = min(epsilon, 0.5 * curvature.lam)
+        lam, _ = curvature_functionals(n)
+        eps_sw = min(epsilon, 0.5 * lam)
         try:
-            report = validate_sandwich(model, n, eps_sw, curvature)
+            report = validate_sandwich(model, n, eps_sw)
         except QuadratureError as exc:
             entries.append(
                 LedgerEntry(

@@ -1,6 +1,5 @@
 """Curvature functionals and non-asymptotic envelope certificates."""
 
-import functools
 import math
 
 import numpy as np
@@ -8,6 +7,7 @@ import pytest
 
 from sntail.analytic_core import AntiHessianSpec, build_anti_hessian, g_many
 from sntail.bounds import (
+    _ball_grid,
     _line_optimize,
     curvature_functionals,
     envelope_bounds,
@@ -17,31 +17,53 @@ from sntail.bounds import (
 from sntail.density import DensityModel, RadialProfileQuery, h_profile
 
 
-@functools.lru_cache(maxsize=None)
-def curv(n: int, beta: float) -> tuple[float, float]:
-    return curvature_functionals(n, beta)
-
-
 def test_curvature_positive_and_ordered():
     for n in range(2, 9):
-        for beta in (1.5, 2.0, 3.0):
-            lam, mu = curv(n, beta)
-            assert 0.0 < lam <= mu
+        lam, mu = curvature_functionals(n)
+        assert 0.0 < lam <= mu
+    with pytest.raises(ValueError):
+        curvature_functionals(3, 3.0)
 
 
 def test_curvature_frozen_values():
-    lam2, mu2 = curv(2, 2.0)
-    assert lam2 == pytest.approx(0.072572775873, rel=1e-9)
-    assert mu2 == pytest.approx(math.sqrt(2.0) - 1.0, rel=1e-9)
-    lam3, mu3 = curv(3, 2.0)
-    assert lam3 == pytest.approx(0.042805257, rel=1e-6)
-    assert mu3 == pytest.approx(0.317837245, rel=1e-6)
+    lam2, mu2 = curvature_functionals(2)
+    assert lam2 == pytest.approx(0.0725727758732, rel=1e-12)
+    assert mu2 == pytest.approx(math.sqrt(2.0) - 1.0, rel=1e-12)
+    lam3, mu3 = curvature_functionals(3)
+    assert lam3 == pytest.approx(0.0428044103274, rel=1e-12)
+    assert mu3 == pytest.approx(0.317837245196, rel=1e-12)
+
+
+def _ratio_grid(n: int, points: int = 1201) -> np.ndarray:
+    """(g(1) - g(v)) / ||v - 1||**2 on an (r, s) grid covering the unit ball.
+
+    With d = v - 1, r = ||d|| and s = sum d_j, g = (n + s) / sqrt(Q) for
+    Q = n + 2s + r**2, and the ratio is written without cancellation as
+    (n r**2 - s**2) / (r**2 sqrt(Q) (sqrt(n) sqrt(Q) + n + s)).  Every (r, s)
+    with 0 < r <= 1 and |s| <= r sqrt(n - 1) is some v in the ball.
+    """
+    r = np.linspace(0.0, 1.0, points)[1:, None]
+    s = np.linspace(-1.0, 1.0, points)[None, :] * r * math.sqrt(n - 1)
+    q = n + 2.0 * s + r * r
+    return (n * r * r - s * s) / (r * r * np.sqrt(q) * (np.sqrt(n * q) + n + s))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 10, 100, 2000])
+def test_curvature_matches_brute_force_grid(n):
+    lam, mu = curvature_functionals(n)
+    ratio = _ratio_grid(n)
+    assert ratio.min() == pytest.approx(lam, rel=1e-9)
+    assert ratio.min() >= lam * (1.0 - 1e-13)
+    assert ratio.max() <= mu * (1.0 + 1e-13)
+    # mu is attained at r = 1, s = -1, which the grid need not hold exactly
+    assert ratio.max() == pytest.approx(mu, rel=1e-5)
+    assert mu == pytest.approx(math.sqrt(n) - math.sqrt(n - 1), rel=1e-12)
 
 
 def test_curvature_respects_eigen_bracket():
     # the ratio's limit at the center is half the Rayleigh quotient of A
     for n in (2, 3, 4, 6):
-        lam, mu = curv(n, 2.0)
+        lam, mu = curvature_functionals(n)
         eig = np.linalg.eigvalsh(build_anti_hessian(AntiHessianSpec(n, 2.0)))
         assert lam <= 0.5 * eig[0] + 1e-12
         assert mu >= 0.5 * eig[-1] - 1e-12
@@ -49,22 +71,20 @@ def test_curvature_respects_eigen_bracket():
 
 def test_quadratic_envelopes_on_random_ball_points():
     rng = np.random.default_rng(20240605)
-    for n in (2, 3, 5):
-        for beta in (1.5, 2.0, 3.0):
-            lam, mu = curv(n, beta)
-            m = n - 1
-            u = rng.standard_normal((10_000, m))
-            u /= np.linalg.norm(u, axis=1, keepdims=True)
-            r = rng.uniform(1e-6, 1.0, size=(10_000, 1)) ** (1.0 / m)
-            vs = 1.0 + r * u
-            drop = n ** (1.0 - 1.0 / beta) - g_many(vs, beta)
-            dist2 = np.sum((vs - 1.0) ** 2, axis=1)
-            assert np.all(drop >= lam * dist2 - 1e-9)
-            assert np.all(drop <= mu * dist2 + 1e-9)
+    for n in (2, 3, 5, 50, 1000):
+        lam, mu = curvature_functionals(n)
+        m = n - 1
+        u = rng.standard_normal((10_000, m))
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        r = rng.uniform(1e-6, 1.0, size=(10_000, 1)) ** (1.0 / m)
+        vs = 1.0 + r * u
+        drop = math.sqrt(n) - g_many(vs, 2.0)
+        dist2 = np.sum((vs - 1.0) ** 2, axis=1)
+        assert np.all(drop >= lam * dist2 - 1e-9)
+        assert np.all(drop <= mu * dist2 + 1e-9)
 
 
 def test_curvature_deterministic():
-    # multistart reduction is order-free: repeat calls agree exactly
     a = curvature_functionals(5, 2.0)
     b = curvature_functionals(5, 2.0)
     assert a == b
@@ -72,16 +92,17 @@ def test_curvature_deterministic():
 
 def test_certificate_record_and_scaling():
     model = DensityModel.iid_normal(2)
-    curvature = curvature_functionals(2, 2.0, detail=True)
     records = []
     for eps in (0.01, 0.02, 0.05):
-        cert = envelope_bounds(model, 2, eps, curvature)
+        cert = envelope_bounds(model, 2, eps)
         rec = cert.to_record()
         assert tuple(rec) == (
             "n", "beta", "eps", "lambda", "mu", "H", "G",
             "lower", "upper", "certified",
         )
         assert rec["lower"] <= rec["upper"]
+        assert rec["certified"] is True
+        assert (rec["lambda"], rec["mu"]) == curvature_functionals(2)
         records.append(cert)
     # with H held fixed the upper bound is H * V_{n-1} * (eps/lam)^{(n-1)/2}
     for cert in records:
@@ -91,11 +112,24 @@ def test_certificate_record_and_scaling():
 
 def test_envelope_bounds_window_guard():
     model = DensityModel.iid_normal(2)
-    curvature = curvature_functionals(2, 2.0, detail=True)
+    lam, _ = curvature_functionals(2)
     with pytest.raises(ValueError):
-        envelope_bounds(model, 2, 1.1 * curvature.lam, curvature)
+        envelope_bounds(model, 2, 1.1 * lam)
     with pytest.raises(ValueError):
-        envelope_bounds(model, 2, 0.0, curvature)
+        envelope_bounds(model, 2, 0.0)
+    with pytest.raises(ValueError, match="2 <= n <= 4"):
+        envelope_bounds(DensityModel.iid_normal(5), 5, 0.005)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_ball_grid_stays_in_its_ball(dim):
+    grid = _ball_grid(dim, 0.1)
+    assert grid.shape[1] == dim
+    assert np.all(np.linalg.norm(grid - 1.0, axis=1) <= 0.1 * (1.0 + 1e-12))
+    # the grid reaches the sphere, on the diagonals too
+    for sign in (1.0, -1.0):
+        target = 1.0 + sign * 0.1 / math.sqrt(dim)
+        assert np.any(np.all(np.abs(grid - target) <= 1e-15, axis=1))
 
 
 def test_sandwich_single_case():
@@ -144,6 +178,7 @@ def test_envelope_bounds_on_a_support_edge():
         return float(np.prod(v)) * h_profile(model, RadialProfileQuery(v, "paper"))
 
     assert cert.G <= objective(np.ones(2)) <= cert.H
+    assert not cert.certified
     assert cert.H >= objective(cert.h_max_point)
     assert cert.G <= objective(cert.h_min_point)
     assert 0.0 < cert.lower < cert.upper

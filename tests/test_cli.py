@@ -201,6 +201,10 @@ def test_support_edge_commands_succeed(capsys):
                  "--eps", "0.01"]) == 0
     cert = json.loads(capsys.readouterr().out)
     assert 0.0 < cert["lower"] < cert["upper"]
+    # no z-plan passed its check, so the certificate says so
+    assert cert["certified"] is False
+    assert main(["bounds", "--n", "3", "--eps", "0.01"]) == 0
+    assert json.loads(capsys.readouterr().out)["certified"] is True
 
 
 def test_exit_code_one_on_runtime_error(monkeypatch, capsys):
@@ -223,6 +227,11 @@ def test_exit_code_two_on_usage_error(capsys):
     capsys.readouterr()
     assert main(["bounds", "--n", "3", "--eps", "0.05"]) == 2
     capsys.readouterr()
+    for n in ("5", "6"):
+        assert main(["bounds", "--n", n, "--eps", "0.005"]) == 2
+        captured = capsys.readouterr()
+        assert f"bounds needs 2 <= n <= 4, got n = {n}" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
 
 
 def test_exit_code_three_on_io_error(tmp_path, capsys):
@@ -272,6 +281,13 @@ def test_verify_rejects_extra_epsilons(capsys):
     assert main(["verify", "--n", "2", "--eps", "0.1,0.05"]) == 2
     captured = capsys.readouterr()
     assert "exactly one eps value, got 2" in captured.err
+    assert captured.out == ""
+
+
+def test_counterexample_rejects_extra_epsilons(capsys):
+    assert main(["counterexample", "--n", "3", "--eps", "0.1,0.05"]) == 2
+    captured = capsys.readouterr()
+    assert "counterexample takes exactly one eps value, got 2" in captured.err
     assert captured.out == ""
 
 
