@@ -43,6 +43,7 @@ from .bounds import envelope_bounds, curvature_functionals
 from .density import DISCRETE_MODELS, DensityModel, QuadratureError, parse_model
 from .ledger import LEDGER_FIELDS, run_verify
 from .montecarlo import (
+    MIN_EXPECTED_HITS,
     STATISTICS,
     SamplerSpec,
     StatisticSpec,
@@ -596,11 +597,11 @@ def _run_mc(config: ExperimentConfig):
         record["n"] = config.n
         record["eps"] = eps
         predicted = _predicted_tail_for_warning(config, eps)
-        if predicted is not None and predicted * config.trials < 50.0:
+        if predicted is not None and predicted * config.trials < MIN_EXPECTED_HITS:
             warning = (
                 f"rare event: predicted probability {predicted:.3g} times "
-                f"{config.trials} trials is below 50 expected hits; increase "
-                "eps or trials"
+                f"{config.trials} trials is below {MIN_EXPECTED_HITS} expected "
+                "hits; increase eps or trials"
             )
             record["warnings"] = list(record["warnings"]) + [warning]
             print(f"warning: {warning}", file=sys.stderr)
@@ -700,8 +701,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except RuntimeError as exc:
-        # QuadratureError and a non-converging continued fraction alike
+    except (RuntimeError, ArithmeticError) as exc:
+        # QuadratureError, a non-converging continued fraction, and a
+        # division or overflow in floating point alike
         print(f"computation failed: {exc}", file=sys.stderr)
         return 1
     try:

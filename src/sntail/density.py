@@ -246,19 +246,29 @@ class DensityModel:
 
         Pure function of its input: the whole determinism contract of the
         Monte Carlo layer rests on this.  Uniforms are clipped away from the
-        endpoints so inverse CDFs stay finite.
+        endpoints so inverse CDFs stay finite.  The inverse CDF runs in
+        place in the array the clip allocates, so `u` itself is never
+        written; IEEE `*` and `+` commute, so `z *= sigma; z += mu` is
+        bit-identical to `mu + sigma * z`.
         """
-        u = np.clip(u, 1e-300, 1.0 - 1e-16)
+        u = np.clip(np.asarray(u, dtype=float), 1e-300, 1.0 - 1e-16)
         if u.ndim != 2 or u.shape[1] != self.n:
             raise ValueError(f"uniforms must have shape (k, {self.n})")
         if self.kind == "iid-normal":
-            return self.mu + self.sigma * ndtri(u)
+            z = ndtri(u, out=u)
+            z *= self.sigma
+            z += self.mu
+            return z
         if self.kind == "iid-student-t":
-            return stdtrit(self.nu, u)
+            return stdtrit(self.nu, u, out=u)
         if self.kind == "iid-folded-normal":
-            return self.shift + np.abs(ndtri(u))
+            z = np.abs(ndtri(u, out=u), out=u)
+            z += self.shift
+            return z
         if self.kind == "gaussian":
-            return ndtri(u) @ self.chol.T + self.mean
+            x = ndtri(u, out=u) @ self.chol.T
+            x += self.mean
+            return x
         raise ValueError(f"cannot sample kind {self.kind!r} by inverse CDF")
 
 

@@ -29,7 +29,7 @@ from .analytic_core import (
 from .asymptotics import TailQuery, k_constant, log_growth_check, log_growth_limit, predict_tail
 from .bounds import validate_sandwich
 from .density import DensityModel, QuadratureError, parse_model
-from .montecarlo import SamplerSpec, StatisticSpec, estimate_tail
+from .montecarlo import MIN_EXPECTED_HITS, SamplerSpec, StatisticSpec, estimate_tail
 from .oracles import (
     degenerate_component_check,
     leading_coeff_fit,
@@ -377,17 +377,27 @@ def run_verify(
                 f"MC estimate {est.p_hat:.12g} is more than 5 sigma from the "
                 f"exact tail {p_exact:.12g} (eps={eps_mc:g}, seed={seed})"
             )
+        # With too few expected hits the estimate cannot tell the exact
+        # value from a neighbour, so agreement confirms nothing.
+        expected = p_exact * trials
+        resolved = expected >= MIN_EXPECTED_HITS
+        note = (
+            f"z = {z_score:+.3f} against the 5 sigma gate; "
+            f"95% CI [{est.ci_low:.6g}, {est.ci_high:.6g}], seed={seed}"
+        )
+        if not resolved:
+            note += (
+                f"; {expected:.3g} expected hits, below the {MIN_EXPECTED_HITS} "
+                "an estimate needs to resolve the tail"
+            )
         entries.append(
             LedgerEntry(
                 quantity=f"mc_tail(n={n}, eps={eps_mc:g}, trials={trials})",
                 paper_value=None,
                 corrected_value=est.p_hat,
                 oracle_value=p_exact,
-                status="confirmed" if within else "untested",
-                note=(
-                    f"z = {z_score:+.3f} against the 5 sigma gate; "
-                    f"95% CI [{est.ci_low:.6g}, {est.ci_high:.6g}], seed={seed}"
-                ),
+                status="confirmed" if within and resolved else "untested",
+                note=note,
             )
         )
 

@@ -5,6 +5,13 @@ counter offset of a Philox stream keyed by the seed.  The mapping from
 chunk index to random words never depends on how chunks are distributed
 over workers, so estimates are bit-identical for any worker count; a
 thread pool only changes wall time.
+
+The running-max statistics reduce each (m, n) chunk by walking its n
+columns (views of `x.T`, no copy) with length-m buffers updated in place,
+not by `cumsum` along the short axis 1, which pays per-row overhead.  The
+walk adds in `cumsum`'s order, so the statistics are the same bits.
+Whole-row sums stay `np.sum(..., axis=1)`, which is pairwise: from n = 8 a
+running sum differs from it in the last bit.
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ from .density import DISCRETE_MODELS, DensityModel
 
 __all__ = [
     "CHUNK_TRIALS",
+    "MIN_EXPECTED_HITS",
     "STATISTICS",
     "StatisticSpec",
     "SamplerSpec",
@@ -38,6 +46,9 @@ __all__ = [
 ]
 
 CHUNK_TRIALS = 65536
+# Below this many expected hits a tail estimate resolves nothing: the CLI
+# warns, and the ledger marks its MC row untested.
+MIN_EXPECTED_HITS = 50
 # Two-sided 95%: norm.isf(0.025) frozen so the CI never drifts with scipy.
 _WILSON_Z = 1.959963984540054
 
@@ -177,40 +188,79 @@ def _as_stat(spec: StatisticSpec | str | None) -> StatisticSpec:
     return spec
 
 
-def statistic_batch(x: np.ndarray, spec: StatisticSpec | str | None = None) -> np.ndarray:
-    """Self-normalized statistics for a (trials, n) batch of draws.
+def _statistics(
+    x: np.ndarray, beta: float, variants: tuple[str, ...]
+) -> list[np.ndarray]:
+    """Each of `variants` on a (trials, n) batch, in the order asked.
 
-    Rejects all-zero rows: the statistic is undefined there (the models of
-    interest put zero mass on the zero vector).
+    One column walk serves both max variants (see statistic_batch).
     """
-    stat = _as_stat(spec)
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
         raise ValueError("expected a 2-D batch of draws")
     if x.shape[1] < 2:
         raise ValueError("samples must have length >= 2")
-    sq = x * x
-    if not np.all(np.any(x != 0.0, axis=1)):
+    cols = x.T
+    nonzero = cols[0] != 0.0
+    for col in cols[1:]:
+        nonzero |= col != 0.0
+    if not nonzero.all():
         raise ValueError("statistic undefined on the zero vector")
-    if stat.variant == "sum":
-        num = np.sum(x, axis=1)
-        if stat.beta == 2.0:
-            den = np.sqrt(np.sum(sq, axis=1))
+
+    values: dict[str, np.ndarray] = {}
+    want_zn = "max-over-Zn" in variants
+    want_zk = "max-over-Zk" in variants
+    if want_zn or (beta == 2.0 and "sum" in variants):
+        euclid = np.sqrt(np.sum(x * x, axis=1))
+    if "sum" in variants:
+        if beta == 2.0:
+            den = euclid
         else:
-            den = np.sum(np.abs(x) ** stat.beta, axis=1) ** (1.0 / stat.beta)
-        return num / den
-    if stat.variant == "max-over-Zn":
-        num = np.max(np.cumsum(x, axis=1)[:, 1:], axis=1)
-        den = np.sqrt(np.sum(sq, axis=1))
-        return num / den
-    # max-over-Zk: running partial sums over running Euclidean norms.  A
-    # vanishing prefix norm (possible when leading coordinates are all
-    # zero) contributes nothing to the max.
-    partial = np.cumsum(x, axis=1)[:, 1:]
-    norms = np.sqrt(np.cumsum(sq, axis=1))[:, 1:]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(norms > 0.0, partial / norms, -np.inf)
-    return np.max(ratios, axis=1)
+            den = np.sum(np.abs(x) ** beta, axis=1) ** (1.0 / beta)
+        values["sum"] = np.sum(x, axis=1) / den
+    if want_zn or want_zk:
+        partial = cols[0].copy()
+        sq_norm = cols[0] * cols[0]
+        scratch = np.empty_like(partial)
+        top = np.full_like(partial, -np.inf)
+        best = np.full_like(partial, -np.inf)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for col in cols[1:]:
+                partial += col
+                np.maximum(top, partial, out=top)
+                np.multiply(col, col, out=scratch)
+                sq_norm += scratch
+                np.sqrt(sq_norm, out=scratch)
+                # a vanishing prefix norm (leading coordinates all zero)
+                # contributes -inf to the max
+                dead = None if scratch.all() else scratch == 0.0
+                np.divide(partial, scratch, out=scratch)
+                if dead is not None:
+                    scratch[dead] = -np.inf
+                np.maximum(best, scratch, out=best)
+        if want_zn:
+            values["max-over-Zn"] = np.divide(top, euclid, out=top)
+        values["max-over-Zk"] = best
+    return [values[v] for v in variants]
+
+
+def statistic_batch(x: np.ndarray, spec: StatisticSpec | str | None = None) -> np.ndarray:
+    """Self-normalized statistics for a (trials, n) batch of draws.
+
+    Rejects all-zero rows: the statistic is undefined there (the models of
+    interest put zero mass on the zero vector).
+
+    The max variants walk the n columns once, keeping the running partial
+    sum S(k), the running squared norm Z(k)^2 and the running max in
+    length-trials buffers updated in place.  S(k) and Z(k)^2 accumulate in
+    `np.cumsum`'s order, so `max-over-Zk` is bit-identical to the row-wise
+    cumsum form at every n; a vanishing prefix norm contributes -inf.
+    `max-over-Zn` divides by `sqrt(np.sum(x*x, axis=1))` and `sum` keeps
+    its row reductions: both are pairwise sums, which a running sum
+    matches only below n = 8.
+    """
+    stat = _as_stat(spec)
+    return _statistics(x, stat.beta, (stat.variant,))[0]
 
 
 def statistic(x: np.ndarray, spec: StatisticSpec | str | None = None) -> float:
@@ -335,6 +385,16 @@ def estimate_tail(
         return int(np.count_nonzero(statistic_batch(draws, stat) > threshold))
 
     hits = int(sum(_run_chunks(sampler, per_chunk)))
+    return _estimate(sampler, stat, threshold, hits)
+
+
+def _estimate(
+    sampler: SamplerSpec,
+    stat: StatisticSpec,
+    threshold: float,
+    hits: int,
+    warnings: tuple[str, ...] = (),
+) -> MCEstimate:
     low, high = wilson_interval(hits, sampler.trials)
     return MCEstimate(
         hits=hits,
@@ -348,6 +408,7 @@ def estimate_tail(
         beta=stat.beta,
         model=sampler.model_label,
         spec_hash=spec_hash(sampler, stat, threshold),
+        warnings=warnings,
     )
 
 
@@ -412,47 +473,21 @@ def compare_max_vs_sum(sampler: SamplerSpec, epsilon: float) -> MaxSumComparison
             "equivalence of the two tails is not guaranteed",
         )
 
-    def per_chunk(draws: np.ndarray) -> tuple[int, int, int, int]:
-        hit_zn = statistic_batch(draws, "max-over-Zn") > threshold
-        hit_zk = statistic_batch(draws, "max-over-Zk") > threshold
-        hit_sum = statistic_batch(draws, "sum") > threshold
-        only_max = int(np.count_nonzero(hit_zn & ~hit_sum))
-        either = int(np.count_nonzero(hit_zn | hit_sum))
-        return (
-            int(np.count_nonzero(hit_zn)),
-            int(np.count_nonzero(hit_zk)),
-            int(np.count_nonzero(hit_sum)),
-            only_max,
-        ) + (either,)
-
-    parts = _run_chunks(sampler, per_chunk)
-    hits_zn = sum(p[0] for p in parts)
-    hits_zk = sum(p[1] for p in parts)
-    hits_sum = sum(p[2] for p in parts)
-    only_max = sum(p[3] for p in parts)
-    either = sum(p[4] for p in parts)
-
-    def build(hits: int, variant: str) -> MCEstimate:
-        low, high = wilson_interval(hits, sampler.trials)
-        stat = StatisticSpec(2.0, variant)
-        return MCEstimate(
-            hits=hits,
-            trials=sampler.trials,
-            p_hat=hits / sampler.trials,
-            ci_low=low,
-            ci_high=high,
-            seed=sampler.seed,
-            threshold=threshold,
-            variant=variant,
-            beta=2.0,
-            model=sampler.model_label,
-            spec_hash=spec_hash(sampler, stat, threshold),
-            warnings=warnings,
+    def per_chunk(draws: np.ndarray) -> tuple[int, ...]:
+        hit_sum, hit_zn, hit_zk = (
+            v > threshold for v in _statistics(draws, 2.0, STATISTICS)
+        )
+        return tuple(
+            int(np.count_nonzero(mask))
+            for mask in (hit_sum, hit_zn, hit_zk, hit_zn & ~hit_sum, hit_zn | hit_sum)
         )
 
-    zn_est = build(hits_zn, "max-over-Zn")
-    zk_est = build(hits_zk, "max-over-Zk")
-    sum_est = build(hits_sum, "sum")
+    counts = [sum(c) for c in zip(*_run_chunks(sampler, per_chunk))]
+    hits_sum, hits_zn, _, only_max, either = counts
+    sum_est, zn_est, zk_est = (
+        _estimate(sampler, StatisticSpec(2.0, v), threshold, hits, warnings)
+        for v, hits in zip(STATISTICS, counts)
+    )
     ratio = hits_zn / hits_sum if hits_sum > 0 else math.inf
     ratio_low = zn_est.ci_low / sum_est.ci_high if sum_est.ci_high > 0.0 else math.inf
     ratio_high = zn_est.ci_high / sum_est.ci_low if sum_est.ci_low > 0.0 else math.inf

@@ -219,6 +219,18 @@ def test_exit_code_one_on_runtime_error(monkeypatch, capsys):
     assert "Traceback" not in err
 
 
+
+def test_exit_code_one_on_arithmetic_error(monkeypatch, capsys):
+    # a structured determinant ratio that underflows to 0 divides by zero
+    def underflowed(config):
+        raise ZeroDivisionError("float division by zero")
+
+    monkeypatch.setitem(cli._RUNNERS, "verify", underflowed)
+    assert main(["verify", "--n", "3"]) == 1
+    err = capsys.readouterr().err
+    assert "computation failed: float division by zero" in err
+    assert "Traceback" not in err
+
 def test_exit_code_two_on_usage_error(capsys):
     assert main(["predict", "--n", "1"]) == 2
     err = capsys.readouterr().err

@@ -6,6 +6,7 @@ import pytest
 
 import sntail.ledger as ledger
 from sntail.ledger import LEDGER_FIELDS, LedgerEntry, VerifyReport, run_verify
+from sntail.montecarlo import MIN_EXPECTED_HITS
 
 
 def test_entry_status_vocabulary():
@@ -98,6 +99,17 @@ def test_mc_row_survives_a_missed_interval():
     assert row.status == "confirmed"
     assert f"z = {z:+.3f}" in row.note and "95% CI [" in row.note
 
+
+
+def test_mc_row_untested_below_fifty_expected_hits():
+    # 1000 trials at n = 4 expect 6.66 hits: an estimate that close to zero
+    # agrees with the exact tail whatever it reads, so it confirms nothing
+    report = run_verify(n=4, seed=1, trials=1000)
+    assert report.exit_code == 0, report.internal_failures
+    row = next(e for e in report.entries if e.quantity.startswith("mc_tail"))
+    assert row.oracle_value * 1000 < MIN_EXPECTED_HITS
+    assert row.status == "untested"
+    assert "expected hits, below the 50" in row.note
 
 def test_verify_n2_has_a_sandwich_row():
     report = run_verify(n=2, trials=20_000)

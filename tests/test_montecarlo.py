@@ -1,9 +1,11 @@
 """Sampling determinism, statistic properties, and interval behavior."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtri, stdtrit
 
 from sntail.density import DensityModel
 from sntail.montecarlo import (
@@ -40,6 +42,83 @@ def test_statistic_rejects_zero_vector():
     with pytest.raises(ValueError, match="zero vector"):
         statistic_batch(x)
 
+
+
+def _rowwise_statistic_batch(x, stat):
+    """The row-wise cumsum form of statistic_batch, frozen as the reference."""
+    sq = x * x
+    if not np.all(np.any(x != 0.0, axis=1)):
+        raise ValueError("statistic undefined on the zero vector")
+    if stat.variant == "sum":
+        num = np.sum(x, axis=1)
+        if stat.beta == 2.0:
+            den = np.sqrt(np.sum(sq, axis=1))
+        else:
+            den = np.sum(np.abs(x) ** stat.beta, axis=1) ** (1.0 / stat.beta)
+        return num / den
+    if stat.variant == "max-over-Zn":
+        num = np.max(np.cumsum(x, axis=1)[:, 1:], axis=1)
+        return num / np.sqrt(np.sum(sq, axis=1))
+    partial = np.cumsum(x, axis=1)[:, 1:]
+    norms = np.sqrt(np.cumsum(sq, axis=1))[:, 1:]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = np.where(norms > 0.0, partial / norms, -np.inf)
+    return np.max(ratios, axis=1)
+
+
+_REFERENCE_SPECS = (
+    StatisticSpec(2.0, "sum"),
+    StatisticSpec(3.0, "sum"),
+    StatisticSpec(2.0, "max-over-Zn"),
+    StatisticSpec(3.0, "max-over-Zn"),
+    StatisticSpec(2.0, "max-over-Zk"),
+)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 8, 9, 17, 64])
+def test_statistic_batch_matches_rowwise_reference(n):
+    rng = np.random.default_rng(1000 + n)
+    x = rng.standard_normal((3000, n))
+    # leading zeros make the first prefix norms vanish (the -inf path of
+    # max-over-Zk); squares of 1e-170 underflow, so there the norm vanishes
+    # under a partial sum that does not
+    for j in range(1, n):
+        x[j, :j] = 0.0
+    x[n, : n - 1] = 1e-170
+    x[n, n - 1] = 2.0
+    x[n + 1, 1:] = 0.0
+    x[n + 2] = 1e-170
+    for spec in _REFERENCE_SPECS:
+        with np.errstate(divide="ignore"):
+            got = statistic_batch(x, spec)
+            assert np.array_equal(got, _rowwise_statistic_batch(x, spec)), spec
+    zk = statistic_batch(x, "max-over-Zk")
+    assert zk[n] == 1.0
+    assert zk[n + 2] == -np.inf
+    x[-1] = 0.0
+    for spec in _REFERENCE_SPECS:
+        with pytest.raises(ValueError, match="zero vector"):
+            statistic_batch(x, spec)
+
+
+def test_draw_from_uniforms_leaves_its_input_and_matches_the_formula():
+    rng = np.random.default_rng(77)
+    u = rng.random((4096, 3))
+    u[0] = (0.0, 1.0, 0.5)
+    clipped = np.clip(u, 1e-300, 1.0 - 1e-16)
+    cov = np.array([[1.0, 0.3, 0.3], [0.3, 1.0, 0.3], [0.3, 0.3, 1.0]])
+    gauss = DensityModel.gaussian(np.array([0.5, -1.0, 2.0]), cov)
+    cases = (
+        (DensityModel.iid_normal(3, mu=0.5, sigma=2.0), 0.5 + 2.0 * ndtri(clipped)),
+        (DensityModel.iid_folded_normal(3, shift=1.5), 1.5 + np.abs(ndtri(clipped))),
+        (DensityModel.iid_student_t(3, 5.0), stdtrit(5.0, clipped)),
+        (gauss, ndtri(clipped) @ gauss.chol.T + gauss.mean),
+    )
+    for model, expected in cases:
+        before = u.copy()
+        got = model.draw_from_uniforms(u)
+        assert np.array_equal(u, before), model.kind
+        assert np.array_equal(got, expected), model.kind
 
 def test_holder_cutoff_never_exceeded():
     rng = np.random.default_rng(20240606)
@@ -211,3 +290,18 @@ def test_coverage_meta():
         est = estimate_tail(sampler, StatisticSpec(2.0, "sum"), epsilon=0.3)
         covered += est.covers(oracle)
     assert covered >= 93
+
+
+@pytest.mark.parametrize("n, eps", [(3, 0.1), (9, 0.4)])
+def test_comparison_counts_equal_separate_estimates(n, eps):
+    sampler = SamplerSpec(DensityModel.iid_normal(n), n, 5, 2 * CHUNK_TRIALS + 777, 2)
+    cmp = compare_max_vs_sum(sampler, eps)
+    pairs = (
+        (cmp.max_zn_estimate, "max-over-Zn"),
+        (cmp.max_zk_estimate, "max-over-Zk"),
+        (cmp.sum_estimate, "sum"),
+    )
+    for got, variant in pairs:
+        alone = estimate_tail(sampler, StatisticSpec(2.0, variant), epsilon=eps)
+        assert got == dataclasses.replace(alone, warnings=cmp.warnings)
+        assert got.threshold == math.sqrt(n) - eps
