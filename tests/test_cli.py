@@ -219,7 +219,6 @@ def test_exit_code_one_on_runtime_error(monkeypatch, capsys):
     assert "Traceback" not in err
 
 
-
 def test_exit_code_one_on_arithmetic_error(monkeypatch, capsys):
     # a structured determinant ratio that underflows to 0 divides by zero
     def underflowed(config):
@@ -230,6 +229,7 @@ def test_exit_code_one_on_arithmetic_error(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "computation failed: float division by zero" in err
     assert "Traceback" not in err
+
 
 def test_exit_code_two_on_usage_error(capsys):
     assert main(["predict", "--n", "1"]) == 2

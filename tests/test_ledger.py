@@ -100,7 +100,6 @@ def test_mc_row_survives_a_missed_interval():
     assert f"z = {z:+.3f}" in row.note and "95% CI [" in row.note
 
 
-
 def test_mc_row_untested_below_fifty_expected_hits():
     # 1000 trials at n = 4 expect 6.66 hits: an estimate that close to zero
     # agrees with the exact tail whatever it reads, so it confirms nothing
@@ -110,6 +109,7 @@ def test_mc_row_untested_below_fifty_expected_hits():
     assert row.oracle_value * 1000 < MIN_EXPECTED_HITS
     assert row.status == "untested"
     assert "expected hits, below the 50" in row.note
+
 
 def test_verify_n2_has_a_sandwich_row():
     report = run_verify(n=2, trials=20_000)

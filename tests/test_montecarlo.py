@@ -43,7 +43,6 @@ def test_statistic_rejects_zero_vector():
         statistic_batch(x)
 
 
-
 def _rowwise_statistic_batch(x, stat):
     """The row-wise cumsum form of statistic_batch, frozen as the reference."""
     sq = x * x
@@ -119,6 +118,7 @@ def test_draw_from_uniforms_leaves_its_input_and_matches_the_formula():
         got = model.draw_from_uniforms(u)
         assert np.array_equal(u, before), model.kind
         assert np.array_equal(got, expected), model.kind
+
 
 def test_holder_cutoff_never_exceeded():
     rng = np.random.default_rng(20240606)
