@@ -9,6 +9,8 @@ machine-checkable ledger.
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .analytic_core import (
     AntiHessianSpec,
     CriterionPoint,
@@ -74,60 +76,8 @@ from .oracles import (
     tail_window,
 )
 
-__all__ = [
-    "__version__",
-    "AntiHessianSpec",
-    "CriterionPoint",
-    "StructuredMatrix",
-    "anti_hessian_entries",
-    "build_anti_hessian",
-    "det_anti_hessian",
-    "det_anti_hessian_published",
-    "det_eigen_closed",
-    "det_numeric",
-    "g_value",
-    "hessian_fd",
-    "GammaVariantQuery",
-    "KConstant",
-    "Prediction",
-    "TailQuery",
-    "k_constant",
-    "log_growth_check",
-    "log_growth_limit",
-    "predict_gamma_variant",
-    "predict_tail",
-    "reference_bound",
-    "BoundsCertificate",
-    "SandwichReport",
-    "curvature_functionals",
-    "envelope_bounds",
-    "validate_sandwich",
-    "DensityModel",
-    "QuadratureError",
-    "RadialProfileQuery",
-    "h_profile",
-    "parse_model",
-    "weighted_profile_mirror",
-    "LedgerEntry",
-    "VerifyReport",
-    "run_verify",
-    "MaxSumComparison",
-    "MCEstimate",
-    "SamplerSpec",
-    "StatisticSpec",
-    "compare_max_vs_sum",
-    "estimate_tail",
-    "sample_batch",
-    "statistic",
-    "statistic_batch",
-    "wilson_interval",
-    "CoefficientFit",
-    "OracleResult",
-    "degenerate_component_check",
-    "leading_coeff_fit",
-    "rademacher_tail_exact",
-    "region_tail_integral",
-    "regularized_incomplete_beta",
-    "sphere_tail_exact",
-    "tail_window",
+# The public names are exactly the ones imported above.
+__all__ = ["__version__"] + [
+    name for name, value in list(globals().items())
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
 ]

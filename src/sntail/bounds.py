@@ -204,7 +204,8 @@ def envelope_bounds(model: DensityModel, n: int, epsilon: float) -> BoundsCertif
     by `build_z_plan`'s embedded check; when no plan passes it (a density
     with a support edge) the search runs on the finest plan tried and the
     certificate reads `certified=False`.  Either way the extrema found are
-    re-checked with the adaptive `h_profile`.
+    re-checked with the scalar `h_profile`, whose rule is fitted to each
+    ray and breaks at its support edge.
     """
     if not 2 <= n <= 4:
         raise ValueError(f"envelope bounds need 2 <= n <= 4, got n = {n}")
@@ -226,7 +227,7 @@ def envelope_bounds(model: DensityModel, n: int, epsilon: float) -> BoundsCertif
     except ZPlanError as exc:
         # A support edge inside a panel (the folded normal): the search runs
         # on the finest plan tried, and its extrema are re-checked below with
-        # the adaptive h_profile, as they always are.
+        # h_profile, whose panels break at each ray's own support edge.
         plan, certified = exc.finest, False
 
     def objective_many(vs: np.ndarray) -> np.ndarray:
@@ -251,7 +252,7 @@ def envelope_bounds(model: DensityModel, n: int, epsilon: float) -> BoundsCertif
     h_max_point, h_max, used_max = ball_extremum(r_big, minimize=False)
     h_min_point, h_min, used_min = ball_extremum(r_small, minimize=True)
 
-    # Certify the extrema with the adaptive scalar quadrature.
+    # Certify the extrema with the scalar profile fitted to their rays.
     def exact_objective(v: np.ndarray) -> float:
         h = h_profile(model, RadialProfileQuery(v, "paper"))
         return float(np.prod(np.abs(v))) * h

@@ -12,6 +12,8 @@ by z.  Two variants are kept as first-class citizens:
 
 `weighted_profile_mirror` covers the z < 0 branch of the same change of
 variables (needed for left tails and total-mass checks).
+Every profile integral is a composite Gauss-Legendre rule sized by one
+embedded check (`_settle`).  scipy loads only where sampling starts.
 """
 
 from __future__ import annotations
@@ -21,9 +23,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import integrate
-from scipy.linalg import cholesky, solve_triangular
-from scipy.special import ndtri, stdtrit
 
 __all__ = [
     "DensityModel",
@@ -53,10 +52,6 @@ _IID_KINDS = ("iid-normal", "iid-student-t", "iid-folded-normal")
 
 class QuadratureError(RuntimeError):
     """Raised when a quadrature cannot reach its error budget."""
-
-
-# Relative tolerance of the adaptive scalar path (`h_profile`).
-PROFILE_QUAD_RTOL = 1e-11
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,7 +105,7 @@ class DensityModel:
         if not np.allclose(cov, cov.T, atol=1e-12):
             raise ValueError("cov must be symmetric")
         try:
-            chol_l = cholesky(cov, lower=True)
+            chol_l = np.linalg.cholesky(cov)
         except np.linalg.LinAlgError as exc:
             raise ValueError("cov must be positive definite") from exc
         return cls(n=n, kind="gaussian", mean=mean, chol=chol_l)
@@ -179,7 +174,7 @@ class DensityModel:
         if self.kind == "gaussian":
             dev = x - self.mean
             flat = dev.reshape(-1, self.n)
-            y = solve_triangular(self.chol, flat.T, lower=True)
+            y = np.linalg.solve(self.chol, flat.T)
             q = np.sum(y * y, axis=0).reshape(x.shape[:-1])
             return np.exp(self._gaussian_log_norm() - 0.5 * q)
         if self.kind == "user":
@@ -204,10 +199,11 @@ class DensityModel:
                     to n = 7, so values agree bit for bit there); the first
                     coordinate is z itself on every ray, so its term is
                     computed once.
-          gaussian  one triangular solve per ray, not per point.  With
-                    y = L^-1 ray, a = |y|^2, c = L^-1 mean and b = y.c, the
-                    quadratic form is a (z - b/a)^2 + |(b/a) y - c|^2; the
-                    residual is formed as a vector, so nothing cancels.
+          gaussian  one solve on the Cholesky factor L per ray, not per
+                    point.  With y = L^-1 ray, a = |y|^2, c = L^-1 mean
+                    and b = y.c, the quadratic form is
+                    a (z - b/a)^2 + |(b/a) y - c|^2; the residual is
+                    formed as a vector, so nothing cancels.
         """
         rays = np.atleast_2d(np.asarray(rays, dtype=float))
         z = np.asarray(z, dtype=float)
@@ -224,10 +220,10 @@ class DensityModel:
                     logf = logf + self._coordinate_log_pdf(z * rays[:, j : j + 1])
             return np.exp(logf, out=logf)
         if self.kind == "gaussian":
-            y = solve_triangular(self.chol, rays.T, lower=True)
+            y = np.linalg.solve(self.chol, rays.T)
             a = np.sum(y * y, axis=0)
             if np.any(self.mean):
-                c = solve_triangular(self.chol, self.mean, lower=True)
+                c = np.linalg.solve(self.chol, self.mean)
                 shift = (c @ y) / a
                 resid = shift * y - c[:, None]
                 q = z - shift[:, None]
@@ -251,6 +247,8 @@ class DensityModel:
         written; IEEE `*` and `+` commute, so `z *= sigma; z += mu` is
         bit-identical to `mu + sigma * z`.
         """
+        from scipy.special import ndtri, stdtrit
+
         u = np.clip(np.asarray(u, dtype=float), 1e-300, 1.0 - 1e-16)
         if u.ndim != 2 or u.shape[1] != self.n:
             raise ValueError(f"uniforms must have shape (k, {self.n})")
@@ -308,8 +306,8 @@ def _scan_support(
     Returns (z_lo, z_hi, interior hint points) or None when psi vanishes on
     the whole scanned range.  Where psi drops to exactly zero next to its
     live range, away from z = 0, the support has an edge there (the folded
-    normal's); it is located by bisection, so the adaptive rule never
-    integrates across the jump.
+    normal's); it is located by bisection, so a panel ends on it and no
+    rule integrates across the jump.
     """
     pos = np.concatenate(([0.0], np.geomspace(1e-3, 512.0, 160)))
     zs = np.concatenate((-pos[::-1], pos[1:]))
@@ -364,9 +362,55 @@ def _scan_support(
     return z_lo, z_hi, hints
 
 
+# Relative agreement every profile must reach between m and 2m Gauss
+# nodes per panel; m is tried at each of _PANEL_NODES in turn.
+Z_PLAN_RTOL = 1e-13
+_PANEL_NODES = (6, 12, 24, 48)
+
+
+def _panel_edges(z_max: float) -> np.ndarray:
+    edges = [0.0, 0.25, 0.5, 1.0]
+    while edges[-1] < z_max:
+        edges.append(2.0 * edges[-1])
+    return np.asarray([e for e in edges if e < z_max] + [z_max])
+
+
+def _composite(edges: np.ndarray, per_panel: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre with `per_panel` nodes on each panel between `edges`."""
+    x, w = np.polynomial.legendre.leggauss(per_panel)
+    half = 0.5 * np.diff(edges)[:, None]
+    mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
+    return (mid + half * x).ravel(), (half * w).ravel()
+
+
+def _settle(level: Callable[[int], tuple[object, np.ndarray]]) -> tuple[object, str | None]:
+    """(rule, None) at the smallest m in _PANEL_NODES whose profiles agree
+    with those at 2m nodes per panel to Z_PLAN_RTOL; else (the finest rule
+    tried, the reason to raise).  `level(m)` returns (rule, profiles).
+    """
+    previous, worst = None, math.inf
+    for per_panel in (*_PANEL_NODES, 2 * _PANEL_NODES[-1]):
+        rule, profiles = level(per_panel)
+        if previous is not None:
+            gap = np.abs(profiles - previous[1])
+            worst = float(np.max(gap / np.maximum(np.abs(profiles), 1e-300)))
+            if np.all(gap <= Z_PLAN_RTOL * np.abs(profiles)):
+                return previous[0], None
+        previous = (rule, profiles)
+    return previous[0], (
+        f"ray profiles did not settle at {_PANEL_NODES[-1]} nodes per panel: "
+        f"relative change {worst:.3e} against {2 * _PANEL_NODES[-1]}"
+    )
+
+
 def _profile_quad(
     model: DensityModel, v: np.ndarray, variant: str, mirror: bool = False
 ) -> float:
+    """One profile by a composite rule fitted to its ray: panels break at
+    the ends of `_scan_support`'s span (a bisected support edge among
+    them), at its hints and at `_panel_edges`' doubling points; `_settle`
+    picks the node count, each level in one `ray_pdf` call.
+    """
     ray = _ray_vector(model, v)[None, :]
     n = model.n
 
@@ -378,7 +422,6 @@ def _profile_quad(
         weight_pow, lo_sign, hi_sign = n - 1, -1.0, 0.0
 
     def psi(z: np.ndarray) -> np.ndarray:
-        z = np.atleast_1d(np.asarray(z, dtype=float))
         base = model.ray_pdf(ray, z)[0]
         if weight_pow:
             base = base * np.abs(z) ** weight_pow
@@ -388,22 +431,19 @@ def _profile_quad(
     if span is None:
         return 0.0
     z_lo, z_hi, hints = span
-    points = [p for p in hints if z_lo < p < z_hi]
-    value, abserr, *rest = integrate.quad(
-        lambda z: float(psi(np.array([z]))[0]),
-        z_lo,
-        z_hi,
-        points=points or None,
-        epsabs=1e-14,
-        epsrel=PROFILE_QUAD_RTOL,
-        limit=300,
-        full_output=1,
-    )
-    if len(rest) > 1 and abserr > 100.0 * max(1e-14, 1e-9 * abs(value)):
-        raise QuadratureError(
-            f"profile quadrature stalled: estimated error {abserr:.3e}"
-        )
-    return float(value)
+    doubling = _panel_edges(max(-z_lo, z_hi))
+    breaks = np.unique(np.concatenate(([z_lo, z_hi], hints, doubling, -doubling)))
+    edges = breaks[(breaks >= z_lo) & (breaks <= z_hi)]
+
+    def level(per_panel: int) -> tuple[float, np.ndarray]:
+        z, w = _composite(edges, per_panel)
+        value = float(psi(z) @ w)
+        return value, np.array([value])
+
+    value, failure = _settle(level)
+    if failure is not None:
+        raise QuadratureError(failure)
+    return value
 
 
 def h_profile(model: DensityModel, query: RadialProfileQuery) -> float:
@@ -411,6 +451,7 @@ def h_profile(model: DensityModel, query: RadialProfileQuery) -> float:
 
     paper variant: integral over all real z of f(z, z*v).
     weighted variant: integral over z > 0 of z**(n-1) * f(z, z*v).
+    The rule is fitted to this ray (`_profile_quad`), support edge and all.
     """
     return _profile_quad(model, query.v, query.variant)
 
@@ -431,22 +472,17 @@ class ZPlan:
     both variants, agrees with the rule of twice as many nodes per panel to
     `Z_PLAN_RTOL` relative.  `profile_batch` evaluates the density at the
     nodes through `DensityModel.ray_pdf`, as do the support scan and the
-    adaptive scalar path, so each model kind has one ray evaluator.  A
+    scalar `h_profile`, so each model kind has one ray evaluator.  A
     profile with a jump inside a panel, such as the folded normal's support
-    edge, fails the check and `build_z_plan` raises `ZPlanError`; only the
-    adaptive scalar path (`h_profile`) resolves such profiles.
+    edge, fails the check and `build_z_plan` raises `ZPlanError`; only
+    `h_profile`, whose panels break at each ray's own support edge,
+    resolves such profiles.
     """
 
     pos_nodes: np.ndarray
     pos_weights: np.ndarray
     neg_nodes: np.ndarray
     neg_weights: np.ndarray
-
-
-# Relative agreement every probe profile must reach between m and 2m Gauss
-# nodes per panel; m is tried at each of _PANEL_NODES in turn.
-Z_PLAN_RTOL = 1e-13
-_PANEL_NODES = (6, 12, 24, 48)
 
 
 class ZPlanError(QuadratureError):
@@ -462,29 +498,14 @@ class ZPlanError(QuadratureError):
         self.finest = finest
 
 
-def _panel_edges(z_max: float) -> np.ndarray:
-    edges = [0.0, 0.25, 0.5, 1.0]
-    while edges[-1] < z_max:
-        edges.append(2.0 * edges[-1])
-    return np.asarray([e for e in edges if e < z_max] + [z_max])
-
-
-def _composite(edges: np.ndarray, per_panel: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre with `per_panel` nodes on each panel between `edges`."""
-    x, w = np.polynomial.legendre.leggauss(per_panel)
-    half = 0.5 * np.diff(edges)[:, None]
-    mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
-    return (mid + half * x).ravel(), (half * w).ravel()
-
-
 def build_z_plan(model: DensityModel, probe_vs: np.ndarray) -> ZPlan:
     """Composite rule covering the profile support of every probe direction.
 
     Panels double in width away from z = 0 out to twice the scanned
     support.  The node count per panel is the smallest m in _PANEL_NODES
     whose probe profiles agree with those at 2m nodes per panel to
-    Z_PLAN_RTOL; ZPlanError, carrying the finest plan tried, is raised
-    when none does.
+    Z_PLAN_RTOL (`_settle`); ZPlanError, carrying the finest plan tried, is
+    raised when none does.
     """
     probe_vs = np.atleast_2d(np.asarray(probe_vs, dtype=float))
     z_lo, z_hi = 0.0, 0.0
@@ -504,23 +525,16 @@ def build_z_plan(model: DensityModel, probe_vs: np.ndarray) -> ZPlan:
     pos_edges = _panel_edges(max(2.0 * z_hi, 1.0))
     neg_edges = -_panel_edges(max(-2.0 * z_lo, 1.0))[::-1]
 
-    previous, worst = None, math.inf
-    for per_panel in (*_PANEL_NODES, 2 * _PANEL_NODES[-1]):
+    def level(per_panel: int) -> tuple[ZPlan, np.ndarray]:
         plan = ZPlan(*_composite(pos_edges, per_panel), *_composite(neg_edges, per_panel))
-        profiles = np.concatenate(
+        return plan, np.concatenate(
             [profile_batch(model, probe_vs, variant, plan) for variant in PROFILE_VARIANTS]
         )
-        if previous is not None:
-            gap = np.abs(profiles - previous[1])
-            worst = float(np.max(gap / np.maximum(np.abs(profiles), 1e-300)))
-            if np.all(gap <= Z_PLAN_RTOL * np.abs(profiles)):
-                return previous[0]
-        previous = (plan, profiles)
-    raise ZPlanError(
-        f"ray profiles did not settle at {_PANEL_NODES[-1]} nodes per panel: "
-        f"relative change {worst:.3e} against {2 * _PANEL_NODES[-1]}",
-        previous[0],
-    )
+
+    plan, failure = _settle(level)
+    if failure is not None:
+        raise ZPlanError(failure, plan)
+    return plan
 
 
 def profile_batch(

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Iterator, Union
 
 import numpy as np
-from scipy.special import ndtri
 
 from .density import DISCRETE_MODELS, DensityModel
 
@@ -55,6 +54,7 @@ _WILSON_Z = 1.959963984540054
 # Rows per block when a chunk is transposed for the column walk: a block
 # of 1024 rows of n doubles stays in cache.
 _TRANSPOSE_ROWS = 1024
+_TINY = np.finfo(float).tiny
 
 STATISTICS = ("sum", "max-over-Zn", "max-over-Zk")
 
@@ -257,18 +257,30 @@ def _statistics(
     want_sum = "sum" in variants
     want_zn = "max-over-Zn" in variants
     want_zk = "max-over-Zk" in variants
+    # Below `floor`, the power sum behind `norm` (Z(n)^2 or the sum of
+    # |x|^beta) is no normal double: its terms have underflowed.
     if want_zn or want_zk:
         with np.errstate(divide="ignore", invalid="ignore"):
             top, best, norm = _running_maxima(x, want_zn, want_zk)
+        floor = _TINY
     if want_zn or (want_sum and beta == 2.0):
         norm = euclid = np.sqrt(np.sum(x * x, axis=1))
+        floor = math.sqrt(_TINY)
     if want_sum and beta != 2.0:
         norm = np.sum(np.abs(x) ** beta, axis=1) ** (1.0 / beta)
-    # each of Z(n)^2, Z(n) and the beta-norm vanishes on an all-zero row,
-    # so only the rows where `norm` vanishes need the exact test
-    zero = norm == 0.0
-    if zero.any() and not np.any(x[zero] != 0.0, axis=1).all():
-        raise ValueError("statistic undefined on the zero vector")
+        floor = _TINY ** (1.0 / beta)
+    # The statistics are scale-invariant: rows whose norm underflows (an
+    # all-zero row among them) are redone divided by their max-abs entry.
+    tiny = norm < floor
+    if tiny.any():
+        rows = x[tiny]
+        scale = np.max(np.abs(rows), axis=1)
+        if not scale.all():
+            raise ValueError("statistic undefined on the zero vector")
+        redone = _statistics(rows / scale[:, None], beta, variants)
+        norm[tiny] = 1.0  # placeholders, so the divisions below stay finite
+        if want_zn:
+            euclid[tiny] = 1.0
     values: dict[str, np.ndarray] = {}
     if want_sum:
         values["sum"] = np.sum(x, axis=1) / norm
@@ -276,6 +288,9 @@ def _statistics(
         values["max-over-Zn"] = np.divide(top, euclid, out=top)
     if want_zk:
         values["max-over-Zk"] = best
+    if tiny.any():
+        for variant, redo in zip(variants, redone):
+            values[variant][tiny] = redo
     return [values[v] for v in variants]
 
 
@@ -283,7 +298,9 @@ def statistic_batch(x: np.ndarray, spec: StatisticSpec | str | None = None) -> n
     """Self-normalized statistics for a (trials, n) batch of draws.
 
     Rejects all-zero rows: the statistic is undefined there (the models of
-    interest put zero mass on the zero vector).
+    interest put zero mass on the zero vector).  A nonzero row whose norm
+    underflows is divided by its max-abs entry first, so 1e-170 * ones
+    gives sqrt(n) like any other multiple of ones.
 
     The max variants walk the n columns once (see _running_maxima), so
     `max-over-Zk` is bit-identical to the row-wise cumsum form at every n;
@@ -355,6 +372,8 @@ def _chunk_draws(sampler: SamplerSpec, chunk_index: int, m: int) -> np.ndarray:
             return np.where(u >= 0.5, 1.0, -1.0)
         # degenerate-first-coordinate: first coordinate identically zero,
         # the rest iid standard normal.
+        from scipy.special import ndtri
+
         x = ndtri(np.clip(u, 1e-300, 1.0 - 1e-16))
         x[:, 0] = 0.0
         return x

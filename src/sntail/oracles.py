@@ -24,7 +24,6 @@ import numpy as np
 
 from .analytic_core import CriterionPoint, g_many, hessian_fd
 from .density import (
-    PROFILE_QUAD_RTOL,
     DensityModel,
     QuadratureError,
     RadialProfileQuery,
@@ -306,7 +305,7 @@ def _radial_boundary(
 def _region_integrand(
     model: DensityModel, pts: np.ndarray, integrand: str, plan: ZPlan | None
 ) -> np.ndarray:
-    """Integrand at region points; without a plan, adaptively point by point."""
+    """Integrand at region points; without a plan, one h_profile per point."""
     variant = "weighted" if integrand == "weighted" else "paper"
     if plan is None:
         vals = np.array([h_profile(model, RadialProfileQuery(v, variant)) for v in pts])
@@ -398,8 +397,9 @@ def region_tail_integral(
     difference the z-plan's certified tolerance and the rounding of the
     boundary.  metadata["nodes"] counts every node evaluated.  When no
     z-plan passes its check (a density with a support edge), n = 2 evaluates
-    each node with the adaptive `h_profile` instead, and n >= 3 raises
-    `ZPlanError`.
+    each node with the scalar `h_profile` instead, whose panels break at
+    that ray's support edge and whose node count passes the same
+    Z_PLAN_RTOL check, and n >= 3 raises `ZPlanError`.
 
     n is capped at 4 (one to three region dimensions).
     """
@@ -425,18 +425,19 @@ def region_tail_integral(
     probe_r = _radial_boundary(probe_dirs, beta, level, r_cap)
     probes = np.vstack((np.ones((1, dim)), 1.0 + probe_r[:, None] * probe_dirs))
     try:
-        plan, profile_rtol = build_z_plan(model, probes), Z_PLAN_RTOL
+        plan = build_z_plan(model, probes)
     except ZPlanError:
         # A profile the plan cannot resolve, such as one across the folded
-        # normal's support edge.  On an interval (n = 2) the ladder takes the
-        # adaptive h_profile at each node instead: a few hundred scalar
-        # quadratures, where a two- or three-dimensional region would need
-        # tens of thousands.  The folded normal's profile is kinked only at
-        # v = 1, the pole of the polar coordinates, so the radial rule still
+        # normal's support edge.  On an interval (n = 2) the ladder takes
+        # h_profile at each node instead, a rule fitted to that node's ray
+        # and held to the same Z_PLAN_RTOL: a few hundred scalar profiles,
+        # where a two- or three-dimensional region would need tens of
+        # thousands.  The folded normal's profile is kinked only at v = 1,
+        # the pole of the polar coordinates, so the radial rule still
         # converges spectrally on both sides.
         if dim > 1:
             raise
-        plan, profile_rtol = None, PROFILE_QUAD_RTOL
+        plan = None
 
     # Polar coordinates in the metric of the peak's curvature: v = 1 + rho*T*d
     # with T = (-Hessian of g)^(-1/2), in which the region is nearly a ball,
@@ -451,7 +452,7 @@ def region_tail_integral(
     # boundary itself, placed where g rounds to `level`: a shift of
     # 2 ulp(level) in the threshold moves the measure by dim/2 times as much
     # relative to eps.
-    floor = profile_rtol + dim * np.finfo(float).eps * level / epsilon
+    floor = Z_PLAN_RTOL + dim * np.finfo(float).eps * level / epsilon
 
     dir_count, radial_count, max_level = _LADDER[dim]
     values = None

@@ -4,6 +4,10 @@ import csv
 import dataclasses
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -325,3 +329,56 @@ def test_twelve_digit_output(capsys):
     )
     assert corrected["value"] == pytest.approx(2.0**2.25, rel=1e-11)
     assert len(str(corrected["value"]).replace(".", "").lstrip("0")) <= 12
+
+
+def test_verify_rare_mc_count_is_judged_by_the_exact_binomial_tail(capsys):
+    # 1000 trials at n = 8 expect 0.0132 hits and seed 79 draws one, a 1.3%
+    # event: z = +8.6 under the normal approximation, yet the exact
+    # binomial tail is far above the 5 sigma level, so nothing failed
+    assert main(["verify", "--n", "8", "--trials", "1000", "--seed", "79"]) == 0
+    records = json.loads(capsys.readouterr().out)["records"]
+    row = next(r for r in records if r["quantity"].startswith("mc_tail"))
+    assert row["status"] == "untested"
+    assert row["corrected_value"] == 0.001
+    assert "exact binomial p = 0.0263" in row["note"]
+
+
+_SCIPY_PROBE = """
+import contextlib, io, json, sys
+
+import sntail.cli
+
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+
+sntail.cli.parse_config(["verify", "--n", "3"])
+report = {"import": scipy_modules()}
+gauss = "gaussian:cov=" + " ".join("1" if i == j else "0" for i in range(4) for j in range(4))
+for name, argv in (
+    ("verify", ["verify", "--n", "3", "--model", "iid-student-t:nu=5", "--seed", "1"]),
+    ("oracle", ["oracle", "--n", "4", "--model", gauss, "--eps", "0.1"]),
+    ("mc", ["mc", "--n", "3", "--eps", "0.1", "--trials", "1e4", "--workers", "2"]),
+):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = sntail.cli.main(argv)
+    report[name] = [code, scipy_modules()]
+print(json.dumps(report))
+"""
+
+
+def test_scipy_loads_only_where_sampling_starts():
+    # a fresh interpreter, so modules imported by other tests do not count
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    done = subprocess.run([sys.executable, "-c", _SCIPY_PROBE], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    report = json.loads(done.stdout)
+    assert report["import"] == []
+    assert report["verify"] == [0, []]
+    assert report["oracle"] == [0, []]
+    code, loaded = report["mc"]
+    assert code == 0 and "scipy.special" in loaded
+    assert not [m for m in loaded if m.startswith(("scipy.integrate", "scipy.linalg"))]

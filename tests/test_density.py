@@ -291,3 +291,114 @@ def test_h_profile_locates_a_support_edge():
     v = np.array([0.9, 1.2])
     got = h_profile(DensityModel.iid_folded_normal(3), RadialProfileQuery(v, "paper"))
     assert got == pytest.approx(_folded_profile(v, "paper"), rel=1e-12)
+
+
+def _iid_normal_profiles(n: int, v: np.ndarray) -> tuple[float, float]:
+    """Paper and weighted profiles of the standard iid normal, in closed form.
+
+    Along w = (1, v) the density is (2 pi)^(-n/2) exp(-z^2 |w|^2 / 2), so the
+    paper profile is (2 pi)^(-(n-1)/2) / |w| and the weighted one (and its
+    mirror) is (2 pi)^(-n/2) 2^(n/2-1) Gamma(n/2) / |w|^n.
+    """
+    norm = math.sqrt(1.0 + float(v @ v))
+    paper = (2.0 * math.pi) ** (-(n - 1) / 2.0) / norm
+    weighted = math.exp(
+        -0.5 * n * math.log(2.0 * math.pi) + (0.5 * n - 1.0) * math.log(2.0)
+        + math.lgamma(0.5 * n) - n * math.log(norm)
+    )
+    return paper, weighted
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 10, 30])
+def test_scalar_profiles_match_iid_normal_closed_forms(n):
+    rng = np.random.default_rng(40 + n)
+    model = DensityModel.iid_normal(n)
+    for v in (np.ones(n - 1), np.zeros(n - 1), rng.uniform(-2.0, 2.0, n - 1),
+              rng.uniform(0.1, 3.0, n - 1)):
+        paper, weighted = _iid_normal_profiles(n, v)
+        got = h_profile(model, RadialProfileQuery(v, "paper"))
+        assert got == pytest.approx(paper, rel=1e-13, abs=0.0)
+        got = h_profile(model, RadialProfileQuery(v, "weighted"))
+        assert got == pytest.approx(weighted, rel=1e-13, abs=0.0)
+        assert weighted_profile_mirror(model, v) == pytest.approx(weighted, rel=1e-13, abs=0.0)
+
+
+def test_scalar_profiles_match_adaptive_quadrature():
+    # scipy's adaptive quad, pointwise on `pdf`, as an independent reference
+    # for a heavy tail and for a gaussian whose mean makes the profile
+    # asymmetric in z
+    cov = 0.6 * np.eye(3) + 0.4 * np.ones((3, 3))
+    models = (
+        DensityModel.iid_student_t(3, nu=5.0),
+        DensityModel.iid_student_t(2, nu=3.0),
+        DensityModel.gaussian(np.array([0.3, -0.2, 0.5]), cov),
+    )
+    rng = np.random.default_rng(11)
+    for model in models:
+        n = model.n
+        for v in (np.ones(n - 1), 1.0 + 0.5 * rng.standard_normal(n - 1)):
+            w = np.concatenate(([1.0], v))
+
+            def psi(z: float, power: int) -> float:
+                return abs(z) ** power * float(model.pdf(z * w))
+
+            def quad(lo: float, hi: float, power: int) -> float:
+                return integrate.quad(psi, lo, hi, args=(power,), epsabs=0.0,
+                                      epsrel=1e-13, limit=500)[0]
+
+            got = h_profile(model, RadialProfileQuery(v, "paper"))
+            assert got == pytest.approx(quad(-np.inf, np.inf, 0), rel=1e-12)
+            got = h_profile(model, RadialProfileQuery(v, "weighted"))
+            assert got == pytest.approx(quad(0.0, np.inf, n - 1), rel=1e-12)
+            got = weighted_profile_mirror(model, v)
+            assert got == pytest.approx(quad(-np.inf, 0.0, n - 1), rel=1e-12)
+
+
+def test_scalar_profile_raises_when_no_node_count_settles(monkeypatch):
+    # one node count, compared only with its double, cannot resolve the
+    # narrow heavy-tailed peak to Z_PLAN_RTOL
+    monkeypatch.setattr(density, "_PANEL_NODES", (2,))
+    with pytest.raises(density.QuadratureError, match="did not settle"):
+        h_profile(DensityModel.iid_student_t(3, nu=5.0),
+                  RadialProfileQuery(np.ones(2), "weighted"))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_gaussian_solve_matches_solve_triangular(n):
+    # The factor is solved with numpy; scipy's triangular solve of the same
+    # formulas is the reference.  Any solve's rounding reaches exp(-q/2) as a
+    # relative error proportional to the quadratic form q, hence the bound
+    # 1e-15 per unit of q (and 1e-15 outright where q < 1).
+    from scipy.linalg import solve_triangular
+
+    cov = 0.6 * np.eye(n) + 0.4 * np.ones((n, n))
+    cov[0, n - 1] = cov[n - 1, 0] = -0.25
+    rng = np.random.default_rng(300 + n)
+    vs = rng.uniform(-1.5, 1.5, (40, n - 1))
+    rays = np.concatenate((np.ones((40, 1)), vs), axis=1)
+    z = np.linspace(-1.5, 1.5, 31)
+    for mean in (np.zeros(n), np.linspace(0.3, -0.5, n)):
+        model = DensityModel.gaussian(mean, cov)
+        chol, log_norm = model.chol, model._gaussian_log_norm()
+
+        x = mean + rng.standard_normal((500, n)) @ chol.T
+        y = solve_triangular(chol, (x - mean).T, lower=True)
+        q = np.sum(y * y, axis=0)
+        got, expect = model.pdf(x), np.exp(log_norm - 0.5 * q)
+        assert np.all(np.abs(got / expect - 1.0) <= 1e-15 * np.maximum(q, 1.0))
+
+        y = solve_triangular(chol, rays.T, lower=True)
+        a = np.sum(y * y, axis=0)
+        c = solve_triangular(chol, mean, lower=True)
+        shift = (c @ y) / a
+        resid = shift * y - c[:, None]
+        q = a[:, None] * (z - shift[:, None]) ** 2 + np.sum(resid * resid, axis=0)[:, None]
+        got, expect = model.ray_pdf(rays, z), np.exp(log_norm - 0.5 * q)
+        assert np.all(np.abs(got / expect - 1.0) <= 1e-15 * np.maximum(q, 1.0))
+
+
+def test_gaussian_names_a_non_positive_definite_covariance():
+    with pytest.raises(ValueError, match="cov must be positive definite"):
+        DensityModel.gaussian(np.zeros(2), np.array([[1.0, 2.0], [2.0, 1.0]]))
+    with pytest.raises(ValueError, match="cov must be positive definite"):
+        DensityModel.gaussian(np.zeros(3), np.ones((3, 3)))

@@ -1,5 +1,6 @@
 """Ledger entry contracts and the verification report."""
 
+import dataclasses
 import math
 
 import pytest
@@ -124,3 +125,37 @@ def test_verify_n2_resolves_a_support_edge():
     assert rows["tail_constant"].status != "untested"
     assert rows["tail_constant"].oracle_value is not None
     assert rows["sandwich"].status == "confirmed"
+
+
+def test_binomial_p_value_matches_scipy():
+    from scipy.stats import binom
+
+    cases = [(1, 1000, 1.32e-5), (0, 1000, 1.32e-5), (3, 1000, 0.00666),
+             (0, 1000, 0.00666), (20, 1000, 0.00666), (100, 10**6, 1e-5),
+             (5, 10**7, 1e-6), (45, 10**5, 4e-4), (0, 10**6, 4.9e-5)]
+    for hits, trials, p in cases:
+        if hits >= p * trials:
+            tail = binom.sf(hits - 1, trials, p)
+        else:
+            tail = binom.cdf(hits, trials, p)
+        got = ledger._binomial_p_value(hits, trials, p)
+        assert got == pytest.approx(min(1.0, 2.0 * tail), rel=1e-6)
+    assert ledger._binomial_p_value(0, 1000, 0.0) == 1.0
+    assert ledger._binomial_p_value(1, 1000, 0.0) == 0.0
+
+
+def test_mc_row_gate_below_fifty_expected_hits_still_fails_a_wrong_count(monkeypatch):
+    # 0.0132 hits are expected at n = 8 with 1000 trials; a count of 10 has
+    # an exact two-sided tail near 1e-26, far below the 5 sigma level
+    true_estimate = ledger.estimate_tail
+
+    def miscounted(*args, **kwargs):
+        est = true_estimate(*args, **kwargs)
+        return dataclasses.replace(est, hits=10, p_hat=10 / est.trials)
+
+    monkeypatch.setattr(ledger, "estimate_tail", miscounted)
+    report = run_verify(n=8, seed=79, trials=1000)
+    assert report.exit_code == 1
+    assert any("exact binomial p" in f for f in report.internal_failures)
+    row = next(e for e in report.entries if e.quantity.startswith("mc_tail"))
+    assert row.status == "untested"

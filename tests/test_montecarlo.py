@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -80,24 +81,46 @@ def test_statistic_batch_matches_rowwise_reference(n):
     x = rng.standard_normal((3000, n))
     # leading zeros make the first prefix norms vanish (the -inf path of
     # max-over-Zk); squares of 1e-170 underflow, so there the norm vanishes
-    # under a partial sum that does not
+    # under a partial sum that does not.  Row n + 2 underflows whole: the
+    # reference is +-inf there, and statistic_batch rescales that row only,
+    # so it reads like a row of ones and every other row keeps its bits.
     for j in range(1, n):
         x[j, :j] = 0.0
     x[n, : n - 1] = 1e-170
     x[n, n - 1] = 2.0
     x[n + 1, 1:] = 0.0
     x[n + 2] = 1e-170
+    rest = np.arange(x.shape[0]) != n + 2
     for spec in _REFERENCE_SPECS:
+        got = statistic_batch(x, spec)
         with np.errstate(divide="ignore"):
-            got = statistic_batch(x, spec)
-            assert np.array_equal(got, _rowwise_statistic_batch(x, spec)), spec
+            expect = _rowwise_statistic_batch(x, spec)
+        assert np.array_equal(got[rest], expect[rest]), spec
+        assert got[n + 2] == statistic_batch(np.ones((1, n)), spec)[0], spec
     zk = statistic_batch(x, "max-over-Zk")
     assert zk[n] == 1.0
-    assert zk[n + 2] == -np.inf
     x[-1] = 0.0
     for spec in _REFERENCE_SPECS:
         with pytest.raises(ValueError, match="zero vector"):
             statistic_batch(x, spec)
+
+
+def test_underflowing_rows_read_like_their_rescaled_selves():
+    # the squares of 1e-170 underflow to zero, and those of 1e-160 to
+    # subnormals with a few bits left; the statistic is scale-invariant, so
+    # c * ones reads sqrt(n) for every c > 0, with no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for n in (2, 3, 8):
+            for scale in (1e-170, 1e-160):
+                x = np.vstack((np.full(n, scale), np.ones(n), np.full(n, -scale)))
+                for variant in ("sum", "max-over-Zn", "max-over-Zk"):
+                    got = statistic_batch(x, variant)
+                    assert got[0] == pytest.approx(math.sqrt(n), rel=1e-15), (n, variant)
+                    assert got[1] == pytest.approx(math.sqrt(n), rel=1e-15)
+                    assert got[2] == statistic(-np.ones(n), variant)
+            got = statistic(np.full(n, 1e-170), StatisticSpec(3.0, "sum"))
+            assert got == pytest.approx(n ** (2.0 / 3.0), rel=1e-15)
 
 
 def test_draw_from_uniforms_leaves_its_input_and_matches_the_formula():
