@@ -109,13 +109,14 @@ class KConstant:
     variant: str
 
 
-def _log_k(n: float, beta: float, variant: str) -> tuple[float, float]:
+def _log_k(n: int, beta: float, variant: str) -> tuple[float, float]:
     """(log K, log det) in the requested variant, safe for very large n."""
+    spec = AntiHessianSpec(n, beta)
     if variant == "paper":
-        log_det = _log_det_published(n, beta)
+        log_det = log_det_anti_hessian_published(spec)
         sign = -1.0
     elif variant == "corrected":
-        log_det = _log_det_eigen(n, beta)
+        log_det = log_det_anti_hessian(spec)
         sign = 1.0
     else:
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
@@ -128,20 +129,6 @@ def _log_k(n: float, beta: float, variant: str) -> tuple[float, float]:
     return log_k, log_det
 
 
-def _log_det_eigen(n: float, beta: float) -> float:
-    # (beta-1)**(n-1) * n**(-(n-1)/beta - 1), the eigenvalue product.
-    return (n - 1) * math.log(beta - 1.0) + (-(n - 1) / beta - 1.0) * math.log(n)
-
-
-def _log_det_published(n: float, beta: float) -> float:
-    tail = 2.0 * n ** (-1.0 / beta) - 3.0 * n ** (-1.0 - 1.0 / beta)
-    return (
-        (n - 1) * math.log(beta - 1.0)
-        - (n - 2) / beta * math.log(n)
-        + math.log(tail)
-    )
-
-
 def k_constant(n: int, beta: float = 2.0, variant: str = "corrected") -> KConstant:
     """Leading constant of the tail power law, with component breakdown.
 
@@ -152,12 +139,7 @@ def k_constant(n: int, beta: float = 2.0, variant: str = "corrected") -> KConsta
     by eps**((n-1)/2); the published one uses the ellipsoid without the
     factor 2 from the second-order Taylor expansion.
     """
-    spec = AntiHessianSpec(n, beta)
-    log_k, _ = _log_k(float(n), beta, variant)
-    if variant == "paper":
-        log_det = log_det_anti_hessian_published(spec)
-    else:
-        log_det = log_det_anti_hessian(spec)
+    log_k, log_det = _log_k(n, beta, variant)
     return KConstant(
         value=math.exp(log_k),
         log_value=log_k,
@@ -281,16 +263,14 @@ def predict_tail(
     )
 
 
-def predict_gamma_variant(
-    model: DensityModel | None, query: GammaVariantQuery
-) -> Prediction:
+def predict_gamma_variant(query: GammaVariantQuery) -> Prediction:
     """Published prediction when the profile vanishes with local exponent gamma.
 
     Evaluates the printed display verbatim:
     2**(-(n-3)/2) * det_published**(-1/2) * pi**((n-1)/2) / Gamma((n-1)/2)
     * epsilon**((n+gamma-1)/2) / (n+gamma-1).
     The density model enters only through the assumed local behavior of its
-    profile, so it is accepted for interface uniformity and otherwise unused.
+    profile, gamma, so the query alone determines the prediction.
     At gamma = 0 the constant reduces algebraically to the published K.
     """
     n, gamma, eps = query.n, query.gamma, query.epsilon
@@ -339,7 +319,7 @@ def log_growth_check(beta: float, n_values: list[int]) -> list[tuple[int, float]
     for n in n_values:
         if n < 2:
             raise ValueError(f"n values must be >= 2, got {n}")
-        log_k, _ = _log_k(float(n), beta, "paper")
+        log_k, _ = _log_k(n, beta, "paper")
         out.append((n, log_k / (n * math.log(n))))
     return out
 

@@ -26,7 +26,7 @@ from .density import (
     h_profile,
     profile_batch,
 )
-from .oracles import _directions, region_tail_integral, tail_window
+from .oracles import _directions, _reach, region_tail_integral, tail_window
 
 __all__ = [
     "BoundsCertificate",
@@ -353,15 +353,17 @@ def validate_sandwich(model: DensityModel, n: int, epsilon: float) -> SandwichRe
     cert = envelope_bounds(model, n, epsilon)
     oracle = region_tail_integral(model, n, epsilon, 2.0, integrand="paper")
 
-    from .oracles import _coordinate_range
-
-    # Containment certificate: the coordinate box circumscribing the region
-    # either fits inside the sqrt(eps/lam) ball outright, or at least inside
-    # the unit ball, where the quadratic minorant g(1) - g(v) >= lam*r**2
-    # itself forces every region point below radius sqrt(eps/lam).
-    level = math.sqrt(n) - epsilon
-    t_lo, t_hi = _coordinate_range(n, 2.0, level)
-    max_extent = math.sqrt(n - 1) * max(t_hi - 1.0, 1.0 - t_lo)
+    # Containment certificate: the region's farthest point from the all-ones
+    # point lies on the diagonal.  With m = n - 1 and c = sqrt(n) - eps, a
+    # boundary point 1 + p*1/sqrt(m) + q, q orthogonal to 1, lies at squared
+    # distance (n + sqrt(m)*p)**2 / c**2 - n - 2*sqrt(m)*p from it.  That is
+    # convex in p, so it peaks at an end of p's range, where q = 0: on one of
+    # the two diagonal rays.  That extent either fits inside the
+    # sqrt(eps/lam) ball outright, or at least inside the unit ball, where
+    # the quadratic minorant g(1) - g(v) >= lam*r**2 itself forces every
+    # region point below radius sqrt(eps/lam).
+    diagonal = np.full((1, n - 1), 1.0 / math.sqrt(n - 1))
+    max_extent = float(np.max(_reach(np.vstack((diagonal, -diagonal)), n, 2.0, epsilon)))
     contained = (
         max_extent <= math.sqrt(epsilon / cert.lam) * (1.0 + 1e-9)
         or max_extent <= 1.0 + 1e-12

@@ -258,39 +258,43 @@ def _statistics(
     want_zn = "max-over-Zn" in variants
     want_zk = "max-over-Zk" in variants
     # Below `floor`, the power sum behind `norm` (Z(n)^2 or the sum of
-    # |x|^beta) is no normal double: its terms have underflowed.
-    if want_zn or want_zk:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            top, best, norm = _running_maxima(x, want_zn, want_zk)
-        floor = _TINY
-    if want_zn or (want_sum and beta == 2.0):
-        norm = euclid = np.sqrt(np.sum(x * x, axis=1))
-        floor = math.sqrt(_TINY)
-    if want_sum and beta != 2.0:
-        norm = np.sum(np.abs(x) ** beta, axis=1) ** (1.0 / beta)
-        floor = _TINY ** (1.0 / beta)
+    # |x|^beta) is no normal double: its terms have underflowed.  Above the
+    # largest double they have overflowed, and `norm` is inf.
+    with np.errstate(over="ignore"):
+        if want_zn or want_zk:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                top, best, norm = _running_maxima(x, want_zn, want_zk)
+            floor = _TINY
+        if want_zn or (want_sum and beta == 2.0):
+            norm = euclid = np.sqrt(np.sum(x * x, axis=1))
+            floor = math.sqrt(_TINY)
+        if want_sum and beta != 2.0:
+            norm = np.sum(np.abs(x) ** beta, axis=1) ** (1.0 / beta)
+            floor = _TINY ** (1.0 / beta)
     # The statistics are scale-invariant: rows whose norm underflows (an
-    # all-zero row among them) are redone divided by their max-abs entry.
-    tiny = norm < floor
-    if tiny.any():
-        rows = x[tiny]
+    # all-zero row among them) or overflows are redone divided by their
+    # max-abs entry.
+    rescale = (norm < floor) | np.isinf(norm)
+    if rescale.any():
+        rows = x[rescale]
         scale = np.max(np.abs(rows), axis=1)
         if not scale.all():
             raise ValueError("statistic undefined on the zero vector")
         redone = _statistics(rows / scale[:, None], beta, variants)
-        norm[tiny] = 1.0  # placeholders, so the divisions below stay finite
+        norm[rescale] = 1.0  # placeholders, so the divisions below stay finite
         if want_zn:
-            euclid[tiny] = 1.0
+            euclid[rescale] = 1.0
     values: dict[str, np.ndarray] = {}
     if want_sum:
-        values["sum"] = np.sum(x, axis=1) / norm
+        with np.errstate(over="ignore"):  # overflowing rows are redone
+            values["sum"] = np.sum(x, axis=1) / norm
     if want_zn:
         values["max-over-Zn"] = np.divide(top, euclid, out=top)
     if want_zk:
         values["max-over-Zk"] = best
-    if tiny.any():
+    if rescale.any():
         for variant, redo in zip(variants, redone):
-            values[variant][tiny] = redo
+            values[variant][rescale] = redo
     return [values[v] for v in variants]
 
 
@@ -299,8 +303,9 @@ def statistic_batch(x: np.ndarray, spec: StatisticSpec | str | None = None) -> n
 
     Rejects all-zero rows: the statistic is undefined there (the models of
     interest put zero mass on the zero vector).  A nonzero row whose norm
-    underflows is divided by its max-abs entry first, so 1e-170 * ones
-    gives sqrt(n) like any other multiple of ones.
+    underflows or overflows is divided by its max-abs entry first, so
+    1e-170 * ones and 1e200 * ones give sqrt(n) like any other multiple of
+    ones.
 
     The max variants walk the n columns once (see _running_maxima), so
     `max-over-Zk` is bit-identical to the row-wise cumsum form at every n;

@@ -22,7 +22,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .analytic_core import CriterionPoint, g_many, hessian_fd
+from .analytic_core import AntiHessianSpec, g_many, structured_anti_hessian
 from .density import (
     DensityModel,
     QuadratureError,
@@ -232,73 +232,46 @@ def tail_window(n: int, beta: float = 2.0) -> float:
     return n ** (1.0 - 1.0 / beta) - (n - 1) ** (1.0 - 1.0 / beta)
 
 
-def _envelope_value(t: np.ndarray, n: int, beta: float) -> np.ndarray:
-    """sup of g over the slice with one coordinate pinned to t (t >= 0).
+def _reach(dirs: np.ndarray, n: int, beta: float, epsilon: float) -> np.ndarray:
+    """Distance from the all-ones point to the boundary of the tail region
+    {g > n**(1-1/beta) - eps} along each unit direction in `dirs` (k, n - 1).
 
-    With r = n - 2 free coordinates the supremum has all of them equal to
-    w* = (c1/c0)**(1/(beta-1)) where c0 = 1 + t, c1 = 1 + t**beta.
+    For beta = 2 the boundary is a quadric.  With a = sum(d), c = sqrt(n) - eps
+    and delta = n - c**2 = eps * (2 sqrt(n) - eps), g(1 + r d) = c where
+    (c**2 - a**2) r**2 - 2 a delta r - n delta = 0, whose one positive root is
+    taken in the form free of cancellation for each sign of a.  Inside
+    `tail_window`, c**2 - a**2 >= c**2 - (n - 1) > 0; it is formed as
+    n - a**2 - delta, so that c itself is never rounded.
+
+    Any other beta bisects g along each ray, bracketed by doubling from
+    r = 1: the region is convex and holds the all-ones point, so each ray
+    leaves it exactly once.
     """
-    t = np.asarray(t, dtype=float)
-    r = n - 2
-    c0 = 1.0 + t
-    c1 = 1.0 + np.abs(t) ** beta
-    if r == 0:
-        return c0 / c1 ** (1.0 / beta)
-    w = (c1 / c0) ** (1.0 / (beta - 1.0))
-    return (c0 + r * w) / (c1 + r * w**beta) ** (1.0 / beta)
+    a = dirs.sum(axis=-1)
+    if beta == 2.0:
+        delta = epsilon * (2.0 * math.sqrt(n) - epsilon)
+        lead = n - a * a - delta
+        root = np.sqrt(delta * (a * a * delta + n * lead))
+        return np.where(a >= 0.0, (a * delta + root) / lead, n * delta / (root - a * delta))
+    level = n ** (1.0 - 1.0 / beta) - epsilon
 
+    def inside(r: np.ndarray) -> np.ndarray:
+        return g_many(1.0 + r[:, None] * dirs, beta) > level
 
-def _bisect_scalar(
-    fn: Callable[[float], float], lo: float, hi: float, iters: int = 80
-) -> float:
-    """Root of fn on [lo, hi] assuming fn(lo) and fn(hi) differ in sign."""
-    f_lo = fn(lo)
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if fn(mid) * f_lo > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def _coordinate_range(n: int, beta: float, level: float) -> tuple[float, float]:
-    """Interval of coordinate values reachable inside the region {g > level}."""
-
-    def fn(t: float) -> float:
-        return float(_envelope_value(np.array([t]), n, beta)[0]) - level
-
-    if fn(0.0) >= 0.0:
-        raise ValueError("tail region touches the orthant boundary")
-    hi = 2.0
+    lo, hi = np.zeros(a.shape), np.ones(a.shape)
     for _ in range(60):
-        if fn(hi) < 0.0:
+        out = ~inside(hi)
+        if out.all():
             break
-        hi *= 2.0
+        lo = np.where(out, lo, hi)
+        hi = np.where(out, hi, 2.0 * hi)
     else:
-        raise QuadratureError("tail region upper extent not bracketed")
-    return _bisect_scalar(fn, 0.0, 1.0), _bisect_scalar(fn, hi, 1.0)
-
-
-def _radial_boundary(
-    dirs: np.ndarray, beta: float, level: float, r_cap: float
-) -> np.ndarray:
-    """Distance from the all-ones point to {g = level} along each direction.
-
-    g is quasiconcave with its maximum at the all-ones point, so it is
-    non-increasing along every outgoing ray and the crossing is unique.
-    """
-    k = dirs.shape[0]
-    lo = np.zeros(k)
-    hi = np.full(k, r_cap)
-    vals = g_many(1.0 + hi[:, None] * dirs, beta)
-    if np.any(vals > level):
-        raise QuadratureError("region extends past its certified bounding ball")
+        raise QuadratureError("tail region extent not bracketed")
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        inside = g_many(1.0 + mid[:, None] * dirs, beta) > level
-        lo = np.where(inside, mid, lo)
-        hi = np.where(inside, hi, mid)
+        kept = inside(mid)
+        lo = np.where(kept, mid, lo)
+        hi = np.where(kept, hi, mid)
     return 0.5 * (lo + hi)
 
 
@@ -388,18 +361,20 @@ def region_tail_integral(
     evaluates the as-published region expression instead.
 
     The region is integrated in polar coordinates about the all-ones point,
-    taken in the metric of g's curvature there so that the region is nearly
-    a ball: a rule over directions (`_directions`) times Fejer-2 in the
-    radius out to the region boundary.  Both are nested, so every refinement
-    level doubles each count and evaluates, in one `profile_batch` call,
-    only the nodes the previous level lacks.  The ladder returns level L
-    once |L - (L-1)| <= rel_target * |L|; the error estimate adds to that
-    difference the z-plan's certified tolerance and the rounding of the
-    boundary.  metadata["nodes"] counts every node evaluated.  When no
-    z-plan passes its check (a density with a support edge), n = 2 evaluates
-    each node with the scalar `h_profile` instead, whose panels break at
-    that ray's support edge and whose node count passes the same
-    Z_PLAN_RTOL check, and n >= 3 raises `ZPlanError`.
+    taken in the metric of g's closed-form curvature there so that the
+    region is nearly a ball: a rule over directions (`_directions`) times
+    Fejer-2 in the radius out to the region boundary.  That boundary is
+    `_reach`, exact for beta = 2, where the region is an ellipsoid and no
+    root search runs; other beta bisect g.  Both rules are nested, so every
+    refinement level doubles each count and evaluates, in one
+    `profile_batch` call, only the nodes the previous level lacks.  The
+    ladder returns level L once |L - (L-1)| <= rel_target * |L|; the error
+    estimate adds to that difference the z-plan's certified tolerance and
+    the rounding of the boundary.  metadata["nodes"] counts every node
+    evaluated.  When no z-plan passes its check (a density with a support
+    edge), n = 2 evaluates each node with the scalar `h_profile` instead,
+    whose panels break at that ray's support edge and whose node count
+    passes the same Z_PLAN_RTOL check, and n >= 3 raises `ZPlanError`.
 
     n is capped at 4 (one to three region dimensions).
     """
@@ -415,14 +390,11 @@ def region_tail_integral(
             f"epsilon must lie in (0, {window:.6g}) for n = {n}, beta = {beta}"
         )
     rel_target = max(rel_target, 1e-12)
-    level = n ** (1.0 - 1.0 / beta) - epsilon
     dim = n - 1
-    t_lo, t_hi = _coordinate_range(n, beta, level)
-    r_cap = 1.0001 * math.sqrt(dim) * max(t_hi - 1.0, 1.0 - t_lo)
 
     # Shared ray-parameter quadrature plan, built from boundary probes.
     probe_dirs = _directions(dim, 16 if dim == 2 else 4)[0].reshape(-1, dim)
-    probe_r = _radial_boundary(probe_dirs, beta, level, r_cap)
+    probe_r = _reach(probe_dirs, n, beta, epsilon)
     probes = np.vstack((np.ones((1, dim)), 1.0 + probe_r[:, None] * probe_dirs))
     try:
         plan = build_z_plan(model, probes)
@@ -440,18 +412,24 @@ def region_tail_integral(
         plan = None
 
     # Polar coordinates in the metric of the peak's curvature: v = 1 + rho*T*d
-    # with T = (-Hessian of g)^(-1/2), in which the region is nearly a ball,
-    # so its boundary radius hardly varies with the direction d.  Any
-    # invertible T gives the same integral; this one makes the rules converge
-    # fast.  The Hessian is the finite-difference one, not the closed form.
-    curv, basis = np.linalg.eigh(-hessian_fd(CriterionPoint(np.ones(dim), beta)))
-    shape = (basis / np.sqrt(curv)) @ basis.T
-    jacobian = float(np.prod(curv) ** -0.5)
+    # with T = A**(-1/2), A = -Hessian of g at the all-ones point, in which the
+    # region is nearly a ball, so its boundary radius hardly varies with the
+    # direction d.  Any invertible T gives the same integral; this one makes
+    # the rules converge fast.  A has the simple eigenvalue along the ones
+    # vector and the repeated one across it, both in closed form, so
+    # T = P / sqrt(simple) + (I - P) / sqrt(rep) with P the projector on ones.
+    rep, simple = structured_anti_hessian(AntiHessianSpec(n, beta)).eigenvalues()
+    ones_proj = np.full((dim, dim), 1.0 / dim)
+    shape = ones_proj / math.sqrt(simple) + (np.eye(dim) - ones_proj) / math.sqrt(rep)
+    jacobian = simple**-0.5 * rep ** (-0.5 * (dim - 1))
 
     # Errors the ladder cannot see: the profiles' tolerance, and the
-    # boundary itself, placed where g rounds to `level`: a shift of
-    # 2 ulp(level) in the threshold moves the measure by dim/2 times as much
-    # relative to eps.
+    # boundary's placement.  A bisection of g places it where g rounds to
+    # the level: a shift of 2 ulp(level) in the threshold moves the measure
+    # by dim/2 times as much relative to eps.  That bounds the bisection of
+    # beta != 2; the closed-form reach of beta = 2 is far more accurate, so
+    # there the term is conservative.
+    level = n ** (1.0 - 1.0 / beta) - epsilon
     floor = Z_PLAN_RTOL + dim * np.finfo(float).eps * level / epsilon
 
     dir_count, radial_count, max_level = _LADDER[dim]
@@ -462,9 +440,7 @@ def region_tail_integral(
         axes = dirs @ shape
         stretch = np.linalg.norm(axes, axis=-1)
         axes /= stretch[..., None]
-        reach = _radial_boundary(
-            axes.reshape(-1, dim), beta, level, r_cap
-        ).reshape(dir_w.shape)
+        reach = _reach(axes.reshape(-1, dim), n, beta, epsilon).reshape(dir_w.shape)
         x, w = _fejer2(radial_count * 2**lvl)
         s, s_w = 0.5 * (x + 1.0), 0.5 * w
         pts = 1.0 + (reach[..., None] * s)[..., None] * axes[..., None, :]

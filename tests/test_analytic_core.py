@@ -1,5 +1,7 @@
 """Structured determinants, criterion function, and derivative checks."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from sntail.analytic_core import (
     g_many,
     g_value,
     hessian_fd,
+    log_det_anti_hessian,
     structured_anti_hessian,
 )
 
@@ -101,6 +104,35 @@ def test_published_determinant_agrees_at_n2():
     assert det_anti_hessian_published(spec) == pytest.approx(
         det_anti_hessian(spec), rel=1e-12
     )
+
+
+def test_log_det_is_the_eigenvalue_product():
+    # against LU of the dense matrix while it can be materialized, and the
+    # eigenvalues the structured matrix reports up to n = 1e12
+    for beta in BETAS:
+        for n in range(2, 41):
+            spec = AntiHessianSpec(n, beta)
+            sign, numeric = np.linalg.slogdet(build_anti_hessian(spec))
+            assert sign == 1.0
+            assert log_det_anti_hessian(spec) == pytest.approx(numeric, rel=1e-12, abs=1e-12)
+        for n in (10**3, 10**6, 10**9, 10**12):
+            spec = AntiHessianSpec(n, beta)
+            rep, simple = structured_anti_hessian(spec).eigenvalues()
+            via_eigen = (n - 2) * math.log(rep) + math.log(simple)
+            assert log_det_anti_hessian(spec) == pytest.approx(via_eigen, rel=1e-13)
+
+
+def test_log_det_stays_finite_at_n_1e19():
+    # there diag + (n-2)*off cancels: the eigenvalue route gave -inf at
+    # beta = 2 and nan at 1.5 and 3.  The eigenvalues, in their own closed
+    # forms (beta-1) n^(-1/beta), n - 2 times, and (beta-1) n^(-1-1/beta):
+    n = 10**19
+    for beta in BETAS:
+        log_n, log_scale = math.log(n), math.log(beta - 1.0)
+        expect = (n - 2) * (log_scale - log_n / beta) + log_scale - (1.0 + 1.0 / beta) * log_n
+        got = log_det_anti_hessian(AntiHessianSpec(n, beta))
+        assert math.isfinite(got)
+        assert got == pytest.approx(expect, rel=1e-14)
 
 
 def test_published_structured_form_tracks_its_own_matrix():

@@ -33,6 +33,15 @@ def test_k_constant_frozen_values():
     assert k_constant(3, 2.0, "paper").value == pytest.approx(2.7207, rel=1e-4)
 
 
+def test_k_constant_at_n_1e19():
+    # its determinant underflows to 0, no longer nan; log K stays finite
+    for beta in (1.5, 2.0, 3.0):
+        for variant in ("paper", "corrected"):
+            kc = k_constant(10**19, beta, variant)
+            assert kc.determinant == 0.0
+            assert math.isfinite(kc.log_value) and kc.value == 0.0
+
+
 def test_k_constant_continuous_at_beta_two():
     for n in range(2, 11):
         for variant in ("paper", "corrected"):
@@ -108,12 +117,12 @@ def test_left_tail_of_positive_model_is_zero():
 
 def test_gamma_variant_reduces_to_published_constant():
     for n in (2, 3, 4, 6):
-        plain = predict_gamma_variant(None, GammaVariantQuery(n, 0.0, 0.1))
+        plain = predict_gamma_variant(GammaVariantQuery(n, 0.0, 0.1))
         assert plain.constant == pytest.approx(
             k_constant(n, 2.0, "paper").value, rel=1e-12
         )
         assert plain.exponent == pytest.approx(0.5 * (n - 1), abs=1e-15)
-    steeper = predict_gamma_variant(None, GammaVariantQuery(3, 2.0, 0.1))
+    steeper = predict_gamma_variant(GammaVariantQuery(3, 2.0, 0.1))
     assert steeper.exponent == pytest.approx(2.0, abs=1e-15)
     with pytest.raises(ValueError):
         GammaVariantQuery(3, -2.5, 0.1)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import sntail.oracles as oracles
 from sntail.analytic_core import AntiHessianSpec, build_anti_hessian, g_many
 from sntail.bounds import (
     _ball_grid,
@@ -137,6 +138,18 @@ def test_sandwich_single_case():
     assert report.holds
     assert report.region_contained
     assert report.lower <= report.integral <= report.upper
+
+
+def test_sandwich_runs_no_root_search(monkeypatch):
+    # the region integral and the containment check take the boundary in
+    # closed form, so g is never evaluated
+    def forbidden(*args, **kwargs):
+        raise AssertionError("g evaluated: a root search ran")
+
+    monkeypatch.setattr(oracles, "g_many", forbidden)
+    for n in (2, 3, 4):
+        report = validate_sandwich(DensityModel.iid_normal(n), n, 0.02)
+        assert report.holds and report.region_contained
 
 
 def test_extremizer_points_are_recorded():

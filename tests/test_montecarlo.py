@@ -106,21 +106,23 @@ def test_statistic_batch_matches_rowwise_reference(n):
 
 
 def test_underflowing_rows_read_like_their_rescaled_selves():
-    # the squares of 1e-170 underflow to zero, and those of 1e-160 to
-    # subnormals with a few bits left; the statistic is scale-invariant, so
-    # c * ones reads sqrt(n) for every c > 0, with no warning
+    # the squares of 1e-170 underflow to zero, those of 1e-160 to
+    # subnormals with a few bits left, and those of 1e200 (cubes of 1e103)
+    # overflow; the statistic is scale-invariant, so c * ones reads sqrt(n)
+    # for every c > 0, with no warning
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for n in (2, 3, 8):
-            for scale in (1e-170, 1e-160):
+            for scale in (1e-170, 1e-160, 1e200):
                 x = np.vstack((np.full(n, scale), np.ones(n), np.full(n, -scale)))
                 for variant in ("sum", "max-over-Zn", "max-over-Zk"):
                     got = statistic_batch(x, variant)
                     assert got[0] == pytest.approx(math.sqrt(n), rel=1e-15), (n, variant)
                     assert got[1] == pytest.approx(math.sqrt(n), rel=1e-15)
                     assert got[2] == statistic(-np.ones(n), variant)
-            got = statistic(np.full(n, 1e-170), StatisticSpec(3.0, "sum"))
-            assert got == pytest.approx(n ** (2.0 / 3.0), rel=1e-15)
+            for scale in (1e-170, 1e103):
+                got = statistic(np.full(n, scale), StatisticSpec(3.0, "sum"))
+                assert got == pytest.approx(n ** (2.0 / 3.0), rel=1e-15)
 
 
 def test_draw_from_uniforms_leaves_its_input_and_matches_the_formula():

@@ -1,6 +1,7 @@
 """Exact oracles, quadrature cross-checks, and power-law fitting."""
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -241,3 +242,102 @@ def test_region_n2_resolves_a_support_edge(monkeypatch):
         assert abs(res.value - exact) <= res.error_estimate
     with pytest.raises(oracles.ZPlanError):
         region_tail_integral(DensityModel.iid_folded_normal(3), 3, 0.1, 2.0)
+
+
+def _reach_50_digits(d, n, beta, eps):
+    # bisection of g(1 + r d) = n**(1-1/beta) - eps, in 50-digit decimals
+    # from the exact binary values of d and eps
+    with localcontext() as ctx:
+        ctx.prec = 50
+        comps = [Decimal(float(x)) for x in d]
+        b = Decimal(beta)
+        level_b = (Decimal(n) ** (1 - 1 / b) - Decimal(eps)) ** b
+
+        def inside(r):
+            # g > level, raised to the integral power beta
+            v = [1 + r * x for x in comps]
+            top = 1 + sum(v)
+            return top > 0 and top**b > level_b * (1 + sum(abs(x) ** b for x in v))
+
+        lo, hi = Decimal(0), Decimal(1)
+        while inside(hi):
+            lo, hi = hi, 2 * hi
+        for _ in range(130):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if inside(mid) else (lo, mid)
+        return float((lo + hi) / 2)
+
+
+def _reach_directions(dim, rng):
+    diagonal = np.full(dim, 1.0 / math.sqrt(dim))
+    axis = np.eye(dim)[0]
+    random = rng.standard_normal((3, dim))
+    random /= np.linalg.norm(random, axis=1, keepdims=True)
+    return np.vstack((diagonal, -diagonal, axis, -axis, random))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 10, 100])
+def test_reach_matches_a_50_digit_root(n):
+    # beta = 2 is the closed-form root.  beta = 3 bisects g in doubles, whose
+    # rounding near the peak costs about 1e-16 / eps, so it is held to 1e-12
+    # only from eps = 1e-2 on, and only up to n = 10: region quadrature runs
+    # it for n <= 4, and at n = 100 the rounding of g's 100-term sums moves
+    # the diagonal root at 0.99 of the window by 1.4e-12
+    rng = np.random.default_rng(n)
+    dirs = _reach_directions(n - 1, rng)
+    for beta, epsilons in ((2.0, (1e-6, 1e-4, 1e-2)), (3.0, (1e-2,))):
+        if beta == 3.0 and n > 10:
+            continue
+        window = tail_window(n, beta)
+        tight = 2e-14 if beta == 2.0 else 1e-12
+        cases = [(e, tight) for e in epsilons] + [(f * window, 1e-12) for f in (0.5, 0.99)]
+        for eps, rel in cases:
+            got = oracles._reach(dirs, n, beta, eps)
+            for d, r in zip(dirs, got):
+                assert r == pytest.approx(_reach_50_digits(d, n, beta, eps), rel=rel), (
+                    beta, eps, d,
+                )
+
+
+@pytest.mark.parametrize("n", [3, 4, 10, 100])
+def test_reach_is_largest_on_the_diagonal(n):
+    # the farthest boundary point from the all-ones point lies on one of the
+    # two diagonal rays; directions p * diagonal + sqrt(1 - p**2) * q, q
+    # orthogonal to it, sweep p over [-1, 1], and the rest are isotropic
+    rng = np.random.default_rng(100 + n)
+    dim = n - 1
+    diagonal = np.full(dim, 1.0 / math.sqrt(dim))
+    q = rng.standard_normal((5000, dim))
+    q -= np.outer(q @ diagonal, diagonal)
+    q /= np.linalg.norm(q, axis=1, keepdims=True)
+    p = rng.uniform(-1.0, 1.0, size=(5000, 1))
+    iso = rng.standard_normal((5000, dim))
+    iso /= np.linalg.norm(iso, axis=1, keepdims=True)
+    dirs = np.vstack((p * diagonal + np.sqrt(1.0 - p * p) * q, iso))
+    for eps in (1e-4, 1e-2, 0.5 * tail_window(n), 0.99 * tail_window(n)):
+        extent = oracles._reach(np.vstack((diagonal, -diagonal)), n, 2.0, eps).max()
+        assert oracles._reach(dirs, n, 2.0, eps).max() <= extent * (1.0 + 1e-13)
+
+
+def test_beta2_region_runs_no_root_search(monkeypatch):
+    # the boundary is a closed form: g is never evaluated
+    def forbidden(*args, **kwargs):
+        raise AssertionError("g evaluated: a root search ran")
+
+    monkeypatch.setattr(oracles, "g_many", forbidden)
+    for n in (2, 3, 4):
+        res = region_tail_integral(DensityModel.iid_normal(n), n, 0.05, 2.0, "weighted")
+        exact = sphere_tail_exact(n, math.sqrt(n) - 0.05).value
+        assert res.value == pytest.approx(exact, rel=1e-10)
+
+
+@pytest.mark.parametrize("make_model, n, eps, beta, frozen", [
+    (lambda: DensityModel.iid_student_t(3, 5.0), 3, 0.01, 2.0, 0.0023810098054001553),
+    (lambda: DensityModel.gaussian(np.zeros(4), np.eye(4)), 4, 0.1, 2.0, 0.006660005505070629),
+    (lambda: DensityModel.iid_normal(2), 2, 0.05, 3.0, 0.0576994806145124),
+])
+def test_region_values_frozen(make_model, n, eps, beta, frozen):
+    # values of the coordinate-box, bisected-boundary, finite-difference
+    # metric route that the closed forms replaced
+    res = region_tail_integral(make_model(), n, eps, beta, "weighted")
+    assert res.value == pytest.approx(frozen, rel=1e-11)
