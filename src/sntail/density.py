@@ -37,6 +37,7 @@ __all__ = [
     "profile_batch",
     "parse_model",
     "DISCRETE_MODELS",
+    "UNIFORM_FLOOR",
 ]
 
 PROFILE_VARIANTS = ("paper", "weighted")
@@ -48,6 +49,12 @@ DISCRETE_MODELS = ("rademacher", "degenerate-first-coordinate")
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 _IID_KINDS = ("iid-normal", "iid-student-t", "iid-folded-normal")
+
+# Uniforms are clipped to [2^-53, 1 - 2^-53] before an inverse CDF.  Philox
+# doubles are multiples of 2^-53 in [0, 1), so only u = 0 moves; 2^-53 keeps
+# every quantile finite and the mirror image of the top end (1e-300 sent
+# stdtrit(5, .) to +inf).
+UNIFORM_FLOOR = 2.0**-53
 
 
 class QuadratureError(RuntimeError):
@@ -249,7 +256,7 @@ class DensityModel:
         """
         from scipy.special import ndtri, stdtrit
 
-        u = np.clip(np.asarray(u, dtype=float), 1e-300, 1.0 - 1e-16)
+        u = np.clip(np.asarray(u, dtype=float), UNIFORM_FLOOR, 1.0 - UNIFORM_FLOOR)
         if u.ndim != 2 or u.shape[1] != self.n:
             raise ValueError(f"uniforms must have shape (k, {self.n})")
         if self.kind == "iid-normal":
@@ -268,6 +275,20 @@ class DensityModel:
             x += self.mean
             return x
         raise ValueError(f"cannot sample kind {self.kind!r} by inverse CDF")
+
+    def negative_below(self) -> float | None:
+        """The uniform level below which `draw_from_uniforms` gives a
+        negative coordinate, or None when no such level holds.
+
+        Iid laws symmetric about 0 have it at their median, u = 1/2:
+        ndtri and stdtrit are negative on (0, 1/2), and sigma > 0 and a
+        zero mu keep the sign.  A nonzero mu, the folded normal and a
+        gaussian with a covariance give None.
+        """
+        symmetric = self.kind == "iid-student-t" or (
+            self.kind == "iid-normal" and self.mu == 0.0
+        )
+        return 0.5 if symmetric else None
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,22 @@ allocates (m, n) temporaries at every n.  The walk adds in `cumsum`'s
 order, so the statistics are the same bits.  Whole-row sums stay
 `np.sum(..., axis=1)`, which is pairwise: from n = 8 a running sum
 differs from it in the last bit.
+
+Inside the tail window most rows of a chunk cannot reach the threshold,
+and they are dropped before the inverse CDF runs.  Hoelder's inequality
+on the positive part of a row with j coordinates <= 0 bounds its `sum`
+statistic by (n - j)^(1 - 1/beta) and both max variants by sqrt(n - j),
+for every prefix k.  So a row with at least J such coordinates cannot
+hit, J being the fewest whose bound, widened by a 1e-9 relative slack
+for rounding, is below the threshold (`_sign_cut`).  For models whose
+draws are negative exactly where u < 1/2 (`DensityModel.negative_below`)
+the count is read off the uniforms, and the inverse CDF and the
+statistic run on the kept rows alone.  The hits are the same: elementwise
+maps and row reductions do not depend on which other rows share the
+chunk, and the Philox stream is untouched.  The filter runs only where
+it keeps at most half the rows in expectation, P(Bin(n, 1/2) < J) <= 1/2
+(`_row_cut`); above that, counting and compacting cost more than the
+dropped rows save.
 """
 
 from __future__ import annotations
@@ -26,7 +42,7 @@ from typing import Iterator, Union
 
 import numpy as np
 
-from .density import DISCRETE_MODELS, DensityModel
+from .density import DISCRETE_MODELS, UNIFORM_FLOOR, DensityModel
 
 __all__ = [
     "CHUNK_TRIALS",
@@ -55,6 +71,14 @@ _WILSON_Z = 1.959963984540054
 # of 1024 rows of n doubles stays in cache.
 _TRANSPOSE_ROWS = 1024
 _TINY = np.finfo(float).tiny
+# Relative slack on the Hoelder bounds of the row filter: a computed
+# statistic may round a few ulps above its exact bound.
+_HOLDER_SLACK = 1e-9
+# Up to this width the row filter counts negative uniforms column by
+# column; wider chunks take one row reduction, which beats n strided passes
+# from about n = 20 (0.16 vs 0.98 ms at n = 3, 13.4 vs 3.2 ms at n = 64 per
+# 65536-row chunk).
+_COLUMN_COUNT_MAX_N = 16
 
 STATISTICS = ("sum", "max-over-Zn", "max-over-Zk")
 
@@ -209,17 +233,20 @@ def _columns(x: np.ndarray) -> np.ndarray:
 
 def _running_maxima(
     x: np.ndarray, want_top: bool, want_ratio: bool
-) -> tuple[np.ndarray | None, np.ndarray | None, np.ndarray | None]:
-    """max_{k=2..n} S(k), max_{k=2..n} S(k)/Z(k) and Z(n)^2 per row.
+) -> tuple[np.ndarray | None, np.ndarray | None, np.ndarray | None, np.ndarray | None]:
+    """max_{k=2..n} S(k), max_{k=2..n} S(k)/Z(k), Z(n)^2, and whether
+    Z(2)^2 is below the smallest normal double, per row.
 
     One walk over the columns keeps S(k), Z(k)^2 and the maxima in
     length-m buffers updated in place.  S(k) and Z(k)^2 accumulate in
     `np.cumsum`'s order, so the maxima are the bits of the row-wise cumsum
-    form.  What is not asked for is None.
+    form.  A prefix whose Z(k)^2 vanishes or underflows contributes -inf;
+    Z(k)^2 never decreases in k, so the rows with such a prefix are the
+    ones flagged at k = 2.  What is not asked for is None.
     """
     cols = _columns(x)
     partial = cols[0].copy()
-    top = best = sq_norm = None
+    top = best = sq_norm = low = None
     if want_top:
         top = np.full_like(partial, -np.inf)
     if want_ratio:
@@ -235,11 +262,40 @@ def _running_maxima(
             sq_norm += scratch
             np.sqrt(sq_norm, out=scratch)
             np.divide(partial, scratch, out=scratch)
-            # a vanishing prefix norm (leading coordinates all zero)
-            # contributes -inf to the max
-            np.copyto(scratch, -np.inf, where=sq_norm == 0.0)
+            tiny = sq_norm < _TINY
+            np.copyto(scratch, -np.inf, where=tiny)
             np.maximum(best, scratch, out=best)
-    return top, best, sq_norm
+            if low is None:
+                low = tiny
+    return top, best, sq_norm, low
+
+
+def _underflowed_prefix_max(rows: np.ndarray) -> np.ndarray:
+    """max S(k)/Z(k) over the prefixes k >= 2 whose Z(k)^2 underflows,
+    each divided by its own max-abs entry; -inf where every such prefix
+    is zero or there is none.
+
+    The scale is the running max-abs entry; when it grows, the scaled
+    running sums are multiplied by old/new, as dnrm2 does.
+    """
+    cols = rows.T
+    raw = cols[0] * cols[0]
+    scale = np.abs(cols[0])
+    partial = np.sign(cols[0])
+    sq = np.abs(partial)
+    best = np.full(rows.shape[0], -np.inf)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for col in cols[1:]:
+            raw = raw + col * col
+            grown = np.maximum(scale, np.abs(col))
+            shrink = np.where(grown > 0.0, scale / grown, 0.0)
+            y = np.where(grown > 0.0, col / grown, 0.0)
+            partial = partial * shrink + y
+            sq = sq * shrink * shrink + y * y
+            scale = grown
+            use = (raw < _TINY) & (sq > 0.0)
+            best = np.where(use, np.maximum(best, partial / np.sqrt(sq)), best)
+    return best
 
 
 def _statistics(
@@ -263,8 +319,11 @@ def _statistics(
     with np.errstate(over="ignore"):
         if want_zn or want_zk:
             with np.errstate(divide="ignore", invalid="ignore"):
-                top, best, norm = _running_maxima(x, want_zn, want_zk)
+                top, best, norm, low = _running_maxima(x, want_zn, want_zk)
             floor = _TINY
+            if want_zk and low.any():
+                redo = np.flatnonzero(low)
+                best[redo] = np.maximum(best[redo], _underflowed_prefix_max(x[redo]))
         if want_zn or (want_sum and beta == 2.0):
             norm = euclid = np.sqrt(np.sum(x * x, axis=1))
             floor = math.sqrt(_TINY)
@@ -309,7 +368,9 @@ def statistic_batch(x: np.ndarray, spec: StatisticSpec | str | None = None) -> n
 
     The max variants walk the n columns once (see _running_maxima), so
     `max-over-Zk` is bit-identical to the row-wise cumsum form at every n;
-    a vanishing prefix norm contributes -inf.  `max-over-Zn` divides by
+    an all-zero prefix contributes -inf, and a nonzero prefix whose squares
+    underflow is divided by its own max-abs entry first, so
+    [1e-170, 1e-170, 1] reads sqrt(2), from k = 2.  `max-over-Zn` divides by
     `sqrt(np.sum(x*x, axis=1))` and `sum` keeps its row reductions: both
     are pairwise sums, which a running sum matches only below n = 8.
     """
@@ -368,8 +429,60 @@ def _chunk_uniforms(seed: int, chunk_index: int, m: int, n: int) -> np.ndarray:
     return np.random.Generator(bitgen).random((m, n))
 
 
-def _chunk_draws(sampler: SamplerSpec, chunk_index: int, m: int) -> np.ndarray:
-    """Draws for one chunk, a pure function of (model, seed, chunk_index)."""
+def _sign_cut(n: int, stat: StatisticSpec, threshold: float) -> int:
+    """J: the fewest coordinates <= 0 that keep a row's statistic at or
+    below `threshold`; n + 1 when no count does (threshold <= 0).
+
+    A row with j coordinates <= 0 has at most n - j positive ones, so by
+    Hoelder its `sum` statistic is at most (n - j)^(1 - 1/beta) and its
+    max statistics at most sqrt(n - j).  J is the smallest j whose bound,
+    widened by `_HOLDER_SLACK`, is below the threshold.
+    """
+    power = 1.0 - 1.0 / stat.beta if stat.variant == "sum" else 0.5
+    for j in range(n + 1):
+        if (n - j) ** power * (1.0 + _HOLDER_SLACK) < threshold:
+            return j
+    return n + 1
+
+
+def _row_cut(sampler: SamplerSpec, stat: StatisticSpec, threshold: float) -> int | None:
+    """The J of `_sign_cut` when dropping rows pays, else None.
+
+    Only models whose draws are negative exactly below a uniform level
+    qualify (`DensityModel.negative_below`); that level is the median 1/2,
+    so a row is kept, having fewer than J uniforms below it, with
+    probability P(Bin(n, 1/2) < J), taken exactly.  The filter runs when
+    that is at most 1/2.
+    """
+    model = sampler.model
+    if isinstance(model, str) or model.negative_below() is None:
+        return None
+    n = sampler.n
+    cut = _sign_cut(n, stat, threshold)
+    kept = sum(math.comb(n, i) for i in range(cut))
+    return cut if 2 * kept <= 2**n else None
+
+
+def _count_below(u: np.ndarray, level: float) -> np.ndarray:
+    """How many entries of each row of `u` lie below `level`."""
+    below = u < level
+    if u.shape[1] > _COLUMN_COUNT_MAX_N:
+        return np.add.reduce(below, axis=1, dtype=np.intp)
+    count = below[:, 0].astype(np.uint8)
+    for col in below.T[1:]:
+        count += col
+    return count
+
+
+def _chunk_draws(
+    sampler: SamplerSpec, chunk_index: int, m: int, cut: int | None = None
+) -> np.ndarray:
+    """Draws for one chunk, a pure function of (model, seed, chunk_index).
+
+    With a `cut` from `_row_cut`, the rows with at least `cut` uniforms
+    below the model's sign level are dropped before the inverse CDF, and
+    only the rest are drawn, in chunk order.
+    """
     u = _chunk_uniforms(sampler.seed, chunk_index, m, sampler.n)
     model = sampler.model
     if isinstance(model, str):
@@ -379,9 +492,12 @@ def _chunk_draws(sampler: SamplerSpec, chunk_index: int, m: int) -> np.ndarray:
         # the rest iid standard normal.
         from scipy.special import ndtri
 
-        x = ndtri(np.clip(u, 1e-300, 1.0 - 1e-16))
+        x = ndtri(np.clip(u, UNIFORM_FLOOR, 1.0 - UNIFORM_FLOOR))
         x[:, 0] = 0.0
         return x
+    if cut is not None:
+        # np.compress, not u[mask]: 4x faster on a 65536-row chunk at n = 3
+        u = np.compress(_count_below(u, model.negative_below()) < cut, u, axis=0)
     return model.draw_from_uniforms(u)
 
 
@@ -398,12 +514,16 @@ def sample_batch(sampler: SamplerSpec) -> Iterator[np.ndarray]:
         yield _chunk_draws(sampler, c, m)
 
 
-def _run_chunks(sampler: SamplerSpec, per_chunk) -> list:
-    """Map per_chunk(draws) over all chunks, results in chunk order."""
+def _run_chunks(sampler: SamplerSpec, per_chunk, cut: int | None = None) -> list:
+    """Map per_chunk(draws) over all chunks, results in chunk order.
+
+    `cut` drops the rows that cannot hit (see _chunk_draws), so per_chunk
+    may only count hits.
+    """
     sizes = _chunk_sizes(sampler.trials)
 
     def job(c: int):
-        return per_chunk(_chunk_draws(sampler, c, sizes[c]))
+        return per_chunk(_chunk_draws(sampler, c, sizes[c], cut))
 
     if sampler.workers <= 1:
         return [job(c) for c in range(len(sizes))]
@@ -423,6 +543,14 @@ def estimate_tail(
     n^(1-1/beta) - epsilon (the tail parameterization used throughout).
     The result is a pure function of (sampler.model, n, seed, trials,
     stat, threshold); workers only distribute chunks.
+
+    For iid-normal with mu = 0 and iid-student-t, rows with too many
+    negative coordinates to reach the threshold (Hoelder on the positive
+    part: a row with j coordinates <= 0 stays at or below
+    (n - j)^(1 - 1/beta) for `sum`, sqrt(n - j) for the max variants) are
+    dropped before the inverse CDF, whenever that keeps at most half the
+    rows in expectation.  They never hit, so the estimate is unchanged
+    bit for bit; see the module docstring.
     """
     stat = _as_stat(stat)
     if (threshold is None) == (epsilon is None):
@@ -440,7 +568,8 @@ def estimate_tail(
     def per_chunk(draws: np.ndarray) -> int:
         return int(np.count_nonzero(statistic_batch(draws, stat) > threshold))
 
-    hits = int(sum(_run_chunks(sampler, per_chunk)))
+    cut = _row_cut(sampler, stat, threshold)
+    hits = int(sum(_run_chunks(sampler, per_chunk, cut)))
     return _estimate(sampler, stat, threshold, hits)
 
 
@@ -540,7 +669,9 @@ def compare_max_vs_sum(sampler: SamplerSpec, epsilon: float) -> MaxSumComparison
             for mask in (hit_sum, hit_zn, hit_zk, hit_zn & ~hit_sum, hit_zn | hit_sum)
         )
 
-    counts = [sum(c) for c in zip(*_run_chunks(sampler, per_chunk))]
+    # all three statistics are Euclidean: one sqrt(n - j) bound serves them
+    cut = _row_cut(sampler, StatisticSpec(2.0, "max-over-Zn"), threshold)
+    counts = [sum(c) for c in zip(*_run_chunks(sampler, per_chunk, cut))]
     hits_sum, hits_zn, _, only_max, either = counts
     sum_est, zn_est, zk_est = (
         _estimate(sampler, StatisticSpec(2.0, v), threshold, hits, warnings)

@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 from scipy.special import ndtri, stdtrit
 
-from sntail.density import DensityModel
+from sntail.density import UNIFORM_FLOOR, DensityModel
 from sntail.montecarlo import (
     CHUNK_TRIALS,
+    STATISTICS,
     MCEstimate,
     SamplerSpec,
     StatisticSpec,
@@ -22,6 +23,7 @@ from sntail.montecarlo import (
     statistic_batch,
     wilson_interval,
 )
+from sntail.montecarlo import _chunk_uniforms, _count_below, _row_cut, _sign_cut
 from sntail.oracles import sphere_tail_exact
 
 
@@ -80,25 +82,29 @@ def test_statistic_batch_matches_rowwise_reference(n):
     rng = np.random.default_rng(1000 + n)
     x = rng.standard_normal((3000, n))
     # leading zeros make the first prefix norms vanish (the -inf path of
-    # max-over-Zk); squares of 1e-170 underflow, so there the norm vanishes
-    # under a partial sum that does not.  Row n + 2 underflows whole: the
-    # reference is +-inf there, and statistic_batch rescales that row only,
-    # so it reads like a row of ones and every other row keeps its bits.
+    # max-over-Zk); squares of 1e-170 underflow, so in row n the prefix
+    # norms vanish under partial sums that do not: the reference reads
+    # those prefixes as -inf, and max-over-Zk rescales them instead.  Row
+    # n + 2 underflows whole: the reference is +-inf there, and
+    # statistic_batch rescales that row only, so it reads like a row of
+    # ones and every other row keeps its bits.
     for j in range(1, n):
         x[j, :j] = 0.0
     x[n, : n - 1] = 1e-170
     x[n, n - 1] = 2.0
     x[n + 1, 1:] = 0.0
     x[n + 2] = 1e-170
-    rest = np.arange(x.shape[0]) != n + 2
+    rows = np.arange(x.shape[0])
     for spec in _REFERENCE_SPECS:
         got = statistic_batch(x, spec)
         with np.errstate(divide="ignore"):
             expect = _rowwise_statistic_batch(x, spec)
+        rest = (rows != n + 2) & ((rows != n) | (spec.variant != "max-over-Zk"))
         assert np.array_equal(got[rest], expect[rest]), spec
         assert got[n + 2] == statistic_batch(np.ones((1, n)), spec)[0], spec
+    # the prefix of n - 1 entries 1e-170 is the maximum, sqrt(n - 1)
     zk = statistic_batch(x, "max-over-Zk")
-    assert zk[n] == 1.0
+    assert zk[n] == pytest.approx(math.sqrt(n - 1), rel=1e-15)
     x[-1] = 0.0
     for spec in _REFERENCE_SPECS:
         with pytest.raises(ValueError, match="zero vector"):
@@ -125,11 +131,23 @@ def test_underflowing_rows_read_like_their_rescaled_selves():
                 assert got == pytest.approx(n ** (2.0 / 3.0), rel=1e-15)
 
 
+def test_underflowing_prefix_reads_its_rescaled_ratio():
+    # Z(2)^2 underflows to 0 (1e-170) or to a subnormal with a few bits
+    # (1e-160) while S(2) does not: the maximum is at k = 2
+    x = np.array([[1e-170, 1e-170, 1.0], [1e-160, 1e-160, 1.0], [0.0, 1e-170, 1.0],
+                  [0.0, 0.0, 1.0], [1e-170, -1e-170, 1.0], [5e-324, 1e-300, -1e-310]])
+    got = statistic_batch(x, "max-over-Zk")
+    expect = [math.sqrt(2.0), math.sqrt(2.0), 1.0, 1.0, 1.0, (1e-300 + 5e-324) / 1e-300]
+    np.testing.assert_allclose(got, expect, rtol=1e-15)
+
+
 def test_draw_from_uniforms_leaves_its_input_and_matches_the_formula():
     rng = np.random.default_rng(77)
     u = rng.random((4096, 3))
     u[0] = (0.0, 1.0, 0.5)
-    clipped = np.clip(u, 1e-300, 1.0 - 1e-16)
+    # the clip is [2^-53, 1 - 2^-53]: at the old floor 1e-300, stdtrit(5, .)
+    # read +inf
+    clipped = np.clip(u, UNIFORM_FLOOR, 1.0 - UNIFORM_FLOOR)
     cov = np.array([[1.0, 0.3, 0.3], [0.3, 1.0, 0.3], [0.3, 0.3, 1.0]])
     gauss = DensityModel.gaussian(np.array([0.5, -1.0, 2.0]), cov)
     cases = (
@@ -143,6 +161,9 @@ def test_draw_from_uniforms_leaves_its_input_and_matches_the_formula():
         got = model.draw_from_uniforms(u)
         assert np.array_equal(u, before), model.kind
         assert np.array_equal(got, expected), model.kind
+        assert np.all(np.isfinite(got)), model.kind
+    x = DensityModel.iid_student_t(3, 5.0).draw_from_uniforms(np.array([[0.0, 0.7, 1.0]]))
+    assert x[0, 0] == -x[0, 2] == -stdtrit(5.0, 1.0 - UNIFORM_FLOOR)
 
 
 def test_holder_cutoff_never_exceeded():
@@ -330,3 +351,131 @@ def test_comparison_counts_equal_separate_estimates(n, eps):
         alone = estimate_tail(sampler, StatisticSpec(2.0, variant), epsilon=eps)
         assert got == dataclasses.replace(alone, warnings=cmp.warnings)
         assert got.threshold == math.sqrt(n) - eps
+
+
+def _bound(n_pos, spec):
+    """Hoelder's cap on a row with n_pos positive coordinates."""
+    if spec.variant == "sum":
+        return n_pos ** (1.0 - 1.0 / spec.beta)
+    return math.sqrt(n_pos)
+
+
+def _filter_specs():
+    return [StatisticSpec(beta, v) for beta in (2.0, 3.0) for v in STATISTICS]
+
+
+def _thresholds(n, spec):
+    """1e-12 below and above each bound, a few ulps above it, the midpoints
+    between bounds, and the edges of the 1e-9 slack."""
+    out = [-1.0, 0.0]
+    bounds = [_bound(n - j, spec) for j in range(n + 1)]
+    for b, below in zip(bounds, bounds[1:] + [0.0]):
+        out += [b - 1e-12, b + 1e-12, 0.5 * (b + below)]
+        out += [b * (1.0 + k * 2.0**-52) for k in (1, 2, 4)]
+        out += [b * (1.0 + 1e-9) * (1.0 - 1e-15), b * (1.0 + 1e-9) * (1.0 + 1e-15)]
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 3, 9, 64])
+def test_sign_cut_matches_a_search_over_j(n):
+    for spec in _filter_specs():
+        for t in _thresholds(n, spec):
+            safe = [j for j in range(n + 1) if _bound(n - j, spec) * (1.0 + 1e-9) < t]
+            assert _sign_cut(n, spec, t) == min(safe, default=n + 1), (spec, t)
+
+
+@pytest.mark.parametrize("n", [2, 3, 9])
+def test_dropped_rows_never_hit(n):
+    # a real chunk, and rows at the bounds: n - j equal positive draws and
+    # j draws just below 0, whose statistic rounds up to a few ulps over
+    # the bound
+    edges = [
+        np.where(np.arange(n) < n - j, level, 0.5 - 2.0**-54)
+        for j in range(n)
+        for level in np.linspace(0.6, 0.99, 400)
+    ]
+    u = np.vstack([_chunk_uniforms(11, 0, 20_000, n)] + edges)
+    for model in (DensityModel.iid_normal(n), DensityModel.iid_student_t(n, 5.0)):
+        x = model.draw_from_uniforms(u)
+        negatives = _count_below(u, model.negative_below())
+        assert np.array_equal(negatives, np.count_nonzero(x < 0.0, axis=1))
+        for spec in _filter_specs():
+            values = statistic_batch(x, spec)
+            for t in _thresholds(n, spec):
+                dropped = negatives >= _sign_cut(n, spec, t)
+                assert np.all(values[dropped] <= t), (model.kind, spec, t)
+
+
+def _reference_hits(sampler, spec, threshold):
+    """Hits of the full, unfiltered draws."""
+    return sum(
+        int(np.count_nonzero(statistic_batch(draws, spec) > threshold))
+        for draws in sample_batch(sampler)
+    )
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_filtered_estimates_count_the_same_hits(workers):
+    trials = 2 * CHUNK_TRIALS + 777
+    cases = (
+        (DensityModel.iid_normal(3), True),
+        (DensityModel.iid_student_t(4, 5.0), True),
+        (DensityModel.iid_normal(3, mu=0.2), False),
+    )
+    for model, filtered in cases:
+        n = model.n
+        sampler = SamplerSpec(model, n, 5, trials, workers)
+        for spec, eps in (
+            (StatisticSpec(2.0, "sum"), 0.1),
+            (StatisticSpec(3.0, "sum"), 0.05),
+            (StatisticSpec(2.0, "max-over-Zn"), 0.1),
+            (StatisticSpec(3.0, "max-over-Zk"), 0.6),
+        ):
+            est = estimate_tail(sampler, spec, epsilon=eps)
+            assert (_row_cut(sampler, spec, est.threshold) is not None) == filtered
+            assert est.hits == _reference_hits(sampler, spec, est.threshold) > 0
+        cmp = compare_max_vs_sum(sampler, 0.1)
+        for got, variant in (
+            (cmp.sum_estimate, "sum"),
+            (cmp.max_zn_estimate, "max-over-Zn"),
+            (cmp.max_zk_estimate, "max-over-Zk"),
+        ):
+            expect = _reference_hits(sampler, StatisticSpec(2.0, variant), got.threshold)
+            assert got.hits == expect > 0, (model.kind, variant)
+
+
+def test_draws_are_negative_below_the_sign_level():
+    # a dense grid of u < 1/2, the ulps just below 1/2 and the clip floor
+    below = np.concatenate((
+        np.linspace(UNIFORM_FLOOR, 0.5, 20_001)[:-1],
+        np.geomspace(UNIFORM_FLOOR, 0.5, 2001)[:-1],
+        0.5 - np.arange(1, 1001) * 2.0**-54,
+        [UNIFORM_FLOOR, 0.0],
+    ))
+    assert np.all(below < 0.5)
+    clipped = np.clip(below, UNIFORM_FLOOR, 0.5)
+    assert np.all(ndtri(clipped) < 0.0)
+    # models take nu > 2; below that stdtrit can overflow to +inf inside
+    # (0, 1/2) (nu = 0.05 at u = 9.76e-9), but not at the clip floor
+    for nu in (0.5, 1.0, 2.0, 2.5, 5.0, 30.0, 1000.0):
+        assert np.all(stdtrit(nu, clipped) < 0.0), nu
+    for nu in (0.05, 0.5, 1.0, 2.0, 5.0, 30.0, 1000.0):
+        low, high = stdtrit(nu, [UNIFORM_FLOOR, 1.0 - UNIFORM_FLOOR])
+        assert math.isfinite(low) and low == -high < 0.0, nu
+    models = [
+        DensityModel.iid_normal(3),
+        DensityModel.iid_normal(3, sigma=0.1),
+        DensityModel.iid_normal(3, mu=0.2),
+        DensityModel.iid_normal(3, mu=-0.2),
+        DensityModel.iid_folded_normal(3),
+        DensityModel.gaussian(np.zeros(3), np.eye(3) + 0.3),
+    ] + [DensityModel.iid_student_t(3, nu) for nu in (2.5, 5.0, 30.0, 1000.0)]
+    for model in models:
+        level = model.negative_below()
+        symmetric = model.kind == "iid-student-t" or (
+            model.kind == "iid-normal" and model.mu == 0.0
+        )
+        assert (level is not None) == symmetric, model.kind
+        if level is not None:
+            u = np.repeat(below[below < level][:, None], 3, axis=1)
+            assert np.all(model.draw_from_uniforms(u) < 0.0), model.kind
