@@ -276,19 +276,17 @@ class DensityModel:
             return x
         raise ValueError(f"cannot sample kind {self.kind!r} by inverse CDF")
 
-    def negative_below(self) -> float | None:
-        """The uniform level below which `draw_from_uniforms` gives a
-        negative coordinate, or None when no such level holds.
+    def signs_split_at_median(self) -> bool:
+        """Whether `draw_from_uniforms` gives a negative coordinate exactly
+        where its uniform is below the median 1/2.
 
-        Iid laws symmetric about 0 have it at their median, u = 1/2:
-        ndtri and stdtrit are negative on (0, 1/2), and sigma > 0 and a
-        zero mu keep the sign.  A nonzero mu, the folded normal and a
-        gaussian with a covariance give None.
+        True for iid laws symmetric about 0: ndtri and stdtrit are negative
+        on (0, 1/2), and sigma > 0 and a zero mu keep the sign.  A nonzero
+        mu, the folded normal and a gaussian with a covariance are False.
         """
-        symmetric = self.kind == "iid-student-t" or (
+        return self.kind == "iid-student-t" or (
             self.kind == "iid-normal" and self.mu == 0.0
         )
-        return 0.5 if symmetric else None
 
 
 @dataclass(frozen=True)

@@ -21,9 +21,10 @@ statistic by (n - j)^(1 - 1/beta) and both max variants by sqrt(n - j),
 for every prefix k.  So a row with at least J such coordinates cannot
 hit, J being the fewest whose bound, widened by a 1e-9 relative slack
 for rounding, is below the threshold (`_sign_cut`).  For models whose
-draws are negative exactly where u < 1/2 (`DensityModel.negative_below`)
-the count is read off the uniforms, and the inverse CDF and the
-statistic run on the kept rows alone.  The hits are the same: elementwise
+draws are negative exactly where u < 1/2
+(`DensityModel.signs_split_at_median`) the count is read off the
+uniforms, and the inverse CDF and the statistic run on the kept rows
+alone.  The hits are the same: elementwise
 maps and row reductions do not depend on which other rows share the
 chunk, and the Philox stream is untouched.  The filter runs only where
 it keeps at most half the rows in expectation, P(Bin(n, 1/2) < J) <= 1/2
@@ -74,11 +75,9 @@ _TINY = np.finfo(float).tiny
 # Relative slack on the Hoelder bounds of the row filter: a computed
 # statistic may round a few ulps above its exact bound.
 _HOLDER_SLACK = 1e-9
-# Up to this width the row filter counts negative uniforms column by
-# column; wider chunks take one row reduction, which beats n strided passes
-# from about n = 20 (0.16 vs 0.98 ms at n = 3, 13.4 vs 3.2 ms at n = 64 per
-# 65536-row chunk).
-_COLUMN_COUNT_MAX_N = 16
+# The uniform level below which a draw of a model whose signs split at the
+# median (`DensityModel.signs_split_at_median`) is negative.
+_SIGN_LEVEL = 0.5
 
 STATISTICS = ("sum", "max-over-Zn", "max-over-Zk")
 
@@ -271,31 +270,19 @@ def _running_maxima(
 
 
 def _underflowed_prefix_max(rows: np.ndarray) -> np.ndarray:
-    """max S(k)/Z(k) over the prefixes k >= 2 whose Z(k)^2 underflows,
-    each divided by its own max-abs entry; -inf where every such prefix
-    is zero or there is none.
+    """max S(k)/Z(k) over the prefixes k >= 2 whose Z(k)^2 underflows;
+    -inf where every such prefix is zero or there is none.
 
-    The scale is the running max-abs entry; when it grows, the scaled
-    running sums are multiplied by old/new, as dnrm2 does.
+    Every entry of such a prefix is below sqrt(tiny) ~ 1.5e-154, so the
+    exact power of two 2^600 makes its squares normal doubles (5e-324
+    becomes 2e-143) without rounding any entry.
     """
-    cols = rows.T
-    raw = cols[0] * cols[0]
-    scale = np.abs(cols[0])
-    partial = np.sign(cols[0])
-    sq = np.abs(partial)
-    best = np.full(rows.shape[0], -np.inf)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for col in cols[1:]:
-            raw = raw + col * col
-            grown = np.maximum(scale, np.abs(col))
-            shrink = np.where(grown > 0.0, scale / grown, 0.0)
-            y = np.where(grown > 0.0, col / grown, 0.0)
-            partial = partial * shrink + y
-            sq = sq * shrink * shrink + y * y
-            scale = grown
-            use = (raw < _TINY) & (sq > 0.0)
-            best = np.where(use, np.maximum(best, partial / np.sqrt(sq)), best)
-    return best
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        y = rows * 2.0**600
+        sq = np.cumsum(y * y, axis=1)[:, 1:]
+        ratio = np.cumsum(y, axis=1)[:, 1:] / np.sqrt(sq)
+        use = (np.cumsum(rows * rows, axis=1)[:, 1:] < _TINY) & (sq > 0.0)
+    return np.max(np.where(use, ratio, -np.inf), axis=1)
 
 
 def _statistics(
@@ -369,7 +356,7 @@ def statistic_batch(x: np.ndarray, spec: StatisticSpec | str | None = None) -> n
     The max variants walk the n columns once (see _running_maxima), so
     `max-over-Zk` is bit-identical to the row-wise cumsum form at every n;
     an all-zero prefix contributes -inf, and a nonzero prefix whose squares
-    underflow is divided by its own max-abs entry first, so
+    underflow is multiplied by 2^600 first, so
     [1e-170, 1e-170, 1] reads sqrt(2), from k = 2.  `max-over-Zn` divides by
     `sqrt(np.sum(x*x, axis=1))` and `sum` keeps its row reductions: both
     are pairwise sums, which a running sum matches only below n = 8.
@@ -448,14 +435,13 @@ def _sign_cut(n: int, stat: StatisticSpec, threshold: float) -> int:
 def _row_cut(sampler: SamplerSpec, stat: StatisticSpec, threshold: float) -> int | None:
     """The J of `_sign_cut` when dropping rows pays, else None.
 
-    Only models whose draws are negative exactly below a uniform level
-    qualify (`DensityModel.negative_below`); that level is the median 1/2,
-    so a row is kept, having fewer than J uniforms below it, with
-    probability P(Bin(n, 1/2) < J), taken exactly.  The filter runs when
-    that is at most 1/2.
+    Only models whose draws are negative exactly where u < 1/2 qualify
+    (`DensityModel.signs_split_at_median`), so a row is kept, having fewer
+    than J uniforms below 1/2, with probability P(Bin(n, 1/2) < J), taken
+    exactly.  The filter runs when that is at most 1/2.
     """
     model = sampler.model
-    if isinstance(model, str) or model.negative_below() is None:
+    if isinstance(model, str) or not model.signs_split_at_median():
         return None
     n = sampler.n
     cut = _sign_cut(n, stat, threshold)
@@ -463,12 +449,11 @@ def _row_cut(sampler: SamplerSpec, stat: StatisticSpec, threshold: float) -> int
     return cut if 2 * kept <= 2**n else None
 
 
-def _count_below(u: np.ndarray, level: float) -> np.ndarray:
-    """How many entries of each row of `u` lie below `level`."""
-    below = u < level
-    if u.shape[1] > _COLUMN_COUNT_MAX_N:
-        return np.add.reduce(below, axis=1, dtype=np.intp)
-    count = below[:, 0].astype(np.uint8)
+def _count_below(u: np.ndarray) -> np.ndarray:
+    """How many entries of each row of `u` lie below `_SIGN_LEVEL`, added
+    column by column in the narrowest integer type that holds n."""
+    below = u < _SIGN_LEVEL
+    count = below[:, 0].astype(np.min_scalar_type(u.shape[1]))
     for col in below.T[1:]:
         count += col
     return count
@@ -480,8 +465,8 @@ def _chunk_draws(
     """Draws for one chunk, a pure function of (model, seed, chunk_index).
 
     With a `cut` from `_row_cut`, the rows with at least `cut` uniforms
-    below the model's sign level are dropped before the inverse CDF, and
-    only the rest are drawn, in chunk order.
+    below 1/2 are dropped before the inverse CDF, and only the rest are
+    drawn, in chunk order.
     """
     u = _chunk_uniforms(sampler.seed, chunk_index, m, sampler.n)
     model = sampler.model
@@ -497,7 +482,7 @@ def _chunk_draws(
         return x
     if cut is not None:
         # np.compress, not u[mask]: 4x faster on a 65536-row chunk at n = 3
-        u = np.compress(_count_below(u, model.negative_below()) < cut, u, axis=0)
+        u = np.compress(_count_below(u) < cut, u, axis=0)
     return model.draw_from_uniforms(u)
 
 

@@ -397,7 +397,7 @@ def test_dropped_rows_never_hit(n):
     u = np.vstack([_chunk_uniforms(11, 0, 20_000, n)] + edges)
     for model in (DensityModel.iid_normal(n), DensityModel.iid_student_t(n, 5.0)):
         x = model.draw_from_uniforms(u)
-        negatives = _count_below(u, model.negative_below())
+        negatives = _count_below(u)
         assert np.array_equal(negatives, np.count_nonzero(x < 0.0, axis=1))
         for spec in _filter_specs():
             values = statistic_batch(x, spec)
@@ -444,7 +444,7 @@ def test_filtered_estimates_count_the_same_hits(workers):
             assert got.hits == expect > 0, (model.kind, variant)
 
 
-def test_draws_are_negative_below_the_sign_level():
+def test_draws_are_negative_below_the_median():
     # a dense grid of u < 1/2, the ulps just below 1/2 and the clip floor
     below = np.concatenate((
         np.linspace(UNIFORM_FLOOR, 0.5, 20_001)[:-1],
@@ -463,19 +463,15 @@ def test_draws_are_negative_below_the_sign_level():
         low, high = stdtrit(nu, [UNIFORM_FLOOR, 1.0 - UNIFORM_FLOOR])
         assert math.isfinite(low) and low == -high < 0.0, nu
     models = [
-        DensityModel.iid_normal(3),
-        DensityModel.iid_normal(3, sigma=0.1),
-        DensityModel.iid_normal(3, mu=0.2),
-        DensityModel.iid_normal(3, mu=-0.2),
-        DensityModel.iid_folded_normal(3),
-        DensityModel.gaussian(np.zeros(3), np.eye(3) + 0.3),
-    ] + [DensityModel.iid_student_t(3, nu) for nu in (2.5, 5.0, 30.0, 1000.0)]
-    for model in models:
-        level = model.negative_below()
-        symmetric = model.kind == "iid-student-t" or (
-            model.kind == "iid-normal" and model.mu == 0.0
-        )
-        assert (level is not None) == symmetric, model.kind
-        if level is not None:
-            u = np.repeat(below[below < level][:, None], 3, axis=1)
+        (DensityModel.iid_normal(3), True),
+        (DensityModel.iid_normal(3, sigma=0.1), True),
+        (DensityModel.iid_normal(3, mu=0.2), False),
+        (DensityModel.iid_normal(3, mu=-0.2), False),
+        (DensityModel.iid_folded_normal(3), False),
+        (DensityModel.gaussian(np.zeros(3), np.eye(3) + 0.3), False),
+    ] + [(DensityModel.iid_student_t(3, nu), True) for nu in (2.5, 5.0, 30.0, 1000.0)]
+    for model, splits in models:
+        assert model.signs_split_at_median() == splits, model.kind
+        if splits:
+            u = np.repeat(below[:, None], 3, axis=1)
             assert np.all(model.draw_from_uniforms(u) < 0.0), model.kind
