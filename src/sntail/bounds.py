@@ -18,14 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic_core import g_many  # noqa: F401  (perfbench counts bounds.g_many)
-from .density import (
-    DensityModel,
-    RadialProfileQuery,
-    ZPlanError,
-    build_z_plan,
-    h_profile,
-    profile_batch,
-)
+from .density import DensityModel, build_z_plan, profile_batch
+from .density import h_profile  # noqa: F401  (perfbench hooks bounds.h_profile)
 from .oracles import _directions, _reach, region_tail_integral, tail_window
 
 __all__ = [
@@ -146,7 +140,6 @@ def curvature_functionals(n: int, beta: float = 2.0) -> tuple[float, float]:
 class BoundsCertificate:
     """Explicit finite-epsilon tail envelope.
 
-    `certified` says whether the profile z-plan passed its embedded check;
     `evaluations` counts the objective evaluations of the ball search.
     """
 
@@ -160,7 +153,6 @@ class BoundsCertificate:
     upper: float
     lower: float
     evaluations: int
-    certified: bool
     h_max_point: np.ndarray
     h_min_point: np.ndarray
 
@@ -175,7 +167,6 @@ class BoundsCertificate:
             "G": self.G,
             "lower": self.lower,
             "upper": self.upper,
-            "certified": self.certified,
         }
 
 
@@ -200,12 +191,10 @@ def envelope_bounds(model: DensityModel, n: int, epsilon: float) -> BoundsCertif
     with V the unit-ball volume in n - 1 dimensions and lam, mu the exact
     `curvature_functionals(n)`.  Requires 2 <= n <= 4, the range of the ball
     grid and of the region quadrature, and eps < lam so the localized region
-    stays inside the unit ball.  The extrema are searched on a z-plan sized
-    by `build_z_plan`'s embedded check; when no plan passes it (a density
-    with a support edge) the search runs on the finest plan tried and the
-    certificate reads `certified=False`.  Either way the extrema found are
-    re-checked with the scalar `h_profile`, whose rule is fitted to each
-    ray and breaks at its support edge.
+    stays inside the unit ball.  The extrema are searched on one z-plan
+    sized by `build_z_plan`'s embedded check, which starts each ray at its
+    support start where the model has one (the folded normal); a density
+    whose profiles defeat the check raises QuadratureError.
     """
     if not 2 <= n <= 4:
         raise ValueError(f"envelope bounds need 2 <= n <= 4, got n = {n}")
@@ -222,13 +211,7 @@ def envelope_bounds(model: DensityModel, n: int, epsilon: float) -> BoundsCertif
 
     probe_dirs = np.concatenate((np.eye(dim), -np.eye(dim), np.ones((1, dim)) / math.sqrt(dim)))
     probes = np.vstack((np.ones((1, dim)), 1.0 + r_big * probe_dirs))
-    try:
-        plan, certified = build_z_plan(model, probes), True
-    except ZPlanError as exc:
-        # A support edge inside a panel (the folded normal): the search runs
-        # on the finest plan tried, and its extrema are re-checked below with
-        # h_profile, whose panels break at each ray's own support edge.
-        plan, certified = exc.finest, False
+    plan = build_z_plan(model, probes)
 
     def objective_many(vs: np.ndarray) -> np.ndarray:
         return profile_batch(model, vs, "paper", plan) * np.prod(np.abs(vs), axis=-1)
@@ -252,14 +235,6 @@ def envelope_bounds(model: DensityModel, n: int, epsilon: float) -> BoundsCertif
     h_max_point, h_max, used_max = ball_extremum(r_big, minimize=False)
     h_min_point, h_min, used_min = ball_extremum(r_small, minimize=True)
 
-    # Certify the extrema with the scalar profile fitted to their rays.
-    def exact_objective(v: np.ndarray) -> float:
-        h = h_profile(model, RadialProfileQuery(v, "paper"))
-        return float(np.prod(np.abs(v))) * h
-
-    h_max = max(h_max, exact_objective(h_max_point))
-    h_min = min(h_min, exact_objective(h_min_point))
-
     volume = unit_ball_volume(dim)
     upper = h_max * volume * (epsilon / lam) ** (0.5 * dim)
     lower = h_min * volume * (epsilon / mu) ** (0.5 * dim)
@@ -274,7 +249,6 @@ def envelope_bounds(model: DensityModel, n: int, epsilon: float) -> BoundsCertif
         upper=float(upper),
         lower=float(lower),
         evaluations=used_max + used_min,
-        certified=certified,
         h_max_point=np.asarray(h_max_point),
         h_min_point=np.asarray(h_min_point),
     )

@@ -532,8 +532,7 @@ def _run_bounds(config: ExperimentConfig):
                 f"bounds, got {eps:g}"
             )
     records = [envelope_bounds(model, config.n, eps).to_record() for eps in config.eps]
-    fieldnames = ("n", "beta", "eps", "lambda", "mu", "H", "G",
-                  "lower", "upper", "certified")
+    fieldnames = ("n", "beta", "eps", "lambda", "mu", "H", "G", "lower", "upper")
     return records, fieldnames, 0
 
 
@@ -585,6 +584,10 @@ def _predicted_tail_for_warning(config: ExperimentConfig, eps: float) -> float |
 
 
 def _run_mc(config: ExperimentConfig):
+    if config.side != "right":
+        raise UsageError(
+            f"mc estimates the right tail only (--side right), got --side {config.side}"
+        )
     model = parse_model(config.model, config.n)
     sampler = SamplerSpec(
         model, config.n, config.seed, config.trials, config.workers

@@ -12,8 +12,10 @@ by z.  Two variants are kept as first-class citizens:
 
 `weighted_profile_mirror` covers the z < 0 branch of the same change of
 variables (needed for left tails and total-mass checks).
-Every profile integral is a composite Gauss-Legendre rule sized by one
-embedded check (`_settle`).  scipy loads only where sampling starts.
+Every profile integral runs on a z-plan (`build_z_plan`): a composite
+Gauss-Legendre rule sized by one embedded check and evaluated by
+`profile_batch`, whether it serves one ray or a whole region.  scipy loads
+only where sampling starts.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ __all__ = [
     "weighted_profile_mirror",
     "ZPlan",
     "Z_PLAN_RTOL",
-    "ZPlanError",
     "build_z_plan",
     "profile_batch",
     "parse_model",
@@ -197,9 +198,10 @@ class DensityModel:
         """Joint density along rays: out[r, i] = f(z[i] * rays[r]).
 
         `rays` holds directions (1, v) in its rows, shape (k, n); `z` is a
-        1-D array of ray parameters.  Each kind uses its own structure, so
-        the (k, len(z), n) array of points is formed only for user
-        densities, which offer no other route:
+        1-D array of ray parameters shared by every ray, or one row of them
+        per ray (then out[r, i] = f(z[r, i] * rays[r])).  Each kind uses its
+        own structure, so the (k, len(z), n) array of points is formed only
+        for user densities, which offer no other route:
 
           iid       the coordinate log-densities summed one coordinate at
                     a time, left to right (the order of `pdf`'s axis sum up
@@ -216,8 +218,8 @@ class DensityModel:
         z = np.asarray(z, dtype=float)
         if rays.ndim != 2 or rays.shape[1] != self.n:
             raise ValueError(f"rays must have shape (k, {self.n})")
-        if z.ndim != 1:
-            raise ValueError("ray parameters must be a 1-D array")
+        if z.ndim != 1 and (z.ndim != 2 or z.shape[0] != rays.shape[0]):
+            raise ValueError("ray parameters must be a 1-D array or one row per ray")
         if (rays[:, 0] != 1.0).any():
             raise ValueError("rays must have first coordinate 1")
         if self.kind in _IID_KINDS:
@@ -238,11 +240,27 @@ class DensityModel:
                 q *= a[:, None]
                 q += np.sum(resid * resid, axis=0)[:, None]
             else:
-                q = np.multiply.outer(a, z * z)
+                q = a[:, None] * (z * z)
             q *= -0.5
             q += self._gaussian_log_norm()
             return np.exp(q, out=q)
-        return self.pdf(z[None, :, None] * rays[:, None, :])
+        return self.pdf(z[..., None] * rays[:, None, :])
+
+    def ray_support_start(self, rays: np.ndarray) -> np.ndarray | None:
+        """Ray parameter where the support starts along each ray, or None.
+
+        Only the folded normal has a start.  Its coordinates are at least
+        `shift`, so z * (1, v) lies in the support exactly when
+        z * min_j w_j >= shift with w = (1, v): from z = shift / min_j w_j on
+        when min_j w_j > 0.  A ray with min_j w_j <= 0 misses the support and
+        gets +inf.  Every start is positive.
+        """
+        if self.kind != "iid-folded-normal":
+            return None
+        low = np.min(rays, axis=1)
+        start = np.full(low.shape, math.inf)
+        np.divide(self.shift, low, out=start, where=low > 0.0)
+        return start
 
     def draw_from_uniforms(self, u: np.ndarray) -> np.ndarray:
         """Map uniform(0,1) draws of shape (k, n) to model samples.
@@ -309,24 +327,29 @@ class RadialProfileQuery:
         object.__setattr__(self, "v", arr)
 
 
-def _ray_vector(model: DensityModel, v: np.ndarray) -> np.ndarray:
-    if v.size != model.n - 1:
+def _rays(model: DensityModel, vs: np.ndarray) -> np.ndarray:
+    """Directions (1, v) for the profile points in the rows of `vs`."""
+    if vs.shape[1] != model.n - 1:
         raise ValueError(
-            f"profile point has dimension {v.size}, model needs {model.n - 1}"
+            f"profile points have dimension {vs.shape[1]}, model needs {model.n - 1}"
         )
-    return np.concatenate(([1.0], v))
+    return np.concatenate((np.ones((vs.shape[0], 1)), vs), axis=1)
+
+
+def _finite_starts(starts: np.ndarray) -> np.ndarray:
+    """Support starts with 0 for the rays that miss the support, along
+    which f vanishes for every z."""
+    return np.where(starts < math.inf, starts, 0.0)
 
 
 def _scan_support(
     psi: Callable[[np.ndarray], np.ndarray], lo_sign: float, hi_sign: float
-) -> tuple[float, float, list[float]] | None:
-    """Locate the support of psi by a log-spaced scan plus doubling.
+) -> tuple[float, float] | None:
+    """Span (z_lo, z_hi) of psi by a log-spaced scan plus doubling.
 
-    Returns (z_lo, z_hi, interior hint points) or None when psi vanishes on
-    the whole scanned range.  Where psi drops to exactly zero next to its
-    live range, away from z = 0, the support has an edge there (the folded
-    normal's); it is located by bisection, so a panel ends on it and no
-    rule integrates across the jump.
+    Returns None when psi vanishes on the whole scanned range, and raises
+    QuadratureError where psi is not finite on it (z**(n-1) overflowing at
+    large n): a span cut short there would truncate the profile.
     """
     pos = np.concatenate(([0.0], np.geomspace(1e-3, 512.0, 160)))
     zs = np.concatenate((-pos[::-1], pos[1:]))
@@ -335,32 +358,15 @@ def _scan_support(
     if hi_sign <= 0.0:
         zs = zs[zs <= 0.0]
     vals = psi(zs)
+    if not np.isfinite(vals).all():
+        raise QuadratureError("profile integrand is not finite on the scanned range")
     peak = float(vals.max(initial=0.0))
     if peak <= 0.0:
         return None
     thresh = peak * 1e-18
     live = np.flatnonzero(vals > thresh)
-    first, last = live[0], live[-1]
-    z_lo = float(zs[max(first - 1, 0)])
-    z_hi = float(zs[min(last + 1, zs.size - 1)])
-
-    def edge(inside: float, outside: float) -> float:
-        """Last point with psi > 0 between `inside` and `outside`, to 1 ulp."""
-        while True:
-            mid = 0.5 * (inside + outside)
-            if mid in (inside, outside):
-                return inside
-            if float(psi(np.array([mid]))[0]) > 0.0:
-                inside = mid
-            else:
-                outside = mid
-
-    lo_edge = first > 0 and vals[first - 1] == 0.0 and zs[first - 1] != 0.0
-    hi_edge = last + 1 < zs.size and vals[last + 1] == 0.0 and zs[last + 1] != 0.0
-    if lo_edge:
-        z_lo = edge(float(zs[first]), z_lo)
-    if hi_edge:
-        z_hi = edge(float(zs[last]), z_hi)
+    z_lo = float(zs[max(live[0] - 1, 0)])
+    z_hi = float(zs[min(live[-1] + 1, zs.size - 1)])
 
     # Heavy tails: extend by doubling until the integrand is truly negligible.
     def extend(z: float) -> float:
@@ -372,13 +378,11 @@ def _scan_support(
             "profile integrand does not decay on the scanned range"
         )
 
-    if hi_sign > 0.0 and not hi_edge:
+    if hi_sign > 0.0:
         z_hi = extend(z_hi)
-    if lo_sign < 0.0 and not lo_edge:
+    if lo_sign < 0.0:
         z_lo = extend(z_lo)
-    top = zs[vals > 0.1 * peak]
-    hints = [float(t) for t in (top[0], zs[int(np.argmax(vals))], top[-1])]
-    return z_lo, z_hi, hints
+    return z_lo, z_hi
 
 
 # Relative agreement every profile must reach between m and 2m Gauss
@@ -388,7 +392,10 @@ _PANEL_NODES = (6, 12, 24, 48)
 
 
 def _panel_edges(z_max: float) -> np.ndarray:
-    edges = [0.0, 0.25, 0.5, 1.0]
+    """Edges on [0, z_max]: a quarter, a half and one unit u = min(z_max, 1),
+    then widths doubling out to z_max.  Empty when z_max is 0."""
+    unit = min(z_max, 1.0)
+    edges = [0.0, 0.25 * unit, 0.5 * unit, unit]
     while edges[-1] < z_max:
         edges.append(2.0 * edges[-1])
     return np.asarray([e for e in edges if e < z_max] + [z_max])
@@ -402,100 +409,21 @@ def _composite(edges: np.ndarray, per_panel: int) -> tuple[np.ndarray, np.ndarra
     return (mid + half * x).ravel(), (half * w).ravel()
 
 
-def _settle(level: Callable[[int], tuple[object, np.ndarray]]) -> tuple[object, str | None]:
-    """(rule, None) at the smallest m in _PANEL_NODES whose profiles agree
-    with those at 2m nodes per panel to Z_PLAN_RTOL; else (the finest rule
-    tried, the reason to raise).  `level(m)` returns (rule, profiles).
-    """
-    previous, worst = None, math.inf
-    for per_panel in (*_PANEL_NODES, 2 * _PANEL_NODES[-1]):
-        rule, profiles = level(per_panel)
-        if previous is not None:
-            gap = np.abs(profiles - previous[1])
-            worst = float(np.max(gap / np.maximum(np.abs(profiles), 1e-300)))
-            if np.all(gap <= Z_PLAN_RTOL * np.abs(profiles)):
-                return previous[0], None
-        previous = (rule, profiles)
-    return previous[0], (
-        f"ray profiles did not settle at {_PANEL_NODES[-1]} nodes per panel: "
-        f"relative change {worst:.3e} against {2 * _PANEL_NODES[-1]}"
-    )
-
-
-def _profile_quad(
-    model: DensityModel, v: np.ndarray, variant: str, mirror: bool = False
-) -> float:
-    """One profile by a composite rule fitted to its ray: panels break at
-    the ends of `_scan_support`'s span (a bisected support edge among
-    them), at its hints and at `_panel_edges`' doubling points; `_settle`
-    picks the node count, each level in one `ray_pdf` call.
-    """
-    ray = _ray_vector(model, v)[None, :]
-    n = model.n
-
-    if variant == "paper" and not mirror:
-        weight_pow, lo_sign, hi_sign = 0, -1.0, 1.0
-    elif variant == "weighted" and not mirror:
-        weight_pow, lo_sign, hi_sign = n - 1, 0.0, 1.0
-    else:
-        weight_pow, lo_sign, hi_sign = n - 1, -1.0, 0.0
-
-    def psi(z: np.ndarray) -> np.ndarray:
-        base = model.ray_pdf(ray, z)[0]
-        if weight_pow:
-            base = base * np.abs(z) ** weight_pow
-        return base
-
-    span = _scan_support(psi, lo_sign, hi_sign)
-    if span is None:
-        return 0.0
-    z_lo, z_hi, hints = span
-    doubling = _panel_edges(max(-z_lo, z_hi))
-    breaks = np.unique(np.concatenate(([z_lo, z_hi], hints, doubling, -doubling)))
-    edges = breaks[(breaks >= z_lo) & (breaks <= z_hi)]
-
-    def level(per_panel: int) -> tuple[float, np.ndarray]:
-        z, w = _composite(edges, per_panel)
-        value = float(psi(z) @ w)
-        return value, np.array([value])
-
-    value, failure = _settle(level)
-    if failure is not None:
-        raise QuadratureError(failure)
-    return value
-
-
-def h_profile(model: DensityModel, query: RadialProfileQuery) -> float:
-    """Radial profile of the joint density at direction (1, v).
-
-    paper variant: integral over all real z of f(z, z*v).
-    weighted variant: integral over z > 0 of z**(n-1) * f(z, z*v).
-    The rule is fitted to this ray (`_profile_quad`), support edge and all.
-    """
-    return _profile_quad(model, query.v, query.variant)
-
-
-def weighted_profile_mirror(model: DensityModel, v: np.ndarray) -> float:
-    """z < 0 branch of the weighted profile: integral of |z|**(n-1) f(z, z*v)."""
-    v = np.atleast_1d(np.asarray(v, dtype=float))
-    return _profile_quad(model, v, "weighted", mirror=True)
-
-
 @dataclass(frozen=True, eq=False)
 class ZPlan:
     """Composite Gauss-Legendre rule along the ray parameter.
 
-    Built once per region from probe directions, then reused for every
-    profile in a batch.  `build_z_plan` sizes it with an embedded check, so
-    the plan carries its own error certificate: every probe profile, in
-    both variants, agrees with the rule of twice as many nodes per panel to
-    `Z_PLAN_RTOL` relative.  `profile_batch` evaluates the density at the
-    nodes through `DensityModel.ray_pdf`, as do the support scan and the
-    scalar `h_profile`, so each model kind has one ray evaluator.  A
-    profile with a jump inside a panel, such as the folded normal's support
-    edge, fails the check and `build_z_plan` raises `ZPlanError`; only
-    `h_profile`, whose panels break at each ray's own support edge,
-    resolves such profiles.
+    `build_z_plan` sizes it for the probe directions and profile variants it
+    serves, with an embedded check, so the plan carries its own error
+    certificate: every probe profile of every served variant agrees with
+    the rule of twice as many nodes per panel to `Z_PLAN_RTOL` relative.
+    One plan serves a whole region's profiles; a plan for one ray serves
+    `h_profile` and `weighted_profile_mirror`.  `profile_batch` evaluates
+    the density at the nodes through `DensityModel.ray_pdf`, as does the
+    support scan, so each model kind has one ray evaluator.  The positive
+    half starts at 0, or at each ray's own support start where the model
+    has one (`DensityModel.ray_support_start`), so no panel holds the
+    folded normal's support edge.
     """
 
     pos_nodes: np.ndarray
@@ -504,56 +432,68 @@ class ZPlan:
     neg_weights: np.ndarray
 
 
-class ZPlanError(QuadratureError):
-    """No node count per panel passed `build_z_plan`'s check.
-
-    `finest` is the plan with the most nodes per panel that was tried.  Its
-    profiles carry no certificate, so it suits only a caller that checks
-    its result another way.
-    """
-
-    def __init__(self, message: str, finest: ZPlan) -> None:
-        super().__init__(message)
-        self.finest = finest
-
-
-def build_z_plan(model: DensityModel, probe_vs: np.ndarray) -> ZPlan:
+def build_z_plan(
+    model: DensityModel, probe_vs: np.ndarray, variants: tuple[str, ...] = PROFILE_VARIANTS
+) -> ZPlan:
     """Composite rule covering the profile support of every probe direction.
 
-    Panels double in width away from z = 0 out to twice the scanned
-    support.  The node count per panel is the smallest m in _PANEL_NODES
-    whose probe profiles agree with those at 2m nodes per panel to
-    Z_PLAN_RTOL (`_settle`); ZPlanError, carrying the finest plan tried, is
-    raised when none does.
+    `variants` are the profile variants the plan serves (`profile_batch`'s
+    paper, weighted and mirror).  Each probe ray is scanned from its
+    support start (`DensityModel.ray_support_start`, else z = 0), on the
+    half-lines its variants integrate: the density itself for a plan that
+    serves the paper variant, and z**(n-1) times it for a plan that serves
+    only weighted or mirror profiles, whose mass the weight moves outward
+    by a factor of about sqrt(n - 1).  Panels double in width away from the
+    start out to twice the scanned span; the twofold margin covers the
+    weighted profiles of a shared region plan (n <= 4).  The node count per
+    panel is the smallest m in _PANEL_NODES whose probe profiles, in every
+    served variant, agree with those at 2m nodes per panel to Z_PLAN_RTOL;
+    QuadratureError is raised when none does.
     """
     probe_vs = np.atleast_2d(np.asarray(probe_vs, dtype=float))
+    rays = _rays(model, probe_vs)
+    starts = model.ray_support_start(rays)
+    weight_pow = 0 if "paper" in variants else model.n - 1
+    # With a support start (always positive) the profile lives on z > start.
+    lo_sign = -1.0 if starts is None and {"paper", "mirror"} & set(variants) else 0.0
+    hi_sign = 1.0 if {"paper", "weighted"} & set(variants) else 0.0
+    offsets = np.zeros(rays.shape[0]) if starts is None else _finite_starts(starts)
     z_lo, z_hi = 0.0, 0.0
-    for v in probe_vs:
-        ray = _ray_vector(model, v)[None, :]
+    for ray, offset in zip(rays[:, None, :], offsets):
 
-        def psi(z: np.ndarray) -> np.ndarray:
-            return model.ray_pdf(ray, z)[0]
+        def psi(t: np.ndarray) -> np.ndarray:
+            z = t + offset
+            base = model.ray_pdf(ray, z)[0]
+            if not weight_pow:
+                return base
+            with np.errstate(over="ignore", invalid="ignore"):
+                return base * np.abs(z) ** weight_pow
 
-        span = _scan_support(psi, -1.0, 1.0)
+        span = _scan_support(psi, lo_sign, hi_sign)
         if span is None:
             continue
-        lo, hi, _ = span
-        z_lo = min(z_lo, lo)
-        z_hi = max(z_hi, hi)
+        z_lo = min(z_lo, span[0])
+        z_hi = max(z_hi, span[1])
     # Margin: one extra octave on both sides.
-    pos_edges = _panel_edges(max(2.0 * z_hi, 1.0))
-    neg_edges = -_panel_edges(max(-2.0 * z_lo, 1.0))[::-1]
+    pos_edges = _panel_edges(2.0 * z_hi)
+    neg_edges = -_panel_edges(-2.0 * z_lo)[::-1]
 
-    def level(per_panel: int) -> tuple[ZPlan, np.ndarray]:
+    previous, worst = None, math.inf
+    for per_panel in (*_PANEL_NODES, 2 * _PANEL_NODES[-1]):
         plan = ZPlan(*_composite(pos_edges, per_panel), *_composite(neg_edges, per_panel))
-        return plan, np.concatenate(
-            [profile_batch(model, probe_vs, variant, plan) for variant in PROFILE_VARIANTS]
+        profiles = np.concatenate(
+            [profile_batch(model, probe_vs, variant, plan) for variant in variants]
         )
-
-    plan, failure = _settle(level)
-    if failure is not None:
-        raise ZPlanError(failure, plan)
-    return plan
+        if previous is not None:
+            gap = np.abs(profiles - previous[1])
+            worst = float(np.max(gap / np.maximum(np.abs(profiles), 1e-300)))
+            if np.all(gap <= Z_PLAN_RTOL * np.abs(profiles)):
+                return previous[0]
+        previous = (plan, profiles)
+    raise QuadratureError(
+        f"ray profiles did not settle at {_PANEL_NODES[-1]} nodes per panel: "
+        f"relative change {worst:.3e} against {2 * _PANEL_NODES[-1]}"
+    )
 
 
 def profile_batch(
@@ -563,12 +503,16 @@ def profile_batch(
     plan: ZPlan,
     chunk: int = 256,
 ) -> np.ndarray:
-    """Vectorized profiles for points stacked in rows of `vs`."""
+    """Profiles of the points stacked in rows of `vs`, on one z-plan.
+
+    paper takes the plan's negative and positive halves, weighted the
+    positive half with weight z**(n-1), and mirror (the z < 0 branch of the
+    weighted change of variables) the negative half with |z|**(n-1).  Where
+    the model's support starts at z = a > 0 along a ray, the positive half
+    is moved to start at a; the mirror is then 0, as is every profile of a
+    ray that misses the support.
+    """
     vs = np.atleast_2d(np.asarray(vs, dtype=float))
-    if vs.shape[1] != model.n - 1:
-        raise ValueError(
-            f"profile points have dimension {vs.shape[1]}, need {model.n - 1}"
-        )
     n = model.n
     if variant == "paper":
         nodes = np.concatenate((plan.neg_nodes, plan.pos_nodes))
@@ -576,16 +520,42 @@ def profile_batch(
     elif variant == "weighted":
         nodes = plan.pos_nodes
         weights = plan.pos_weights * plan.pos_nodes ** (n - 1)
+    elif variant == "mirror":
+        nodes = plan.neg_nodes
+        weights = plan.neg_weights * (-plan.neg_nodes) ** (n - 1)
     else:
         raise ValueError(f"unknown profile variant {variant!r}")
     out = np.empty(vs.shape[0])
-    for start in range(0, vs.shape[0], chunk):
-        block = vs[start : start + chunk]
-        vecs = np.concatenate(
-            (np.ones((block.shape[0], 1)), block), axis=1
-        )
-        out[start : start + chunk] = model.ray_pdf(vecs, nodes) @ weights
+    for first in range(0, vs.shape[0], chunk):
+        rays = _rays(model, vs[first : first + chunk])
+        starts = model.ray_support_start(rays)
+        if starts is None:
+            out[first : first + chunk] = model.ray_pdf(rays, nodes) @ weights
+        elif variant == "mirror":
+            out[first : first + chunk] = 0.0
+        else:
+            z = _finite_starts(starts)[:, None] + plan.pos_nodes
+            w = plan.pos_weights * z ** (n - 1) if variant == "weighted" else plan.pos_weights
+            out[first : first + chunk] = (model.ray_pdf(rays, z) * w).sum(axis=1)
     return out
+
+
+def h_profile(model: DensityModel, query: RadialProfileQuery) -> float:
+    """Radial profile of the joint density at direction (1, v).
+
+    paper variant: integral over all real z of f(z, z*v).
+    weighted variant: integral over z > 0 of z**(n-1) * f(z, z*v).
+    Evaluated on a z-plan built for this one ray and variant.
+    """
+    plan = build_z_plan(model, query.v, (query.variant,))
+    return float(profile_batch(model, query.v, query.variant, plan)[0])
+
+
+def weighted_profile_mirror(model: DensityModel, v: np.ndarray) -> float:
+    """z < 0 branch of the weighted profile: integral of |z|**(n-1) f(z, z*v)."""
+    v = np.atleast_1d(np.asarray(v, dtype=float))
+    plan = build_z_plan(model, v, ("mirror",))
+    return float(profile_batch(model, v, "mirror", plan)[0])
 
 
 def _parse_params(text: str) -> dict[str, str]:

@@ -252,9 +252,11 @@ def run_verify(
 
             oracle_name = "sphere oracle"
         elif 2 <= n <= 4:
-            # 1e-6 is plenty under the 0.5% gate.  No z-plan resolves the
-            # folded normal's support edge: at n = 2 the region runs on the
-            # scalar profile, at n = 3, 4 the row reads "untested".
+            # 1e-6 is plenty under the 0.5% gate.  The z-plan starts each
+            # folded-normal ray at its support edge, but at n = 3, 4 that
+            # profile is kinked along v_i = 1 and v_i = v_j, off the pole of
+            # the polar rule, so the ladder converges only algebraically: it
+            # reaches 1e-6 at n = 3 and runs out of levels at n = 4.
             def evaluator(e: float) -> float:
                 return region_tail_integral(
                     model, n, e, 2.0, "weighted", rel_target=1e-6

@@ -303,14 +303,16 @@ def _statistics(
     # Below `floor`, the power sum behind `norm` (Z(n)^2 or the sum of
     # |x|^beta) is no normal double: its terms have underflowed.  Above the
     # largest double they have overflowed, and `norm` is inf.
+    under = None
     with np.errstate(over="ignore"):
         if want_zn or want_zk:
             with np.errstate(divide="ignore", invalid="ignore"):
                 top, best, norm, low = _running_maxima(x, want_zn, want_zk)
             floor = _TINY
             if want_zk and low.any():
-                redo = np.flatnonzero(low)
-                best[redo] = np.maximum(best[redo], _underflowed_prefix_max(x[redo]))
+                under = np.full(low.shape, -np.inf)
+                under[low] = _underflowed_prefix_max(x[low])
+                np.maximum(best, under, out=best)
         if want_zn or (want_sum and beta == 2.0):
             norm = euclid = np.sqrt(np.sum(x * x, axis=1))
             floor = math.sqrt(_TINY)
@@ -340,6 +342,11 @@ def _statistics(
         values["max-over-Zk"] = best
     if rescale.any():
         for variant, redo in zip(variants, redone):
+            if variant == "max-over-Zk" and under is not None:
+                # Dividing by the max-abs entry flushes entries ~308 orders of
+                # magnitude below it to 0, and with them the prefixes only the
+                # 2^600 path resolved: keep the larger value.
+                redo = np.maximum(redo, under[rescale])
             values[variant][rescale] = redo
     return [values[v] for v in variants]
 
@@ -416,6 +423,12 @@ def _chunk_uniforms(seed: int, chunk_index: int, m: int, n: int) -> np.ndarray:
     return np.random.Generator(bitgen).random((m, n))
 
 
+def _cap_power(stat: StatisticSpec) -> float:
+    """p such that n^p is the statistic's largest value, at x = ones: 1 - 1/beta
+    for `sum`, 1/2 for the max variants, which are Euclidean at every beta."""
+    return 1.0 - 1.0 / stat.beta if stat.variant == "sum" else 0.5
+
+
 def _sign_cut(n: int, stat: StatisticSpec, threshold: float) -> int:
     """J: the fewest coordinates <= 0 that keep a row's statistic at or
     below `threshold`; n + 1 when no count does (threshold <= 0).
@@ -425,7 +438,7 @@ def _sign_cut(n: int, stat: StatisticSpec, threshold: float) -> int:
     max statistics at most sqrt(n - j).  J is the smallest j whose bound,
     widened by `_HOLDER_SLACK`, is below the threshold.
     """
-    power = 1.0 - 1.0 / stat.beta if stat.variant == "sum" else 0.5
+    power = _cap_power(stat)
     for j in range(n + 1):
         if (n - j) ** power * (1.0 + _HOLDER_SLACK) < threshold:
             return j
@@ -525,7 +538,9 @@ def estimate_tail(
     """Monte Carlo estimate of P(statistic > threshold), strict exceedance.
 
     Give either `threshold` directly or `epsilon`, which sets threshold =
-    n^(1-1/beta) - epsilon (the tail parameterization used throughout).
+    cap - epsilon (the tail parameterization used throughout), the cap being
+    the statistic's largest value: n^(1-1/beta) for `sum` and sqrt(n) for
+    the max variants, which ignore beta.
     The result is a pure function of (sampler.model, n, seed, trials,
     stat, threshold); workers only distribute chunks.
 
@@ -541,7 +556,7 @@ def estimate_tail(
     if (threshold is None) == (epsilon is None):
         raise ValueError("give exactly one of threshold or epsilon")
     if threshold is None:
-        cutoff = float(sampler.n) ** (1.0 - 1.0 / stat.beta)
+        cutoff = float(sampler.n) ** _cap_power(stat)
         if not 0.0 < epsilon < cutoff:
             raise ValueError(f"epsilon must lie in (0, {cutoff:.6g}), got {epsilon}")
         threshold = cutoff - epsilon

@@ -26,14 +26,12 @@ from .analytic_core import AntiHessianSpec, g_many, structured_anti_hessian
 from .density import (
     DensityModel,
     QuadratureError,
-    RadialProfileQuery,
     ZPlan,
-    ZPlanError,
     Z_PLAN_RTOL,
     build_z_plan,
-    h_profile,
     profile_batch,
 )
+from .density import h_profile  # noqa: F401  (perfbench hooks oracles.h_profile)
 
 __all__ = [
     "OracleResult",
@@ -276,14 +274,11 @@ def _reach(dirs: np.ndarray, n: int, beta: float, epsilon: float) -> np.ndarray:
 
 
 def _region_integrand(
-    model: DensityModel, pts: np.ndarray, integrand: str, plan: ZPlan | None
+    model: DensityModel, pts: np.ndarray, integrand: str, plan: ZPlan
 ) -> np.ndarray:
-    """Integrand at region points; without a plan, one h_profile per point."""
+    """Integrand at region points, all profiles on one z-plan."""
     variant = "weighted" if integrand == "weighted" else "paper"
-    if plan is None:
-        vals = np.array([h_profile(model, RadialProfileQuery(v, variant)) for v in pts])
-    else:
-        vals = profile_batch(model, pts, variant, plan)
+    vals = profile_batch(model, pts, variant, plan)
     return vals if integrand == "weighted" else vals * np.prod(pts, axis=-1)
 
 
@@ -371,10 +366,11 @@ def region_tail_integral(
     ladder returns level L once |L - (L-1)| <= rel_target * |L|; the error
     estimate adds to that difference the z-plan's certified tolerance and
     the rounding of the boundary.  metadata["nodes"] counts every node
-    evaluated.  When no z-plan passes its check (a density with a support
-    edge), n = 2 evaluates each node with the scalar `h_profile` instead,
-    whose panels break at that ray's support edge and whose node count
-    passes the same Z_PLAN_RTOL check, and n >= 3 raises `ZPlanError`.
+    evaluated.  The z-plan starts each ray at its support start where the
+    model has one (the folded normal), so its check passes there too.  A
+    density whose profiles defeat the check (a user density with a support
+    edge) raises QuadratureError, as does a ladder that misses rel_target
+    at its finest level.
 
     n is capped at 4 (one to three region dimensions).
     """
@@ -396,20 +392,7 @@ def region_tail_integral(
     probe_dirs = _directions(dim, 16 if dim == 2 else 4)[0].reshape(-1, dim)
     probe_r = _reach(probe_dirs, n, beta, epsilon)
     probes = np.vstack((np.ones((1, dim)), 1.0 + probe_r[:, None] * probe_dirs))
-    try:
-        plan = build_z_plan(model, probes)
-    except ZPlanError:
-        # A profile the plan cannot resolve, such as one across the folded
-        # normal's support edge.  On an interval (n = 2) the ladder takes
-        # h_profile at each node instead, a rule fitted to that node's ray
-        # and held to the same Z_PLAN_RTOL: a few hundred scalar profiles,
-        # where a two- or three-dimensional region would need tens of
-        # thousands.  The folded normal's profile is kinked only at v = 1,
-        # the pole of the polar coordinates, so the radial rule still
-        # converges spectrally on both sides.
-        if dim > 1:
-            raise
-        plan = None
+    plan = build_z_plan(model, probes)
 
     # Polar coordinates in the metric of the peak's curvature: v = 1 + rho*T*d
     # with T = A**(-1/2), A = -Hessian of g at the all-ones point, in which the

@@ -64,11 +64,11 @@ def test_profile_invariant_under_wider_truncation(monkeypatch):
         span = original(psi, lo_sign, hi_sign)
         if span is None:
             return None
-        z_lo, z_hi, hints = span
+        z_lo, z_hi = span
         # outward in both directions, never into the support
         z_lo = 2.0 * z_lo if z_lo < 0.0 else 0.5 * z_lo
         z_hi = 2.0 * z_hi if z_hi > 0.0 else 0.5 * z_hi
-        return z_lo, z_hi, hints
+        return z_lo, z_hi
 
     monkeypatch.setattr(density, "_scan_support", widened)
     for (m, var), base in zip(cases, baselines):
@@ -204,11 +204,18 @@ def test_profile_batch_matches_pdf_on_materialized_points(n):
     vs = 1.0 + 0.4 * rng.standard_normal((53, n - 1))
     rays = np.concatenate((np.ones((vs.shape[0], 1)), vs), axis=1)
     for model, exact in _kernel_models(n):
-        # the plan only supplies nodes and weights here; build_z_plan refuses
-        # the folded normal, whose support edge its check cannot resolve
-        planned = DensityModel.iid_normal(n) if model.kind == "iid-folded-normal" else model
-        plan = density.build_z_plan(planned, vs[:4])
+        plan = density.build_z_plan(model, vs[:4])
+        starts = model.ray_support_start(rays)
         for variant in density.PROFILE_VARIANTS:
+            got = density.profile_batch(model, vs, variant, plan)
+            if starts is not None:
+                # the positive half moved to each ray's support start; a ray
+                # that misses the support keeps the unmoved half
+                z = np.where(np.isfinite(starts), starts, 0.0)[:, None] + plan.pos_nodes
+                weights = plan.pos_weights * (z ** (n - 1) if variant == "weighted" else 1.0)
+                expect = (model.pdf(z[..., None] * rays[:, None, :]) * weights).sum(axis=1)
+                _assert_kernel_matches(got, expect, exact)
+                continue
             if variant == "paper":
                 nodes = np.concatenate((plan.neg_nodes, plan.pos_nodes))
                 weights = np.concatenate((plan.neg_weights, plan.pos_weights))
@@ -216,7 +223,6 @@ def test_profile_batch_matches_pdf_on_materialized_points(n):
                 nodes = plan.pos_nodes
                 weights = plan.pos_weights * plan.pos_nodes ** (n - 1)
             expect = model.pdf(nodes[None, :, None] * rays[:, None, :]) @ weights
-            got = density.profile_batch(model, vs, variant, plan)
             _assert_kernel_matches(got, expect, exact)
 
 
@@ -255,11 +261,18 @@ def test_z_plan_sized_by_its_check_resolves_unprobed_rays():
     )
 
 
-def test_z_plan_refuses_a_support_edge():
-    # the folded profile jumps where z * min(1, v) crosses the shift, inside
-    # a panel, so no node count per panel settles
-    with pytest.raises(density.QuadratureError, match="did not settle"):
-        density.build_z_plan(DensityModel.iid_folded_normal(3), _ring_probes(0.3))
+def test_z_plan_resolves_a_support_edge():
+    # the folded profile jumps where z * min(1, v) crosses the shift; the
+    # plan starts every ray there, so one shared plan passes its check and
+    # serves both the probes and rays it never saw
+    model = DensityModel.iid_folded_normal(3)
+    probes = _ring_probes(0.3)
+    plan = density.build_z_plan(model, probes)
+    rng = np.random.default_rng(7)
+    vs = np.vstack((probes, 1.0 + 0.3 * rng.uniform(-1.0, 1.0, (20, 2))))
+    got = density.profile_batch(model, vs, "paper", plan)
+    for v, value in zip(vs, got):
+        assert value == pytest.approx(_folded_profile(v, "paper"), rel=1e-12)
 
 
 def _folded_profile(v: np.ndarray, variant: str) -> float:
@@ -323,6 +336,31 @@ def test_scalar_profiles_match_iid_normal_closed_forms(n):
         assert weighted_profile_mirror(model, v) == pytest.approx(weighted, rel=1e-13, abs=0.0)
 
 
+@pytest.mark.parametrize("n", [10, 48, 100])
+def test_weighted_profile_matches_its_closed_form_at_larger_n(n):
+    # the one-ray plan spans z**(n-1) f, whose mass sits near
+    # sqrt(n - 1) / |w|, not f alone
+    model = DensityModel.iid_normal(n)
+    rng = np.random.default_rng(n)
+    for v in (np.ones(n - 1), rng.uniform(0.5, 1.5, n - 1), rng.uniform(-0.3, 0.3, n - 1)):
+        _, weighted = _iid_normal_profiles(n, v)
+        got = h_profile(model, RadialProfileQuery(v, "weighted"))
+        assert got == pytest.approx(weighted, rel=1e-12, abs=0.0)
+        assert weighted_profile_mirror(model, v) == pytest.approx(weighted, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("n", [150, 300, 1000])
+def test_weighted_profile_at_large_n_is_right_or_raises(n):
+    # z**(n-1) overflows on the scanned range: never a truncated value
+    model = DensityModel.iid_normal(n)
+    _, weighted = _iid_normal_profiles(n, np.ones(n - 1))
+    try:
+        got = h_profile(model, RadialProfileQuery(np.ones(n - 1), "weighted"))
+    except density.QuadratureError:
+        return
+    assert weighted > 0.0 and got == pytest.approx(weighted, rel=1e-12, abs=0.0)
+
+
 def test_scalar_profiles_match_adaptive_quadrature():
     # scipy's adaptive quad, pointwise on `pdf`, as an independent reference
     # for a heavy tail and for a gaussian whose mean makes the profile
@@ -358,9 +396,11 @@ def test_scalar_profile_raises_when_no_node_count_settles(monkeypatch):
     # one node count, compared only with its double, cannot resolve the
     # narrow heavy-tailed peak to Z_PLAN_RTOL
     monkeypatch.setattr(density, "_PANEL_NODES", (2,))
+    model = DensityModel.iid_student_t(3, nu=5.0)
     with pytest.raises(density.QuadratureError, match="did not settle"):
-        h_profile(DensityModel.iid_student_t(3, nu=5.0),
-                  RadialProfileQuery(np.ones(2), "weighted"))
+        h_profile(model, RadialProfileQuery(np.ones(2), "weighted"))
+    with pytest.raises(density.QuadratureError, match="did not settle"):
+        weighted_profile_mirror(model, np.ones(2))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

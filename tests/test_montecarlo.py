@@ -141,6 +141,33 @@ def test_underflowing_prefix_reads_its_rescaled_ratio():
     np.testing.assert_allclose(got, expect, rtol=1e-15)
 
 
+def test_overflowing_row_keeps_its_underflowed_prefix():
+    # Z(n) overflows, so the row is redone divided by 1e200, which flushes
+    # the first two entries to 0; their prefix, resolved before the rescale,
+    # still holds the maximum sqrt(2) at k = 2
+    x = np.array([[1e-170, 1e-170, 1e200], [1e-170, 1e-170, 1e308, 1e308][:3]])
+    got = statistic_batch(x, "max-over-Zk")
+    np.testing.assert_allclose(got, [math.sqrt(2.0), math.sqrt(2.0)], rtol=1e-15)
+    # an overflowing row without such a prefix reads its rescaled self
+    assert statistic(np.array([1.0, 1e200, 1e200]), "max-over-Zk") == pytest.approx(
+        2.0 / math.sqrt(2.0), rel=1e-15
+    )
+
+
+def test_max_variants_threshold_below_their_euclidean_cap():
+    # the max statistics never exceed sqrt(n) and ignore beta, so eps sets
+    # the threshold sqrt(n) - eps at every beta; the sum keeps n^(1 - 1/beta)
+    runs = {}
+    for beta in (2.0, 3.0):
+        sampler = SamplerSpec(DensityModel.iid_normal(4), 4, 1, 100_000)
+        runs[beta] = estimate_tail(sampler, StatisticSpec(beta, "max-over-Zk"), epsilon=0.1)
+        assert runs[beta].threshold == 2.0 - 0.1
+    assert runs[3.0].hits == runs[2.0].hits > 0
+    sampler = SamplerSpec(DensityModel.iid_normal(4), 4, 1, 1000)
+    summed = estimate_tail(sampler, StatisticSpec(3.0, "sum"), epsilon=0.1)
+    assert summed.threshold == 4.0 ** (2.0 / 3.0) - 0.1
+
+
 def test_draw_from_uniforms_leaves_its_input_and_matches_the_formula():
     rng = np.random.default_rng(77)
     u = rng.random((4096, 3))
@@ -429,7 +456,8 @@ def test_filtered_estimates_count_the_same_hits(workers):
             (StatisticSpec(2.0, "sum"), 0.1),
             (StatisticSpec(3.0, "sum"), 0.05),
             (StatisticSpec(2.0, "max-over-Zn"), 0.1),
-            (StatisticSpec(3.0, "max-over-Zk"), 0.6),
+            # threshold sqrt(n) - 0.3: the max variants ignore beta
+            (StatisticSpec(3.0, "max-over-Zk"), 0.3),
         ):
             est = estimate_tail(sampler, spec, epsilon=eps)
             assert (_row_cut(sampler, spec, est.threshold) is not None) == filtered

@@ -208,9 +208,9 @@ def test_region_n2_matches_sphere_law():
         assert abs(res.value - exact) <= res.error_estimate
 
 
-def test_region_n2_resolves_a_support_edge(monkeypatch):
-    # The folded normal's profile has a support edge no z-plan resolves, so
-    # the interval takes the adaptive profile at each node.  Reference:
+def test_region_n2_resolves_a_support_edge():
+    # The folded normal's profile has a support edge, where the z-plan
+    # starts each ray.  Reference:
     # coordinates 2 phi(x - 1) on x >= 1 give, along (1, t), the weighted
     # profile C (m Q + exp(-a (e - m)^2 / 2) / a) with a = 1 + t^2,
     # m = (1 + t) / a, e = max(1, 1 / t) and Q the Gaussian tail past e.
@@ -224,10 +224,6 @@ def test_region_n2_resolves_a_support_edge(monkeypatch):
         )
         return scale * (m * tail + np.exp(-0.5 * a * (edge - m) ** 2) / a)
 
-    def batch_forbidden(*args):
-        raise AssertionError("no z-plan should pass its check here")
-
-    monkeypatch.setattr(oracles, "profile_batch", batch_forbidden)
     model = DensityModel.iid_folded_normal(2)
     x, w = np.polynomial.legendre.leggauss(80)
     for eps in (1e-3, 0.1):
@@ -240,8 +236,6 @@ def test_region_n2_resolves_a_support_edge(monkeypatch):
         res = region_tail_integral(model, 2, eps, 2.0, "weighted")
         assert res.value == pytest.approx(exact, rel=1e-10)
         assert abs(res.value - exact) <= res.error_estimate
-    with pytest.raises(oracles.ZPlanError):
-        region_tail_integral(DensityModel.iid_folded_normal(3), 3, 0.1, 2.0)
 
 
 def _reach_50_digits(d, n, beta, eps):
