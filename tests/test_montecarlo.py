@@ -145,7 +145,7 @@ def test_overflowing_row_keeps_its_underflowed_prefix():
     # Z(n) overflows, so the row is redone divided by 1e200, which flushes
     # the first two entries to 0; their prefix, resolved before the rescale,
     # still holds the maximum sqrt(2) at k = 2
-    x = np.array([[1e-170, 1e-170, 1e200], [1e-170, 1e-170, 1e308, 1e308][:3]])
+    x = np.array([[1e-170, 1e-170, 1e200], [1e-170, 1e-170, 1e308]])
     got = statistic_batch(x, "max-over-Zk")
     np.testing.assert_allclose(got, [math.sqrt(2.0), math.sqrt(2.0)], rtol=1e-15)
     # an overflowing row without such a prefix reads its rescaled self
