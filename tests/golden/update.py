@@ -26,6 +26,8 @@ REL = 1e-12
 
 _EQUICORRELATED_3 = "1 0.3 0.3 0.3 1 0.3 0.3 0.3 1"
 _IDENTITY_4 = " ".join("1" if i == j else "0" for i in range(4) for j in range(4))
+# Unequal variances: the min-ball coordinate descent moves off its grid point.
+_UNEQUAL_3 = "1 0.2 0 0.2 2 0.1 0 0.1 0.5"
 
 COMMANDS: dict[str, list[str]] = {
     "verify-n2": ["verify", "--n", "2"],
@@ -34,6 +36,8 @@ COMMANDS: dict[str, list[str]] = {
                         f"gaussian:cov={_EQUICORRELATED_3}", "--workers", "1"],
     "verify-n3-student": ["verify", "--n", "3", "--model", "iid-student-t:nu=5",
                           "--workers", "1"],
+    "verify-n4": ["verify", "--n", "4", "--trials", "1e5"],
+    "verify-n3-beta3": ["verify", "--n", "3", "--beta", "3"],
     "verify-n2-folded": ["verify", "--n", "2", "--model", "iid-folded-normal"],
     "oracle-n4": ["oracle", "--n", "4", "--model", f"gaussian:cov={_IDENTITY_4}",
                   "--eps", "0.1"],
@@ -42,6 +46,8 @@ COMMANDS: dict[str, list[str]] = {
                           "iid-student-t:nu=5"],
     "bounds-n3-folded": ["bounds", "--n", "3", "--eps", "0.01", "--model",
                          "iid-folded-normal"],
+    "bounds-n3-gauss-unequal": ["bounds", "--n", "3", "--eps", "0.01", "--model",
+                                f"gaussian:cov={_UNEQUAL_3}"],
     "predict-n3-student-two-sided": ["predict", "--n", "3", "--side", "two-sided",
                                      "--model", "iid-student-t:nu=5"],
     "predict-n3-gauss-two-sided": [
@@ -49,6 +55,10 @@ COMMANDS: dict[str, list[str]] = {
         f"gaussian:mean=0.2 -0.1 0.1,cov={_EQUICORRELATED_3}",
     ],
     "predict-n100": ["predict", "--n", "100", "--eps", "1e-3"],
+    "constants-n3": ["constants", "--n", "3"],
+    "counterexample-n3": ["counterexample", "--n", "3"],
+    "mc-n3": ["mc", "--n", "3", "--model", "iid-normal", "--eps", "0.1", "--trials",
+              "1e7", "--statistic", "max-over-Zk", "--workers", "2"],
 }
 
 
