@@ -45,11 +45,14 @@ def unit_ball_volume(dim: int) -> float:
 
 
 def _line_optimize(
-    fn, segments: list[tuple[float, float]], minimize: bool, samples: int = 65
+    fn_many, segments: list[tuple[float, float]], minimize: bool, samples: int = 65
 ) -> tuple[float, float, int]:
     """Dense sampling plus golden-section polish on each interval.
 
-    Returns the best (t, value) and the number of `fn` calls made.
+    `fn_many` maps a 1-D array of t to their values.  Each interval's
+    `samples` dense points go to it in one call; the golden-section steps
+    and the final candidates go one point at a time.  Returns the best
+    (t, value) and the number of points evaluated.
     """
     phi = (math.sqrt(5.0) - 1.0) / 2.0
     best_t, best_val = math.nan, math.inf if minimize else -math.inf
@@ -58,13 +61,14 @@ def _line_optimize(
     def counted(t: float) -> float:
         nonlocal calls
         calls += 1
-        return fn(t)
+        return float(fn_many(np.array([t]))[0])
 
     for lo, hi in segments:
         if not hi > lo:
             continue
         ts = np.linspace(lo, hi, samples)
-        vals = np.array([counted(t) for t in ts])
+        vals = fn_many(ts)
+        calls += samples
         idx = int(np.nanargmin(vals) if minimize else np.nanargmax(vals))
         a = ts[max(idx - 1, 0)]
         b = ts[min(idx + 1, samples - 1)]
@@ -216,16 +220,13 @@ def envelope_bounds(model: DensityModel, n: int, epsilon: float) -> BoundsCertif
     def objective_many(vs: np.ndarray) -> np.ndarray:
         return profile_batch(model, vs, "paper", plan) * np.prod(np.abs(vs), axis=-1)
 
-    def objective_one(v: np.ndarray) -> float:
-        return float(objective_many(v[None, :])[0])
-
     def ball_extremum(radius: float, minimize: bool) -> tuple[np.ndarray, float, int]:
         grid = _ball_grid(dim, radius)
         vals = objective_many(grid)
         idx = int(np.argmin(vals) if minimize else np.argmax(vals))
         used = grid.shape[0]
         point, val, evals, _ = _coordinate_descent_ball(
-            objective_one, grid[idx], radius, minimize
+            objective_many, grid[idx], radius, minimize
         )
         used += evals
         if (minimize and vals[idx] < val) or (not minimize and vals[idx] > val):
@@ -255,11 +256,18 @@ def envelope_bounds(model: DensityModel, n: int, epsilon: float) -> BoundsCertif
 
 
 def _coordinate_descent_ball(
-    fn, start: np.ndarray, radius: float, minimize: bool, max_sweeps: int = 40
+    fn_many, start: np.ndarray, radius: float, minimize: bool, max_sweeps: int = 40
 ) -> tuple[np.ndarray, float, int, bool]:
-    """Coordinate descent constrained to the closed ball of given radius."""
+    """Coordinate descent constrained to the closed ball of given radius.
+
+    `fn_many` maps points stacked in rows to their values.  Each axis is
+    searched by `_line_optimize` on the chord of the ball through the
+    current point, its dense samples stacked into one `fn_many` call.
+    Returns the point, its value, the number of points evaluated and
+    whether a sweep settled to 1e-12 relative.
+    """
     v = start.astype(float).copy()
-    current = fn(v)
+    current = float(fn_many(v[None, :])[0])
     evals = 1
     converged = False
     for _ in range(max_sweeps):
@@ -271,10 +279,10 @@ def _coordinate_descent_ball(
                 continue
             half = math.sqrt(radius * radius - r2_other)
 
-            def line(t: float) -> float:
-                w = v.copy()
-                w[axis] = t
-                return fn(w)
+            def line(ts: np.ndarray) -> np.ndarray:
+                w = np.repeat(v[None, :], ts.size, axis=0)
+                w[:, axis] = ts
+                return fn_many(w)
 
             t_best, val_best, calls = _line_optimize(
                 line, [(1.0 - half, 1.0 + half)], minimize

@@ -20,6 +20,7 @@ only where sampling starts.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -167,7 +168,9 @@ class DensityModel:
             return out
         raise ValueError(f"no coordinate density for kind {self.kind!r}")
 
+    @functools.cached_property
     def _gaussian_log_norm(self) -> float:
+        """Log of the gaussian's normalizer, computed once per model."""
         return -self.n * _LOG_SQRT_2PI - float(np.sum(np.log(np.diag(self.chol))))
 
     def pdf(self, x: np.ndarray) -> np.ndarray:
@@ -184,7 +187,7 @@ class DensityModel:
             flat = dev.reshape(-1, self.n)
             y = np.linalg.solve(self.chol, flat.T)
             q = np.sum(y * y, axis=0).reshape(x.shape[:-1])
-            return np.exp(self._gaussian_log_norm() - 0.5 * q)
+            return np.exp(self._gaussian_log_norm - 0.5 * q)
         if self.kind == "user":
             out = np.asarray(self.fn(x), dtype=float)
             if out.shape != x.shape[:-1]:
@@ -242,7 +245,7 @@ class DensityModel:
             else:
                 q = a[:, None] * (z * z)
             q *= -0.5
-            q += self._gaussian_log_norm()
+            q += self._gaussian_log_norm
             return np.exp(q, out=q)
         return self.pdf(z[..., None] * rays[:, None, :])
 
@@ -343,45 +346,75 @@ def _finite_starts(starts: np.ndarray) -> np.ndarray:
 
 
 def _scan_support(
-    psi: Callable[[np.ndarray], np.ndarray], lo_sign: float, hi_sign: float
-) -> tuple[float, float] | None:
-    """Span (z_lo, z_hi) of psi by a log-spaced scan plus doubling.
+    model: DensityModel, probe_vs: np.ndarray, variants: tuple[str, ...]
+) -> tuple[float, float]:
+    """Joint span (z_lo, z_hi), z_lo <= 0 <= z_hi, of every probe ray's integrand.
 
-    Returns None when psi vanishes on the whole scanned range, and raises
-    QuadratureError where psi is not finite on it (z**(n-1) overflowing at
-    large n): a span cut short there would truncate the profile.
+    The integrand is f along the ray for a plan that serves the paper
+    variant, else z**(n-1) f, whose mass the weight moves outward by about
+    sqrt(n - 1).  All rays are scanned in one `ray_pdf` call, from each
+    ray's support start (rays that miss it add nothing), on a log-spaced
+    grid over the half-lines the variants integrate.  Each ray's span runs
+    from the node before its first value above its own peak * 1e-18 to the
+    node after its last; ends still above that are doubled until they fall
+    below it, one call per step for all such rays.  Rays that vanish on the
+    whole grid (steep rays, whose mass lies below its first node 1e-3) are
+    scanned again on the grid scaled by 1e-3/512, toward z = 0.  Raises
+    QuadratureError where the integrand is not finite (z**(n-1)
+    overflowing at large n): a span cut short there would truncate it.
     """
+    rays = _rays(model, probe_vs)
+    starts = model.ray_support_start(rays)
+    weight_pow = 0 if "paper" in variants else model.n - 1
+    # With a support start (always positive) the profile lives on z > start.
+    scan_neg = starts is None and bool({"paper", "mirror"} & set(variants))
+    scan_pos = bool({"paper", "weighted"} & set(variants))
+    if starts is None:
+        offsets = np.zeros(rays.shape[0])
+    else:
+        rays, offsets = rays[starts < math.inf], starts[starts < math.inf]
+
+    def psi(rows: np.ndarray, t: np.ndarray) -> np.ndarray:
+        z = t + offsets[rows, None]
+        base = model.ray_pdf(rays[rows], z)
+        if not weight_pow:
+            return base
+        with np.errstate(over="ignore", invalid="ignore"):
+            return base * np.abs(z) ** weight_pow
+
     pos = np.concatenate(([0.0], np.geomspace(1e-3, 512.0, 160)))
     zs = np.concatenate((-pos[::-1], pos[1:]))
-    if lo_sign >= 0.0:
+    if not scan_neg:
         zs = zs[zs >= 0.0]
-    if hi_sign <= 0.0:
+    if not scan_pos:
         zs = zs[zs <= 0.0]
-    vals = psi(zs)
-    if not np.isfinite(vals).all():
-        raise QuadratureError("profile integrand is not finite on the scanned range")
-    peak = float(vals.max(initial=0.0))
-    if peak <= 0.0:
-        return None
-    thresh = peak * 1e-18
-    live = np.flatnonzero(vals > thresh)
-    z_lo = float(zs[max(live[0] - 1, 0)])
-    z_hi = float(zs[min(live[-1] + 1, zs.size - 1)])
-
-    # Heavy tails: extend by doubling until the integrand is truly negligible.
-    def extend(z: float) -> float:
-        for _ in range(40):
-            if float(psi(np.array([z]))[0]) <= thresh:
-                return z
-            z *= 2.0
-        raise QuadratureError(
-            "profile integrand does not decay on the scanned range"
-        )
-
-    if hi_sign > 0.0:
-        z_hi = extend(z_hi)
-    if lo_sign < 0.0:
-        z_lo = extend(z_lo)
+    z_lo, z_hi = 0.0, 0.0
+    rows, scale = np.arange(rays.shape[0]), 1.0
+    while rows.size and 1e-3 * scale >= np.finfo(float).tiny:
+        grid = zs * scale
+        vals = psi(rows, grid)
+        if not np.isfinite(vals).all():
+            raise QuadratureError("profile integrand is not finite on the scanned range")
+        peak = vals.max(axis=1, initial=0.0)
+        found = peak > 0.0
+        thresh = peak[found] * 1e-18
+        live = vals[found] > thresh[:, None]
+        first, edge = np.argmax(live, axis=1), grid.size - 1
+        last = edge - np.argmax(live[:, ::-1], axis=1)
+        # Lower ends, then upper ends; those still live at the grid's edge double.
+        ends = grid[np.concatenate((np.maximum(first - 1, 0), np.minimum(last + 1, edge)))]
+        grow = np.concatenate(((first == 0) & scan_neg, (last == edge) & scan_pos))
+        owner, limit = np.tile(rows[found], 2), np.tile(thresh, 2)
+        for _ in range(39):
+            if not grow.any():
+                break
+            ends[grow] *= 2.0
+            grow[grow] = ~(psi(owner[grow], ends[grow, None])[:, 0] <= limit[grow])
+        if grow.any():
+            raise QuadratureError("profile integrand does not decay on the scanned range")
+        z_lo = min(z_lo, float(ends.min(initial=0.0)))
+        z_hi = max(z_hi, float(ends.max(initial=0.0)))
+        rows, scale = rows[~found], scale * (1e-3 / 512.0)
     return z_lo, z_hi
 
 
@@ -401,9 +434,19 @@ def _panel_edges(z_max: float) -> np.ndarray:
     return np.asarray([e for e in edges if e < z_max] + [z_max])
 
 
+@functools.cache
+def _gauss_legendre(count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Gauss-Legendre rule on [-1, 1], built on first use."""
+    rule = np.polynomial.legendre.leggauss(count)
+    for arr in rule:
+        arr.flags.writeable = False
+    return rule
+
+
 def _composite(edges: np.ndarray, per_panel: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre with `per_panel` nodes on each panel between `edges`."""
-    x, w = np.polynomial.legendre.leggauss(per_panel)
+    """Gauss-Legendre with `per_panel` nodes on each panel between `edges`;
+    each node count's rule is built once per process (`_gauss_legendre`)."""
+    x, w = _gauss_legendre(per_panel)
     half = 0.5 * np.diff(edges)[:, None]
     mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
     return (mid + half * x).ravel(), (half * w).ravel()
@@ -438,42 +481,16 @@ def build_z_plan(
     """Composite rule covering the profile support of every probe direction.
 
     `variants` are the profile variants the plan serves (`profile_batch`'s
-    paper, weighted and mirror).  Each probe ray is scanned from its
-    support start (`DensityModel.ray_support_start`, else z = 0), on the
-    half-lines its variants integrate: the density itself for a plan that
-    serves the paper variant, and z**(n-1) times it for a plan that serves
-    only weighted or mirror profiles, whose mass the weight moves outward
-    by a factor of about sqrt(n - 1).  Panels double in width away from the
-    start out to twice the scanned span; the twofold margin covers the
-    weighted profiles of a shared region plan (n <= 4).  The node count per
-    panel is the smallest m in _PANEL_NODES whose probe profiles, in every
-    served variant, agree with those at 2m nodes per panel to Z_PLAN_RTOL;
-    QuadratureError is raised when none does.
+    paper, weighted and mirror).  `_scan_support` finds the joint span of
+    the probe rays' integrands in one batched scan.  Panels double in width
+    away from the start out to twice that span; the twofold margin covers
+    the weighted profiles of a shared region plan (n <= 4).  The node count
+    per panel is the smallest m in _PANEL_NODES whose probe profiles, in
+    every served variant, agree with those at 2m nodes per panel to
+    Z_PLAN_RTOL; QuadratureError is raised when none does.
     """
     probe_vs = np.atleast_2d(np.asarray(probe_vs, dtype=float))
-    rays = _rays(model, probe_vs)
-    starts = model.ray_support_start(rays)
-    weight_pow = 0 if "paper" in variants else model.n - 1
-    # With a support start (always positive) the profile lives on z > start.
-    lo_sign = -1.0 if starts is None and {"paper", "mirror"} & set(variants) else 0.0
-    hi_sign = 1.0 if {"paper", "weighted"} & set(variants) else 0.0
-    offsets = np.zeros(rays.shape[0]) if starts is None else _finite_starts(starts)
-    z_lo, z_hi = 0.0, 0.0
-    for ray, offset in zip(rays[:, None, :], offsets):
-
-        def psi(t: np.ndarray) -> np.ndarray:
-            z = t + offset
-            base = model.ray_pdf(ray, z)[0]
-            if not weight_pow:
-                return base
-            with np.errstate(over="ignore", invalid="ignore"):
-                return base * np.abs(z) ** weight_pow
-
-        span = _scan_support(psi, lo_sign, hi_sign)
-        if span is None:
-            continue
-        z_lo = min(z_lo, span[0])
-        z_hi = max(z_hi, span[1])
+    z_lo, z_hi = _scan_support(model, probe_vs, variants)
     # Margin: one extra octave on both sides.
     pos_edges = _panel_edges(2.0 * z_hi)
     neg_edges = -_panel_edges(-2.0 * z_lo)[::-1]

@@ -168,15 +168,18 @@ def test_extremizer_points_are_recorded():
 
 
 def test_line_search_reports_its_calls():
-    calls = []
+    calls, batches = [], []
 
-    def fn(t: float) -> float:
-        calls.append(t)
-        return (t - 0.3) ** 2
+    def fn_many(ts: np.ndarray) -> np.ndarray:
+        calls.extend(ts)
+        batches.append(ts.size)
+        return (ts - 0.3) ** 2
 
-    t, val, reported = _line_optimize(fn, [(-1.0, 0.0), (0.2, 1.0), (2.0, 2.0)], True)
+    t, val, reported = _line_optimize(fn_many, [(-1.0, 0.0), (0.2, 1.0), (2.0, 2.0)], True)
     assert reported == len(calls) > 0
     assert t == pytest.approx(0.3, abs=1e-8) and val <= 1e-16
+    # each non-empty segment takes its dense samples in one call
+    assert [size for size in batches if size > 1] == [65, 65]
 
 
 def test_envelope_bounds_on_a_support_edge():

@@ -60,15 +60,10 @@ def test_profile_invariant_under_wider_truncation(monkeypatch):
     ]
     original = density._scan_support
 
-    def widened(psi, lo_sign, hi_sign):
-        span = original(psi, lo_sign, hi_sign)
-        if span is None:
-            return None
-        z_lo, z_hi = span
-        # outward in both directions, never into the support
-        z_lo = 2.0 * z_lo if z_lo < 0.0 else 0.5 * z_lo
-        z_hi = 2.0 * z_hi if z_hi > 0.0 else 0.5 * z_hi
-        return z_lo, z_hi
+    def widened(model, probe_vs, variants):
+        # the joint span, outward in both directions, never into the support
+        z_lo, z_hi = original(model, probe_vs, variants)
+        return 2.0 * z_lo, 2.0 * z_hi
 
     monkeypatch.setattr(density, "_scan_support", widened)
     for (m, var), base in zip(cases, baselines):
@@ -392,6 +387,64 @@ def test_scalar_profiles_match_adaptive_quadrature():
             assert got == pytest.approx(quad(-np.inf, 0.0, n - 1), rel=1e-12)
 
 
+@pytest.mark.parametrize("v", [1e3, -1e3, 1e6, -1e6])
+def test_weighted_profiles_of_steep_rays(v):
+    # the mass of z f(z, z v) sits near z = 1/|v|: below the support scan's
+    # first node at |v| = 1e6, where the scan goes on toward z = 0
+    model = DensityModel.iid_normal(2)
+    expect = 1.0 / (2.0 * math.pi * (1.0 + v * v))
+    arr = np.array([v])
+    got = h_profile(model, RadialProfileQuery(arr, "weighted"))
+    assert got == pytest.approx(expect, rel=1e-12, abs=0.0)
+    assert weighted_profile_mirror(model, arr) == pytest.approx(expect, rel=1e-12, abs=0.0)
+
+
+_EQUICORRELATED_3 = np.array([[1.0, 0.3, 0.3], [0.3, 1.0, 0.3], [0.3, 0.3, 1.0]])
+_SCAN_CASES = [
+    (DensityModel.iid_normal(3), _ring_probes(0.3)),
+    # a steep ray, scanned again below the first node, beside ordinary ones
+    (DensityModel.iid_normal(3), np.vstack((_ring_probes(0.3), [[1e6, 1.0]]))),
+    (DensityModel.iid_student_t(3, nu=5.0), _ring_probes(0.3)),
+    # a tail heavy enough that several rays are extended by doubling
+    (DensityModel.iid_student_t(2, nu=2.5), np.array([[0.2], [1.0], [-0.5], [3.0]])),
+    (DensityModel.gaussian(np.zeros(3), _EQUICORRELATED_3), _ring_probes(0.3)),
+    (DensityModel.gaussian(np.array([0.2, -0.1, 0.1]), _EQUICORRELATED_3), _ring_probes(0.3)),
+    # the last probe misses the folded normal's support
+    (DensityModel.iid_folded_normal(3), np.vstack((_ring_probes(0.3), [[-0.5, 1.0]]))),
+]
+
+
+@pytest.mark.parametrize("variants", [("weighted",), ("mirror",), ("paper",), ("paper", "weighted")])
+@pytest.mark.parametrize("model, probes", _SCAN_CASES)
+def test_batched_scan_is_the_union_of_one_ray_scans(model, probes, variants):
+    z_lo, z_hi = density._scan_support(model, probes, variants)
+    spans = [density._scan_support(model, v[None, :], variants) for v in probes]
+    assert z_lo == min(span[0] for span in spans)
+    assert z_hi == max(span[1] for span in spans)
+    assert z_lo <= 0.0 < z_hi or variants == ("mirror",)
+
+
+def test_batched_scan_makes_one_density_call(monkeypatch):
+    calls = []
+    original = DensityModel.ray_pdf
+
+    def counted(self, rays, z):
+        calls.append(rays.shape[0])
+        return original(self, rays, z)
+
+    monkeypatch.setattr(DensityModel, "ray_pdf", counted)
+    model = DensityModel.gaussian(np.zeros(3), _EQUICORRELATED_3)
+    density._scan_support(model, _ring_probes(0.3), ("paper", "weighted"))
+    assert calls == [_ring_probes(0.3).shape[0]]
+
+
+def test_gauss_legendre_rules_are_built_once():
+    x, w = density._gauss_legendre(12)
+    assert density._gauss_legendre(12)[0] is x
+    assert not x.flags.writeable and not w.flags.writeable
+    assert w.sum() == pytest.approx(2.0, rel=1e-14)
+
+
 def test_scalar_profile_raises_when_no_node_count_settles(monkeypatch):
     # one node count, compared only with its double, cannot resolve the
     # narrow heavy-tailed peak to Z_PLAN_RTOL
@@ -419,7 +472,7 @@ def test_gaussian_solve_matches_solve_triangular(n):
     z = np.linspace(-1.5, 1.5, 31)
     for mean in (np.zeros(n), np.linspace(0.3, -0.5, n)):
         model = DensityModel.gaussian(mean, cov)
-        chol, log_norm = model.chol, model._gaussian_log_norm()
+        chol, log_norm = model.chol, model._gaussian_log_norm
 
         x = mean + rng.standard_normal((500, n)) @ chol.T
         y = solve_triangular(chol, (x - mean).T, lower=True)
