@@ -356,10 +356,11 @@ def _scan_support(
     ray's support start (rays that miss it add nothing), on a log-spaced
     grid over the half-lines the variants integrate.  Each ray's span runs
     from the node before its first value above its own peak * 1e-18 to the
-    node after its last; ends still above that are doubled until they fall
-    below it, one call per step for all such rays.  Rays that vanish on the
-    whole grid (steep rays, whose mass lies below its first node 1e-3) are
-    scanned again on the grid scaled by 1e-3/512, toward z = 0.  Raises
+    node after its last; ends still above it at the grid's edge are
+    doubled until they fall to it, one call per step for all such rays.
+    Rays that vanish on the whole grid (steep rays, whose mass lies below
+    its first node 1e-3) are scanned again on the grid scaled by 1e-3/512,
+    toward z = 0 while that node stays a normal double.  Raises
     QuadratureError where the integrand is not finite (z**(n-1)
     overflowing at large n): a span cut short there would truncate it.
     """

@@ -26,7 +26,7 @@ REL = 1e-12
 
 _EQUICORRELATED_3 = "1 0.3 0.3 0.3 1 0.3 0.3 0.3 1"
 _IDENTITY_4 = " ".join("1" if i == j else "0" for i in range(4) for j in range(4))
-# Unequal variances: the min-ball coordinate descent moves off its grid point.
+# Unequal variances: envelope extrema off the diagonal of the ball grid.
 _UNEQUAL_3 = "1 0.2 0 0.2 2 0.1 0 0.1 0.5"
 
 COMMANDS: dict[str, list[str]] = {
