@@ -37,12 +37,15 @@ COMMANDS: dict[str, list[str]] = {
     "verify-n3-student": ["verify", "--n", "3", "--model", "iid-student-t:nu=5",
                           "--workers", "1"],
     "verify-n4": ["verify", "--n", "4", "--trials", "1e5"],
+    "verify-n4-student": ["verify", "--n", "4", "--model", "iid-student-t:nu=5"],
     "verify-n3-beta3": ["verify", "--n", "3", "--beta", "3"],
     "verify-n2-folded": ["verify", "--n", "2", "--model", "iid-folded-normal"],
     "oracle-n4": ["oracle", "--n", "4", "--model", f"gaussian:cov={_IDENTITY_4}",
                   "--eps", "0.1"],
     "oracle-n2-folded": ["oracle", "--n", "2", "--model", "iid-folded-normal"],
     "bounds-n3-student": ["bounds", "--n", "3", "--eps", "0.01", "--model",
+                          "iid-student-t:nu=5"],
+    "bounds-n4-student": ["bounds", "--n", "4", "--eps", "0.01", "--model",
                           "iid-student-t:nu=5"],
     "bounds-n3-folded": ["bounds", "--n", "3", "--eps", "0.01", "--model",
                          "iid-folded-normal"],
