@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -146,18 +146,6 @@ class DensityModel:
             out -= math.log(self.sigma)
             out -= _LOG_SQRT_2PI
             return out
-        if self.kind == "iid-student-t":
-            nu = self.nu
-            logc = (
-                math.lgamma(0.5 * (nu + 1.0))
-                - math.lgamma(0.5 * nu)
-                - 0.5 * math.log(nu * math.pi)
-            )
-            out = x * x
-            out /= nu
-            np.log1p(out, out=out)
-            out *= 0.5 * (nu + 1.0)
-            return np.subtract(logc, out, out=out)
         if self.kind == "iid-folded-normal":
             y = x - self.shift
             out = -0.5 * y
@@ -167,6 +155,49 @@ class DensityModel:
             out[~(y >= 0.0)] = -np.inf
             return out
         raise ValueError(f"no coordinate density for kind {self.kind!r}")
+
+    def _student_t_pdf(
+        self,
+        shape: tuple[int, ...],
+        first: np.ndarray,
+        column: Callable[[int, np.ndarray], object],
+    ) -> np.ndarray:
+        """Student-t joint density of shape `shape`, in product form:
+        f = C^n * prod_j (1 + x_j^2/nu)^(-(nu+1)/2), one `pow` per point
+        where the coordinate sum takes n log1p and an exp.
+
+        `first` is the first coordinate, in any shape that broadcasts to
+        `shape` (a ray's z, shared by every ray, is squared once);
+        `column(j, out)` writes coordinate j >= 1 into `out`.  The product
+        runs left to right in place, in two buffers of `shape`, so `pdf` and
+        `ray_pdf`, which pass the same coordinates, agree bit for bit.  The
+        relative error is that of the product times (nu+1)/2, about 1e-14
+        at n = 200, where a log-domain sum loses |log f| ulps near
+        underflow.  A product that overflows gives f = 0, its correctly
+        rounded value: past 1.8e308 the power alone is below 1e-462, as
+        (nu+1)/2 > 3/2 and C < 1.
+        """
+        nu = self.nu
+        log_c = (
+            math.lgamma(0.5 * (nu + 1.0))
+            - math.lgamma(0.5 * nu)
+            - 0.5 * math.log(nu * math.pi)
+        )
+        prod, term = np.empty(shape), np.empty(shape)
+        lead = prod if np.shape(first) == shape else np.empty(np.shape(first))
+        np.multiply(first, first, out=lead)
+        lead /= nu
+        lead += 1.0
+        with np.errstate(over="ignore"):
+            for j in range(1, self.n):
+                column(j, term)
+                term *= term
+                term /= nu
+                term += 1.0
+                np.multiply(lead if j == 1 else prod, term, out=prod)
+        np.power(prod, -0.5 * (nu + 1.0), out=prod)
+        prod *= math.exp(self.n * log_c)
+        return prod
 
     @functools.cached_property
     def _gaussian_log_norm(self) -> float:
@@ -178,6 +209,10 @@ class DensityModel:
         x = np.asarray(x, dtype=float)
         if x.shape[-1] != self.n:
             raise ValueError(f"points must have last dimension {self.n}")
+        if self.kind == "iid-student-t":
+            return self._student_t_pdf(
+                x.shape[:-1], x[..., 0], lambda j, out: np.copyto(out, x[..., j])
+            )
         if self.kind in _IID_KINDS:
             with np.errstate(invalid="ignore"):
                 logf = self._coordinate_log_pdf(x).sum(axis=-1)
@@ -206,11 +241,14 @@ class DensityModel:
         own structure, so the (k, len(z), n) array of points is formed only
         for user densities, which offer no other route:
 
+          student-t the product kernel `pdf` runs too, fed the columns
+                    z * w_j, so values agree with `pdf` bit for bit at every
+                    n; the first column is z itself on every ray, so its
+                    factor is computed once.
           iid       the coordinate log-densities summed one coordinate at
                     a time, left to right (the order of `pdf`'s axis sum up
                     to n = 7, so values agree bit for bit there); the first
-                    coordinate is z itself on every ray, so its term is
-                    computed once.
+                    coordinate's term is computed once.
           gaussian  one solve on the Cholesky factor L per ray, not per
                     point.  With y = L^-1 ray, a = |y|^2, c = L^-1 mean
                     and b = y.c, the quadratic form is
@@ -225,6 +263,12 @@ class DensityModel:
             raise ValueError("ray parameters must be a 1-D array or one row per ray")
         if (rays[:, 0] != 1.0).any():
             raise ValueError("rays must have first coordinate 1")
+        if self.kind == "iid-student-t":
+            return self._student_t_pdf(
+                (rays.shape[0], z.shape[-1]),
+                z,
+                lambda j, out: np.multiply(z, rays[:, j : j + 1], out=out),
+            )
         if self.kind in _IID_KINDS:
             with np.errstate(invalid="ignore"):
                 logf = self._coordinate_log_pdf(z)
@@ -358,9 +402,10 @@ def _scan_support(
     from the node before its first value above its own peak * 1e-18 to the
     node after its last; ends still above it at the grid's edge are
     doubled until they fall to it, one call per step for all such rays.
-    Rays that vanish on the whole grid (steep rays, whose mass lies below
-    its first node 1e-3) are scanned again on the grid scaled by 1e-3/512,
-    toward z = 0 while that node stays a normal double.  Raises
+    Rays that vanish on the whole grid, or are live at z = 0 alone (steep
+    rays, whose mass lies within its first node 1e-3), are scanned again
+    on the grid scaled by 1e-3/512, toward z = 0 while that node stays a
+    normal double.  Raises
     QuadratureError where the integrand is not finite (z**(n-1)
     overflowing at large n): a span cut short there would truncate it.
     """
@@ -389,6 +434,7 @@ def _scan_support(
         zs = zs[zs >= 0.0]
     if not scan_pos:
         zs = zs[zs <= 0.0]
+    zero = int(np.flatnonzero(zs == 0.0)[0])
     z_lo, z_hi = 0.0, 0.0
     rows, scale = np.arange(rays.shape[0]), 1.0
     while rows.size and 1e-3 * scale >= np.finfo(float).tiny:
@@ -397,9 +443,11 @@ def _scan_support(
         if not np.isfinite(vals).all():
             raise QuadratureError("profile integrand is not finite on the scanned range")
         peak = vals.max(axis=1, initial=0.0)
-        found = peak > 0.0
-        thresh = peak[found] * 1e-18
-        live = vals[found] > thresh[:, None]
+        live = vals > peak[:, None] * 1e-18
+        # A ray live only at z = 0 (a steep ray's paper profile) is as
+        # unresolved as one that vanishes: its span is narrower than a node.
+        found = live.sum(axis=1) > live[:, zero]
+        thresh, live = peak[found] * 1e-18, live[found]
         first, edge = np.argmax(live, axis=1), grid.size - 1
         last = edge - np.argmax(live[:, ::-1], axis=1)
         # Lower ends, then upper ends; those still live at the grid's edge double.
@@ -467,13 +515,25 @@ class ZPlan:
     support scan, so each model kind has one ray evaluator.  The positive
     half starts at 0, or at each ray's own support start where the model
     has one (`DensityModel.ray_support_start`), so no panel holds the
-    folded normal's support edge.
+    folded normal's support edge.  `mirrored` is decided once, on
+    construction: the negative half is the positive one negated and
+    reversed, nodes and weights bit for bit, as it is for every plan whose
+    scanned span is symmetric (a sign-symmetric model's paper plan).
     """
 
     pos_nodes: np.ndarray
     pos_weights: np.ndarray
     neg_nodes: np.ndarray
     neg_weights: np.ndarray
+    mirrored: bool = field(init=False)
+
+    def __post_init__(self) -> None:
+        mirrored = (
+            self.neg_nodes.size == self.pos_nodes.size
+            and np.array_equal(self.neg_nodes, -self.pos_nodes[::-1])
+            and np.array_equal(self.neg_weights, self.pos_weights[::-1])
+        )
+        object.__setattr__(self, "mirrored", mirrored)
 
 
 def build_z_plan(
@@ -525,14 +585,22 @@ def profile_batch(
 
     paper takes the plan's negative and positive halves, weighted the
     positive half with weight z**(n-1), and mirror (the z < 0 branch of the
-    weighted change of variables) the negative half with |z|**(n-1).  Where
+    weighted change of variables) the negative half with |z|**(n-1).  For
+    a sign-symmetric model on a mirrored plan the two paper halves are
+    equal node for node, so paper is twice the positive half, at half the
+    density evaluations.  Where
     the model's support starts at z = a > 0 along a ray, the positive half
     is moved to start at a; the mirror is then 0, as is every profile of a
     ray that misses the support.
     """
     vs = np.atleast_2d(np.asarray(vs, dtype=float))
     n = model.n
-    if variant == "paper":
+    # f(-x) = f(x) on a plan whose halves mirror each other node for node:
+    # the halves are equal, so the paper profile takes the positive one twice.
+    twice = variant == "paper" and plan.mirrored and model.sign_symmetric
+    if twice:
+        nodes, weights = plan.pos_nodes, plan.pos_weights
+    elif variant == "paper":
         nodes = np.concatenate((plan.neg_nodes, plan.pos_nodes))
         weights = np.concatenate((plan.neg_weights, plan.pos_weights))
     elif variant == "weighted":
@@ -555,6 +623,8 @@ def profile_batch(
             z = _finite_starts(starts)[:, None] + plan.pos_nodes
             w = plan.pos_weights * z ** (n - 1) if variant == "weighted" else plan.pos_weights
             out[first : first + chunk] = (model.ray_pdf(rays, z) * w).sum(axis=1)
+    if twice:
+        out *= 2.0
     return out
 
 

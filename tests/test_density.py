@@ -211,6 +211,12 @@ def test_profile_batch_matches_pdf_on_materialized_points(n):
                 expect = (model.pdf(z[..., None] * rays[:, None, :]) * weights).sum(axis=1)
                 _assert_kernel_matches(got, expect, exact)
                 continue
+            if variant == "paper" and model.sign_symmetric:
+                # the plan's halves are mirrors and f(-x) = f(x): one half twice
+                assert plan.mirrored
+                expect = model.pdf(plan.pos_nodes[None, :, None] * rays[:, None, :])
+                _assert_kernel_matches(got, 2.0 * (expect @ plan.pos_weights), exact)
+                continue
             if variant == "paper":
                 nodes = np.concatenate((plan.neg_nodes, plan.pos_nodes))
                 weights = np.concatenate((plan.neg_weights, plan.pos_weights))
@@ -229,6 +235,101 @@ def test_ray_pdf_rejects_bad_rays():
         model.ray_pdf(np.array([[2.0, 1.0, 1.0]]), np.ones(4))
     with pytest.raises(ValueError):
         model.ray_pdf(np.ones((1, 3)), np.ones((2, 2)))
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_student_t_ray_pdf_is_pdf_bit_for_bit(n):
+    rng = np.random.default_rng(300 + n)
+    model = DensityModel.iid_student_t(n, nu=5.0)
+    rays = np.concatenate((np.ones((29, 1)), rng.standard_normal((29, n - 1))), axis=1)
+    z = np.concatenate((-np.geomspace(1e6, 1e-3, 30), [0.0], np.geomspace(1e-3, 1e6, 30)))
+    expect = model.pdf(z[None, :, None] * rays[:, None, :])
+    np.testing.assert_array_equal(model.ray_pdf(rays, z), expect)
+    per_ray = 3.0 * rng.standard_normal((29, 17))
+    expect = model.pdf(per_ray[..., None] * rays[:, None, :])
+    np.testing.assert_array_equal(model.ray_pdf(rays, per_ray), expect)
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+    reason="the reference needs an extended-precision long double",
+)
+@pytest.mark.parametrize("n", [2, 3, 9, 200])
+def test_student_t_product_form_matches_a_log1p_sum(n):
+    # The reference sums the coordinate log-densities with log1p in long
+    # double: a float64 sum alone is off by |log f| ulps near underflow.
+    nu = 5.0
+    model = DensityModel.iid_student_t(n, nu=nu)
+    rng = np.random.default_rng(400 + n)
+    rays = np.concatenate((np.ones((23, 1)), rng.standard_normal((23, n - 1))), axis=1)
+    z = np.concatenate((-np.geomspace(1e7, 1e-3, 40), [0.0], np.geomspace(1e-3, 1e7, 40)))
+    got = model.ray_pdf(rays, z)
+    x = (z[None, :, None] * rays[:, None, :]).astype(np.longdouble)
+    log_c = math.lgamma(0.5 * (nu + 1.0)) - math.lgamma(0.5 * nu) - 0.5 * math.log(nu * math.pi)
+    log_f = n * np.longdouble(log_c) - np.longdouble(0.5 * (nu + 1.0)) * np.log1p(
+        x * x / np.longdouble(nu)
+    ).sum(axis=-1)
+    expect = np.exp(log_f).astype(float)
+    normal = expect >= np.finfo(float).tiny
+    assert normal.any() and not np.isnan(got).any()
+    np.testing.assert_allclose(got[normal], expect[normal], rtol=1e-13, atol=0.0)
+    assert np.all(got[~normal] < np.finfo(float).tiny)
+    # z = 1e7 along every ray: the product overflows at n = 200, and f is 0
+    with np.errstate(over="ignore"):
+        overflowed = np.prod(1.0 + x[:, -1, :].astype(float) ** 2 / nu, axis=-1) == np.inf
+    assert overflowed.any() == (n == 200)
+    assert np.all(got[:, -1][overflowed] == 0.0)
+
+
+_EQUICORRELATED_3 = np.array([[1.0, 0.3, 0.3], [0.3, 1.0, 0.3], [0.3, 0.3, 1.0]])
+_SIGN_SYMMETRIC = [
+    DensityModel.iid_normal(3),
+    DensityModel.iid_normal(4, sigma=1.7),
+    DensityModel.iid_student_t(3, nu=5.0),
+    DensityModel.iid_student_t(2, nu=2.5),
+    DensityModel.gaussian(np.zeros(3), _EQUICORRELATED_3),
+]
+
+
+@pytest.mark.parametrize("model", _SIGN_SYMMETRIC, ids=lambda m: f"{m.kind}-n{m.n}")
+def test_sign_symmetric_plans_are_exact_mirrors(model):
+    assert model.sign_symmetric
+    rng = np.random.default_rng(500 + model.n)
+    vs = 1.0 + 0.3 * rng.standard_normal((9, model.n - 1))
+    for variants in (("paper",), ("paper", "weighted")):
+        plan = density.build_z_plan(model, vs, variants)
+        assert plan.mirrored
+        np.testing.assert_array_equal(plan.neg_nodes, -plan.pos_nodes[::-1])
+        np.testing.assert_array_equal(plan.neg_weights, plan.pos_weights[::-1])
+        rays = density._rays(model, vs)
+        np.testing.assert_array_equal(
+            model.ray_pdf(rays, plan.neg_nodes), model.ray_pdf(rays, plan.pos_nodes)[:, ::-1]
+        )
+    # a plan that serves only the positive half has no negative half to mirror
+    assert not density.build_z_plan(model, vs, ("weighted",)).mirrored
+
+
+def test_paper_profile_sums_both_halves_without_sign_symmetry():
+    # symmetric, but a user density does not declare it: both halves count
+    model = DensityModel.user(2, lambda x: np.exp(-0.5 * np.sum(x * x, axis=-1)) / (2.0 * math.pi))
+    vs = np.array([[1.0], [0.5]])
+    plan = density.build_z_plan(model, vs, ("paper",))
+    assert not model.sign_symmetric and plan.mirrored
+    rays = density._rays(model, vs)
+    nodes = np.concatenate((plan.neg_nodes, plan.pos_nodes))
+    weights = np.concatenate((plan.neg_weights, plan.pos_weights))
+    np.testing.assert_array_equal(
+        density.profile_batch(model, vs, "paper", plan), model.ray_pdf(rays, nodes) @ weights
+    )
+
+
+@pytest.mark.parametrize("v", [1e5, -1e5, 1e6, -1e6])
+def test_paper_profiles_of_steep_rays(v):
+    # f(z, z v) is live on the support scan's grid at z = 0 alone: a span
+    # of one node, which the scan resolves on its finer grids
+    model = DensityModel.iid_normal(2)
+    got = h_profile(model, RadialProfileQuery(np.array([v]), "paper"))
+    assert got == pytest.approx(1.0 / math.sqrt(2.0 * math.pi * (1.0 + v * v)), rel=1e-12, abs=0.0)
 
 
 def _ring_probes(radius: float) -> np.ndarray:
@@ -399,7 +500,6 @@ def test_weighted_profiles_of_steep_rays(v):
     assert weighted_profile_mirror(model, arr) == pytest.approx(expect, rel=1e-12, abs=0.0)
 
 
-_EQUICORRELATED_3 = np.array([[1.0, 0.3, 0.3], [0.3, 1.0, 0.3], [0.3, 0.3, 1.0]])
 _SCAN_CASES = [
     (DensityModel.iid_normal(3), _ring_probes(0.3)),
     # a steep ray, scanned again below the first node, beside ordinary ones
