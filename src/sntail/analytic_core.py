@@ -67,10 +67,11 @@ class StructuredMatrix:
         """Return (repeated eigenvalue, simple eigenvalue)."""
         return self.diag - self.off, self.diag + (self.m - 1) * self.off
 
-    def materialize(self) -> np.ndarray:
-        if self.m > DENSE_LIMIT:
+    def materialize(self, limit: int = DENSE_LIMIT) -> np.ndarray:
+        """The dense matrix, refused above order `limit`."""
+        if self.m > limit:
             raise ValueError(
-                f"dense materialization capped at order {DENSE_LIMIT}; "
+                f"dense materialization capped at order {limit}; "
                 "use the closed-form determinant instead"
             )
         out = np.full((self.m, self.m), self.off, dtype=float)

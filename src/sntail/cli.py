@@ -704,9 +704,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (RuntimeError, ArithmeticError) as exc:
-        # QuadratureError, a non-converging continued fraction, and a
-        # division or overflow in floating point alike
+    except (RuntimeError, ArithmeticError, LookupError) as exc:
+        # QuadratureError, a non-converging continued fraction, a division
+        # or overflow in floating point, and an index past an empty result
         print(f"computation failed: {exc}", file=sys.stderr)
         return 1
     try:

@@ -249,6 +249,17 @@ def test_exit_code_one_on_arithmetic_error(monkeypatch, capsys):
     assert "Traceback" not in err
 
 
+def test_exit_code_one_on_lookup_error(monkeypatch, capsys):
+    def empty_result(config):
+        raise IndexError("index 0 is out of bounds for axis 0 with size 0")
+
+    monkeypatch.setitem(cli._RUNNERS, "predict", empty_result)
+    assert main(["predict", "--n", "3"]) == 1
+    err = capsys.readouterr().err
+    assert "computation failed: index 0 is out of bounds" in err
+    assert "Traceback" not in err
+
+
 def test_exit_code_two_on_usage_error(capsys):
     assert main(["predict", "--n", "1"]) == 2
     err = capsys.readouterr().err

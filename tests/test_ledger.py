@@ -66,6 +66,36 @@ def test_run_verify_n2_summary():
     assert k_row.paper_value is not None and k_row.corrected_value is not None
 
 
+def test_determinant_row_factorizes_past_the_dense_cap():
+    # n - 1 = 69 lies above the closed-form cap of 64: the oracle is still
+    # a factorization, not the eigenvalue product it checks
+    spec = ledger.AntiHessianSpec(70, 2.0)
+    failures: list[str] = []
+    row = ledger._determinant_row(spec, failures)
+    assert failures == [] and row.status == "discrepant"
+    assert row.ratio_corrected_oracle == pytest.approx(1.0, rel=1e-8)
+    assert "pivoted factorization" in row.note
+
+
+def test_determinant_row_reports_a_wrong_closed_form(monkeypatch):
+    exact = ledger.log_det_anti_hessian
+    monkeypatch.setattr(ledger, "log_det_anti_hessian", lambda spec: exact(spec) + 1e-6)
+    failures: list[str] = []
+    ledger._determinant_row(ledger.AntiHessianSpec(70, 2.0), failures)
+    assert len(failures) == 1 and "determinant routes disagree" in failures[0]
+
+
+def test_determinant_row_in_log_space_and_above_the_limit():
+    # det = n^(-(n+1)/2) underflows at n = 1000; the log-space routes still agree
+    failures: list[str] = []
+    row = ledger._determinant_row(ledger.AntiHessianSpec(1000, 2.0), failures)
+    assert failures == [] and row.status == "discrepant" and row.oracle_value == 0.0
+    n = ledger.DET_FACTOR_LIMIT + 2
+    row = ledger._determinant_row(ledger.AntiHessianSpec(n, 2.0), failures)
+    assert failures == [] and row.status == "untested" and row.oracle_value is None
+    assert f"order {n - 1} exceeds" in row.note
+
+
 def test_run_verify_rejects_bad_input():
     with pytest.raises(ValueError):
         run_verify(n=1)
