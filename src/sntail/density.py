@@ -162,20 +162,18 @@ class DensityModel:
         first: np.ndarray,
         column: Callable[[int, np.ndarray], object],
     ) -> np.ndarray:
-        """Student-t joint density of shape `shape`, in product form:
-        f = C^n * prod_j (1 + x_j^2/nu)^(-(nu+1)/2), one `pow` per point
-        where the coordinate sum takes n log1p and an exp.
+        """Student-t joint density of shape `shape` in product form,
+        f = C^n * prod_j (1 + x_j^2/nu)^(-(nu+1)/2): one `pow` per point.
 
         `first` is the first coordinate, in any shape that broadcasts to
-        `shape` (a ray's z, shared by every ray, is squared once);
-        `column(j, out)` writes coordinate j >= 1 into `out`.  The product
-        runs left to right in place, in two buffers of `shape`, so `pdf` and
-        `ray_pdf`, which pass the same coordinates, agree bit for bit.  The
-        relative error is that of the product times (nu+1)/2, about 1e-14
-        at n = 200, where a log-domain sum loses |log f| ulps near
-        underflow.  A product that overflows gives f = 0, its correctly
-        rounded value: past 1.8e308 the power alone is below 1e-462, as
-        (nu+1)/2 > 3/2 and C < 1.
+        `shape` (a ray's z is squared once for every ray); `column(j, out)`
+        writes coordinate j >= 1 into `out`.  The product runs left to right
+        in place in two buffers, so `pdf` and `ray_pdf`, which pass the same
+        coordinates, agree bit for bit.  The relative error is (nu+1)/2
+        times the product's, about 1e-14 at n = 200, where a sum of logs
+        loses |log f| ulps near underflow.  A product that overflows gives
+        f = 0, its correctly rounded value: past 1.8e308 the power alone is
+        below 1e-462, as (nu+1)/2 > 3/2 and C < 1.
         """
         nu = self.nu
         log_c = (
@@ -528,10 +526,8 @@ class ZPlan:
     mirrored: bool = field(init=False)
 
     def __post_init__(self) -> None:
-        mirrored = (
-            self.neg_nodes.size == self.pos_nodes.size
-            and np.array_equal(self.neg_nodes, -self.pos_nodes[::-1])
-            and np.array_equal(self.neg_weights, self.pos_weights[::-1])
+        mirrored = np.array_equal(self.neg_nodes, -self.pos_nodes[::-1]) and np.array_equal(
+            self.neg_weights, self.pos_weights[::-1]
         )
         object.__setattr__(self, "mirrored", mirrored)
 
@@ -595,8 +591,6 @@ def profile_batch(
     """
     vs = np.atleast_2d(np.asarray(vs, dtype=float))
     n = model.n
-    # f(-x) = f(x) on a plan whose halves mirror each other node for node:
-    # the halves are equal, so the paper profile takes the positive one twice.
     twice = variant == "paper" and plan.mirrored and model.sign_symmetric
     if twice:
         nodes, weights = plan.pos_nodes, plan.pos_weights

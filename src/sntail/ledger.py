@@ -148,35 +148,34 @@ def _determinant_row(spec: AntiHessianSpec, failures: list[str]) -> LedgerEntry:
     closed form is on trial.  Routes are compared in log space, so the row
     holds where the determinant underflows; above order DET_FACTOR_LIMIT
     no factorization is run and the row reads "untested"."""
-    n, beta = spec.n, spec.beta
-    quantity = f"det_anti_hessian(n={n}, beta={beta:g})"
-    det_corr = det_anti_hessian(spec)
-    det_pub = det_anti_hessian_published(spec)
+    n = spec.n
+    note = "published closed form vs eigenvalue product vs pivoted factorization"
     if n - 1 > DET_FACTOR_LIMIT:
-        return LedgerEntry(
-            quantity=quantity,
-            paper_value=det_pub,
-            corrected_value=det_corr,
-            oracle_value=None,
-            status="untested",
-            note=f"no independent oracle: order {n - 1} exceeds the dense "
-            f"factorization limit {DET_FACTOR_LIMIT}",
+        oracle, status = None, "untested"
+        note = (
+            f"no independent oracle: order {n - 1} exceeds the dense "
+            f"factorization limit {DET_FACTOR_LIMIT}"
         )
-    log_corr = log_det_anti_hessian(spec)
-    sign, log_orc = np.linalg.slogdet(structured_anti_hessian(spec).materialize(DET_FACTOR_LIMIT))
-    if not (sign > 0.0 and abs(log_orc - log_corr) <= 1e-8):
-        failures.append(
-            f"determinant routes disagree: log eigen {log_corr:.12g} vs "
-            f"log pivoted {log_orc:.12g} (sign {sign:g})"
+    else:
+        log_corr = log_det_anti_hessian(spec)
+        sign, log_orc = np.linalg.slogdet(
+            structured_anti_hessian(spec).materialize(DET_FACTOR_LIMIT)
         )
-    agree = abs(log_det_anti_hessian_published(spec) - log_orc) <= 1e-6
+        if not (sign > 0.0 and abs(log_orc - log_corr) <= 1e-8):
+            failures.append(
+                f"determinant routes disagree: log eigen {log_corr:.12g} vs "
+                f"log pivoted {log_orc:.12g} (sign {sign:g})"
+            )
+        oracle = float(sign * math.exp(log_orc))
+        agree = abs(log_det_anti_hessian_published(spec) - log_orc) <= 1e-6
+        status = "confirmed" if agree else "discrepant"
     return LedgerEntry(
-        quantity=quantity,
-        paper_value=det_pub,
-        corrected_value=det_corr,
-        oracle_value=float(sign * math.exp(log_orc)),
-        status="confirmed" if agree else "discrepant",
-        note="published closed form vs eigenvalue product vs pivoted factorization",
+        quantity=f"det_anti_hessian(n={n}, beta={spec.beta:g})",
+        paper_value=det_anti_hessian_published(spec),
+        corrected_value=det_anti_hessian(spec),
+        oracle_value=oracle,
+        status=status,
+        note=note,
     )
 
 
