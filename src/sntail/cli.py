@@ -1,9 +1,11 @@
 """Command-line front end: parse experiment specs, orchestrate, emit.
 
-Every command reads one flat configuration (flags, an INI-style file, or
-both, flags winning), runs the relevant modules, and emits JSON or CSV
-with the tool version, a config hash, and the seed stamped on every
-output so any run can be replayed.
+All seven commands take one flag set, before or after the command.  Each
+config key is declared once, in `_KEYS`; its value comes from the flag,
+else the `--config` file (flat key = value lines), else the environment
+(workers only), else the `ExperimentConfig` default, and a bad value reads
+the same from a flag or a file.  JSON or CSV output carries the tool
+version, a config hash, and the seed, so any run can be replayed.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 I/O error.
 """
@@ -19,7 +21,8 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, fields as dataclass_fields
+from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -33,6 +36,7 @@ from .asymptotics import (
     predict_tail,
 )
 from .analytic_core import (
+    DENSE_LIMIT,
     AntiHessianSpec,
     build_anti_hessian,
     det_anti_hessian,
@@ -40,7 +44,7 @@ from .analytic_core import (
     det_numeric,
 )
 from .bounds import envelope_bounds, curvature_functionals
-from .density import DISCRETE_MODELS, DensityModel, QuadratureError, parse_model
+from .density import DensityModel, QuadratureError, parse_model
 from .ledger import LEDGER_FIELDS, run_verify
 from .montecarlo import (
     MIN_EXPECTED_HITS,
@@ -69,22 +73,15 @@ __all__ = [
     "COMMANDS",
 ]
 
-COMMANDS = (
-    "constants",
-    "predict",
-    "bounds",
-    "oracle",
-    "mc",
-    "verify",
-    "counterexample",
-)
-
-_FORMATS = ("json", "csv")
-
-_EPS_HELP = (
-    "epsilon: a number, a comma list, or a grid start:end:spacing:count "
-    "with spacing geometric or linear, e.g. 1e-2:1e-5:geometric:7"
-)
+COMMANDS = {
+    "constants": "print the determinant and K constants for one (n, beta)",
+    "predict": "closed-form tail predictions on an epsilon grid",
+    "bounds": "non-asymptotic envelope certificates",
+    "oracle": "independent exact/quadrature tail values",
+    "mc": "Monte Carlo tail estimate with a 95%% confidence interval",
+    "verify": "cross-check every published constant and emit the ledger",
+    "counterexample": "demonstrate the two discrete boundary cases",
+}
 
 
 class UsageError(ValueError):
@@ -112,12 +109,6 @@ class ExperimentConfig:
     workers: int = 1
     format: str = "json"
     output: str | None = None
-
-
-_CONFIG_DEFAULTS = {
-    f.name: f.default for f in dataclass_fields(ExperimentConfig) if f.name != "command"
-}
-_CONFIG_DEFAULTS["eps"] = (0.1,)
 
 
 def parse_eps(text: str) -> tuple[float, ...]:
@@ -157,25 +148,103 @@ def parse_eps(text: str) -> tuple[float, ...]:
     return values
 
 
-def _parse_trials(text: str) -> int:
-    """Accept plain or scientific notation as long as it is an exact integer."""
+def _text(key: str, text: str) -> str:
+    return text
+
+
+def _integer(low: int, high: float = math.inf, bound: str | None = None):
+    """Reader of an integer in [low, high); `bound` words the range."""
+
+    def read(key: str, text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise UsageError(f"{key} must be an integer, got {text!r}") from None
+        if not low <= value < high:
+            raise UsageError(f"{key} must {bound or f'be >= {low}'}")
+        return value
+
+    return read
+
+
+def _choice(options: tuple[str, ...]):
+    def read(key: str, text: str) -> str:
+        if text not in options:
+            raise UsageError(f"{key} must be one of {options}, got {text!r}")
+        return text
+
+    return read
+
+
+def _beta(key: str, text: str) -> float:
     try:
         value = float(text)
     except ValueError:
-        raise UsageError(f"bad trials value {text!r}") from None
-    if not value.is_integer() or value < 1:
-        raise UsageError(f"trials must be a positive integer, got {text!r}")
-    return int(value)
+        raise UsageError(f"{key} must be a number, got {text!r}") from None
+    if not 1.0 < value < math.inf:
+        raise UsageError(f"{key} must be finite and exceed 1, got {value:g}")
+    return value
 
 
-def _normalize_statistic(text: str) -> str:
+def _eps(key: str, text: str) -> tuple[float, ...]:
+    values = parse_eps(text)
+    if not all(0.0 < e < math.inf for e in values):
+        raise UsageError(f"every {key} must be finite and positive")
+    return values
+
+
+def _statistic(key: str, text: str) -> str:
     lowered = text.strip().lower()
     for name in STATISTICS:
         if lowered == name.lower():
             return name
-    raise UsageError(
-        f"unknown statistic {text!r}; choose from {', '.join(STATISTICS)}"
-    )
+    raise UsageError(f"unknown {key} {text!r}; choose from {', '.join(STATISTICS)}")
+
+
+def _trials(key: str, text: str) -> int:
+    """Plain or scientific notation, as long as it is an exact integer."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise UsageError(f"bad {key} value {text!r}") from None
+    if not value.is_integer() or value < 1:
+        raise UsageError(f"{key} must be a positive integer, got {text!r}")
+    return int(value)
+
+
+class _Key(NamedTuple):
+    """A config key's reader, help text, writer and environment variable."""
+
+    read: Callable[[str, str], object]
+    help: str
+    write: Callable[[object], str] = str
+    env: str | None = None
+
+
+# Every config key but command, in the order config_to_text writes them.
+# A reader maps (key, text) to the value or raises UsageError; floats are
+# written with repr, which round-trips exactly.
+_KEYS = {
+    "model": _Key(_text, "model spec, e.g. iid-normal, iid-student-t:nu=5, "
+                  "gaussian:mean=0 0,cov=1 0.3 0.3 1, rademacher"),
+    "n": _Key(_integer(2), "dimension (number of summands)"),
+    "beta": _Key(_beta, "norm exponent, > 1", lambda beta: repr(float(beta))),
+    "eps": _Key(
+        _eps,
+        "epsilon: a number, a comma list, or a grid start:end:spacing:count "
+        "with spacing geometric or linear, e.g. 1e-2:1e-5:geometric:7",
+        lambda eps: ",".join(repr(float(e)) for e in eps),
+    ),
+    "side": _Key(_choice(SIDES), "tail side: right, left, or two-sided"),
+    "variant": _Key(_choice(VARIANTS), "formula variant: paper or corrected"),
+    "statistic": _Key(_statistic, "sum, max-over-Zn, or max-over-Zk"),
+    "seed": _Key(_integer(0, 2**64, "fit in 64 unsigned bits"), "64-bit RNG seed"),
+    "trials": _Key(_trials, "trial count; scientific notation ok"),
+    "workers": _Key(_integer(1), "worker threads (default from SNTAIL_WORKERS)",
+                    env="SNTAIL_WORKERS"),
+    "format": _Key(_choice(("json", "csv")), "output format: json or csv"),
+    "output": _Key(_text, "output path (default stdout)"),
+}
 
 
 def _read_config_file(path: str) -> dict[str, str]:
@@ -200,23 +269,12 @@ def _read_config_file(path: str) -> dict[str, str]:
 
 
 def config_to_text(config: ExperimentConfig) -> str:
-    """Serialize a config as the flat key = value format parse_config reads.
-
-    Floats use repr, which round-trips exactly.
-    """
+    """Serialize a config as the flat key = value format parse_config reads."""
     lines = [f"command = {config.command}"]
-    for name in (
-        "model", "n", "beta", "eps", "side", "variant", "statistic",
-        "seed", "trials", "workers", "format", "output",
-    ):
-        value = getattr(config, name)
-        if value is None:
-            continue
-        if name == "eps":
-            value = ",".join(repr(float(e)) for e in value)
-        elif name == "beta":
-            value = repr(float(value))
-        lines.append(f"{name} = {value}")
+    for key, spec in _KEYS.items():
+        value = getattr(config, key)
+        if value is not None:
+            lines.append(f"{key} = {spec.write(value)}")
     return "\n".join(lines) + "\n"
 
 
@@ -244,165 +302,56 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--version", action="version", version=f"sntail {__version__}"
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    descriptions = {
-        "constants": "print the determinant and K constants for one (n, beta)",
-        "predict": "closed-form tail predictions on an epsilon grid",
-        "bounds": "non-asymptotic envelope certificates",
-        "oracle": "independent exact/quadrature tail values",
-        "mc": "Monte Carlo tail estimate with a 95%% confidence interval",
-        "verify": "cross-check every published constant and emit the ledger",
-        "counterexample": "demonstrate the two discrete boundary cases",
-    }
-    for name in COMMANDS:
-        p = sub.add_parser(name, help=descriptions[name])
-        p.add_argument("--config", help="flat key = value config file")
-        p.add_argument("--model", help="model spec, e.g. iid-normal, "
-                       "iid-student-t:nu=5, gaussian:mean=0 0,cov=1 0.3 0.3 1, "
-                       "rademacher")
-        p.add_argument("--n", type=int, help="dimension (number of summands)")
-        p.add_argument("--beta", type=float, help="norm exponent, > 1")
-        p.add_argument("--eps", help=_EPS_HELP)
-        p.add_argument("--side", choices=SIDES, help="tail side")
-        p.add_argument("--variant", choices=VARIANTS, help="formula variant")
-        p.add_argument("--statistic", help="sum, max-over-Zn, or max-over-Zk")
-        p.add_argument("--seed", type=int, help="64-bit RNG seed")
-        p.add_argument("--trials", help="trial count; scientific notation ok")
-        p.add_argument("--workers", type=int,
-                       help="worker threads (default from SNTAIL_WORKERS)")
-        p.add_argument("--format", choices=_FORMATS, help="output format")
-        p.add_argument("--output", help="output path (default stdout)")
+    parser.add_argument(
+        "command", choices=COMMANDS,
+        help="; ".join(f"{name}: {text}" for name, text in COMMANDS.items()),
+    )
+    parser.add_argument("--config", help="flat key = value config file")
+    for key, spec in _KEYS.items():
+        parser.add_argument(f"--{key}", help=spec.help)
     return parser
 
 
 def parse_config(argv: list[str] | None = None) -> ExperimentConfig:
     """Parse flags and optional config file into a validated config.
 
-    Precedence: flags > file values > defaults.  All violations are
-    reported together.
+    Precedence: flags > file values > environment > defaults.  All
+    violations are reported together.
     """
-    parser = _build_parser()
-    ns = parser.parse_args(argv)
-    command = ns.command
-
-    values: dict[str, object] = dict(_CONFIG_DEFAULTS)
-    values["workers"] = None
-
-    file_values: dict[str, str] = {}
-    if ns.config is not None:
-        file_values = _read_config_file(ns.config)
-    problems: list[str] = []
-    known = set(_CONFIG_DEFAULTS) | {"command"}
-    for key in file_values:
-        if key not in known:
-            problems.append(f"unknown config key {key!r}")
-    if problems:
-        raise UsageError("; ".join(problems))
-    if "command" in file_values and file_values["command"] != command:
+    ns = _build_parser().parse_args(argv)
+    file_values = {} if ns.config is None else _read_config_file(ns.config)
+    file_command = file_values.pop("command", ns.command)
+    unknown = [f"unknown config key {key!r}" for key in file_values if key not in _KEYS]
+    if unknown:
+        raise UsageError("; ".join(unknown))
+    if file_command != ns.command:
         raise UsageError(
-            f"config file says command = {file_values['command']!r} but the "
-            f"command line says {command!r}"
+            f"config file says command = {file_command!r} but the "
+            f"command line says {ns.command!r}"
         )
+    env = {key: os.environ[spec.env] for key, spec in _KEYS.items()
+           if spec.env and spec.env in os.environ}
+    flags = {key: text for key, text in vars(ns).items() if key in _KEYS and text is not None}
+    texts = {**env, **file_values, **flags}
 
-    def pick(name: str) -> object:
-        flag = getattr(ns, name, None)
-        if flag is not None:
-            return flag
-        if name in file_values:
-            return file_values[name]
-        return values[name]
-
-    raw = {name: pick(name) for name in _CONFIG_DEFAULTS}
-
-    def as_int(name: str) -> int:
-        value = raw[name]
+    values: dict[str, object] = {}
+    problems: list[str] = []
+    for key, spec in _KEYS.items():
+        if key in texts:
+            try:
+                values[key] = spec.read(key, texts[key])
+            except UsageError as exc:
+                problems.append(str(exc))
+    config = ExperimentConfig(ns.command, **values)
+    # the model is checked against n, so only against an n that was read
+    if "n" in values or "n" not in texts:
         try:
-            return int(value)
-        except (TypeError, ValueError):
-            problems.append(f"{name} must be an integer, got {value!r}")
-            return 0
-
-    n = as_int("n")
-    seed = as_int("seed") if raw["seed"] is not None else 42
-    workers_raw = raw["workers"]
-    if workers_raw is None:
-        workers_raw = os.environ.get("SNTAIL_WORKERS", "1")
-    try:
-        workers = int(workers_raw)
-    except (TypeError, ValueError):
-        problems.append(f"workers must be an integer, got {workers_raw!r}")
-        workers = 1
-    try:
-        beta = float(raw["beta"])
-    except (TypeError, ValueError):
-        problems.append(f"beta must be a number, got {raw['beta']!r}")
-        beta = 2.0
-    try:
-        eps = raw["eps"] if isinstance(raw["eps"], tuple) else parse_eps(str(raw["eps"]))
-    except UsageError as exc:
-        problems.append(str(exc))
-        eps = (0.1,)
-    try:
-        trials = (
-            raw["trials"] if isinstance(raw["trials"], int)
-            else _parse_trials(str(raw["trials"]))
-        )
-    except UsageError as exc:
-        problems.append(str(exc))
-        trials = 1
-    try:
-        statistic = _normalize_statistic(str(raw["statistic"]))
-    except UsageError as exc:
-        problems.append(str(exc))
-        statistic = "sum"
-
-    model = str(raw["model"])
-    side = str(raw["side"])
-    variant = str(raw["variant"])
-    fmt = str(raw["format"])
-    output = raw["output"] if raw["output"] is None else str(raw["output"])
-
-    if n < 2:
-        problems.append("n must be >= 2")
-    if not beta > 1.0:
-        problems.append(f"beta must exceed 1, got {beta:g}")
-    if any(e <= 0.0 for e in eps):
-        problems.append("every eps must be positive")
-    if side not in SIDES:
-        problems.append(f"side must be one of {SIDES}, got {side!r}")
-    if variant not in VARIANTS:
-        problems.append(f"variant must be one of {VARIANTS}, got {variant!r}")
-    if not 0 <= seed < 2**64:
-        problems.append("seed must fit in 64 unsigned bits")
-    if trials < 1:
-        problems.append("trials must be positive")
-    if workers < 1:
-        problems.append("workers must be >= 1")
-    if fmt not in _FORMATS:
-        problems.append(f"format must be one of {_FORMATS}, got {fmt!r}")
-    if n >= 2:
-        try:
-            parse_model(model, n)
+            parse_model(config.model, config.n)
         except ValueError as exc:
             problems.append(f"bad model spec: {exc}")
-
     if problems:
         raise UsageError("; ".join(problems))
-    return ExperimentConfig(
-        command=command,
-        model=model,
-        n=n,
-        beta=beta,
-        eps=tuple(eps),
-        side=side,
-        variant=variant,
-        statistic=statistic,
-        seed=seed,
-        trials=trials,
-        workers=workers,
-        format=fmt,
-        output=output,
-    )
+    return config
 
 
 def _fmt_value(value: object) -> object:
@@ -491,7 +440,7 @@ def _run_constants(config: ExperimentConfig):
         {"quantity": "det_anti_hessian", "variant": "corrected",
          "n": config.n, "beta": config.beta, "value": det_corr},
     ]
-    if config.n - 1 <= 64:
+    if config.n - 1 <= DENSE_LIMIT:
         rows.append(
             {"quantity": "det_anti_hessian", "variant": "numeric",
              "n": config.n, "beta": config.beta,
@@ -698,10 +647,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         records, fieldnames, code = _RUNNERS[config.command](config)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except ValueError as exc:  # UsageError among them
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (RuntimeError, ArithmeticError, LookupError) as exc:

@@ -88,20 +88,24 @@ class DensityModel:
 
     @classmethod
     def iid_normal(cls, n: int, mu: float = 0.0, sigma: float = 1.0) -> "DensityModel":
-        if sigma <= 0.0:
-            raise ValueError(f"sigma must be positive, got {sigma}")
+        if not math.isfinite(mu):
+            raise ValueError(f"mu must be finite, got {mu}")
+        if not 0.0 < sigma < math.inf:
+            raise ValueError(f"sigma must be finite and positive, got {sigma}")
         return cls(n=n, kind="iid-normal", mu=mu, sigma=sigma)
 
     @classmethod
     def iid_student_t(cls, n: int, nu: float) -> "DensityModel":
-        if nu <= 2.0:
-            raise ValueError(f"nu must exceed 2 for a finite variance, got {nu}")
+        if not 2.0 < nu < math.inf:
+            raise ValueError(
+                f"nu must be finite and exceed 2 for a finite variance, got {nu}"
+            )
         return cls(n=n, kind="iid-student-t", nu=nu)
 
     @classmethod
     def iid_folded_normal(cls, n: int, shift: float = 1.0) -> "DensityModel":
-        if shift <= 0.0:
-            raise ValueError(f"shift must be positive, got {shift}")
+        if not 0.0 < shift < math.inf:
+            raise ValueError(f"shift must be finite and positive, got {shift}")
         return cls(n=n, kind="iid-folded-normal", shift=shift)
 
     @classmethod
@@ -111,6 +115,10 @@ class DensityModel:
         n = mean.size
         if cov.shape != (n, n):
             raise ValueError(f"cov shape {cov.shape} does not match mean size {n}")
+        if not np.isfinite(mean).all():
+            raise ValueError("mean must be finite")
+        if not np.isfinite(cov).all():
+            raise ValueError("cov must be finite")
         if not np.allclose(cov, cov.T, atol=1e-12):
             raise ValueError("cov must be symmetric")
         try:

@@ -9,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import sntail.cli as cli
@@ -407,3 +408,135 @@ def test_scipy_loads_only_where_sampling_starts():
     code, loaded = report["mc"]
     assert code == 0 and "scipy.special" in loaded
     assert not [m for m in loaded if m.startswith(("scipy.integrate", "scipy.linalg"))]
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["oracle", "--n", "2", "--model", "iid-folded-normal:shift=nan"], "shift"),
+        (["oracle", "--n", "2", "--model", "gaussian:cov=inf 0 0 1"], "cov"),
+        (["mc", "--n", "3", "--trials", "1000", "--model", "iid-normal:sigma=inf"], "sigma"),
+        (["mc", "--n", "3", "--trials", "1000", "--model", "iid-normal:mu=inf"], "mu"),
+        (["mc", "--n", "2", "--trials", "1000", "--model",
+          "gaussian:mean=nan 0,cov=1 0 0 1"], "mean"),
+        (["predict", "--beta", "inf"], "beta"),
+        (["predict", "--eps", "nan"], "eps"),
+        (["predict", "--model", "iid-normal:sigma=nan"], "sigma"),
+        (["predict", "--model", "iid-student-t:nu=nan"], "nu"),
+        (["predict", "--model", "iid-student-t:nu=inf"], "nu"),
+        (["predict", "--n", "2", "--model", "gaussian:mean=inf 0,cov=1 0 0 1"], "mean"),
+    ],
+)
+def test_non_finite_parameters_are_usage_errors(argv, name, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{name} must be finite" in captured.err
+    assert "Traceback" not in captured.err
+
+
+# One bad value per key, in the order parse_config reports them.
+BAD_VALUES = [
+    ("n", "abc", "n must be an integer, got 'abc'"),
+    ("n", "1", "n must be >= 2"),
+    ("beta", "x", "beta must be a number, got 'x'"),
+    ("beta", "0.5", "beta must be finite and exceed 1, got 0.5"),
+    ("eps", "0", "every eps must be finite and positive"),
+    ("side", "bogus", "side must be one of ('right', 'left', 'two-sided'), got 'bogus'"),
+    ("variant", "bogus", "variant must be one of ('paper', 'corrected'), got 'bogus'"),
+    ("statistic", "bogus",
+     "unknown statistic 'bogus'; choose from sum, max-over-Zn, max-over-Zk"),
+    ("seed", "-1", "seed must fit in 64 unsigned bits"),
+    ("trials", "1.5", "trials must be a positive integer, got '1.5'"),
+    ("workers", "0", "workers must be >= 1"),
+    ("format", "xml", "format must be one of ('json', 'csv'), got 'xml'"),
+]
+
+
+def _flag_and_file_errors(tmp_path, pairs: list[tuple[str, str]]) -> list[str]:
+    path = tmp_path / "bad.ini"
+    path.write_text("".join(f"{key} = {text}\n" for key, text in pairs), encoding="utf-8")
+    flags = [arg for key, text in pairs for arg in (f"--{key}", text)]
+    errors = []
+    for argv in (["predict", *flags], ["predict", "--config", str(path)]):
+        with pytest.raises(UsageError) as info:
+            parse_config(argv)
+        errors.append(str(info.value))
+    return errors
+
+
+@pytest.mark.parametrize(
+    "key, text, message", BAD_VALUES, ids=[f"{key}={text}" for key, text, _ in BAD_VALUES]
+)
+def test_a_bad_value_reads_the_same_from_a_flag_or_a_file(tmp_path, key, text, message):
+    assert _flag_and_file_errors(tmp_path, [(key, text)]) == [message, message]
+
+
+def test_every_bad_value_is_reported_once(tmp_path):
+    first = {}
+    for key, text, message in BAD_VALUES:
+        first.setdefault(key, (text, message))
+    expected = "; ".join(message for _, message in first.values())
+    pairs = [(key, text) for key, (text, _) in first.items()]
+    assert _flag_and_file_errors(tmp_path, pairs) == [expected, expected]
+
+
+def _random_config(rng: np.random.Generator, command: str) -> ExperimentConfig:
+    n = int(rng.integers(2, 65))
+    pick = int(rng.integers(7))
+    if pick == 0:
+        model = "iid-normal"
+    elif pick == 1:
+        model = f"iid-normal:mu={rng.normal()!r},sigma={rng.uniform(0.1, 5.0)!r}"
+    elif pick == 2:
+        model = f"iid-student-t:nu={rng.uniform(2.1, 30.0)!r}"
+    elif pick == 3:
+        model = f"iid-folded-normal:shift={rng.uniform(0.1, 3.0)!r}"
+    elif pick == 4:
+        # a I + b 11^T is positive definite for a > 0, b >= 0
+        a, b = rng.uniform(0.5, 2.0), rng.uniform(0.0, 1.0)
+        cov = a * np.eye(n) + b
+        mean = " ".join(repr(float(m)) for m in rng.normal(size=n))
+        model = f"gaussian:mean={mean},cov={' '.join(repr(float(c)) for c in cov.ravel())}"
+    else:
+        model = ("rademacher", "degenerate-first-coordinate")[pick - 5]
+    beta = 2.0 if rng.random() < 0.3 else float(1.0 + rng.exponential())
+    return ExperimentConfig(
+        command=command,
+        model=model,
+        n=n,
+        beta=beta,
+        eps=tuple(float(e) for e in rng.uniform(1e-6, 1.0, int(rng.integers(1, 5)))),
+        side=("right", "left", "two-sided")[int(rng.integers(3))],
+        variant=("paper", "corrected")[int(rng.integers(2))],
+        statistic=("sum", "max-over-Zn", "max-over-Zk")[int(rng.integers(3))],
+        seed=int(rng.integers(0, 2**64, dtype=np.uint64, endpoint=False)),
+        trials=int(rng.integers(1, 10**9)),
+        workers=int(rng.integers(1, 17)),
+        format=("json", "csv")[int(rng.integers(2))],
+        output=None if rng.random() < 0.5 else f"out-{int(rng.integers(1000))}.json",
+    )
+
+
+def test_random_configs_round_trip_through_file_and_flags(tmp_path):
+    rng = np.random.default_rng(20171)
+    path = tmp_path / "replay.ini"
+    commands = list(cli.COMMANDS)
+    for i in range(200):
+        config = _random_config(rng, commands[i % len(commands)])
+        text = config_to_text(config)
+        path.write_text(text, encoding="utf-8")
+        from_file = parse_config([config.command, "--config", str(path)])
+        assert from_file == config
+        assert config_hash(from_file) == config_hash(config)
+        flags = []
+        for line in text.splitlines()[1:]:
+            key, _, value = line.partition(" = ")
+            flags += [f"--{key}", value]
+        assert parse_config([config.command, *flags]) == config
+
+
+def test_flags_may_come_before_the_command():
+    after = parse_config(["mc", "--n", "4", "--eps", "0.2", "--seed", "7"])
+    assert parse_config(["--n", "4", "--eps", "0.2", "mc", "--seed", "7"]) == after
+    assert parse_config(["--n", "4", "--eps", "0.2", "--seed", "7", "mc"]) == after
