@@ -294,6 +294,7 @@ def run_verify(
         if evaluator is not None:
             # Low grid: the tail's O(eps) relative correction (about 0.4% at
             # eps = 1e-2 for heavy-tailed models) must stay under the gate.
+            fit = None
             try:
                 grid = np.geomspace(1e-4, 1e-3, 7)
                 fit = leading_coeff_fit(evaluator, n, grid)
@@ -317,7 +318,15 @@ def run_verify(
                         ),
                     )
                 )
-            except QuadratureError as exc:
+            except (QuadratureError, ValueError) as exc:
+                if isinstance(exc, QuadratureError):
+                    note = f"oracle quadrature budget exhausted: {exc}"
+                elif fit is None:
+                    # from about n = 140 the sphere law underflows to 0.0
+                    # on the grid, and a fit in the log domain is not built
+                    note = f"oracle underflows at this n: {exc}"
+                else:  # raised by predict_tail, not by the fit
+                    raise
                 entries.append(
                     LedgerEntry(
                         quantity=f"tail_constant(n={n})",
@@ -325,7 +334,7 @@ def run_verify(
                         corrected_value=None,
                         oracle_value=None,
                         status="untested",
-                        note=f"oracle quadrature budget exhausted: {exc}",
+                        note=note,
                     )
                 )
         else:

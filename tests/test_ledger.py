@@ -189,3 +189,14 @@ def test_mc_row_gate_below_fifty_expected_hits_still_fails_a_wrong_count(monkeyp
     assert any("exact binomial p" in f for f in report.internal_failures)
     row = next(e for e in report.entries if e.quantity.startswith("mc_tail"))
     assert row.status == "untested"
+
+
+def test_verify_marks_an_underflowed_tail_constant_fit_untested():
+    # from about n = 140 the exact sphere law reads 0.0 on the fit's grid;
+    # the row says so and the rest of the ledger is still built
+    report = run_verify(n=160, trials=1000)
+    assert len(report.entries) == 9
+    row = next(e for e in report.entries if e.quantity.startswith("tail_constant"))
+    assert row.status == "untested"
+    assert "oracle underflows at this n" in row.note
+    assert not any("tail constant" in f for f in report.internal_failures)
