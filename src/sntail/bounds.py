@@ -36,6 +36,11 @@ __all__ = [
 # angles 2*pi*k/128; dim 3 a 7 x 16 polar-cosine by azimuth grid.
 _BALL_GRID = {1: (1, 257), 2: (128, 49), 3: (8, 49)}
 
+# Dense samples per interval in `_line_optimize`, and the sweep cap of
+# `_coordinate_descent_ball`.
+_LINE_SAMPLES = 65
+_MAX_SWEEPS = 40
+
 
 def unit_ball_volume(dim: int) -> float:
     """Volume of the unit ball in R^dim."""
@@ -45,12 +50,12 @@ def unit_ball_volume(dim: int) -> float:
 
 
 def _line_optimize(
-    fn_many, segments: list[tuple[float, float]], minimize: bool, samples: int = 65
+    fn_many, segments: list[tuple[float, float]], minimize: bool
 ) -> tuple[float, float, int]:
     """Dense sampling plus golden-section polish on each interval.
 
     `fn_many` maps a 1-D array of t to their values.  Each interval's
-    `samples` dense points go to it in one call; the golden-section steps
+    `_LINE_SAMPLES` dense points go to it in one call; the golden-section steps
     and the final candidates go one point at a time.  Returns the best
     (t, value) and the number of points evaluated.
     """
@@ -66,12 +71,12 @@ def _line_optimize(
     for lo, hi in segments:
         if not hi > lo:
             continue
-        ts = np.linspace(lo, hi, samples)
+        ts = np.linspace(lo, hi, _LINE_SAMPLES)
         vals = fn_many(ts)
-        calls += samples
+        calls += _LINE_SAMPLES
         idx = int(np.nanargmin(vals) if minimize else np.nanargmax(vals))
         a = ts[max(idx - 1, 0)]
-        b = ts[min(idx + 1, samples - 1)]
+        b = ts[min(idx + 1, _LINE_SAMPLES - 1)]
         c, d = b - phi * (b - a), a + phi * (b - a)
         fc, fd = counted(c), counted(d)
         for _ in range(60):
@@ -225,7 +230,7 @@ def envelope_bounds(model: DensityModel, n: int, epsilon: float) -> BoundsCertif
         vals = objective_many(grid)
         idx = int(np.argmin(vals) if minimize else np.argmax(vals))
         used = grid.shape[0]
-        point, val, evals, _ = _coordinate_descent_ball(
+        point, val, evals = _coordinate_descent_ball(
             objective_many, grid[idx], radius, minimize
         )
         used += evals
@@ -256,21 +261,20 @@ def envelope_bounds(model: DensityModel, n: int, epsilon: float) -> BoundsCertif
 
 
 def _coordinate_descent_ball(
-    fn_many, start: np.ndarray, radius: float, minimize: bool, max_sweeps: int = 40
-) -> tuple[np.ndarray, float, int, bool]:
+    fn_many, start: np.ndarray, radius: float, minimize: bool
+) -> tuple[np.ndarray, float, int]:
     """Coordinate descent constrained to the closed ball of given radius.
 
     `fn_many` maps points stacked in rows to their values.  Each axis is
     searched by `_line_optimize` on the chord of the ball through the
     current point, its dense samples stacked into one `fn_many` call.
-    Returns the point, its value, the number of points evaluated and
-    whether a sweep settled to 1e-12 relative.
+    Sweeps stop once one settles to 1e-12 relative.  Returns the point,
+    its value and the number of points evaluated.
     """
     v = start.astype(float).copy()
     current = float(fn_many(v[None, :])[0])
     evals = 1
-    converged = False
-    for _ in range(max_sweeps):
+    for _ in range(_MAX_SWEEPS):
         previous = current
         for axis in range(v.size):
             other = np.delete(v, axis) - 1.0
@@ -293,9 +297,8 @@ def _coordinate_descent_ball(
                 v[axis] = t_best
                 current = val_best
         if abs(previous - current) <= 1e-12 * max(1.0, abs(current)):
-            converged = True
             break
-    return v, current, evals, converged
+    return v, current, evals
 
 
 @dataclass(frozen=True)

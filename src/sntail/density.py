@@ -578,12 +578,13 @@ def build_z_plan(
     )
 
 
+# Rays per ray_pdf call in profile_batch, which bounds its (rays x nodes)
+# buffers.
+_RAY_CHUNK = 256
+
+
 def profile_batch(
-    model: DensityModel,
-    vs: np.ndarray,
-    variant: str,
-    plan: ZPlan,
-    chunk: int = 256,
+    model: DensityModel, vs: np.ndarray, variant: str, plan: ZPlan
 ) -> np.ndarray:
     """Profiles of the points stacked in rows of `vs`, on one z-plan.
 
@@ -614,17 +615,18 @@ def profile_batch(
     else:
         raise ValueError(f"unknown profile variant {variant!r}")
     out = np.empty(vs.shape[0])
-    for first in range(0, vs.shape[0], chunk):
-        rays = _rays(model, vs[first : first + chunk])
+    for first in range(0, vs.shape[0], _RAY_CHUNK):
+        part = slice(first, first + _RAY_CHUNK)
+        rays = _rays(model, vs[part])
         starts = model.ray_support_start(rays)
         if starts is None:
-            out[first : first + chunk] = model.ray_pdf(rays, nodes) @ weights
+            out[part] = model.ray_pdf(rays, nodes) @ weights
         elif variant == "mirror":
-            out[first : first + chunk] = 0.0
+            out[part] = 0.0
         else:
             z = _finite_starts(starts)[:, None] + plan.pos_nodes
             w = plan.pos_weights * z ** (n - 1) if variant == "weighted" else plan.pos_weights
-            out[first : first + chunk] = (model.ray_pdf(rays, z) * w).sum(axis=1)
+            out[part] = (model.ray_pdf(rays, z) * w).sum(axis=1)
     if twice:
         out *= 2.0
     return out
