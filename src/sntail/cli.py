@@ -78,7 +78,7 @@ COMMANDS = {
     "predict": "closed-form tail predictions on an epsilon grid",
     "bounds": "non-asymptotic envelope certificates",
     "oracle": "independent exact/quadrature tail values",
-    "mc": "Monte Carlo tail estimate with a 95%% confidence interval",
+    "mc": "Monte Carlo tail estimate with a 95% confidence interval",
     "verify": "cross-check every published constant and emit the ledger",
     "counterexample": "demonstrate the two discrete boundary cases",
 }
@@ -302,10 +302,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--version", action="version", version=f"sntail {__version__}"
     )
-    parser.add_argument(
-        "command", choices=COMMANDS,
-        help="; ".join(f"{name}: {text}" for name, text in COMMANDS.items()),
-    )
+    listing = "; ".join(f"{name}: {text}" for name, text in COMMANDS.items())
+    parser.add_argument("command", choices=COMMANDS, help=listing.replace("%", "%%"))
     parser.add_argument("--config", help="flat key = value config file")
     for key, spec in _KEYS.items():
         parser.add_argument(f"--{key}", help=spec.help)
