@@ -349,11 +349,14 @@ class DensityModel:
 
     def signs_split_at_median(self) -> bool:
         """Whether `draw_from_uniforms` gives a negative coordinate exactly
-        where its uniform is below the median 1/2.
+        where its uniform is below the median 1/2, for a law symmetric
+        about 0.
 
         True for iid laws symmetric about 0: ndtri and stdtrit are negative
         on (0, 1/2), and sigma > 0 and a zero mu keep the sign.  A nonzero
         mu, the folded normal and a gaussian with a covariance are False.
+        The Monte Carlo layer then draws each coordinate as a random sign
+        times the draw of a u in [1/2, 1), which has the model's law.
         """
         return self.kind == "iid-student-t" or (
             self.kind == "iid-normal" and self.mu == 0.0

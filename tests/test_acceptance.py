@@ -271,7 +271,7 @@ def test_criterion_11_max_sum_coincidence():
 
 
 def test_criterion_12_reproducibility_across_workers():
-    for workers in (4, 8):
+    for workers in (2, 4, 8):
         assert mc_normal_n3(workers).hits == mc_normal_n3(1).hits
         for n in (2, 3, 4):
             assert mc_rademacher(n, workers).hits == mc_rademacher(n, 1).hits

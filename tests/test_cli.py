@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 
 import sntail.cli as cli
+import sntail.ledger
 from sntail.cli import (
     ExperimentConfig,
     UsageError,
@@ -22,6 +24,7 @@ from sntail.cli import (
     parse_config,
     parse_eps,
 )
+from sntail.montecarlo import _estimate
 
 SAMPLE_CONFIGS = [
     ExperimentConfig(command="predict"),
@@ -357,10 +360,14 @@ def test_twelve_digit_output(capsys):
     assert len(str(corrected["value"]).replace(".", "").lstrip("0")) <= 12
 
 
-def test_verify_rare_mc_count_is_judged_by_the_exact_binomial_tail(capsys):
-    # 1000 trials at n = 8 expect 0.0132 hits and seed 79 draws one, a 1.3%
-    # event: z = +8.6 under the normal approximation, yet the exact
-    # binomial tail is far above the 5 sigma level, so nothing failed
+def test_verify_rare_mc_count_is_judged_by_the_exact_binomial_tail(capsys, monkeypatch):
+    # 1000 trials at n = 8 expect 0.0132 hits and one hit is a 1.3% event:
+    # z = +8.6 under the normal approximation, yet the exact binomial tail
+    # is far above the 5 sigma level, so nothing failed
+    def one_hit(sampler, stat, epsilon):
+        return _estimate(sampler, stat, math.sqrt(sampler.n) - epsilon, 1)
+
+    monkeypatch.setattr(sntail.ledger, "estimate_tail", one_hit)
     assert main(["verify", "--n", "8", "--trials", "1000", "--seed", "79"]) == 0
     records = json.loads(capsys.readouterr().out)["records"]
     row = next(r for r in records if r["quantity"].startswith("mc_tail"))

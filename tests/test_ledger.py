@@ -7,7 +7,7 @@ import pytest
 
 import sntail.ledger as ledger
 from sntail.ledger import LEDGER_FIELDS, LedgerEntry, VerifyReport, run_verify
-from sntail.montecarlo import MIN_EXPECTED_HITS
+from sntail.montecarlo import MIN_EXPECTED_HITS, _estimate
 
 
 def test_entry_status_vocabulary():
@@ -118,9 +118,14 @@ def test_log_growth_row_judged_against_expansion(monkeypatch):
         assert ledger._log_growth_entry(beta).status == "discrepant"
 
 
-def test_mc_row_survives_a_missed_interval():
-    # seed 3 puts the MC estimate outside its 95% interval (|z| > 1.96) but
-    # well inside the 5 sigma gate that decides the internal failure
+def test_mc_row_survives_a_missed_interval(monkeypatch):
+    # 28513 hits in 1e6 trials (what seed 3 drew on the uniform stream) put
+    # the MC estimate outside its 95% interval (|z| > 1.96) but well inside
+    # the 5 sigma gate that decides the internal failure
+    def estimate(sampler, stat, epsilon):
+        return _estimate(sampler, stat, math.sqrt(sampler.n) - epsilon, 28513)
+
+    monkeypatch.setattr(ledger, "estimate_tail", estimate)
     report = run_verify(n=3, seed=3, trials=10**6)
     assert report.exit_code == 0, report.internal_failures
     row = next(e for e in report.entries if e.quantity.startswith("mc_tail"))
@@ -129,6 +134,28 @@ def test_mc_row_survives_a_missed_interval():
     assert 1.96 < abs(z) <= 5.0
     assert row.status == "confirmed"
     assert f"z = {z:+.3f}" in row.note and "95% CI [" in row.note
+
+
+@pytest.mark.parametrize("entry", [(0, 0), (0, 1)])
+def test_anti_hessian_row_reads_untested_when_its_fd_gate_fails(monkeypatch, entry):
+    # the finite-difference oracle is the package's own: a failed gate is an
+    # internal failure, and the row reads "untested", not "discrepant"
+    true_fd = ledger.hessian_fd
+
+    def perturbed(point):
+        h = true_fd(point).copy()
+        h[entry] *= 1.001
+        return h
+
+    monkeypatch.setattr(ledger, "hessian_fd", perturbed)
+    report = run_verify(n=3, trials=20_000)
+    rows = {e.quantity.split("(")[0]: e for e in report.entries}
+    bad, good = ("diag", "off") if entry == (0, 0) else ("off", "diag")
+    assert rows[f"anti_hessian_{bad}"].status == "untested"
+    assert rows[f"anti_hessian_{good}"].status == "confirmed"
+    name = {"diag": "diagonal", "off": "off-diagonal"}[bad]
+    assert report.exit_code == 1
+    assert [f.split(":")[0] for f in report.internal_failures] == [f"anti-Hessian {name}"]
 
 
 def test_mc_row_untested_below_fifty_expected_hits():

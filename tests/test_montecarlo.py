@@ -23,7 +23,14 @@ from sntail.montecarlo import (
     statistic_batch,
     wilson_interval,
 )
-from sntail.montecarlo import _chunk_uniforms, _count_below, _row_cut, _sign_cut
+from sntail.montecarlo import (
+    _chunk_sizes,
+    _chunk_uniforms,
+    _row_counts,
+    _row_cut,
+    _sign_cut,
+    _unpack_signs,
+)
 from sntail.oracles import sphere_tail_exact
 
 
@@ -354,15 +361,17 @@ def test_max_counts_dominate_sum_counts():
 
 
 def test_coverage_meta():
-    # Wilson CI must cover the exact value in at least 93 of 100 seeded runs
+    # The Wilson CI must cover the exact value in at least 93% of 500
+    # seeded runs.  A correct 95% interval fails that with probability
+    # P(Bin(500, 0.95) < 465) = 1.96%; at 93 of 100 seeds it was 12.8%.
     oracle = sphere_tail_exact(3, math.sqrt(3.0) - 0.3).value
     model = DensityModel.iid_normal(3)
     covered = 0
-    for seed in range(100):
+    for seed in range(500):
         sampler = SamplerSpec(model, 3, seed, 100_000, 1)
         est = estimate_tail(sampler, StatisticSpec(2.0, "sum"), epsilon=0.3)
         covered += est.covers(oracle)
-    assert covered >= 93
+    assert covered >= 465
 
 
 @pytest.mark.parametrize("n, eps", [(3, 0.1), (9, 0.4)])
@@ -411,21 +420,45 @@ def test_sign_cut_matches_a_search_over_j(n):
             assert _sign_cut(n, spec, t) == min(safe, default=n + 1), (spec, t)
 
 
+def _bits(words):
+    """Bit k of word q at flat position 64 q + k, as (word >> k) & 1."""
+    return ((words[:, None] >> np.arange(64, dtype=np.uint64)) & np.uint64(1)).ravel()
+
+
+def _reference_signs(seed, chunk, m, n):
+    """The (m, n) sign bits of a sign-first chunk, read off the raw Philox
+    words."""
+    bitgen = np.random.Philox(key=seed)
+    bitgen.advance(chunk * 2 * CHUNK_TRIALS * n // 4)
+    words = bitgen.random_raw(CHUNK_TRIALS * n // 64)
+    return _bits(words)[: m * n].reshape(m, n).astype(bool)
+
+
+def _signed_draws(model, u, negative):
+    x = model.draw_from_uniforms(u)
+    return np.where(negative, -x, x)
+
+
 @pytest.mark.parametrize("n", [2, 3, 9])
 def test_dropped_rows_never_hit(n):
-    # a real chunk, and rows at the bounds: n - j equal positive draws and
-    # j draws just below 0, whose statistic rounds up to a few ulps over
-    # the bound
+    # the sign bits of a real chunk with independent magnitudes, and rows at
+    # the bounds: n - j equal positive magnitudes and j negative ones of
+    # magnitude 0 or the least above it, whose statistic rounds up to a few
+    # ulps over the bound
+    rng = np.random.default_rng(11)
     edges = [
-        np.where(np.arange(n) < n - j, level, 0.5 - 2.0**-54)
+        np.where(np.arange(n) < n - j, level, least)
         for j in range(n)
         for level in np.linspace(0.6, 0.99, 400)
+        for least in (0.5, 0.5 + 2.0**-53)
     ]
-    u = np.vstack([_chunk_uniforms(11, 0, 20_000, n)] + edges)
+    u = np.vstack([0.5 + 0.5 * rng.random((20_000, n))] + edges)
+    edge_signs = [np.arange(n) >= n - j for j in range(n) for _ in range(800)]
+    negative = np.vstack([_reference_signs(11, 0, 20_000, n)] + edge_signs)
+    negatives = _row_counts(negative)
     for model in (DensityModel.iid_normal(n), DensityModel.iid_student_t(n, 5.0)):
-        x = model.draw_from_uniforms(u)
-        negatives = _count_below(u)
-        assert np.array_equal(negatives, np.count_nonzero(x < 0.0, axis=1))
+        x = _signed_draws(model, u, negative)
+        assert np.array_equal(negatives, np.count_nonzero(np.signbit(x), axis=1))
         for spec in _filter_specs():
             values = statistic_batch(x, spec)
             for t in _thresholds(n, spec):
@@ -434,10 +467,25 @@ def test_dropped_rows_never_hit(n):
 
 
 def _reference_hits(sampler, spec, threshold):
-    """Hits of the full, unfiltered draws."""
+    """Hits of full chunks.  A model drawn sign first gets every row of each
+    chunk: the kept rows from the chunk's own sign bits and magnitudes, the
+    dropped rows from its sign bits and magnitudes of an independent
+    generator.  Any other model gets the full draws of `sample_batch`."""
+    cut = _row_cut(sampler, spec, threshold)
+    if cut is None:
+        chunks = list(sample_batch(sampler))
+    else:
+        n, rng, chunks = sampler.n, np.random.default_rng(99), []
+        for c, m in enumerate(_chunk_sizes(sampler.trials)):
+            negative = _reference_signs(sampler.seed, c, m, n)
+            kept = np.count_nonzero(negative, axis=1) < cut
+            u = 0.5 + 0.5 * rng.random((m, n))
+            u[kept], kept_negative = _chunk_uniforms(sampler.seed, c, m, n, cut)
+            assert np.array_equal(kept_negative, negative[kept])
+            chunks.append(_signed_draws(sampler.model, u, negative))
     return sum(
         int(np.count_nonzero(statistic_batch(draws, spec) > threshold))
-        for draws in sample_batch(sampler)
+        for draws in chunks
     )
 
 
@@ -470,6 +518,91 @@ def test_filtered_estimates_count_the_same_hits(workers):
         ):
             expect = _reference_hits(sampler, StatisticSpec(2.0, variant), got.threshold)
             assert got.hits == expect > 0, (model.kind, variant)
+
+
+def test_sign_first_chunks_read_disjoint_word_ranges():
+    # chunk c reads its sign words from c * 2 * CHUNK_TRIALS * n on and the
+    # kept rows' magnitudes right after them; even a chunk that kept every
+    # row would end before chunk c + 1 starts
+    seed, n, m, cut = 3, 2, CHUNK_TRIALS, 2
+    stride = 2 * CHUNK_TRIALS * n
+    sign_words = CHUNK_TRIALS * n // 64
+    stream = np.random.Philox(key=seed).random_raw(3 * stride)
+    spans = []
+    for c in range(3):
+        u, negative = _chunk_uniforms(seed, c, m, n, cut)
+        signs = _bits(stream[c * stride : c * stride + sign_words]).reshape(m, n) == 1
+        kept = np.count_nonzero(signs, axis=1) < cut
+        assert np.array_equal(negative, signs[kept])
+        start = c * stride + sign_words
+        words = stream[start : start + u.size].reshape(u.shape)
+        assert np.array_equal(u, 0.5 + (words >> np.uint64(12)) * 2.0**-53)
+        assert np.all((0.5 <= u) & (u < 1.0))
+        spans.append((c * stride, start + u.size))
+        assert start + m * n <= (c + 1) * stride
+    assert all(a[1] <= b[0] for a, b in zip(spans, spans[1:]))
+
+
+def test_sign_bits_unpack_little_endian():
+    # bit k of word q is coordinate 64 q + k, on any host byte order
+    words = np.array([1 | 1 << 63, 1 << 8, 0xF0], dtype=np.uint64)
+    for n in (1, 3, 64):
+        m = 3 * 64 // n
+        got = _unpack_signs(words.astype(">u8"), m, n)
+        assert np.array_equal(got, _bits(words).reshape(m, n))
+    words = np.random.default_rng(4).integers(0, 2**64, size=300, dtype=np.uint64)
+    assert np.array_equal(_unpack_signs(words, 1000, 7), _bits(words)[:7000].reshape(1000, 7))
+
+
+@pytest.mark.parametrize("n, cut", [(3, 1), (9, 3), (9, 6)])
+def test_kept_rows_per_chunk_follow_the_binomial(n, cut):
+    # every coordinate's sign is a fair coin, so chunk c keeps
+    # Bin(m, P(Bin(n, 1/2) < cut)) rows, independently of other chunks
+    chunks = 40
+    p = sum(math.comb(n, i) for i in range(cut)) / 2**n
+    kept = np.array(
+        [_chunk_uniforms(17, c, CHUNK_TRIALS, n, cut)[0].shape[0] for c in range(chunks)]
+    )
+    var = CHUNK_TRIALS * p * (1.0 - p)
+    assert np.all(np.abs(kept - CHUNK_TRIALS * p) <= 5.0 * math.sqrt(var))
+    assert abs(kept.sum() - chunks * CHUNK_TRIALS * p) <= 5.0 * math.sqrt(chunks * var)
+    # chunks that shared words would spread too little; chi^2(39)/39 lies
+    # in (0.3, 2.2) but with probability below 1e-6
+    assert 0.3 < np.var(kept, ddof=1) / var < 2.2
+
+
+@pytest.mark.parametrize(
+    "n, eps, trials", [(2, 0.3, 100_000), (3, 0.2, 100_000), (9, 0.15, 10**7), (9, 0.9, 100_000)]
+)
+def test_sign_first_estimates_match_the_sphere_law(n, eps, trials):
+    # `sum` follows the sphere law at every eps; below eps = sqrt(n) -
+    # sqrt(n - 1) no prefix k < n reaches the threshold, so the max
+    # variants do too.  At n = 9, eps = 0.9 the kept rows have up to 4
+    # negative coordinates.
+    variants = STATISTICS if eps < math.sqrt(n) - math.sqrt(n - 1) else ("sum",)
+    p = sphere_tail_exact(n, math.sqrt(n) - eps).value
+    assert p * trials >= 100
+    sampler = SamplerSpec(DensityModel.iid_normal(n), n, 8, trials, 2)
+    for variant in variants:
+        spec = StatisticSpec(2.0, variant)
+        est = estimate_tail(sampler, spec, epsilon=eps)
+        assert _row_cut(sampler, spec, est.threshold) is not None
+        assert abs(est.p_hat - p) <= 5.0 * math.sqrt(p * (1.0 - p) / trials), variant
+
+
+def test_unfiltered_estimates_keep_their_stream_and_hash():
+    # hits and digests of stream 1, recorded before the sign-first stream
+    # existed; a filtered run's digest now records its stream
+    sampler = SamplerSpec(DensityModel.iid_normal(3, mu=0.2), 3, 5, 2 * CHUNK_TRIALS + 777, 1)
+    for spec, eps, hits, digest in (
+        (StatisticSpec(2.0, "sum"), 0.1, 6175, "b04aa0dba0f677e4"),
+        (StatisticSpec(2.0, "max-over-Zk"), 0.3, 18207, "9ae5aee221cabeed"),
+    ):
+        est = estimate_tail(sampler, spec, epsilon=eps)
+        assert (est.hits, est.spec_hash) == (hits, digest)
+    filtered = dataclasses.replace(sampler, model=DensityModel.iid_normal(3))
+    est = estimate_tail(filtered, StatisticSpec(2.0, "sum"), epsilon=0.1)
+    assert est.spec_hash != "fbc61df1da452983"  # its stream 1 digest
 
 
 def test_draws_are_negative_below_the_median():
