@@ -13,16 +13,12 @@ from types import ModuleType as _ModuleType
 
 from .analytic_core import (
     AntiHessianSpec,
-    CriterionPoint,
     StructuredMatrix,
     anti_hessian_entries,
-    build_anti_hessian,
+    anti_hessian_entries_fd,
     det_anti_hessian,
     det_anti_hessian_published,
-    det_eigen_closed,
-    det_numeric,
-    g_value,
-    hessian_fd,
+    log_det_anti_hessian_factorized,
 )
 from .asymptotics import (
     GammaVariantQuery,
@@ -34,7 +30,6 @@ from .asymptotics import (
     log_growth_limit,
     predict_gamma_variant,
     predict_tail,
-    reference_bound,
 )
 from .bounds import (
     BoundsCertificate,

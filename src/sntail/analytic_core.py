@@ -1,11 +1,12 @@
 """Structured matrices and the criterion function behind the tail constants.
 
-Two exact determinant routes are kept deliberately separate so they can
-cross-check each other: a closed form built from the eigenvalue structure of
-the uniform-off-diagonal matrix, and plain LU factorization of the dense
-matrix.  The curvature matrix of the criterion function at the all-ones
-point has exactly that structure, which is what makes the closed forms
-possible in the first place.
+The curvature (anti-Hessian) matrix of the criterion function at the
+all-ones point has a uniform diagonal and a uniform off-diagonal, so its
+log-determinant has a closed form, the product of its two eigenvalues.
+One independent route checks it: a pivoted LU factorization (`slogdet`) of
+the dense matrix, up to order DET_FACTOR_LIMIT.  The two entries of the
+matrix have closed forms too, and a central-difference oracle checks them
+on seven evaluations of the criterion function.
 """
 
 from __future__ import annotations
@@ -16,27 +17,23 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "DENSE_LIMIT",
+    "DET_FACTOR_LIMIT",
     "StructuredMatrix",
     "AntiHessianSpec",
-    "CriterionPoint",
-    "det_eigen_closed",
-    "det_published_structured",
-    "det_numeric",
     "structured_anti_hessian",
-    "build_anti_hessian",
     "anti_hessian_entries",
+    "anti_hessian_entries_fd",
     "det_anti_hessian",
     "det_anti_hessian_published",
     "log_det_anti_hessian",
+    "log_det_anti_hessian_factorized",
     "log_det_anti_hessian_published",
-    "g_value",
     "g_many",
-    "hessian_fd",
 ]
 
-# Dense materialization cap: above this, callers must use the closed forms.
-DENSE_LIMIT = 64
+# Largest order that is materialized and factorized densely: 8 MB and
+# about 0.1 s at 1024.
+DET_FACTOR_LIMIT = 1024
 
 # Central second differences: eps**(1/4) balances truncation (h^2) against
 # roundoff (eps/h^2).  The often-quoted eps**(1/3) step is tuned for first
@@ -67,47 +64,16 @@ class StructuredMatrix:
         """Return (repeated eigenvalue, simple eigenvalue)."""
         return self.diag - self.off, self.diag + (self.m - 1) * self.off
 
-    def materialize(self, limit: int = DENSE_LIMIT) -> np.ndarray:
-        """The dense matrix, refused above order `limit`."""
-        if self.m > limit:
+    def materialize(self) -> np.ndarray:
+        """The dense matrix, refused above order DET_FACTOR_LIMIT."""
+        if self.m > DET_FACTOR_LIMIT:
             raise ValueError(
-                f"dense materialization capped at order {limit}; "
+                f"dense materialization capped at order {DET_FACTOR_LIMIT}; "
                 "use the closed-form determinant instead"
             )
         out = np.full((self.m, self.m), self.off, dtype=float)
         np.fill_diagonal(out, self.diag)
         return out
-
-
-def det_eigen_closed(m: int, diag: float, off: float) -> float:
-    """Determinant of StructuredMatrix(m, diag, off) from its spectrum.
-
-    det = (diag - off)**(m-1) * (diag + (m-1)*off).
-    """
-    rep, simple = StructuredMatrix(m, diag, off).eigenvalues()
-    return rep ** (m - 1) * simple
-
-
-def det_published_structured(m: int, diag: float, off: float) -> float:
-    """As-published closed form for the structured determinant.
-
-    The source derivation prints (diag - off)**(m-1) * (diag - (m-1)*off),
-    with a minus where the eigenvalue product has a plus.  At m = 1 the two
-    coincide; for m >= 2 and off != 0 they disagree.  Kept verbatim so the
-    verification ledger can quantify the discrepancy.
-    """
-    StructuredMatrix(m, diag, off)
-    return (diag - off) ** (m - 1) * (diag - (m - 1) * off)
-
-
-def det_numeric(mat: np.ndarray) -> float:
-    """Determinant by LU factorization; the independent route."""
-    arr = np.asarray(mat, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("matrix has non-finite entries")
-    return float(np.linalg.det(arr))
 
 
 @dataclass(frozen=True)
@@ -143,14 +109,31 @@ def anti_hessian_entries(spec: AntiHessianSpec) -> tuple[float, float]:
     return diag, off
 
 
+def anti_hessian_entries_fd(spec: AntiHessianSpec) -> tuple[float, float | None]:
+    """(diagonal, off-diagonal) of the negated central-difference Hessian of
+    the criterion function at the all-ones point.
+
+    By the permutation symmetry of g at that point the (0, 0) and (0, 1)
+    entries are all the matrix holds, so only the points 1, 1 +- h e_1 and
+    1 +- h e_1 +- h e_2 are evaluated, in one `g_many` call.  At n = 2 the
+    matrix has no off-diagonal, and that slot is None.
+    """
+    d, h = spec.n - 1, _FD_STEP
+    steps = np.array([[0, 0], [1, 0], [-1, 0], [1, 1], [1, -1], [-1, 1], [-1, -1]])
+    if d == 1:
+        steps = steps[:3, :1]
+    points = np.ones((len(steps), d))
+    points[:, : steps.shape[1]] += h * steps
+    g = g_many(points, spec.beta)
+    diag = -float((g[1] - 2.0 * g[0] + g[2]) / (h * h))
+    if d == 1:
+        return diag, None
+    return diag, -float((g[3] - g[4] - g[5] + g[6]) / (4.0 * h * h))
+
+
 def structured_anti_hessian(spec: AntiHessianSpec) -> StructuredMatrix:
     diag, off = anti_hessian_entries(spec)
     return StructuredMatrix(spec.n - 1, diag, off)
-
-
-def build_anti_hessian(spec: AntiHessianSpec) -> np.ndarray:
-    """Dense curvature matrix of order n - 1 (capped at DENSE_LIMIT)."""
-    return structured_anti_hessian(spec).materialize()
 
 
 def log_det_anti_hessian(spec: AntiHessianSpec) -> float:
@@ -165,6 +148,14 @@ def log_det_anti_hessian(spec: AntiHessianSpec) -> float:
     """
     n, beta = spec.n, spec.beta
     return (n - 1) * math.log(beta - 1.0) - ((n - 1) / beta + 1.0) * math.log(n)
+
+
+def log_det_anti_hessian_factorized(spec: AntiHessianSpec) -> tuple[float, float]:
+    """(sign, log |det|) of the dense curvature matrix by pivoted LU
+    factorization (`np.linalg.slogdet`): the independent route.  Refused
+    above order DET_FACTOR_LIMIT."""
+    sign, log_abs = np.linalg.slogdet(structured_anti_hessian(spec).materialize())
+    return float(sign), float(log_abs)
 
 
 def det_anti_hessian(spec: AntiHessianSpec) -> float:
@@ -191,35 +182,6 @@ def det_anti_hessian_published(spec: AntiHessianSpec) -> float:
     return float(np.exp(log_det_anti_hessian_published(spec)))
 
 
-@dataclass(frozen=True)
-class CriterionPoint:
-    """Evaluation point for the criterion function.
-
-    `v` collects the last n - 1 coordinates of the ray direction; the first
-    coordinate is pinned to 1.  For beta != 2 the function lives on the
-    closed positive orthant, so negative coordinates are rejected there.
-    """
-
-    v: np.ndarray
-    beta: float = 2.0
-
-    def __post_init__(self) -> None:
-        arr = np.atleast_1d(np.asarray(self.v, dtype=float))
-        if arr.ndim != 1 or arr.size < 1:
-            raise ValueError("v must be a non-empty vector")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("v has non-finite entries")
-        if self.beta != 2.0 and np.any(arr < 0.0):
-            raise ValueError("negative coordinates require beta = 2")
-        if not self.beta > 1.0:
-            raise ValueError(f"beta must be > 1, got {self.beta}")
-        object.__setattr__(self, "v", arr)
-
-    @property
-    def n(self) -> int:
-        return self.v.size + 1
-
-
 def g_many(vs: np.ndarray, beta: float = 2.0) -> np.ndarray:
     """Vectorized criterion function over points stacked in the last axis.
 
@@ -230,44 +192,3 @@ def g_many(vs: np.ndarray, beta: float = 2.0) -> np.ndarray:
     num = 1.0 + arr.sum(axis=-1)
     den = (1.0 + (np.abs(arr) ** beta).sum(axis=-1)) ** (1.0 / beta)
     return num / den
-
-
-def g_value(point: CriterionPoint) -> float:
-    return float(g_many(point.v, point.beta))
-
-
-def hessian_fd(point: CriterionPoint) -> np.ndarray:
-    """Central-difference Hessian of the criterion function at `point`.
-
-    Step per coordinate: _FD_STEP * max(1, |v_j|).  Raises if the step
-    underflows (v_j + h == v_j) or, for beta != 2, if stepping would leave
-    the positive orthant where the function is defined.
-    """
-    v, beta = point.v, point.beta
-    d = v.size
-    h = _FD_STEP * np.maximum(1.0, np.abs(v))
-    if np.any(v + h == v):
-        raise ValueError("finite-difference step underflowed at this point")
-    if beta != 2.0 and np.any(v - h < 0.0):
-        raise ValueError(
-            "point too close to the orthant boundary for finite differences"
-        )
-
-    def g(w: np.ndarray) -> float:
-        return float(g_many(w, beta))
-
-    g0 = g(v)
-    out = np.empty((d, d), dtype=float)
-    for i in range(d):
-        ei = np.zeros(d)
-        ei[i] = h[i]
-        out[i, i] = (g(v + ei) - 2.0 * g0 + g(v - ei)) / (h[i] * h[i])
-        for j in range(i + 1, d):
-            ej = np.zeros(d)
-            ej[j] = h[j]
-            mixed = (
-                g(v + ei + ej) - g(v + ei - ej) - g(v - ei + ej) + g(v - ei - ej)
-            ) / (4.0 * h[i] * h[j])
-            out[i, j] = mixed
-            out[j, i] = mixed
-    return out

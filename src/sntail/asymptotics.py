@@ -30,7 +30,6 @@ __all__ = [
     "predict_gamma_variant",
     "log_growth_check",
     "log_growth_limit",
-    "reference_bound",
     "PREDICTION_FIELDS",
 ]
 
@@ -323,28 +322,3 @@ def log_growth_check(beta: float, n_values: list[int]) -> list[tuple[int, float]
         out.append((n, log_k / (n * math.log(n))))
     return out
 
-
-def reference_bound(
-    kind: str, bound: float, n: int | None = None, beta: float = 2.0
-) -> float:
-    """Literature reference bounds on P(T > bound).
-
-    jing           exp(-bound**2 / 2), dimension-free
-    fan            exp(-bound**2 * n**(2/beta - 1) / 2), needs beta in (1, 2]
-    holder-cutoff  0 beyond the attainable maximum n**(1-1/beta), else 1
-    """
-    if not bound > 0.0:
-        raise ValueError(f"bound must be positive, got {bound}")
-    if kind == "jing":
-        return math.exp(-0.5 * bound * bound)
-    if kind == "fan":
-        if not 1.0 < beta <= 2.0:
-            raise ValueError(f"fan bound needs beta in (1, 2], got {beta}")
-        if n is None or n < 2:
-            raise ValueError("fan bound needs n >= 2")
-        return math.exp(-0.5 * bound * bound * n ** (2.0 / beta - 1.0))
-    if kind == "holder-cutoff":
-        if n is None or n < 2:
-            raise ValueError("holder-cutoff needs n >= 2")
-        return 0.0 if bound >= n ** (1.0 - 1.0 / beta) else 1.0
-    raise ValueError(f"unknown reference bound kind {kind!r}")

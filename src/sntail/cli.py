@@ -36,12 +36,11 @@ from .asymptotics import (
     predict_tail,
 )
 from .analytic_core import (
-    DENSE_LIMIT,
+    DET_FACTOR_LIMIT,
     AntiHessianSpec,
-    build_anti_hessian,
     det_anti_hessian,
     det_anti_hessian_published,
-    det_numeric,
+    log_det_anti_hessian_factorized,
 )
 from .bounds import envelope_bounds, curvature_functionals
 from .density import DensityModel, QuadratureError, parse_model
@@ -438,11 +437,12 @@ def _run_constants(config: ExperimentConfig):
         {"quantity": "det_anti_hessian", "variant": "corrected",
          "n": config.n, "beta": config.beta, "value": det_corr},
     ]
-    if config.n - 1 <= DENSE_LIMIT:
+    if config.n - 1 <= DET_FACTOR_LIMIT:
+        sign, log_abs = log_det_anti_hessian_factorized(spec)
         rows.append(
             {"quantity": "det_anti_hessian", "variant": "numeric",
              "n": config.n, "beta": config.beta,
-             "value": det_numeric(build_anti_hessian(spec))}
+             "value": sign * math.exp(log_abs)}
         )
     for variant in VARIANTS:
         rows.append(

@@ -68,6 +68,7 @@ from .density import DISCRETE_MODELS, UNIFORM_FLOOR, DensityModel
 __all__ = [
     "CHUNK_TRIALS",
     "MIN_EXPECTED_HITS",
+    "MIN_TRIALS",
     "STATISTICS",
     "StatisticSpec",
     "SamplerSpec",
@@ -86,6 +87,8 @@ CHUNK_TRIALS = 65536
 # Below this many expected hits a tail estimate resolves nothing: the CLI
 # warns, and the ledger marks its MC row untested.
 MIN_EXPECTED_HITS = 50
+# Fewest trials an estimate accepts.
+MIN_TRIALS = 1000
 # Two-sided 95%: norm.isf(0.025) frozen so the CI never drifts with scipy.
 _WILSON_Z = 1.959963984540054
 # Rows per block when a chunk is transposed for the column walk: a block
@@ -619,8 +622,8 @@ def estimate_tail(
         threshold = cutoff - epsilon
     if not math.isfinite(threshold):
         raise ValueError("threshold must be finite")
-    if sampler.trials < 1000:
-        raise ValueError(f"need at least 1000 trials, got {sampler.trials}")
+    if sampler.trials < MIN_TRIALS:
+        raise ValueError(f"need at least {MIN_TRIALS} trials, got {sampler.trials}")
 
     def per_chunk(draws: np.ndarray) -> int:
         return int(np.count_nonzero(statistic_batch(draws, stat) > threshold))
@@ -703,8 +706,8 @@ def compare_max_vs_sum(sampler: SamplerSpec, epsilon: float) -> MaxSumComparison
     n = sampler.n
     if not 0.0 < epsilon < math.sqrt(n):
         raise ValueError(f"epsilon must lie in (0, sqrt(n)), got {epsilon}")
-    if sampler.trials < 1000:
-        raise ValueError(f"need at least 1000 trials, got {sampler.trials}")
+    if sampler.trials < MIN_TRIALS:
+        raise ValueError(f"need at least {MIN_TRIALS} trials, got {sampler.trials}")
     threshold = math.sqrt(n) - epsilon
     window_hi = 0.5 / math.sqrt(n - 1)
     warnings: tuple[str, ...] = ()

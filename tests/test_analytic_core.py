@@ -5,21 +5,18 @@ import math
 import numpy as np
 import pytest
 
+import sntail.analytic_core as analytic_core
 from sntail.analytic_core import (
+    DET_FACTOR_LIMIT,
     AntiHessianSpec,
-    CriterionPoint,
     StructuredMatrix,
     anti_hessian_entries,
-    build_anti_hessian,
+    anti_hessian_entries_fd,
     det_anti_hessian,
     det_anti_hessian_published,
-    det_eigen_closed,
-    det_numeric,
-    det_published_structured,
     g_many,
-    g_value,
-    hessian_fd,
     log_det_anti_hessian,
+    log_det_anti_hessian_factorized,
     structured_anti_hessian,
 )
 
@@ -31,9 +28,11 @@ def test_det_eigen_matches_numeric_random_pairs():
     for m in range(1, 41):
         for _ in range(100 // max(1, m // 12)):
             a, b = rng.uniform(-3.0, 3.0, size=2)
-            closed = det_eigen_closed(m, a, b)
-            mat = StructuredMatrix(m, a, b).materialize()
-            numeric = det_numeric(mat)
+            mat = StructuredMatrix(m, a, b)
+            rep, simple = mat.eigenvalues()
+            closed = rep ** (m - 1) * simple
+            sign, log_abs = np.linalg.slogdet(mat.materialize())
+            numeric = sign * math.exp(log_abs)
             scale = max(abs(closed), abs(numeric), 1e-30)
             assert abs(closed - numeric) <= 1e-10 * scale
 
@@ -52,9 +51,9 @@ def test_structured_eigenvalue_action():
 
 def test_anti_hessian_entries_continuous_at_beta_two():
     for n in range(2, 9):
-        exact = build_anti_hessian(AntiHessianSpec(n, 2.0))
+        exact = anti_hessian_entries(AntiHessianSpec(n, 2.0))
         for db in (1e-7, -1e-7):
-            near = build_anti_hessian(AntiHessianSpec(n, 2.0 + db))
+            near = anti_hessian_entries(AntiHessianSpec(n, 2.0 + db))
             np.testing.assert_allclose(near, exact, rtol=1e-5)
 
 
@@ -72,9 +71,29 @@ def test_anti_hessian_entry_formulas():
 def test_fd_hessian_matches_closed_form():
     for n in range(2, 9):
         for beta in BETAS:
-            closed = build_anti_hessian(AntiHessianSpec(n, beta))
-            fd = -hessian_fd(CriterionPoint(np.ones(n - 1), beta))
-            np.testing.assert_allclose(fd, closed, rtol=1e-5)
+            spec = AntiHessianSpec(n, beta)
+            diag, off = anti_hessian_entries(spec)
+            fd_diag, fd_off = anti_hessian_entries_fd(spec)
+            assert fd_diag == pytest.approx(diag, rel=1e-5)
+            if n == 2:
+                assert fd_off is None
+            else:
+                assert fd_off == pytest.approx(off, rel=1e-5)
+
+
+@pytest.mark.parametrize("n, points", [(2, 3), (3, 7), (2000, 7)])
+def test_fd_entries_take_one_call_of_fixed_size(monkeypatch, n, points):
+    # the two entries need the same seven points at every n
+    shapes = []
+    true_g_many = analytic_core.g_many
+
+    def counted(vs, beta=2.0):
+        shapes.append(np.shape(vs))
+        return true_g_many(vs, beta)
+
+    monkeypatch.setattr(analytic_core, "g_many", counted)
+    anti_hessian_entries_fd(AntiHessianSpec(n, 2.0))
+    assert shapes == [(points, n - 1)]
 
 
 def test_g_maximum_on_dense_grid():
@@ -87,7 +106,7 @@ def test_g_maximum_on_dense_grid():
             vals = g_many(pts, beta)
             peak = n ** (1.0 - 1.0 / beta)
             assert np.max(vals) <= peak + 1e-12
-            at_ones = g_value(CriterionPoint(np.ones(n - 1), beta))
+            at_ones = float(g_many(np.ones(n - 1), beta))
             assert at_ones == pytest.approx(peak, rel=1e-14)
 
 
@@ -95,7 +114,8 @@ def test_published_determinant_diverges_from_oracle_at_n3():
     spec = AntiHessianSpec(3, 2.0)
     assert det_anti_hessian_published(spec) == pytest.approx(1.0 / 3.0, rel=1e-12)
     assert det_anti_hessian(spec) == pytest.approx(1.0 / 9.0, rel=1e-12)
-    assert det_numeric(build_anti_hessian(spec)) == pytest.approx(1.0 / 9.0, rel=1e-10)
+    sign, log_abs = log_det_anti_hessian_factorized(spec)
+    assert sign * math.exp(log_abs) == pytest.approx(1.0 / 9.0, rel=1e-10)
 
 
 def test_published_determinant_agrees_at_n2():
@@ -112,7 +132,7 @@ def test_log_det_is_the_eigenvalue_product():
     for beta in BETAS:
         for n in range(2, 41):
             spec = AntiHessianSpec(n, beta)
-            sign, numeric = np.linalg.slogdet(build_anti_hessian(spec))
+            sign, numeric = log_det_anti_hessian_factorized(spec)
             assert sign == 1.0
             assert log_det_anti_hessian(spec) == pytest.approx(numeric, rel=1e-12, abs=1e-12)
         for n in (10**3, 10**6, 10**9, 10**12):
@@ -135,24 +155,9 @@ def test_log_det_stays_finite_at_n_1e19():
         assert got == pytest.approx(expect, rel=1e-14)
 
 
-def test_published_structured_form_tracks_its_own_matrix():
-    # (x-1)^{m-1} (x-m+1) evaluated as stated, for the x*I + (ones - I) shape
-    for m in range(1, 8):
-        for x in (1.5, 2.0, 5.0):
-            got = det_published_structured(m, x, 1.0)
-            expect = (x - 1.0) ** (m - 1) * (x - m + 1.0)
-            assert got == pytest.approx(expect, rel=1e-12, abs=1e-15)
-
-
 def test_structured_matrix_never_materialized_above_cap():
     with pytest.raises(ValueError):
-        StructuredMatrix(65, 1.0, 0.5).materialize()
+        StructuredMatrix(DET_FACTOR_LIMIT + 1, 1.0, 0.5).materialize()
+    with pytest.raises(ValueError):
+        log_det_anti_hessian_factorized(AntiHessianSpec(DET_FACTOR_LIMIT + 2, 2.0))
 
-
-def test_criterion_point_rejects_bad_input():
-    with pytest.raises(ValueError):
-        CriterionPoint(np.array([np.nan]))
-    with pytest.raises(ValueError):
-        CriterionPoint(np.array([-0.5]), beta=3.0)
-    with pytest.raises(ValueError):
-        CriterionPoint(np.array([1.0]), beta=1.0)

@@ -14,7 +14,6 @@ from sntail.asymptotics import (
     log_growth_limit,
     predict_gamma_variant,
     predict_tail,
-    reference_bound,
 )
 from sntail.montecarlo import SamplerSpec, StatisticSpec, estimate_tail
 from sntail.oracles import leading_coeff_fit, sphere_tail_exact
@@ -137,30 +136,15 @@ def test_log_growth_limit_and_march():
         assert all(a > b for a, b in zip(gaps, gaps[1:]))
 
 
-def test_reference_bound_forms():
-    assert reference_bound("jing", 2.0) == pytest.approx(math.exp(-2.0), rel=1e-15)
-    assert reference_bound("fan", 2.0, n=4, beta=2.0) == pytest.approx(
-        math.exp(-2.0), rel=1e-15
-    )
-    assert reference_bound("fan", 1.0, n=4, beta=1.5) == pytest.approx(
-        math.exp(-0.5 * 4.0 ** (1.0 / 3.0)), rel=1e-14
-    )
-    assert reference_bound("holder-cutoff", 1.9, n=4, beta=2.0) == 1.0
-    assert reference_bound("holder-cutoff", 2.0, n=4, beta=2.0) == 0.0
-    with pytest.raises(ValueError):
-        reference_bound("fan", 1.0, n=4, beta=3.0)
-    with pytest.raises(ValueError):
-        reference_bound("unknown", 1.0)
-
-
 def test_mc_respects_dimension_free_bound():
-    # statistical check: the estimate stays below the reference bound at 3 sigma
+    # statistical check: the estimate stays below the dimension-free
+    # reference bound exp(-t^2 / 2) at 3 sigma
     for model_name, beta in (("iid-normal", 2.0), ("iid-student-t:nu=5", 2.0)):
         from sntail.density import parse_model
 
         model = parse_model(model_name, 3)
         sampler = SamplerSpec(model, 3, 20240604, 200_000, 1)
         est = estimate_tail(sampler, StatisticSpec(beta, "sum"), epsilon=0.3)
-        bound = reference_bound("jing", est.threshold)
+        bound = math.exp(-0.5 * est.threshold**2)
         se = (est.ci_high - est.ci_low) / (2.0 * 1.959963984540054)
         assert est.p_hat <= bound + 3.0 * se

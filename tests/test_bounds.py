@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import sntail.oracles as oracles
-from sntail.analytic_core import AntiHessianSpec, build_anti_hessian, g_many
+from sntail.analytic_core import AntiHessianSpec, g_many, structured_anti_hessian
 from sntail.bounds import (
     _ball_grid,
     _line_optimize,
@@ -65,7 +65,7 @@ def test_curvature_respects_eigen_bracket():
     # the ratio's limit at the center is half the Rayleigh quotient of A
     for n in (2, 3, 4, 6):
         lam, mu = curvature_functionals(n)
-        eig = np.linalg.eigvalsh(build_anti_hessian(AntiHessianSpec(n, 2.0)))
+        eig = np.linalg.eigvalsh(structured_anti_hessian(AntiHessianSpec(n, 2.0)).materialize())
         assert lam <= 0.5 * eig[0] + 1e-12
         assert mu >= 0.5 * eig[-1] - 1e-12
 

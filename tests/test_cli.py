@@ -376,6 +376,37 @@ def test_verify_rare_mc_count_is_judged_by_the_exact_binomial_tail(capsys, monke
     assert "exact binomial p = 0.0263" in row["note"]
 
 
+def test_verify_checks_the_trial_floor_before_any_row(capsys, monkeypatch):
+    built = []
+    true_row = sntail.ledger._determinant_row
+
+    def recorded(spec, failures):
+        built.append(spec.n)
+        return true_row(spec, failures)
+
+    monkeypatch.setattr(sntail.ledger, "_determinant_row", recorded)
+    assert main(["verify", "--n", "2000", "--trials", "100"]) == 2
+    assert "need at least 1000 trials, got 100" in capsys.readouterr().err
+    assert built == []
+    # a ledger without a Monte Carlo row takes any trial count
+    assert main(["verify", "--n", "5", "--model", "iid-student-t:nu=5",
+                 "--trials", "100"]) == 0
+    capsys.readouterr()
+    assert built == [5]
+
+
+def test_constants_numeric_row_past_order_64(capsys):
+    # one dense factorization, capped at order DET_FACTOR_LIMIT, serves
+    # this row as it serves the ledger's determinant row
+    assert main(["constants", "--n", "100"]) == 0
+    rows = {r["variant"]: r["value"] for r in json.loads(capsys.readouterr().out)["records"]
+            if r["quantity"] == "det_anti_hessian"}
+    assert rows["numeric"] == pytest.approx(rows["corrected"], rel=1e-8)
+    assert main(["constants", "--n", "1026"]) == 0
+    records = json.loads(capsys.readouterr().out)["records"]
+    assert "numeric" not in {r["variant"] for r in records}
+
+
 _SCIPY_PROBE = """
 import contextlib, io, json, sys
 

@@ -67,8 +67,8 @@ def test_run_verify_n2_summary():
 
 
 def test_determinant_row_factorizes_past_the_dense_cap():
-    # n - 1 = 69 lies above the closed-form cap of 64: the oracle is still
-    # a factorization, not the eigenvalue product it checks
+    # at order n - 1 = 69 the oracle is still a factorization, not the
+    # eigenvalue product it checks
     spec = ledger.AntiHessianSpec(70, 2.0)
     failures: list[str] = []
     row = ledger._determinant_row(spec, failures)
@@ -140,14 +140,14 @@ def test_mc_row_survives_a_missed_interval(monkeypatch):
 def test_anti_hessian_row_reads_untested_when_its_fd_gate_fails(monkeypatch, entry):
     # the finite-difference oracle is the package's own: a failed gate is an
     # internal failure, and the row reads "untested", not "discrepant"
-    true_fd = ledger.hessian_fd
+    true_fd = ledger.anti_hessian_entries_fd
 
-    def perturbed(point):
-        h = true_fd(point).copy()
-        h[entry] *= 1.001
-        return h
+    def perturbed(spec):
+        entries = list(true_fd(spec))
+        entries[entry[1]] *= 1.001
+        return tuple(entries)
 
-    monkeypatch.setattr(ledger, "hessian_fd", perturbed)
+    monkeypatch.setattr(ledger, "anti_hessian_entries_fd", perturbed)
     report = run_verify(n=3, trials=20_000)
     rows = {e.quantity.split("(")[0]: e for e in report.entries}
     bad, good = ("diag", "off") if entry == (0, 0) else ("off", "diag")
@@ -227,3 +227,13 @@ def test_verify_marks_an_underflowed_tail_constant_fit_untested():
     assert row.status == "untested"
     assert "oracle underflows at this n" in row.note
     assert not any("tail constant" in f for f in report.internal_failures)
+
+
+def test_tail_constant_note_names_a_failed_prediction():
+    # at n = 120 the exact sphere law fits, and the weighted profile behind
+    # the prediction overflows: the note must name the prediction
+    report = run_verify(n=120, trials=1000)
+    row = next(e for e in report.entries if e.quantity.startswith("tail_constant"))
+    assert row.status == "untested"
+    assert row.note.startswith("prediction quadrature failed: ")
+    assert "oracle" not in row.note
