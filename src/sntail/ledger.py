@@ -233,20 +233,21 @@ def run_verify(
         )
 
     # K constant: paper vs corrected differ by construction; adjudication
-    # happens through the tail-constant fit below.
-    k_paper = k_constant(n, beta, "paper").value
-    k_corr = k_constant(n, beta, "corrected").value
+    # happens through the tail-constant fit below.  Where the ratio is not
+    # normal (n >= 1018 at beta = 2) the note logs it, to 15 digits.
+    k_paper, k_corr = k_constant(n, beta, "paper"), k_constant(n, beta, "corrected")
+    ratio = k_paper.value / k_corr.value if k_corr.value else 0.0
+    ratio_text = f"paper/corrected = {ratio:.12g}"
+    if not np.finfo(float).tiny <= ratio < math.inf:
+        ratio_text = f"log(paper/corrected) = {k_paper.log_value - k_corr.log_value:.15g}"
     entries.append(
         LedgerEntry(
             quantity=f"k_constant(n={n}, beta={beta:g})",
-            paper_value=k_paper,
-            corrected_value=k_corr,
+            paper_value=k_paper.value,
+            corrected_value=k_corr.value,
             oracle_value=None,
             status="discrepant",
-            note=(
-                f"paper/corrected = {k_paper / k_corr:.12g}; adjudicated by the "
-                "tail-constant row"
-            ),
+            note=f"{ratio_text}; adjudicated by the tail-constant row",
         )
     )
 
@@ -254,8 +255,8 @@ def run_verify(
     if continuous and beta == 2.0:
         note = ""
         if model.kind == "iid-normal":
-            def evaluator(e: float) -> float:
-                return sphere_tail_exact(n, math.sqrt(n) - e).value
+            def evaluator(grid: np.ndarray) -> list[float]:
+                return [sphere_tail_exact(n, math.sqrt(n) - e).value for e in grid]
 
             oracle_name = "sphere oracle"
         elif 2 <= n <= 4:
@@ -264,9 +265,9 @@ def run_verify(
             # profile is kinked along v_i = 1 and v_i = v_j, off the pole of
             # the polar rule, so the ladder converges only algebraically: it
             # reaches 1e-6 at n = 3 and runs out of levels at n = 4.
-            def evaluator(e: float) -> float:
+            def evaluator(grid: np.ndarray) -> np.ndarray:
                 return region_tail_integral(
-                    model, n, e, 2.0, "weighted", rel_target=1e-6
+                    model, n, grid, 2.0, "weighted", rel_target=1e-6
                 ).value
 
             oracle_name = "region oracle"

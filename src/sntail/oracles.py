@@ -55,11 +55,11 @@ _FPMIN = 1e-300
 
 @dataclass(frozen=True)
 class OracleResult:
-    """Value produced by one oracle route, with its own error estimate."""
+    """One oracle route's value and own error estimate; arrays, in grid order, for a grid."""
 
-    value: float
+    value: float | np.ndarray
     method: str
-    error_estimate: float
+    error_estimate: float | np.ndarray
     metadata: Mapping[str, object]
 
 
@@ -296,6 +296,17 @@ def _fejer2(count: int) -> tuple[np.ndarray, np.ndarray]:
     return np.cos(theta), (4.0 / count) * weights
 
 
+def _fejer2_partial(count: int, upper: np.ndarray) -> np.ndarray:
+    """Weights (..., count - 1) integrating `_fejer2`'s interpolant, the sine
+    series f(cos th) sin th = sum_{k < count} b_k sin(k th), over [-1, upper]
+    (...): exact where that rule is, and its weights at upper = 1 (Waldvogel)."""
+    k = np.arange(1, count)
+    theta = k * (math.pi / count)
+    cut = np.arccos(np.clip(upper, -1.0, 1.0))
+    series = (np.cos(np.multiply.outer(cut, k)) - (-1.0) ** k) / k
+    return (2.0 / count) * np.sin(theta) * (series @ np.sin(np.outer(k, theta)))
+
+
 def _directions(dim: int, count: int) -> tuple[np.ndarray, np.ndarray]:
     """Rule on the unit sphere of R^dim: directions (..., dim), weights (...).
 
@@ -341,7 +352,7 @@ _KEPT = {
 def region_tail_integral(
     model: DensityModel,
     n: int,
-    epsilon: float,
+    epsilon: float | np.ndarray,
     beta: float = 2.0,
     integrand: str = "weighted",
     rel_target: float = 1e-8,
@@ -362,15 +373,22 @@ def region_tail_integral(
     `_reach`, exact for beta = 2, where the region is an ellipsoid and no
     root search runs; other beta bisect g.  Both rules are nested, so every
     refinement level doubles each count and evaluates, in one
-    `profile_batch` call, only the nodes the previous level lacks.  The
-    ladder returns level L once |L - (L-1)| <= rel_target * |L|; the error
+    `profile_batch` call, only the nodes the previous level lacks.  An eps
+    settles at level L once |L - (L-1)| <= rel_target * |L|; the error
     estimate adds to that difference the z-plan's certified tolerance and
-    the rounding of the boundary.  metadata["nodes"] counts every node
-    evaluated.  The z-plan starts each ray at its support start where the
-    model has one (the folded normal), so its check passes there too.  A
-    density whose profiles defeat the check (a user density with a support
-    edge) raises QuadratureError, as does a ladder that misses rel_target
-    at its finest level.
+    the rounding of the boundary.  The z-plan starts each ray at its
+    support start where the model has one (the folded normal), so its
+    check passes there too.  A density whose profiles defeat the check (a
+    user density with a support edge) raises QuadratureError, as does an
+    eps that misses rel_target at the finest level.
+
+    `epsilon` may be a 1-D grid, giving `value` and `error_estimate` arrays
+    in its order.  Its regions are nested balls, so one ladder evaluates
+    profiles out to the largest eps's boundary, which keeps `_fejer2`'s
+    weights as a float does, and a smaller eps integrates the same radial
+    interpolant over [0, its reach / the largest's] (`_fejer2_partial`).
+    Each eps keeps the value of the level where it settles.  metadata counts
+    the ladder's last "refinement_level" and the "nodes" it evaluated.
 
     n is capped at 4 (one to three region dimensions).
     """
@@ -380,17 +398,19 @@ def region_tail_integral(
         raise ValueError(f"region quadrature supports 2 <= n <= 4, got {n}")
     if model.n != n:
         raise ValueError(f"model dimension {model.n} does not match n = {n}")
+    eps = np.atleast_1d(np.asarray(epsilon, dtype=float))
     window = tail_window(n, beta)
-    if not 0.0 < epsilon < window:
+    if eps.ndim != 1 or not 0.0 < eps.min() <= eps.max() < window:
         raise ValueError(
             f"epsilon must lie in (0, {window:.6g}) for n = {n}, beta = {beta}"
         )
     rel_target = max(rel_target, 1e-12)
     dim = n - 1
+    top = int(np.argmax(eps))
 
     # Shared ray-parameter quadrature plan, built from boundary probes.
     probe_dirs = _directions(dim, 16 if dim == 2 else 4)[0].reshape(-1, dim)
-    probe_r = _reach(probe_dirs, n, beta, epsilon)
+    probe_r = _reach(probe_dirs, n, beta, eps[top])
     probes = np.vstack((np.ones((1, dim)), 1.0 + probe_r[:, None] * probe_dirs))
     plan = build_z_plan(model, probes)
 
@@ -412,18 +432,19 @@ def region_tail_integral(
     # by dim/2 times as much relative to eps.  That bounds the bisection of
     # beta != 2; the closed-form reach of beta = 2 is far more accurate, so
     # there the term is conservative.
-    level = n ** (1.0 - 1.0 / beta) - epsilon
-    floor = Z_PLAN_RTOL + dim * np.finfo(float).eps * level / epsilon
+    level = n ** (1.0 - 1.0 / beta) - eps
+    floor = Z_PLAN_RTOL + dim * np.finfo(float).eps * level / eps
 
     dir_count, radial_count, max_level = _LADDER[dim]
-    values = None
-    prev, diff, nodes_used = None, math.inf, 0
+    values, prev, diff, nodes_used = None, np.full(eps.shape, np.nan), np.empty(eps.shape), 0
+    open_ = np.ones(eps.shape, dtype=bool)
     for lvl in range(max_level + 1):
         dirs, dir_w = _directions(dim, dir_count * 2**lvl)
         axes = dirs @ shape
         stretch = np.linalg.norm(axes, axis=-1)
         axes /= stretch[..., None]
-        reach = _reach(axes.reshape(-1, dim), n, beta, epsilon).reshape(dir_w.shape)
+        flat = axes.reshape(-1, dim)
+        reach = _reach(flat, n, beta, eps[top]).reshape(dir_w.shape)
         x, w = _fejer2(radial_count * 2**lvl)
         s, s_w = 0.5 * (x + 1.0), 0.5 * w
         pts = 1.0 + (reach[..., None] * s)[..., None] * axes[..., None, :]
@@ -435,33 +456,40 @@ def region_tail_integral(
         grid[fresh] = _region_integrand(model, pts[fresh], integrand, plan)
         nodes_used += int(np.count_nonzero(fresh))
         values = grid
-        radial = (grid * s ** (dim - 1)) @ s_w
-        current = jacobian * float(np.sum(dir_w * (reach / stretch) ** dim * radial))
-        if prev is not None:
-            diff = abs(current - prev)
-            if diff <= rel_target * max(abs(current), 1e-300):
-                return OracleResult(
-                    value=current,
-                    method="region-quadrature",
-                    error_estimate=diff + floor * abs(current),
-                    metadata={
-                        "n": n,
-                        "epsilon": float(epsilon),
-                        "beta": float(beta),
-                        "integrand": integrand,
-                        "refinement_level": lvl,
-                        "nodes": nodes_used,
-                    },
-                )
-        prev = current
+        polar = grid * s ** (dim - 1)
+        for k in np.flatnonzero(open_):
+            if k == top:
+                radial = polar @ s_w
+            else:
+                t = _reach(flat, n, beta, eps[k]).reshape(dir_w.shape) / reach
+                radial = 0.5 * np.sum(polar * _fejer2_partial(x.size + 1, 2.0 * t - 1.0), -1)
+            current = jacobian * float(np.sum(dir_w * (reach / stretch) ** dim * radial))
+            diff[k], prev[k] = abs(current - prev[k]), current
+            open_[k] = not diff[k] <= rel_target * max(abs(current), 1e-300)
+        if not open_.any():
+            scalar = np.ndim(epsilon) == 0
+            error = diff + floor * np.abs(prev)
+            return OracleResult(
+                value=float(prev[0]) if scalar else prev,
+                method="region-quadrature",
+                error_estimate=float(error[0]) if scalar else error,
+                metadata={
+                    "n": n,
+                    "epsilon": float(epsilon) if scalar else tuple(eps.tolist()),
+                    "beta": float(beta),
+                    "integrand": integrand,
+                    "refinement_level": lvl,
+                    "nodes": nodes_used,
+                },
+            )
     raise QuadratureError(
         f"region quadrature missed relative target {rel_target:.1e}; "
-        f"last refinement moved the value by {diff:.3e}"
+        f"last refinement moved the value by {diff[open_][0]:.3e}"
     )
 
 
 def leading_coeff_fit(
-    evaluator: Callable[[float], float],
+    evaluator: Callable[[np.ndarray], np.ndarray],
     n: int,
     eps_grid: np.ndarray,
     expected_exponent: float | None = None,
@@ -470,9 +498,10 @@ def leading_coeff_fit(
 ) -> CoefficientFit:
     """Least-squares power-law fit of a tail evaluator on an epsilon grid.
 
-    Fits log q against log eps.  The residual is the RMS misfit in log
-    space; `conforming` additionally requires the fitted exponent to land
-    near `expected_exponent` (default (n-1)/2, the generic small-epsilon
+    `evaluator` maps the ascending grid to its values in one call.  Fits
+    log q against log eps.  The residual is the RMS misfit in log space;
+    `conforming` additionally requires the fitted exponent to land near
+    `expected_exponent` (default (n-1)/2, the generic small-epsilon
     exponent in the continuous case).
     """
     eps = np.array(sorted(float(e) for e in np.atleast_1d(eps_grid)))
@@ -482,7 +511,7 @@ def leading_coeff_fit(
         raise ValueError("epsilon grid must be positive")
     if np.any(np.diff(eps) == 0.0):
         raise ValueError("epsilon grid must not contain duplicates")
-    values = np.array([float(evaluator(e)) for e in eps])
+    values = np.broadcast_to(np.asarray(evaluator(eps), dtype=float), eps.shape)
     if np.any(values <= 0.0):
         raise ValueError("tail evaluator returned non-positive values; nothing to fit")
     log_e, log_q = np.log(eps), np.log(values)

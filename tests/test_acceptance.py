@@ -165,7 +165,7 @@ def test_criterion_04_asymptotic_convergence_n2():
 def test_criterion_05_power_law_exponent():
     for n in range(2, 7):
         fit = leading_coeff_fit(
-            lambda e: sphere_tail_exact(n, math.sqrt(n) - e).value,
+            lambda grid: [sphere_tail_exact(n, math.sqrt(n) - e).value for e in grid],
             n,
             np.geomspace(1e-5, 1e-4, 7),
         )
@@ -225,7 +225,7 @@ def test_criterion_09_beta_generalization():
     assert 0.01 < tail_window(2, 3.0)
     grid = np.geomspace(0.001, 0.01, 6)
     fit = leading_coeff_fit(
-        lambda e: region_tail_integral(model, 2, float(e), 3.0, "weighted").value,
+        lambda grid: region_tail_integral(model, 2, grid, 3.0, "weighted").value,
         2,
         grid,
     )

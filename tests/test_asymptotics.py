@@ -58,7 +58,7 @@ def test_corrected_constant_matches_sphere_fit():
         h = h_profile(model, RadialProfileQuery(np.ones(n - 1), "weighted"))
         constant = k_constant(n, 2.0, "corrected").value * h
         fit = leading_coeff_fit(
-            lambda e: sphere_tail_exact(n, math.sqrt(n) - e).value,
+            lambda grid: [sphere_tail_exact(n, math.sqrt(n) - e).value for e in grid],
             n,
             np.geomspace(1e-5, 1e-4, 7),
         )

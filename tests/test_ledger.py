@@ -3,6 +3,7 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 import sntail.ledger as ledger
@@ -237,3 +238,46 @@ def test_tail_constant_note_names_a_failed_prediction():
     assert row.status == "untested"
     assert row.note.startswith("prediction quadrature failed: ")
     assert "oracle" not in row.note
+
+
+def test_k_constant_note_gives_the_log_ratio_where_the_ratio_underflows():
+    # the paper K underflows at n = 2000; the note carries log(paper/corrected)
+    # = -(n-1) log 2 - log(2n - 3) / 2 instead of a ratio that reads 0
+    n = 2000
+    report = run_verify(n=n, trials=1000)
+    row = next(e for e in report.entries if e.quantity.startswith("k_constant"))
+    assert row.paper_value == 0.0
+    head, _ = row.note.split(";", 1)
+    label, value = head.split(" = ")
+    assert label == "log(paper/corrected)"
+    expected = -(n - 1) * math.log(2.0) - 0.5 * math.log(2 * n - 3)
+    assert abs(float(value) - expected) <= 1e-9
+    assert expected == pytest.approx(-1389.7478636, abs=1e-7)
+
+
+def test_tail_constant_fit_runs_one_region_ladder(monkeypatch):
+    # the fit reaches the region oracle through ledger.region_tail_integral,
+    # the name the tracer hooks, once for its whole grid
+    calls = []
+    original = ledger.region_tail_integral
+
+    def recording(model, n, epsilon, *args, **kwargs):
+        calls.append(np.atleast_1d(epsilon).size)
+        return original(model, n, epsilon, *args, **kwargs)
+
+    monkeypatch.setattr(ledger, "region_tail_integral", recording)
+    report = run_verify("iid-student-t:nu=5", n=3)
+    row = next(e for e in report.entries if e.quantity.startswith("tail_constant"))
+    assert row.oracle_value is not None
+    assert calls == [7]
+
+
+def test_verify_n4_folded_reads_untested_on_a_missed_grid():
+    # the folded normal's kinked profile runs the n = 4 ladder out of levels
+    report = run_verify("iid-folded-normal", n=4, seed=1)
+    row = next(e for e in report.entries if e.quantity.startswith("tail_constant"))
+    assert row.status == "untested"
+    assert row.note == (
+        "oracle quadrature budget exhausted: region quadrature missed relative "
+        "target 1.0e-06; last refinement moved the value by 3.516e-10"
+    )
