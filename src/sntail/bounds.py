@@ -12,6 +12,7 @@ than asymptotically.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -36,10 +37,8 @@ __all__ = [
 # angles 2*pi*k/128; dim 3 a 7 x 16 polar-cosine by azimuth grid.
 _BALL_GRID = {1: (1, 257), 2: (128, 49), 3: (8, 49)}
 
-# Dense samples per interval in `_line_optimize`, and the sweep cap of
-# `_coordinate_descent_ball`.
-_LINE_SAMPLES = 65
-_MAX_SWEEPS = 40
+# The ball search's last step, relative to the ball radius.
+_MIN_STEP = 1e-13
 
 
 def unit_ball_volume(dim: int) -> float:
@@ -47,61 +46,6 @@ def unit_ball_volume(dim: int) -> float:
     if dim < 1:
         raise ValueError(f"dimension must be >= 1, got {dim}")
     return math.pi ** (0.5 * dim) / math.gamma(0.5 * dim + 1.0)
-
-
-def _line_optimize(
-    fn_many, segments: list[tuple[float, float]], minimize: bool
-) -> tuple[float, float, int]:
-    """Dense sampling plus golden-section polish on each interval.
-
-    `fn_many` maps a 1-D array of t to their values.  Each interval's
-    `_LINE_SAMPLES` dense points go to it in one call; the golden-section steps
-    and the final candidates go one point at a time.  Returns the best
-    (t, value) and the number of points evaluated.
-    """
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-    best_t, best_val = math.nan, math.inf if minimize else -math.inf
-    calls = 0
-
-    def counted(t: float) -> float:
-        nonlocal calls
-        calls += 1
-        return float(fn_many(np.array([t]))[0])
-
-    for lo, hi in segments:
-        if not hi > lo:
-            continue
-        ts = np.linspace(lo, hi, _LINE_SAMPLES)
-        vals = fn_many(ts)
-        calls += _LINE_SAMPLES
-        idx = int(np.nanargmin(vals) if minimize else np.nanargmax(vals))
-        a = ts[max(idx - 1, 0)]
-        b = ts[min(idx + 1, _LINE_SAMPLES - 1)]
-        c, d = b - phi * (b - a), a + phi * (b - a)
-        fc, fd = counted(c), counted(d)
-        for _ in range(60):
-            take_left = (fc < fd) if minimize else (fc > fd)
-            if take_left:
-                b, d, fd = d, c, fc
-                c = b - phi * (b - a)
-                fc = counted(c)
-            else:
-                a, c, fc = c, d, fd
-                d = a + phi * (b - a)
-                fd = counted(d)
-        t_star = 0.5 * (a + b)
-        candidates = [
-            (t_star, counted(t_star)),
-            (ts[idx], vals[idx]),
-            (lo, counted(lo)),
-            (hi, counted(hi)),
-        ]
-        for t, val in candidates:
-            if np.isnan(val):
-                continue
-            if (minimize and val < best_val) or (not minimize and val > best_val):
-                best_t, best_val = t, val
-    return best_t, best_val, calls
 
 
 def curvature_functionals(n: int, beta: float = 2.0) -> tuple[float, float]:
@@ -149,7 +93,8 @@ def curvature_functionals(n: int, beta: float = 2.0) -> tuple[float, float]:
 class BoundsCertificate:
     """Explicit finite-epsilon tail envelope.
 
-    `evaluations` counts the objective evaluations of the ball search.
+    `evaluations` counts the points that the ball grids and the ball search
+    passed to the objective.
     """
 
     n: int
@@ -191,6 +136,42 @@ def _ball_grid(dim: int, radius: float) -> np.ndarray:
     return pts.reshape(-1, dim)
 
 
+def _ball_search(
+    fn_many, start: np.ndarray, radius: float, minimize: bool
+) -> tuple[np.ndarray, float, int]:
+    """Batched pattern search over the closed ball of given radius about 1.
+
+    `fn_many` maps points stacked in rows to their values.  Each step takes
+    the 3**dim - 1 moves step * s, s in {-1, 0, 1}**dim except 0, each
+    projected radially onto the ball so that the search slides along its
+    sphere, in one `fn_many` call.  It moves to the best strictly better
+    candidate, else halves the step, from the ball grid's radial spacing
+    down to `_MIN_STEP` * radius (a compass search: Torczon, SIAM J. Optim.
+    7, 1997).  Returns the point, its value and the number of points
+    evaluated.
+    """
+    dim = start.size
+    sign = -1.0 if minimize else 1.0
+    moves = np.array(list(itertools.product((-1.0, 0.0, 1.0), repeat=dim)))
+    moves = moves[np.any(moves != 0.0, axis=1)]
+    v = np.asarray(start, dtype=float)
+    best = sign * float(fn_many(v[None, :])[0])
+    evals = 1
+    step = radius / (_BALL_GRID[dim][1] - 1)
+    while step > _MIN_STEP * radius:
+        d = v - 1.0 + step * moves
+        norms = np.linalg.norm(d, axis=1, keepdims=True)
+        candidates = 1.0 + d * (radius / np.maximum(norms, radius))
+        vals = sign * fn_many(candidates)
+        evals += moves.shape[0]
+        idx = int(np.argmax(vals))
+        if vals[idx] > best:
+            v, best = candidates[idx], float(vals[idx])
+        else:
+            step *= 0.5
+    return v, sign * best, evals
+
+
 def envelope_bounds(model: DensityModel, n: int, epsilon: float) -> BoundsCertificate:
     """Upper and lower tail bounds from profile extrema over curvature balls.
 
@@ -228,15 +209,9 @@ def envelope_bounds(model: DensityModel, n: int, epsilon: float) -> BoundsCertif
     def ball_extremum(radius: float, minimize: bool) -> tuple[np.ndarray, float, int]:
         grid = _ball_grid(dim, radius)
         vals = objective_many(grid)
-        idx = int(np.argmin(vals) if minimize else np.argmax(vals))
-        used = grid.shape[0]
-        point, val, evals = _coordinate_descent_ball(
-            objective_many, grid[idx], radius, minimize
-        )
-        used += evals
-        if (minimize and vals[idx] < val) or (not minimize and vals[idx] > val):
-            point, val = grid[idx], float(vals[idx])
-        return point, float(val), used
+        start = grid[int(np.argmin(vals) if minimize else np.argmax(vals))]
+        point, val, evals = _ball_search(objective_many, start, radius, minimize)
+        return point, val, grid.shape[0] + evals
 
     h_max_point, h_max, used_max = ball_extremum(r_big, minimize=False)
     h_min_point, h_min, used_min = ball_extremum(r_small, minimize=True)
@@ -258,47 +233,6 @@ def envelope_bounds(model: DensityModel, n: int, epsilon: float) -> BoundsCertif
         h_max_point=np.asarray(h_max_point),
         h_min_point=np.asarray(h_min_point),
     )
-
-
-def _coordinate_descent_ball(
-    fn_many, start: np.ndarray, radius: float, minimize: bool
-) -> tuple[np.ndarray, float, int]:
-    """Coordinate descent constrained to the closed ball of given radius.
-
-    `fn_many` maps points stacked in rows to their values.  Each axis is
-    searched by `_line_optimize` on the chord of the ball through the
-    current point, its dense samples stacked into one `fn_many` call.
-    Sweeps stop once one settles to 1e-12 relative.  Returns the point,
-    its value and the number of points evaluated.
-    """
-    v = start.astype(float).copy()
-    current = float(fn_many(v[None, :])[0])
-    evals = 1
-    for _ in range(_MAX_SWEEPS):
-        previous = current
-        for axis in range(v.size):
-            other = np.delete(v, axis) - 1.0
-            r2_other = float(np.dot(other, other))
-            if r2_other > radius * radius:
-                continue
-            half = math.sqrt(radius * radius - r2_other)
-
-            def line(ts: np.ndarray) -> np.ndarray:
-                w = np.repeat(v[None, :], ts.size, axis=0)
-                w[:, axis] = ts
-                return fn_many(w)
-
-            t_best, val_best, calls = _line_optimize(
-                line, [(1.0 - half, 1.0 + half)], minimize
-            )
-            evals += calls
-            better = (val_best < current) if minimize else (val_best > current)
-            if not math.isnan(t_best) and better:
-                v[axis] = t_best
-                current = val_best
-        if abs(previous - current) <= 1e-12 * max(1.0, abs(current)):
-            break
-    return v, current, evals
 
 
 @dataclass(frozen=True)

@@ -5,17 +5,18 @@ import math
 import numpy as np
 import pytest
 
+import sntail.bounds as bounds
 import sntail.oracles as oracles
 from sntail.analytic_core import AntiHessianSpec, g_many, structured_anti_hessian
 from sntail.bounds import (
     _ball_grid,
-    _line_optimize,
+    _ball_search,
     curvature_functionals,
     envelope_bounds,
     unit_ball_volume,
     validate_sandwich,
 )
-from sntail.density import DensityModel, RadialProfileQuery, h_profile
+from sntail.density import DensityModel, RadialProfileQuery, h_profile, profile_batch
 
 
 def test_curvature_positive_and_ordered():
@@ -167,19 +168,84 @@ def test_extremizer_points_are_recorded():
     assert np.linalg.norm(cert.h_max_point - 1.0) <= r_big * (1.0 + 1e-9)
 
 
-def test_line_search_reports_its_calls():
-    calls, batches = [], []
+@pytest.mark.parametrize("dim", [2, 3])
+def test_ball_search_slides_along_the_sphere(dim):
+    # a linear objective peaks on the sphere at 1 + R*a; from 1 + R*e_1 a
+    # search that moves one coordinate at a time can only go inward
+    radius = 0.1
+    a = np.arange(1.0, dim + 1.0)
+    a /= np.linalg.norm(a)
+    start = np.ones(dim)
+    start[0] += radius
+    point, val, evals = _ball_search(lambda vs: (vs - 1.0) @ a, start, radius, False)
+    assert val == pytest.approx(radius, rel=1e-12)
+    assert np.linalg.norm(point - 1.0) <= radius * (1.0 + 1e-12)
+    assert evals > 1
 
-    def fn_many(ts: np.ndarray) -> np.ndarray:
-        calls.extend(ts)
-        batches.append(ts.size)
-        return (ts - 0.3) ** 2
 
-    t, val, reported = _line_optimize(fn_many, [(-1.0, 0.0), (0.2, 1.0), (2.0, 2.0)], True)
-    assert reported == len(calls) > 0
-    assert t == pytest.approx(0.3, abs=1e-8) and val <= 1e-16
-    # each non-empty segment takes its dense samples in one call
-    assert [size for size in batches if size > 1] == [65, 65]
+def test_evaluations_count_the_points_profiled(monkeypatch):
+    points = []
+
+    def counted(model, vs, variant, plan):
+        points.append(np.atleast_2d(vs).shape[0])
+        return profile_batch(model, vs, variant, plan)
+
+    monkeypatch.setattr(bounds, "profile_batch", counted)
+    cert = envelope_bounds(DensityModel.iid_student_t(3, 5.0), 3, 0.01)
+    assert cert.evaluations == sum(points)
+
+
+_UNEQUAL = {
+    2: "1 0.2 0.2 2",
+    3: "1 0.2 0 0.2 2 0.1 0 0.1 0.5",
+    4: "1 0.2 0 0.1 0.2 2 0.1 0 0 0.1 0.5 0.2 0.1 0 0.2 1.5",
+}
+
+
+def _ball_sample(rng, dim: int, radius: float, count: int) -> np.ndarray:
+    """`count` points of the closed ball about 1, the first half on its sphere."""
+    u = rng.standard_normal((count, dim))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    r = np.ones((count, 1))
+    r[count // 2:, 0] = rng.uniform(size=count - count // 2) ** (1.0 / dim)
+    return 1.0 + radius * r * u
+
+
+@pytest.mark.parametrize(
+    "kind, n",
+    [("unequal", 2), ("unequal", 3), ("unequal", 4),
+     ("folded", 2), ("folded", 3), ("folded", 4)],
+)
+def test_certificate_dominates_its_balls(monkeypatch, kind, n):
+    # H and G must bound the objective over their whole balls, on the very
+    # z-plan the search used; these models are not exchangeable or are kinked,
+    # so their extrema lie off the grid's rays
+    if kind == "unequal":
+        cov = np.array(_UNEQUAL[n].split(), dtype=float).reshape(n, n)
+        model = DensityModel.gaussian(np.zeros(n), cov)
+    else:
+        model = DensityModel.iid_folded_normal(n)
+    plans = []
+
+    def capture(model, vs, variant, plan):
+        plans.append(plan)
+        return profile_batch(model, vs, variant, plan)
+
+    monkeypatch.setattr(bounds, "profile_batch", capture)
+    cert = envelope_bounds(model, n, 0.01)
+    plan = plans[0]
+    assert all(p is plan for p in plans)
+
+    def objective(vs):
+        return profile_batch(model, vs, "paper", plan) * np.prod(np.abs(vs), axis=-1)
+
+    rng = np.random.default_rng(20261019 + n)
+    r_big = math.sqrt(cert.epsilon / cert.lam)
+    r_small = math.sqrt(cert.epsilon / cert.mu)
+    assert np.linalg.norm(cert.h_max_point - 1.0) <= r_big * (1.0 + 1e-12)
+    assert np.linalg.norm(cert.h_min_point - 1.0) <= r_small * (1.0 + 1e-12)
+    assert cert.H >= objective(_ball_sample(rng, n - 1, r_big, 20_000)).max() * (1.0 - 1e-13)
+    assert cert.G <= objective(_ball_sample(rng, n - 1, r_small, 20_000)).min() * (1.0 + 1e-13)
 
 
 def test_envelope_bounds_on_a_support_edge():
