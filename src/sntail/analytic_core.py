@@ -25,6 +25,7 @@ __all__ = [
     "anti_hessian_entries_fd",
     "det_anti_hessian",
     "det_anti_hessian_published",
+    "exp_or_inf",
     "log_det_anti_hessian",
     "log_det_anti_hessian_factorized",
     "log_det_anti_hessian_published",
@@ -156,6 +157,14 @@ def log_det_anti_hessian_factorized(spec: AntiHessianSpec) -> tuple[float, float
     above order DET_FACTOR_LIMIT."""
     sign, log_abs = np.linalg.slogdet(structured_anti_hessian(spec).materialize())
     return float(sign), float(log_abs)
+
+
+def exp_or_inf(log_value: float) -> float:
+    """exp(log_value), or inf where it overflows a double instead of raising."""
+    try:
+        return math.exp(log_value)
+    except OverflowError:
+        return math.inf
 
 
 def det_anti_hessian(spec: AntiHessianSpec) -> float:

@@ -16,7 +16,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analytic_core import AntiHessianSpec, log_det_anti_hessian, log_det_anti_hessian_published
+from .analytic_core import (
+    AntiHessianSpec,
+    exp_or_inf,
+    log_det_anti_hessian,
+    log_det_anti_hessian_published,
+)
 from .density import DensityModel, RadialProfileQuery, h_profile, weighted_profile_mirror
 from .oracles import tail_window
 
@@ -136,13 +141,15 @@ def k_constant(n: int, beta: float = 2.0, variant: str = "corrected") -> KConsta
 
     The corrected prefactor is the volume of {u : (Au, u) < 2*eps} divided
     by eps**((n-1)/2); the published one uses the ellipsoid without the
-    factor 2 from the second-order Taylor expansion.
+    factor 2 from the second-order Taylor expansion.  A value that
+    overflows a double (the corrected K at beta = 1.5 from n = 697) reads
+    inf; `log_value` stays finite.
     """
     log_k, log_det = _log_k(n, beta, variant)
     return KConstant(
-        value=math.exp(log_k),
+        value=exp_or_inf(log_k),
         log_value=log_k,
-        determinant=math.exp(log_det),
+        determinant=exp_or_inf(log_det),
         n=n,
         beta=beta,
         variant=variant,

@@ -33,12 +33,16 @@ __all__ = [
 ]
 
 # Per ball dimension: the count passed to the sphere rule `_directions` and
-# the number of radii.  Dim 1 has the two directions +-1; dim 2 the 128
-# angles 2*pi*k/128; dim 3 a 7 x 16 polar-cosine by azimuth grid.
-_BALL_GRID = {1: (1, 257), 2: (128, 49), 3: (8, 49)}
+# the number of radii.  Dim 1 has the two directions +-1; dim 2 the 32
+# angles 2*pi*k/32; dim 3 a 3 x 8 polar-cosine by azimuth grid.  The grid
+# only seeds `_ball_search`, which polishes its best point down to
+# `_MIN_STEP`, so it needs to land in the extremum's basin, not on it.
+_BALL_GRID = {1: (1, 65), 2: (32, 13), 3: (4, 13)}
 
 # The ball search's last step, relative to the ball radius.
 _MIN_STEP = 1e-13
+# The scales at which each ball search step polls every move, in one call.
+_POLL_SCALES = 2.0 ** -np.arange(4.0)
 
 
 def unit_ball_volume(dim: int) -> float:
@@ -125,15 +129,18 @@ class BoundsCertificate:
 
 
 def _ball_grid(dim: int, radius: float) -> np.ndarray:
-    """Deterministic search grid for the closed ball around the all-ones point."""
+    """Seed grid for the closed ball about the all-ones point, each point once."""
     count, radial = _BALL_GRID[dim]
-    # Exchangeable models take their ball extrema on the diagonal, which the
-    # dim-3 rule misses by about 10 degrees (the dim-1 and dim-2 rules hold it).
-    diagonal = np.full((1, dim), 1.0 / math.sqrt(dim))
-    dirs = np.vstack((_directions(dim, count)[0].reshape(-1, dim), diagonal, -diagonal))
-    radii = np.linspace(0.0, radius, radial)
+    dirs = _directions(dim, count)[0].reshape(-1, dim)
+    if dim == 3:
+        # Exchangeable models take their ball extrema on the diagonal, which
+        # the dim-3 rule misses by about 10 degrees.  The dim-1 rule is the
+        # diagonal, and the dim-2 rule holds it (32 angles, a multiple of 8).
+        diagonal = np.full((1, dim), 1.0 / math.sqrt(dim))
+        dirs = np.vstack((dirs, diagonal, -diagonal))
+    radii = np.linspace(0.0, radius, radial)[1:]
     pts = 1.0 + radii[None, :, None] * dirs[:, None, :]
-    return pts.reshape(-1, dim)
+    return np.vstack((np.ones((1, dim)), pts.reshape(-1, dim)))
 
 
 def _ball_search(
@@ -141,34 +148,39 @@ def _ball_search(
 ) -> tuple[np.ndarray, float, int]:
     """Batched pattern search over the closed ball of given radius about 1.
 
-    `fn_many` maps points stacked in rows to their values.  Each step takes
-    the 3**dim - 1 moves step * s, s in {-1, 0, 1}**dim except 0, each
-    projected radially onto the ball so that the search slides along its
-    sphere, in one `fn_many` call.  It moves to the best strictly better
-    candidate, else halves the step, from the ball grid's radial spacing
-    down to `_MIN_STEP` * radius (a compass search: Torczon, SIAM J. Optim.
-    7, 1997).  Returns the point, its value and the number of points
-    evaluated.
+    `fn_many` maps points stacked in rows to their values.  Each step polls
+    the 3**dim - 1 moves step * k * s, s in {-1, 0, 1}**dim except 0, at the
+    four scales k in {1, 1/2, 1/4, 1/8}, each projected radially onto the
+    ball so that the search slides along its sphere, in one `fn_many` call
+    (32 points in dim 2, 104 in dim 3).  It moves to the best strictly
+    better candidate and takes the scale that won as its next step; if none
+    is better it divides the step by 16, so successive polls cover every
+    halving of the step.  The step starts at the seed grid's radial spacing
+    and stops once it reaches `_MIN_STEP` * radius (a compass search:
+    Torczon, SIAM J. Optim. 7, 1997).  Returns the point, its value and the
+    number of points evaluated.
     """
     dim = start.size
     sign = -1.0 if minimize else 1.0
     moves = np.array(list(itertools.product((-1.0, 0.0, 1.0), repeat=dim)))
     moves = moves[np.any(moves != 0.0, axis=1)]
+    poll = (_POLL_SCALES[:, None, None] * moves).reshape(-1, dim)
     v = np.asarray(start, dtype=float)
     best = sign * float(fn_many(v[None, :])[0])
     evals = 1
     step = radius / (_BALL_GRID[dim][1] - 1)
     while step > _MIN_STEP * radius:
-        d = v - 1.0 + step * moves
+        d = v - 1.0 + step * poll
         norms = np.linalg.norm(d, axis=1, keepdims=True)
         candidates = 1.0 + d * (radius / np.maximum(norms, radius))
         vals = sign * fn_many(candidates)
-        evals += moves.shape[0]
+        evals += poll.shape[0]
         idx = int(np.argmax(vals))
         if vals[idx] > best:
             v, best = candidates[idx], float(vals[idx])
+            step *= _POLL_SCALES[idx // moves.shape[0]]
         else:
-            step *= 0.5
+            step /= 16.0
     return v, sign * best, evals
 
 

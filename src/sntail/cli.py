@@ -38,9 +38,10 @@ from .asymptotics import (
 from .analytic_core import (
     DET_FACTOR_LIMIT,
     AntiHessianSpec,
-    det_anti_hessian,
-    det_anti_hessian_published,
+    exp_or_inf,
+    log_det_anti_hessian,
     log_det_anti_hessian_factorized,
+    log_det_anti_hessian_published,
 )
 from .bounds import envelope_bounds, curvature_functionals
 from .density import DensityModel, QuadratureError, parse_model
@@ -428,29 +429,30 @@ def _require_continuous(config: ExperimentConfig) -> DensityModel:
 
 
 def _run_constants(config: ExperimentConfig):
+    """Each row's value and its log; a value that is not a finite double
+    (the corrected K at beta = 1.5 from n = 697) reads null."""
     spec = AntiHessianSpec(config.n, config.beta)
-    det_pub = det_anti_hessian_published(spec)
-    det_corr = det_anti_hessian(spec)
-    rows = [
-        {"quantity": "det_anti_hessian", "variant": "paper",
-         "n": config.n, "beta": config.beta, "value": det_pub},
-        {"quantity": "det_anti_hessian", "variant": "corrected",
-         "n": config.n, "beta": config.beta, "value": det_corr},
+    logs = [
+        ("det_anti_hessian", "paper", 1.0, log_det_anti_hessian_published(spec)),
+        ("det_anti_hessian", "corrected", 1.0, log_det_anti_hessian(spec)),
     ]
     if config.n - 1 <= DET_FACTOR_LIMIT:
-        sign, log_abs = log_det_anti_hessian_factorized(spec)
-        rows.append(
-            {"quantity": "det_anti_hessian", "variant": "numeric",
-             "n": config.n, "beta": config.beta,
-             "value": sign * math.exp(log_abs)}
+        logs.append(
+            ("det_anti_hessian", "numeric", *log_det_anti_hessian_factorized(spec))
         )
     for variant in VARIANTS:
-        rows.append(
-            {"quantity": "k_constant", "variant": variant,
-             "n": config.n, "beta": config.beta,
-             "value": k_constant(config.n, config.beta, variant).value}
+        logs.append(
+            ("k_constant", variant, 1.0, k_constant(config.n, config.beta, variant).log_value)
         )
-    return rows, ("quantity", "variant", "n", "beta", "value"), 0
+    rows = []
+    for quantity, variant, sign, log_value in logs:
+        value = sign * exp_or_inf(log_value)
+        rows.append(
+            {"quantity": quantity, "variant": variant, "n": config.n,
+             "beta": config.beta, "value": value if math.isfinite(value) else None,
+             "log_value": log_value}
+        )
+    return rows, ("quantity", "variant", "n", "beta", "value", "log_value"), 0
 
 
 def _run_predict(config: ExperimentConfig):

@@ -132,6 +132,15 @@ def test_ball_grid_stays_in_its_ball(dim):
         assert np.any(np.all(np.abs(grid - target) <= 1e-15, axis=1))
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_ball_grid_lists_each_point_once(dim):
+    grid = _ball_grid(dim, 0.1)
+    # rounding to 1e-14 merges points that differ only by the sphere rule's
+    # rounding, such as a dim-2 angle on the diagonal and the diagonal itself
+    assert np.unique(np.round(grid, 14), axis=0).shape[0] == grid.shape[0]
+    assert np.sum(np.all(grid == 1.0, axis=1)) == 1
+
+
 def test_sandwich_single_case():
     report = validate_sandwich(DensityModel.iid_normal(3), 3, 0.02)
     assert report.holds
@@ -193,6 +202,9 @@ def test_evaluations_count_the_points_profiled(monkeypatch):
     monkeypatch.setattr(bounds, "profile_batch", counted)
     cert = envelope_bounds(DensityModel.iid_student_t(3, 5.0), 3, 0.01)
     assert cert.evaluations == sum(points)
+    # the grid only seeds the search: 13,374 points were profiled when a
+    # dense grid carried the accuracy
+    assert cert.evaluations <= 2_000
 
 
 _UNEQUAL = {
@@ -211,20 +223,29 @@ def _ball_sample(rng, dim: int, radius: float, count: int) -> np.ndarray:
     return 1.0 + radius * r * u
 
 
+def _model(kind: str, n: int) -> DensityModel:
+    if kind == "unequal":
+        cov = np.array(_UNEQUAL[n].split(), dtype=float).reshape(n, n)
+        return DensityModel.gaussian(np.zeros(n), cov)
+    if kind == "equicorrelated":
+        return DensityModel.gaussian(np.zeros(n), np.full((n, n), 0.3) + 0.7 * np.eye(n))
+    if kind == "student":
+        return DensityModel.iid_student_t(n, 5.0)
+    if kind == "folded":
+        return DensityModel.iid_folded_normal(n)
+    return DensityModel.iid_normal(n)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
 @pytest.mark.parametrize(
-    "kind, n",
-    [("unequal", 2), ("unequal", 3), ("unequal", 4),
-     ("folded", 2), ("folded", 3), ("folded", 4)],
+    "kind", ["unequal", "folded", "student", "equicorrelated", "normal"]
 )
 def test_certificate_dominates_its_balls(monkeypatch, kind, n):
     # H and G must bound the objective over their whole balls, on the very
-    # z-plan the search used; these models are not exchangeable or are kinked,
-    # so their extrema lie off the grid's rays
-    if kind == "unequal":
-        cov = np.array(_UNEQUAL[n].split(), dtype=float).reshape(n, n)
-        model = DensityModel.gaussian(np.zeros(n), cov)
-    else:
-        model = DensityModel.iid_folded_normal(n)
+    # z-plan the search used.  The unequal gaussian and the kinked folded
+    # normal take their extrema off the grid's rays; the exchangeable models
+    # take theirs on the diagonal, which the seed grid must still reach.
+    model = _model(kind, n)
     plans = []
 
     def capture(model, vs, variant, plan):

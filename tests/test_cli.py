@@ -407,6 +407,17 @@ def test_constants_numeric_row_past_order_64(capsys):
     assert "numeric" not in {r["variant"] for r in records}
 
 
+def test_constants_give_a_log_where_the_value_overflows(capsys):
+    # the corrected K overflows a double at beta = 1.5 from n = 697
+    assert main(["constants", "--n", "1000", "--beta", "1.5", "--format", "json"]) == 0
+    rows = {(r["quantity"], r["variant"]): r
+            for r in json.loads(capsys.readouterr().out)["records"]}
+    corrected = rows[("k_constant", "corrected")]
+    assert corrected["value"] is None
+    assert math.isfinite(corrected["log_value"]) and corrected["log_value"] > 709.0
+    assert 0.0 < rows[("k_constant", "paper")]["value"] < math.inf
+
+
 _SCIPY_PROBE = """
 import contextlib, io, json, sys
 
