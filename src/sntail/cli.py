@@ -353,11 +353,15 @@ def parse_config(argv: list[str] | None = None) -> ExperimentConfig:
 
 
 def _fmt_value(value: object) -> object:
-    """12 significant digits for floats; everything else verbatim."""
+    """12 significant digits for floats, null for an infinite one (JSON has
+    no infinity; the record carries its log where it has one); everything
+    else verbatim."""
     if isinstance(value, bool) or not isinstance(value, float):
         return value
     if math.isnan(value):
         return "nan"
+    if math.isinf(value):
+        return None
     return float(f"{value:.12g}")
 
 

@@ -234,12 +234,17 @@ def run_verify(
 
     # K constant: paper vs corrected differ by construction; adjudication
     # happens through the tail-constant fit below.  Where the ratio is not
-    # normal (n >= 1018 at beta = 2) the note logs it, to 15 digits.
+    # normal (n >= 1018 at beta = 2) the note logs it, to 15 digits, and
+    # where a K overflows (corrected, beta = 1.5, n >= 697) the note logs
+    # that K, whose value prints as null.
     k_paper, k_corr = k_constant(n, beta, "paper"), k_constant(n, beta, "corrected")
     ratio = k_paper.value / k_corr.value if k_corr.value else 0.0
     ratio_text = f"paper/corrected = {ratio:.12g}"
     if not np.finfo(float).tiny <= ratio < math.inf:
         ratio_text = f"log(paper/corrected) = {k_paper.log_value - k_corr.log_value:.15g}"
+    for k in (k_paper, k_corr):
+        if math.isinf(k.value):
+            ratio_text += f"; log({k.variant}) = {k.log_value:.15g}"
     entries.append(
         LedgerEntry(
             quantity=f"k_constant(n={n}, beta={beta:g})",

@@ -12,8 +12,8 @@ rows of its transpose with length-m buffers updated in place, not by
 `cumsum` along axis 1, which pays per-row overhead at small n and
 allocates (m, n) temporaries at every n.  The walk adds in `cumsum`'s
 order, so the statistics are the same bits.  Whole-row sums stay
-`np.sum(..., axis=1)`, which is pairwise: from n = 8 a running sum
-differs from it in the last bit.
+`np.sum(..., axis=1)`: pairwise on a row-major chunk (from n = 8 a
+running sum differs from it in the last bit), running on a column-major one.
 
 Inside the tail window most rows of a chunk cannot reach the threshold.
 Hoelder's inequality on the positive part of a row with j coordinates
@@ -27,29 +27,30 @@ sign first: the signs of all its coordinates come first, the rows with
 at least J negative signs are dropped, and only the kept rows get
 magnitudes, x = +-F^-1(1/2 + w/2) with w uniform on [0, 1).  A dropped
 row cannot hit, so the hits are still exactly Bin(trials, p), and the
-inverse CDF and the statistic run on the kept rows alone.  This runs
-only where it keeps at most half the rows in expectation,
-P(Bin(n, 1/2) < J) <= 1/2 (`_row_cut`): at n = 9 it was 29% faster than
-the full draws at a kept fraction of 0.746, but 5% to 10% slower at 0.91
-and 0.98, where counting and compacting the signs cost more than the
-dropped rows save.
+inverse CDF and the statistic run on the kept rows alone, where that
+keeps at most 3/4 of the rows in expectation (`_row_cut`).  Against the
+full draws (`sum`, 1 worker, medians of 10 alternating pairs) it took at
+n = 9, 2e6 trials, kept 0.746, 0.910 and 0.980: 0.77 vs 1.21, 1.00 vs
+1.13, 1.14 vs 1.16 s (faster in 10, 9, 10 pairs); at n = 64, 3e5 trials,
+kept 0.734 and 0.970: 0.63 vs 0.74, 0.81 vs 0.72 s (10 and 1 pairs).
 
 A chunk's range of words has one of two layouts:
 
 - stream 1, uniforms (every other run): chunk c reads words from
   c * CHUNK_TRIALS * n on, one per coordinate in row-major order, as the
   double (word >> 11) * 2^-53 (`Generator.random`).
-- stream 2, sign first: chunk c owns the 2 * CHUNK_TRIALS * n words from
-  c * 2 * CHUNK_TRIALS * n on.  The first CHUNK_TRIALS * n / 64 of them
-  are sign bits: coordinate j of row i is negative when bit k of word q
-  is set, where 64 q + k = i n + j, read little-endian on every host.
-  The words after them are the magnitudes of the kept rows, one per
-  coordinate in chunk order, each u = 1/2 + (word >> 12) * 2^-53: w on a
-  52-bit grid, so u is exact on the doubles of [1/2, 1).  A chunk reads
+- stream 3, sign first: chunk c owns the 2 * CHUNK_TRIALS * n words from
+  c * 2 * CHUNK_TRIALS * n on.  The first n * CHUNK_TRIALS / 64 of them
+  are n sign planes: coordinate j of row 64 q + k is negative when bit k
+  of word q of plane j is set, read little-endian on every host (a short
+  last chunk of m rows ignores rows m and up).  The k kept rows'
+  magnitudes follow plane by plane, coordinate j of kept row r in word
+  n * CHUNK_TRIALS / 64 + j k + r, as u = 1/2 + (word >> 12) * 2^-53: w on
+  a 52-bit grid, so u is exact on the doubles of [1/2, 1).  A chunk reads
   at most CHUNK_TRIALS * n * (1 + 1/64) words, so no two chunks share one.
 
-`spec_hash` records the stream only for stream 2, so a stream 1 run keeps
-the digest it always had.
+`spec_hash` records the stream only for stream 3, so a stream 1 run keeps
+the digest it always had.  (Stream 2 held the signs row-major.)
 """
 
 from __future__ import annotations
@@ -99,7 +100,7 @@ _TINY = np.finfo(float).tiny
 # statistic may round a few ulps above its exact bound.
 _HOLDER_SLACK = 1e-9
 # The sign-first stream's version, recorded by `spec_hash`.
-_SIGN_FIRST_STREAM = 2
+_SIGN_FIRST_STREAM = 3
 # The bits of the double 1/2: OR-ed with a 52-bit integer w they give
 # 1/2 + w * 2^-53, exactly.
 _HALF_BITS = np.uint64(0x3FE0000000000000)
@@ -242,12 +243,14 @@ def _as_stat(spec: StatisticSpec | str | None) -> StatisticSpec:
 
 def _columns(x: np.ndarray) -> np.ndarray:
     """`x.T` as a C-contiguous (n, m) array, so each walk step reads one
-    contiguous row.
+    contiguous row: a view of a column-major (sign-first) chunk.
 
-    Copied in blocks of rows that stay in cache: one strided copy of a wide
-    chunk scatters every source row over n far-apart rows, and at n = 64 is
-    3x slower than the blocked copy.
+    Others are copied in blocks of rows that stay in cache: one strided
+    copy of a wide chunk scatters every source row over n far-apart rows,
+    and at n = 64 is 3x slower than the blocked copy.
     """
+    if x.T.flags.c_contiguous:
+        return x.T
     cols = np.empty(x.shape[::-1])
     for start in range(0, x.shape[0], _TRANSPOSE_ROWS):
         stop = start + _TRANSPOSE_ROWS
@@ -390,8 +393,8 @@ def statistic_batch(x: np.ndarray, spec: StatisticSpec | str | None = None) -> n
     an all-zero prefix contributes -inf, and a nonzero prefix whose squares
     underflow is multiplied by 2^600 first, so
     [1e-170, 1e-170, 1] reads sqrt(2), from k = 2.  `max-over-Zn` divides by
-    `sqrt(np.sum(x*x, axis=1))` and `sum` keeps its row reductions: both
-    are pairwise sums, which a running sum matches only below n = 8.
+    `sqrt(np.sum(x*x, axis=1))` and `sum` keeps its row reductions, whose
+    order follows the layout of `x` (see the module docstring).
     """
     stat = _as_stat(spec)
     return _statistics(x, stat.beta, (stat.variant,))[0]
@@ -408,10 +411,9 @@ def spec_hash(sampler: SamplerSpec, stat: StatisticSpec, threshold: float) -> st
     Recorded on every MCEstimate so a run can be replayed bit-for-bit from
     its serialized form.  User-supplied density callables are not
     serializable; they hash by kind and dimension only.  A run drawn from
-    the sign-first stream (see the module docstring), which `_row_cut`
-    picks from these same arguments, also records
-    `stream = _SIGN_FIRST_STREAM`; a run on the uniform stream hashes as it
-    always did.
+    stream 3, sign first (see the module docstring), which `_row_cut` picks
+    from these same arguments, also records `stream = 3`; a run on the
+    uniform stream 1 hashes as it always did.
     """
     model = sampler.model
     if isinstance(model, str):
@@ -450,31 +452,42 @@ def _chunk_uniforms(
     word per double, so trial i of the run is doubles [i * n, (i + 1) * n)
     at any chunking; the signs are None.
 
-    With a `cut`, stream 2 (see the module docstring): the chunk's sign
-    bits, the rows with fewer than `cut` of them set, and for those (k, n)
-    rows the uniforms u in [1/2, 1) of their magnitudes and a boolean
-    array, True where the coordinate is negative.
+    With a `cut`, stream 3 (see the module docstring): for the k rows with
+    fewer than `cut` sign bits set, the column-major (k, n) uniforms u in
+    [1/2, 1) of their magnitudes and signs, True where negative; at cut 1,
+    k is m less the popcount of the planes' OR, and the signs are None.
     """
     bitgen = np.random.Philox(key=seed)
     if cut is None:
         bitgen.advance(chunk_index * CHUNK_TRIALS * n // 4)
         return np.random.Generator(bitgen).random((m, n)), None
     bitgen.advance(chunk_index * 2 * CHUNK_TRIALS * n // 4)
-    signs = _unpack_signs(bitgen.random_raw(CHUNK_TRIALS * n // 64), m, n)
-    # np.compress, not signs[mask]: 4x faster on a 65536-row chunk at n = 3
-    signs = np.compress(_row_counts(signs) < cut, signs, axis=0)
-    words = bitgen.random_raw(signs.size)
+    planes = bitgen.random_raw(n * CHUNK_TRIALS // 64).reshape(n, -1)
+    if cut == 1:
+        negative, k = None, m - _rows_with_a_sign(planes, m)
+    else:
+        negative = _kept_signs(planes, m, cut).T
+        k = len(negative)
+    words = bitgen.random_raw(n * k).reshape(n, k)
     words >>= np.uint64(12)
     words |= _HALF_BITS
-    return words.view(np.float64).reshape(signs.shape), signs
+    return words.view(np.float64).T, negative
 
 
-def _unpack_signs(words: np.ndarray, m: int, n: int) -> np.ndarray:
-    """The first m * n bits of `words` as an (m, n) boolean array, bit k of
-    word q at flat position 64 q + k, whatever the host's byte order."""
-    octets = words.astype("<u8", copy=False).view(np.uint8)
-    bits = np.unpackbits(octets, count=m * n, bitorder="little")
-    return bits.view(bool).reshape(m, n)
+def _rows_with_a_sign(planes: np.ndarray, m: int) -> int:
+    """How many of the first m rows have a bit set in some plane."""
+    either = np.bitwise_or.reduce(planes[:, : -(-m // 64)], axis=0)
+    either[m // 64 :] <<= np.uint64(-m % 64)  # drop the bits of rows m and up
+    return int(np.bitwise_count(either).sum())
+
+
+def _kept_signs(planes: np.ndarray, m: int, cut: int) -> np.ndarray:
+    """The (n, k) sign bits of the first m rows with fewer than `cut` set, in
+    row order; bit k of word q of a plane is row 64 q + k on any host."""
+    octets = planes.astype("<u8", copy=False).view(np.uint8)
+    flags = np.unpackbits(octets, axis=1, count=m, bitorder="little")
+    counts = np.add.reduce(flags, axis=0, dtype=np.min_scalar_type(len(planes)))
+    return np.compress(counts < cut, flags, axis=1).view(bool)
 
 
 def _cap_power(stat: StatisticSpec) -> float:
@@ -505,7 +518,7 @@ def _row_cut(sampler: SamplerSpec, stat: StatisticSpec, threshold: float) -> int
     Only models whose draws are negative exactly where u < 1/2 qualify
     (`DensityModel.signs_split_at_median`), so a row is kept, having fewer
     than J negative coordinates, with probability P(Bin(n, 1/2) < J), taken
-    exactly.  The filter runs when that is at most 1/2.
+    exactly.  The filter runs when that is at most 3/4.
     """
     model = sampler.model
     if isinstance(model, str) or not model.signs_split_at_median():
@@ -513,16 +526,7 @@ def _row_cut(sampler: SamplerSpec, stat: StatisticSpec, threshold: float) -> int
     n = sampler.n
     cut = _sign_cut(n, stat, threshold)
     kept = sum(math.comb(n, i) for i in range(cut))
-    return cut if 2 * kept <= 2**n else None
-
-
-def _row_counts(flags: np.ndarray) -> np.ndarray:
-    """The number of True entries in each row of an (m, n) boolean array,
-    added column by column in the narrowest unsigned type that holds n."""
-    count = flags[:, 0].astype(np.min_scalar_type(flags.shape[1]))
-    for col in flags.T[1:]:
-        count += col
-    return count
+    return cut if 4 * kept <= 3 * 2**n else None
 
 
 def _chunk_draws(
@@ -532,9 +536,9 @@ def _chunk_draws(
 
     With a `cut` from `_row_cut`, the chunk is drawn sign first and only
     the rows with fewer than `cut` negative coordinates are returned, in
-    chunk order: the model maps each magnitude's u in [1/2, 1) to
-    F^-1(u) >= 0, and the sign bit of the double is then set where the
-    coordinate is negative, which negates it exactly.
+    chunk order and column-major: the model maps each magnitude's u in
+    [1/2, 1) to F^-1(u) >= 0, and the sign bit of the double is then set
+    where the coordinate is negative, which negates it exactly.
     """
     u, negative = _chunk_uniforms(sampler.seed, chunk_index, m, sampler.n, cut)
     model = sampler.model
@@ -564,10 +568,8 @@ def _chunk_sizes(trials: int) -> list[int]:
 
 
 def sample_batch(sampler: SamplerSpec) -> Iterator[np.ndarray]:
-    """Yield the full draws of stream 1 in chunk order, (m, n) arrays.
-
-    An estimate that `_row_cut` draws sign first reads stream 2 instead.
-    """
+    """Yield the full (m, n) draws of stream 1 in chunk order, whatever
+    stream an estimate of the same sampler reads."""
     for c, m in enumerate(_chunk_sizes(sampler.trials)):
         yield _chunk_draws(sampler, c, m)
 
@@ -604,13 +606,9 @@ def estimate_tail(
     The result is a pure function of (sampler.model, n, seed, trials,
     stat, threshold); workers only distribute chunks.
 
-    For iid-normal with mu = 0 and iid-student-t the chunks are drawn
-    sign first, and rows with too many negative coordinates to reach the
-    threshold (Hoelder on the positive part: a row with j coordinates
-    <= 0 stays at or below (n - j)^(1 - 1/beta) for `sum`, sqrt(n - j) for
-    the max variants) get no magnitudes, whenever that keeps at most half
-    the rows in expectation.  They never hit, so the hits are still
-    Bin(trials, p); see the module docstring.
+    For iid-normal with mu = 0 and iid-student-t, rows with too many
+    negative coordinates to hit get no magnitudes where that drops a
+    quarter of the rows or more: see the module docstring.
     """
     stat = _as_stat(stat)
     if (threshold is None) == (epsilon is None):

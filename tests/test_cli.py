@@ -418,6 +418,24 @@ def test_constants_give_a_log_where_the_value_overflows(capsys):
     assert 0.0 < rows[("k_constant", "paper")]["value"] < math.inf
 
 
+def test_verify_json_stays_valid_where_k_overflows(capsys):
+    # the ledger's corrected K overflows too; JSON has no Infinity, so the
+    # row reads null and its note keeps the log.  Exit 1 is the FD
+    # anti-Hessian gate at this n.
+    argv = ["verify", "--n", "1000", "--beta", "1.5", "--trials", "1000", "--format", "json"]
+    assert main(argv) in (0, 1)
+
+    def reject(name):
+        raise ValueError(f"invalid JSON constant {name}")
+
+    records = json.loads(capsys.readouterr().out, parse_constant=reject)["records"]
+    k_row = next(r for r in records if r["quantity"].startswith("k_constant"))
+    assert k_row["corrected_value"] is None and k_row["status"] == "discrepant"
+    assert 0.0 < k_row["paper_value"] < math.inf
+    log_k = float(k_row["note"].split("log(corrected) = ")[1].split(";")[0])
+    assert log_k > 709.0
+
+
 _SCIPY_PROBE = """
 import contextlib, io, json, sys
 

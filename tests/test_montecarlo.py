@@ -24,12 +24,13 @@ from sntail.montecarlo import (
     wilson_interval,
 )
 from sntail.montecarlo import (
+    _chunk_draws,
     _chunk_sizes,
     _chunk_uniforms,
-    _row_counts,
+    _kept_signs,
     _row_cut,
+    _rows_with_a_sign,
     _sign_cut,
-    _unpack_signs,
 )
 from sntail.oracles import sphere_tail_exact
 
@@ -236,11 +237,11 @@ def test_max_variant_dominates_final_ratio():
 def test_worker_counts_agree_bitwise():
     model = DensityModel.iid_normal(3)
     hits = []
-    for workers in (1, 4, 8):
+    for workers in (1, 2, 4, 8):
         sampler = SamplerSpec(model, 3, 42, 300_000, workers)
         est = estimate_tail(sampler, StatisticSpec(2.0, "sum"), epsilon=0.3)
         hits.append(est.hits)
-    assert hits[0] == hits[1] == hits[2]
+    assert hits[0] == hits[1] == hits[2] == hits[3]
 
 
 def test_stream_is_chunk_stable():
@@ -425,13 +426,24 @@ def _bits(words):
     return ((words[:, None] >> np.arange(64, dtype=np.uint64)) & np.uint64(1)).ravel()
 
 
+def _stream_words(seed, chunk, n, count):
+    """The first `count` raw Philox words of a sign-first chunk."""
+    bitgen = np.random.Philox(key=seed)
+    bitgen.advance(chunk * 2 * CHUNK_TRIALS * n // 4)
+    return bitgen.random_raw(count)
+
+
+def _plane_bits(planes, m):
+    """The (m, n) sign bits of the first m rows of n planes: coordinate j of
+    row i is bit i of plane j."""
+    return np.stack([_bits(plane)[:m] for plane in planes], axis=1).astype(bool)
+
+
 def _reference_signs(seed, chunk, m, n):
     """The (m, n) sign bits of a sign-first chunk, read off the raw Philox
     words."""
-    bitgen = np.random.Philox(key=seed)
-    bitgen.advance(chunk * 2 * CHUNK_TRIALS * n // 4)
-    words = bitgen.random_raw(CHUNK_TRIALS * n // 64)
-    return _bits(words)[: m * n].reshape(m, n).astype(bool)
+    planes = _stream_words(seed, chunk, n, CHUNK_TRIALS * n // 64).reshape(n, -1)
+    return _plane_bits(planes, m)
 
 
 def _signed_draws(model, u, negative):
@@ -455,7 +467,7 @@ def test_dropped_rows_never_hit(n):
     u = np.vstack([0.5 + 0.5 * rng.random((20_000, n))] + edges)
     edge_signs = [np.arange(n) >= n - j for j in range(n) for _ in range(800)]
     negative = np.vstack([_reference_signs(11, 0, 20_000, n)] + edge_signs)
-    negatives = _row_counts(negative)
+    negatives = np.count_nonzero(negative, axis=1)
     for model in (DensityModel.iid_normal(n), DensityModel.iid_student_t(n, 5.0)):
         x = _signed_draws(model, u, negative)
         assert np.array_equal(negatives, np.count_nonzero(np.signbit(x), axis=1))
@@ -481,7 +493,10 @@ def _reference_hits(sampler, spec, threshold):
             kept = np.count_nonzero(negative, axis=1) < cut
             u = 0.5 + 0.5 * rng.random((m, n))
             u[kept], kept_negative = _chunk_uniforms(sampler.seed, c, m, n, cut)
-            assert np.array_equal(kept_negative, negative[kept])
+            if kept_negative is None:  # cut 1: every kept row is positive
+                assert cut == 1
+            else:
+                assert np.array_equal(kept_negative, negative[kept])
             chunks.append(_signed_draws(sampler.model, u, negative))
     return sum(
         int(np.count_nonzero(statistic_batch(draws, spec) > threshold))
@@ -503,6 +518,8 @@ def test_filtered_estimates_count_the_same_hits(workers):
         for spec, eps in (
             (StatisticSpec(2.0, "sum"), 0.1),
             (StatisticSpec(3.0, "sum"), 0.05),
+            # cut 2: the kept rows carry up to one negative coordinate
+            (StatisticSpec(2.0, "sum"), 0.35),
             (StatisticSpec(2.0, "max-over-Zn"), 0.1),
             # threshold sqrt(n) - 0.3: the max variants ignore beta
             (StatisticSpec(3.0, "max-over-Zk"), 0.3),
@@ -521,37 +538,66 @@ def test_filtered_estimates_count_the_same_hits(workers):
 
 
 def test_sign_first_chunks_read_disjoint_word_ranges():
-    # chunk c reads its sign words from c * 2 * CHUNK_TRIALS * n on and the
-    # kept rows' magnitudes right after them; even a chunk that kept every
-    # row would end before chunk c + 1 starts
-    seed, n, m, cut = 3, 2, CHUNK_TRIALS, 2
-    stride = 2 * CHUNK_TRIALS * n
-    sign_words = CHUNK_TRIALS * n // 64
-    stream = np.random.Philox(key=seed).random_raw(3 * stride)
-    spans = []
-    for c in range(3):
-        u, negative = _chunk_uniforms(seed, c, m, n, cut)
-        signs = _bits(stream[c * stride : c * stride + sign_words]).reshape(m, n) == 1
-        kept = np.count_nonzero(signs, axis=1) < cut
-        assert np.array_equal(negative, signs[kept])
-        start = c * stride + sign_words
-        words = stream[start : start + u.size].reshape(u.shape)
-        assert np.array_equal(u, 0.5 + (words >> np.uint64(12)) * 2.0**-53)
-        assert np.all((0.5 <= u) & (u < 1.0))
-        spans.append((c * stride, start + u.size))
-        assert start + m * n <= (c + 1) * stride
-    assert all(a[1] <= b[0] for a, b in zip(spans, spans[1:]))
+    # chunk c reads its n sign planes from c * 2 * CHUNK_TRIALS * n on and
+    # the kept rows' magnitudes right after them, plane by plane; even a
+    # chunk that keeps every row (cut n + 1) ends before chunk c + 1 starts
+    seed, m = 3, CHUNK_TRIALS
+    for n, cut in ((2, 1), (3, 2), (3, 4)):
+        stride = 2 * CHUNK_TRIALS * n
+        sign_words = CHUNK_TRIALS * n // 64
+        stream = np.random.Philox(key=seed).random_raw(3 * stride)
+        spans = []
+        for c in range(3):
+            u, negative = _chunk_uniforms(seed, c, m, n, cut)
+            planes = stream[c * stride : c * stride + sign_words].reshape(n, -1)
+            signs = _plane_bits(planes, m)
+            kept = np.count_nonzero(signs, axis=1) < cut
+            if negative is None:
+                assert cut == 1 and u.shape[0] == np.count_nonzero(kept)
+            else:
+                assert np.array_equal(negative, signs[kept])
+            start = c * stride + sign_words
+            words = stream[start : start + u.size].reshape(u.shape[::-1])
+            assert u.T.flags.c_contiguous
+            assert np.array_equal(u.T, 0.5 + (words >> np.uint64(12)) * 2.0**-53)
+            assert np.all((0.5 <= u) & (u < 1.0))
+            spans.append((c * stride, start + u.size))
+            assert start + m * n <= (c + 1) * stride
+        assert all(a[1] <= b[0] for a, b in zip(spans, spans[1:]))
 
 
 def test_sign_bits_unpack_little_endian():
-    # bit k of word q is coordinate 64 q + k, on any host byte order
-    words = np.array([1 | 1 << 63, 1 << 8, 0xF0], dtype=np.uint64)
-    for n in (1, 3, 64):
-        m = 3 * 64 // n
-        got = _unpack_signs(words.astype(">u8"), m, n)
-        assert np.array_equal(got, _bits(words).reshape(m, n))
-    words = np.random.default_rng(4).integers(0, 2**64, size=300, dtype=np.uint64)
-    assert np.array_equal(_unpack_signs(words, 1000, 7), _bits(words)[:7000].reshape(1000, 7))
+    # bit k of word q of a plane is row 64 q + k, on any host byte order
+    words = np.array([[1 | 1 << 63], [1 << 8], [0xF0]], dtype=np.uint64)
+    random = np.random.default_rng(4).integers(0, 2**64, size=(7, 5), dtype=np.uint64)
+    for planes, m in ((words, 64), (words, 37), (random, 300), (random, 320)):
+        n = len(planes)
+        expect = _plane_bits(planes, m)
+        for copy in (planes, planes.astype(">u8")):
+            # cut n + 1 keeps every row
+            assert np.array_equal(_kept_signs(copy, m, n + 1).T, expect)
+            assert _rows_with_a_sign(copy, m) == np.count_nonzero(expect.any(axis=1))
+
+
+def test_cut_one_shortcut_draws_the_plane_path_bits():
+    # at cut 1 no sign array is built; the general plane path, run at the
+    # same cut on the same words, keeps as many rows and gives the same
+    # draws, on a full chunk and on a short last one
+    for model in (DensityModel.iid_normal(3), DensityModel.iid_student_t(5, 5.0)):
+        n = model.n
+        sampler = SamplerSpec(model, n, 21, 2 * CHUNK_TRIALS + 1037, 1)
+        for c, m in ((1, CHUNK_TRIALS), (2, 1037)):
+            words = _stream_words(sampler.seed, c, n, 2 * CHUNK_TRIALS * n)
+            sign_words = CHUNK_TRIALS * n // 64
+            general = _kept_signs(words[:sign_words].reshape(n, -1), m, 1)
+            k = general.shape[1]
+            magnitudes = words[sign_words : sign_words + k * n].reshape(n, k).T
+            x = model.draw_from_uniforms(0.5 + (magnitudes >> np.uint64(12)) * 2.0**-53)
+            x = np.where(general.T, -x, x)
+            assert _chunk_uniforms(sampler.seed, c, m, n, 1)[1] is None
+            got = _chunk_draws(sampler, c, m, 1)
+            assert got.T.flags.c_contiguous and got.shape == (k, n) and k > 0
+            assert np.array_equal(got.view(np.uint64), x.view(np.uint64))
 
 
 @pytest.mark.parametrize("n, cut", [(3, 1), (9, 3), (9, 6)])
@@ -590,9 +636,22 @@ def test_sign_first_estimates_match_the_sphere_law(n, eps, trials):
         assert abs(est.p_hat - p) <= 5.0 * math.sqrt(p * (1.0 - p) / trials), variant
 
 
+def test_sign_first_estimate_at_n64_has_no_stray_hits():
+    # at n = 64 the filter runs only where the sphere law is below 1e-10,
+    # so 5 sigma allows no hit.  The kept rows carry up to 27 negative
+    # coordinates; with a sign lost they would read about 6.4 > 6.05.
+    n, eps, trials = 64, 1.95, 10**6
+    p = sphere_tail_exact(n, math.sqrt(n) - eps).value
+    sampler = SamplerSpec(DensityModel.iid_normal(n), n, 8, trials, 2)
+    spec = StatisticSpec(2.0, "sum")
+    est = estimate_tail(sampler, spec, epsilon=eps)
+    assert _row_cut(sampler, spec, est.threshold) == 28
+    assert abs(est.p_hat - p) <= 5.0 * math.sqrt(p * (1.0 - p) / trials)
+
+
 def test_unfiltered_estimates_keep_their_stream_and_hash():
     # hits and digests of stream 1, recorded before the sign-first stream
-    # existed; a filtered run's digest now records its stream
+    # existed; a filtered run's digest records its stream, now stream 3
     sampler = SamplerSpec(DensityModel.iid_normal(3, mu=0.2), 3, 5, 2 * CHUNK_TRIALS + 777, 1)
     for spec, eps, hits, digest in (
         (StatisticSpec(2.0, "sum"), 0.1, 6175, "b04aa0dba0f677e4"),
@@ -603,6 +662,8 @@ def test_unfiltered_estimates_keep_their_stream_and_hash():
     filtered = dataclasses.replace(sampler, model=DensityModel.iid_normal(3))
     est = estimate_tail(filtered, StatisticSpec(2.0, "sum"), epsilon=0.1)
     assert est.spec_hash != "fbc61df1da452983"  # its stream 1 digest
+    assert est.spec_hash != "d37fd67edb556ced"  # its stream 2 digest
+    assert est.spec_hash == "01b8bb5d3d4692ca"
 
 
 def test_draws_are_negative_below_the_median():
