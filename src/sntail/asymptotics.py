@@ -213,11 +213,11 @@ def predict_tail(
 
     The paper variant pairs the published K with the unweighted profile; the
     corrected variant pairs the corrected K with the weighted profile.  A
-    vanishing right-side profile is an error (the constant degenerates and
-    the gamma-variant prediction is the documented escape hatch); a vanishing
-    left-side profile is a legitimate exact zero.  A query outside the
-    regime, with eps at or beyond `tail_window` or a value above 1, carries
-    a warning.
+    vanishing right-side profile raises ArithmeticError (the constant
+    degenerates and the gamma-variant prediction is the documented escape
+    hatch); a vanishing left-side profile is a legitimate exact zero.  A
+    query outside the regime, with eps at or beyond `tail_window` or a
+    value above 1, carries a warning.
     """
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
@@ -233,7 +233,7 @@ def predict_tail(
     for side in sides:
         h_side = _profile_at(model, side, variant)
         if side == "right" and h_side <= 0.0:
-            raise ValueError(
+            raise ArithmeticError(
                 "profile vanishes at the all-ones direction; the constant-order "
                 "prediction degenerates (use predict_gamma_variant)"
             )

@@ -57,6 +57,7 @@ from .oracles import (
     degenerate_component_check,
     rademacher_tail_exact,
     region_tail_integral,
+    sphere_law_applies,
     sphere_tail_exact,
     tail_window,
 )
@@ -498,7 +499,7 @@ def _run_oracle(config: ExperimentConfig):
                 result = rademacher_tail_exact(config.n, eps)
             else:
                 result = degenerate_component_check(config.n, eps)
-        elif model.kind == "iid-normal" and config.beta == 2.0:
+        elif sphere_law_applies(model, config.beta):
             result = sphere_tail_exact(config.n, math.sqrt(config.n) - eps)
         elif 2 <= config.n <= 4:
             result = region_tail_integral(
@@ -524,14 +525,14 @@ def _predicted_tail_for_warning(config: ExperimentConfig, eps: float) -> float |
         if model == "rademacher":
             return 2.0 ** (-config.n) if eps < 0.5 / math.sqrt(config.n) else None
         return degenerate_component_check(config.n, eps).value
-    if model.kind == "iid-normal" and config.beta == 2.0:
+    if sphere_law_applies(model, config.beta):
         return sphere_tail_exact(config.n, math.sqrt(config.n) - eps).value
     if eps < tail_window(config.n, config.beta):
         try:
             return predict_tail(
                 model, TailQuery(config.n, eps, config.beta), "corrected"
             ).value
-        except (ValueError, QuadratureError):
+        except (ValueError, ArithmeticError, QuadratureError):
             return None
     return None
 
@@ -550,6 +551,7 @@ def _run_mc(config: ExperimentConfig):
     for eps in config.eps:
         est = estimate_tail(sampler, stat, epsilon=eps)
         record = est.to_payload()
+        record["model"] = config.model
         record["n"] = config.n
         record["eps"] = eps
         predicted = _predicted_tail_for_warning(config, eps)

@@ -36,6 +36,7 @@ from .oracles import (
     rademacher_tail_exact,
     region_tail_integral,
     regularized_incomplete_beta,
+    sphere_law_applies,
     sphere_tail_exact,
 )
 
@@ -198,10 +199,10 @@ def run_verify(
     model = parse_model(model_text, n)
     continuous = isinstance(model, DensityModel)
     epsilon = float(eps[0])
-    # The Monte Carlo row runs for the iid normal at beta = 2; its trial
-    # floor is checked before any row is built.
-    runs_mc = continuous and beta == 2.0 and model.kind == "iid-normal"
-    if runs_mc and trials < MIN_TRIALS:
+    # The Monte Carlo row runs where the sphere law gives the exact tail;
+    # its trial floor is checked before any row is built.
+    sphere_law = sphere_law_applies(model, beta)
+    if sphere_law and trials < MIN_TRIALS:
         raise ValueError(f"need at least {MIN_TRIALS} trials, got {trials}")
 
     spec = AntiHessianSpec(n, beta)
@@ -259,7 +260,7 @@ def run_verify(
     # Tail constant against a power-law fit of the exact oracle (beta = 2).
     if continuous and beta == 2.0:
         note = ""
-        if model.kind == "iid-normal":
+        if sphere_law:
             def evaluator(grid: np.ndarray) -> list[float]:
                 return [sphere_tail_exact(n, math.sqrt(n) - e).value for e in grid]
 
@@ -329,7 +330,7 @@ def run_verify(
             )
 
     # Cross-oracle consistency: two independent integration routes.
-    if continuous and beta == 2.0 and model.kind == "iid-normal" and 2 <= n <= 4:
+    if sphere_law and 2 <= n <= 4:
         sphere_val = sphere_tail_exact(n, math.sqrt(n) - epsilon).value
         region_val = region_tail_integral(model, n, epsilon, 2.0, "weighted").value
         agree = abs(region_val / sphere_val - 1.0) <= 1e-5
@@ -389,8 +390,8 @@ def run_verify(
                 )
             )
 
-    # Monte Carlo vs exact oracle (iid normal only; 5 sigma internal gate).
-    if runs_mc:
+    # Monte Carlo vs exact oracle (sphere law only; 5 sigma internal gate).
+    if sphere_law:
         eps_mc = epsilon
         est = estimate_tail(
             SamplerSpec(model, n, seed, trials, workers), StatisticSpec(2.0, "sum"),

@@ -7,13 +7,12 @@ row) and never depend on how chunks are distributed over workers:
 estimates are bit-identical for any worker count, and a thread pool only
 changes wall time.
 
-The running-max statistics reduce each (m, n) chunk by walking the n
-rows of its transpose with length-m buffers updated in place, not by
-`cumsum` along axis 1, which pays per-row overhead at small n and
-allocates (m, n) temporaries at every n.  The walk adds in `cumsum`'s
-order, so the statistics are the same bits.  Whole-row sums stay
-`np.sum(..., axis=1)`: pairwise on a row-major chunk (from n = 8 a
-running sum differs from it in the last bit), running on a column-major one.
+The statistics reduce each (m, n) chunk by walking the n rows of its
+transpose with length-m buffers updated in place, not by `cumsum` along
+axis 1, which pays per-row overhead at small n and allocates (m, n)
+temporaries at every n.  The walk adds left to right, in `cumsum`'s
+order, so each statistic is a function of the row's values alone: a
+row-major chunk and its column-major copy give the same bits.
 
 Inside the tail window most rows of a chunk cannot reach the threshold.
 Hoelder's inequality on the positive part of a row with j coordinates
@@ -258,43 +257,47 @@ def _columns(x: np.ndarray) -> np.ndarray:
     return cols
 
 
-def _running_maxima(
-    x: np.ndarray, want_top: bool, want_ratio: bool
-) -> tuple[np.ndarray | None, np.ndarray | None, np.ndarray | None, np.ndarray | None]:
-    """max_{k=2..n} S(k), max_{k=2..n} S(k)/Z(k), Z(n)^2, and whether
+def _column_walk(
+    x: np.ndarray, want_top: bool, want_ratio: bool, power: float
+) -> tuple[np.ndarray, ...]:
+    """S(n), max_{k=2..n} S(k), max_{k=2..n} S(k)/Z(k), the sum of
+    |x|^power (Z(n)^2 at power 2, which `want_ratio` needs), and whether
     Z(2)^2 is below the smallest normal double, per row.
 
-    One walk over the columns keeps S(k), Z(k)^2 and the maxima in
-    length-m buffers updated in place.  S(k) and Z(k)^2 accumulate in
-    `np.cumsum`'s order, so the maxima are the bits of the row-wise cumsum
-    form.  A prefix whose Z(k)^2 vanishes or underflows contributes -inf;
-    Z(k)^2 never decreases in k, so the rows with such a prefix are the
-    ones flagged at k = 2.  What is not asked for is None.
+    One walk over the columns keeps the sums and maxima in length-m
+    buffers updated in place, adding in `np.cumsum`'s order, so every
+    output is a function of the row's values alone, whatever the layout
+    of `x`, and the maxima are the bits of the row-wise cumsum form.  A
+    prefix whose Z(k)^2 vanishes or underflows contributes -inf; Z(k)^2
+    never decreases in k, so the rows with such a prefix are the ones
+    flagged at k = 2.  What is not asked for is None.
     """
     cols = _columns(x)
-    partial = cols[0].copy()
-    top = best = sq_norm = low = None
-    if want_top:
-        top = np.full_like(partial, -np.inf)
-    if want_ratio:
-        sq_norm = cols[0] * cols[0]
-        best = np.full_like(partial, -np.inf)
-        scratch = np.empty_like(partial)
+    total = cols[0].copy()
+    square = power == 2.0
+    power_sum = cols[0] * cols[0] if square else np.abs(cols[0]) ** power
+    top = np.full_like(total, -np.inf) if want_top else None
+    best = np.full_like(total, -np.inf) if want_ratio else None
+    scratch = np.empty_like(total)
+    low = None
     for col in cols[1:]:
-        partial += col
+        total += col
         if want_top:
-            np.maximum(top, partial, out=top)
-        if want_ratio:
+            np.maximum(top, total, out=top)
+        if square:
             np.multiply(col, col, out=scratch)
-            sq_norm += scratch
-            np.sqrt(sq_norm, out=scratch)
-            np.divide(partial, scratch, out=scratch)
-            tiny = sq_norm < _TINY
+            power_sum += scratch
+        else:
+            power_sum += np.abs(col) ** power
+        if want_ratio:
+            np.sqrt(power_sum, out=scratch)
+            np.divide(total, scratch, out=scratch)
+            tiny = power_sum < _TINY
             np.copyto(scratch, -np.inf, where=tiny)
             np.maximum(best, scratch, out=best)
             if low is None:
                 low = tiny
-    return top, best, sq_norm, low
+    return total, top, best, power_sum, low
 
 
 def _underflowed_prefix_max(rows: np.ndarray) -> np.ndarray:
@@ -318,7 +321,7 @@ def _statistics(
 ) -> list[np.ndarray]:
     """Each of `variants` on a (trials, n) batch, in the order asked.
 
-    One column walk serves both max variants (see statistic_batch).
+    One column walk serves every variant (see statistic_batch).
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
@@ -328,25 +331,24 @@ def _statistics(
     want_sum = "sum" in variants
     want_zn = "max-over-Zn" in variants
     want_zk = "max-over-Zk" in variants
+    if want_sum and beta != 2.0 and (want_zn or want_zk):
+        raise ValueError("the max variants are Euclidean; at beta != 2 sum comes alone")
+    power = beta if want_sum else 2.0
     # Below `floor`, the power sum behind `norm` (Z(n)^2 or the sum of
     # |x|^beta) is no normal double: its terms have underflowed.  Above the
     # largest double they have overflowed, and `norm` is inf.
     under = None
     with np.errstate(over="ignore"):
-        if want_zn or want_zk:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                top, best, norm, low = _running_maxima(x, want_zn, want_zk)
-            floor = _TINY
-            if want_zk and low.any():
-                under = np.full(low.shape, -np.inf)
-                under[low] = _underflowed_prefix_max(x[low])
-                np.maximum(best, under, out=best)
-        if want_zn or (want_sum and beta == 2.0):
-            norm = euclid = np.sqrt(np.sum(x * x, axis=1))
-            floor = math.sqrt(_TINY)
-        if want_sum and beta != 2.0:
-            norm = np.sum(np.abs(x) ** beta, axis=1) ** (1.0 / beta)
-            floor = _TINY ** (1.0 / beta)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            total, top, best, norm, low = _column_walk(x, want_zn, want_zk, power)
+        floor = _TINY
+        if want_zk and low.any():
+            under = np.full(low.shape, -np.inf)
+            under[low] = _underflowed_prefix_max(x[low])
+            np.maximum(best, under, out=best)
+        if want_zn or want_sum:
+            norm = np.sqrt(norm) if power == 2.0 else norm ** (1.0 / power)
+            floor = _TINY ** (1.0 / power)
     # The statistics are scale-invariant: rows whose norm underflows (an
     # all-zero row among them) or overflows are redone divided by their
     # max-abs entry.
@@ -358,14 +360,12 @@ def _statistics(
             raise ValueError("statistic undefined on the zero vector")
         redone = _statistics(rows / scale[:, None], beta, variants)
         norm[rescale] = 1.0  # placeholders, so the divisions below stay finite
-        if want_zn:
-            euclid[rescale] = 1.0
     values: dict[str, np.ndarray] = {}
     if want_sum:
         with np.errstate(over="ignore"):  # overflowing rows are redone
-            values["sum"] = np.sum(x, axis=1) / norm
+            values["sum"] = np.divide(total, norm, out=total)
     if want_zn:
-        values["max-over-Zn"] = np.divide(top, euclid, out=top)
+        values["max-over-Zn"] = np.divide(top, norm, out=top)
     if want_zk:
         values["max-over-Zk"] = best
     if rescale.any():
@@ -388,13 +388,11 @@ def statistic_batch(x: np.ndarray, spec: StatisticSpec | str | None = None) -> n
     1e-170 * ones and 1e200 * ones give sqrt(n) like any other multiple of
     ones.
 
-    The max variants walk the n columns once (see _running_maxima), so
-    `max-over-Zk` is bit-identical to the row-wise cumsum form at every n;
-    an all-zero prefix contributes -inf, and a nonzero prefix whose squares
-    underflow is multiplied by 2^600 first, so
-    [1e-170, 1e-170, 1] reads sqrt(2), from k = 2.  `max-over-Zn` divides by
-    `sqrt(np.sum(x*x, axis=1))` and `sum` keeps its row reductions, whose
-    order follows the layout of `x` (see the module docstring).
+    Every variant walks the n columns once (see _column_walk), so each is
+    bit-identical to the row-wise cumsum form at every n and for either
+    layout of `x`; an all-zero prefix contributes -inf, and a nonzero
+    prefix whose squares underflow is multiplied by 2^600 first, so
+    [1e-170, 1e-170, 1] reads sqrt(2), from k = 2.
     """
     stat = _as_stat(spec)
     return _statistics(x, stat.beta, (stat.variant,))[0]

@@ -4,8 +4,8 @@ Every closed-form constant this package produces must survive comparison
 against at least one of these routes, each built from first principles and
 sharing no algebra with the formulas under test:
 
-  sphere_tail_exact       exact spherical-cap probability for rotation
-                          invariant laws (regularized incomplete beta)
+  sphere_tail_exact       regularized incomplete beta: the exact cap law of
+                          the models `sphere_law_applies` admits
   region_tail_integral    direct quadrature of the joint density over the
                           tail region, in ray coordinates
   rademacher_tail_exact   exhaustive enumeration of all sign vectors
@@ -37,6 +37,7 @@ __all__ = [
     "OracleResult",
     "CoefficientFit",
     "regularized_incomplete_beta",
+    "sphere_law_applies",
     "sphere_tail_exact",
     "rademacher_tail_exact",
     "degenerate_component_check",
@@ -161,6 +162,18 @@ def sphere_tail_exact(n: int, threshold: float) -> OracleResult:
         error_estimate=5e-15,
         metadata={"n": n, "threshold": float(threshold)},
     )
+
+
+def sphere_law_applies(model: object, beta: float) -> bool:
+    """Whether `sphere_tail_exact` is the tail of `model` at `beta`: only for
+    a centred iid normal (any sigma; the statistic is scale-free) at beta = 2.
+
+    A centred `gaussian` with covariance proportional to I has that law
+    too, but stays with region quadrature: the `oracle-n4` benchmark
+    workload checks that route on exactly that model.
+    """
+    return (isinstance(model, DensityModel) and model.kind == "iid-normal"
+            and model.mu == 0.0 and beta == 2.0)
 
 
 def rademacher_tail_exact(n: int, epsilon: float) -> OracleResult:

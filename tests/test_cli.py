@@ -305,6 +305,29 @@ def test_rare_event_warning(capsys):
     assert any("rare event" in w for w in payload["warnings"])
 
 
+def test_rare_event_warning_for_a_shifted_normal_comes_from_the_prediction(capsys):
+    # the sphere law, 0.0289, would expect 289 hits in 1e4 trials; the
+    # prediction for the normal shifted to -2 expects 0.019
+    code = main(["mc", "--n", "3", "--eps", "0.1", "--trials", "1e4",
+                 "--model", "iid-normal:mu=-2", "--seed", "1"])
+    assert code == 0
+    captured = capsys.readouterr()
+    assert "predicted probability 1.87e-06" in captured.err
+    payload = json.loads(captured.out)
+    assert payload["model"] == "iid-normal:mu=-2"
+
+
+def test_a_vanishing_profile_is_a_computation_result(capsys):
+    # the arguments are valid, so the degenerate prediction exits 1, and
+    # the mc warning that asks for it goes without one
+    model = "gaussian:cov=1 0 0 1,mean=-40 -40"
+    assert main(["predict", "--n", "2", "--model", model]) == 1
+    captured = capsys.readouterr()
+    assert "computation failed: profile vanishes" in captured.err
+    assert main(["mc", "--n", "2", "--model", model, "--trials", "1000"]) == 0
+    assert "rare event" not in capsys.readouterr().err
+
+
 def test_predict_warns_out_of_regime(capsys):
     # eps = 0.5 is past the n = 3 window sqrt(3) - sqrt(2), and the power law
     # then predicts a "probability" of 7.81
@@ -347,6 +370,20 @@ def test_oracle_routes(capsys):
     assert payload["value"] == 0.0
     assert main(["oracle", "--n", "5", "--beta", "3", "--eps", "0.1"]) == 2
     capsys.readouterr()
+    # a shifted normal is no sphere law: region quadrature up to n = 4
+    assert main(["oracle", "--n", "3", "--eps", "0.1",
+                 "--model", "iid-normal:mu=0.3"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["method"] == "region-quadrature"
+    assert payload["value"] == pytest.approx(0.0599843286966, rel=1e-8)
+    assert main(["oracle", "--n", "5", "--eps", "0.1",
+                 "--model", "iid-normal:mu=0.3"]) == 2
+    capsys.readouterr()
+    assert main(["oracle", "--n", "3", "--eps", "0.1",
+                 "--model", "iid-normal:sigma=2"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["method"] == "sphere-exact"
+    assert payload["value"] == pytest.approx(0.0288675134595, rel=1e-10)
 
 
 def test_twelve_digit_output(capsys):

@@ -170,6 +170,25 @@ def test_mc_row_untested_below_fifty_expected_hits():
     assert "expected hits, below the 50" in row.note
 
 
+def test_verify_takes_the_region_oracle_for_a_shifted_normal():
+    # a shifted normal is not rotation invariant: the sphere law gives
+    # neither its tail-constant oracle nor an MC or cross-oracle row, so
+    # no trial floor applies
+    report = run_verify("iid-normal:mu=0.3", n=3, seed=1, trials=100)
+    assert report.exit_code == 0, report.internal_failures
+    rows = {e.quantity.split("(")[0]: e for e in report.entries}
+    assert "mc_tail" not in rows and "cross_oracle" not in rows
+    tail = rows["tail_constant"]
+    assert "region oracle" in tail.note
+    assert tail.ratio_corrected_oracle == pytest.approx(1.0, abs=5e-3)
+    # above n = 4 no oracle resolves it
+    report = run_verify("iid-normal:mu=0.3", n=5, trials=100)
+    assert report.exit_code == 0, report.internal_failures
+    rows = {e.quantity.split("(")[0]: e for e in report.entries}
+    assert rows["tail_constant"].status == "untested"
+    assert "mc_tail" not in rows
+
+
 def test_verify_n2_has_a_sandwich_row():
     report = run_verify(n=2, trials=20_000)
     assert report.exit_code == 0

@@ -31,6 +31,7 @@ from sntail.montecarlo import (
     _row_cut,
     _rows_with_a_sign,
     _sign_cut,
+    _statistics,
 )
 from sntail.oracles import sphere_tail_exact
 
@@ -54,21 +55,39 @@ def test_statistic_rejects_zero_vector():
         statistic_batch(x)
 
 
+def test_one_walk_serves_sum_beside_the_max_variants_at_beta_2_only():
+    # the walk keeps one power sum, and the max variants are Euclidean
+    x = np.random.default_rng(3).standard_normal((50, 4))
+    both = _statistics(x, 2.0, ("sum", "max-over-Zn"))
+    assert np.array_equal(both[0], statistic_batch(x, "sum"))
+    assert np.array_equal(both[1], statistic_batch(x, "max-over-Zn"))
+    with pytest.raises(ValueError, match="Euclidean"):
+        _statistics(x, 3.0, ("sum", "max-over-Zk"))
+
+
 def _rowwise_statistic_batch(x, stat):
-    """The row-wise cumsum form of statistic_batch, frozen as the reference."""
+    """The row-wise cumsum form of statistic_batch, frozen as the reference.
+
+    Whole-row sums are the last entry of a cumsum: left to right on either
+    layout, where `np.sum` adds pairwise along a contiguous axis.
+    """
     sq = x * x
     if not np.all(np.any(x != 0.0, axis=1)):
         raise ValueError("statistic undefined on the zero vector")
+
+    def row_sum(a):
+        return np.cumsum(a, axis=1)[:, -1]
+
     if stat.variant == "sum":
-        num = np.sum(x, axis=1)
+        num = row_sum(x)
         if stat.beta == 2.0:
-            den = np.sqrt(np.sum(sq, axis=1))
+            den = np.sqrt(row_sum(sq))
         else:
-            den = np.sum(np.abs(x) ** stat.beta, axis=1) ** (1.0 / stat.beta)
+            den = row_sum(np.abs(x) ** stat.beta) ** (1.0 / stat.beta)
         return num / den
     if stat.variant == "max-over-Zn":
         num = np.max(np.cumsum(x, axis=1)[:, 1:], axis=1)
-        return num / np.sqrt(np.sum(sq, axis=1))
+        return num / np.sqrt(row_sum(sq))
     partial = np.cumsum(x, axis=1)[:, 1:]
     norms = np.sqrt(np.cumsum(sq, axis=1))[:, 1:]
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -104,12 +123,14 @@ def test_statistic_batch_matches_rowwise_reference(n):
     x[n + 2] = 1e-170
     rows = np.arange(x.shape[0])
     for spec in _REFERENCE_SPECS:
-        got = statistic_batch(x, spec)
         with np.errstate(divide="ignore"):
             expect = _rowwise_statistic_batch(x, spec)
         rest = (rows != n + 2) & ((rows != n) | (spec.variant != "max-over-Zk"))
-        assert np.array_equal(got[rest], expect[rest]), spec
-        assert got[n + 2] == statistic_batch(np.ones((1, n)), spec)[0], spec
+        # a column-major copy, the layout of a sign-first chunk, keeps the bits
+        for batch in (x, np.asfortranarray(x)):
+            got = statistic_batch(batch, spec)
+            assert np.array_equal(got[rest], expect[rest]), spec
+            assert got[n + 2] == statistic_batch(np.ones((1, n)), spec)[0], spec
     # the prefix of n - 1 entries 1e-170 is the maximum, sqrt(n - 1)
     zk = statistic_batch(x, "max-over-Zk")
     assert zk[n] == pytest.approx(math.sqrt(n - 1), rel=1e-15)

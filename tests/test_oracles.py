@@ -7,13 +7,14 @@ import numpy as np
 import pytest
 
 import sntail.oracles as oracles
-from sntail.density import DensityModel, QuadratureError
+from sntail.density import DISCRETE_MODELS, DensityModel, QuadratureError
 from sntail.oracles import (
     degenerate_component_check,
     leading_coeff_fit,
     rademacher_tail_exact,
     region_tail_integral,
     regularized_incomplete_beta,
+    sphere_law_applies,
     sphere_tail_exact,
     tail_window,
 )
@@ -27,6 +28,20 @@ def test_cross_oracle_region_vs_sphere():
             sphere = sphere_tail_exact(n, math.sqrt(n) - eps)
             region = region_tail_integral(model, n, eps, 2.0, "weighted")
             assert region.value == pytest.approx(sphere.value, rel=1e-5)
+
+
+def test_sphere_law_applies_to_a_centred_iid_normal_at_beta_2_only():
+    # the statistic is scale-free, so sigma is free; a shift is not
+    assert sphere_law_applies(DensityModel.iid_normal(3, sigma=2.0), 2.0)
+    assert not sphere_law_applies(DensityModel.iid_normal(3, mu=0.3), 2.0)
+    assert not sphere_law_applies(DensityModel.iid_normal(3), 3.0)
+    # uniform on the sphere as well, but left to region quadrature
+    isotropic = DensityModel.gaussian(np.zeros(3), 2.0 * np.eye(3))
+    assert not sphere_law_applies(isotropic, 2.0)
+    assert not sphere_law_applies(DensityModel.iid_student_t(3, 5.0), 2.0)
+    assert not sphere_law_applies(DensityModel.iid_folded_normal(3), 2.0)
+    for name in DISCRETE_MODELS:
+        assert not sphere_law_applies(name, 2.0)
 
 
 def test_sphere_tail_shape():
