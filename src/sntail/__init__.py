@@ -16,8 +16,6 @@ from .analytic_core import (
     StructuredMatrix,
     anti_hessian_entries,
     anti_hessian_entries_fd,
-    det_anti_hessian,
-    det_anti_hessian_published,
     log_det_anti_hessian_factorized,
 )
 from .asymptotics import (

@@ -23,8 +23,6 @@ __all__ = [
     "structured_anti_hessian",
     "anti_hessian_entries",
     "anti_hessian_entries_fd",
-    "det_anti_hessian",
-    "det_anti_hessian_published",
     "exp_or_inf",
     "log_det_anti_hessian",
     "log_det_anti_hessian_factorized",
@@ -167,11 +165,6 @@ def exp_or_inf(log_value: float) -> float:
         return math.inf
 
 
-def det_anti_hessian(spec: AntiHessianSpec) -> float:
-    """Determinant of the curvature matrix, eigenvalue route."""
-    return float(np.exp(log_det_anti_hessian(spec)))
-
-
 def log_det_anti_hessian_published(spec: AntiHessianSpec) -> float:
     """Log of the as-published determinant expression (kept for comparison).
 
@@ -185,10 +178,6 @@ def log_det_anti_hessian_published(spec: AntiHessianSpec) -> float:
     if tail <= 0.0:
         raise ValueError("published determinant expression is non-positive here")
     return (n - 1) * math.log(beta - 1.0) - (n - 2) / beta * math.log(n) + math.log(tail)
-
-
-def det_anti_hessian_published(spec: AntiHessianSpec) -> float:
-    return float(np.exp(log_det_anti_hessian_published(spec)))
 
 
 def g_many(vs: np.ndarray, beta: float = 2.0) -> np.ndarray:

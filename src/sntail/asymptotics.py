@@ -77,10 +77,6 @@ class TailQuery:
         if self.side != "right" and self.beta != 2.0:
             raise ValueError("left and two-sided tails are stated only for beta = 2")
 
-    @property
-    def threshold(self) -> float:
-        return self.n ** (1.0 - 1.0 / self.beta) - self.epsilon
-
 
 @dataclass(frozen=True)
 class GammaVariantQuery:

@@ -20,8 +20,6 @@ from .analytic_core import (
     AntiHessianSpec,
     anti_hessian_entries,
     anti_hessian_entries_fd,
-    det_anti_hessian,
-    det_anti_hessian_published,
     log_det_anti_hessian,
     log_det_anti_hessian_factorized,
     log_det_anti_hessian_published,
@@ -35,7 +33,6 @@ from .oracles import (
     leading_coeff_fit,
     rademacher_tail_exact,
     region_tail_integral,
-    regularized_incomplete_beta,
     sphere_law_applies,
     sphere_tail_exact,
 )
@@ -54,10 +51,6 @@ LEDGER_FIELDS = (
 )
 
 _STATUSES = ("confirmed", "discrepant", "untested")
-
-# Two-sided tail of a normal deviate beyond 5 sigma, 5.7e-7: the level of
-# the MC row's internal-failure gate, by z score or by exact binomial tail.
-_FIVE_SIGMA_LEVEL = math.erfc(5.0 / math.sqrt(2.0))
 
 
 @dataclass(frozen=True)
@@ -119,16 +112,6 @@ class VerifyReport:
         return [e.to_record() for e in self.entries]
 
 
-def _binomial_p_value(hits: int, trials: int, p: float) -> float:
-    """Two-sided exact p-value of `hits` in `trials` at rate p: twice the
-    binomial tail beyond `hits` on its side of the mean, an incomplete beta."""
-    if hits >= p * trials:
-        tail = regularized_incomplete_beta(hits, trials - hits + 1, p) if hits else 1.0
-    else:
-        tail = regularized_incomplete_beta(trials - hits, hits + 1, 1.0 - p)
-    return min(1.0, 2.0 * tail)
-
-
 def _status(paper: float, oracle: float, rel: float = 1e-6) -> str:
     if oracle == 0.0:
         return "confirmed" if paper == 0.0 else "discrepant"
@@ -143,6 +126,7 @@ def _determinant_row(spec: AntiHessianSpec, failures: list[str]) -> LedgerEntry:
     holds where the determinant underflows; above order DET_FACTOR_LIMIT
     no factorization is run and the row reads "untested"."""
     n = spec.n
+    log_pub, log_corr = log_det_anti_hessian_published(spec), log_det_anti_hessian(spec)
     note = "published closed form vs eigenvalue product vs pivoted factorization"
     if n - 1 > DET_FACTOR_LIMIT:
         oracle, status = None, "untested"
@@ -151,7 +135,6 @@ def _determinant_row(spec: AntiHessianSpec, failures: list[str]) -> LedgerEntry:
             f"factorization limit {DET_FACTOR_LIMIT}"
         )
     else:
-        log_corr = log_det_anti_hessian(spec)
         sign, log_orc = log_det_anti_hessian_factorized(spec)
         if not (sign > 0.0 and abs(log_orc - log_corr) <= 1e-8):
             failures.append(
@@ -159,12 +142,12 @@ def _determinant_row(spec: AntiHessianSpec, failures: list[str]) -> LedgerEntry:
                 f"log pivoted {log_orc:.12g} (sign {sign:g})"
             )
         oracle = float(sign * math.exp(log_orc))
-        agree = abs(log_det_anti_hessian_published(spec) - log_orc) <= 1e-6
+        agree = abs(log_pub - log_orc) <= 1e-6
         status = "confirmed" if agree else "discrepant"
     return LedgerEntry(
         quantity=f"det_anti_hessian(n={n}, beta={spec.beta:g})",
-        paper_value=det_anti_hessian_published(spec),
-        corrected_value=det_anti_hessian(spec),
+        paper_value=float(np.exp(log_pub)),
+        corrected_value=float(np.exp(log_corr)),
         oracle_value=oracle,
         status=status,
         note=note,
@@ -398,26 +381,7 @@ def run_verify(
             epsilon=eps_mc,
         )
         p_exact = sphere_tail_exact(n, math.sqrt(n) - eps_mc).value
-        sigma = math.sqrt(max(p_exact * (1.0 - p_exact), 1e-300) / trials)
-        z_score = (est.p_hat - p_exact) / sigma
-        # With too few expected hits the estimate cannot tell the exact
-        # value from a neighbour, so agreement confirms nothing.
-        expected = p_exact * trials
-        resolved = expected >= MIN_EXPECTED_HITS
-        # A 95% interval misses on 5% of seeds by design, so the row is
-        # judged by the same 5 sigma gate that decides the internal failure;
-        # below MIN_EXPECTED_HITS, where the normal approximation behind z
-        # fails, by the exact binomial tail at the same two-sided level.
-        if resolved:
-            within = abs(z_score) <= 5.0
-            gate = f"z = {z_score:+.3f} against the 5 sigma gate"
-        else:
-            p_value = _binomial_p_value(est.hits, trials, p_exact)
-            within = p_value >= _FIVE_SIGMA_LEVEL
-            gate = (
-                f"z = {z_score:+.3f}; exact binomial p = {p_value:.3g} against "
-                f"the 5 sigma level {_FIVE_SIGMA_LEVEL:.3g}"
-            )
+        within, resolved, gate = est.judge(p_exact)
         if not within:
             failures.append(
                 f"MC estimate {est.p_hat:.12g} is outside the 5 sigma gate around "
@@ -426,7 +390,7 @@ def run_verify(
         note = f"{gate}; 95% CI [{est.ci_low:.6g}, {est.ci_high:.6g}], seed={seed}"
         if not resolved:
             note += (
-                f"; {expected:.3g} expected hits, below the {MIN_EXPECTED_HITS} "
+                f"; {p_exact * trials:.3g} expected hits, below the {MIN_EXPECTED_HITS} "
                 "an estimate needs to resolve the tail"
             )
         entries.append(

@@ -64,6 +64,7 @@ from typing import Iterator, Union
 import numpy as np
 
 from .density import DISCRETE_MODELS, UNIFORM_FLOOR, DensityModel
+from .oracles import regularized_incomplete_beta
 
 __all__ = [
     "CHUNK_TRIALS",
@@ -84,13 +85,16 @@ __all__ = [
 ]
 
 CHUNK_TRIALS = 65536
-# Below this many expected hits a tail estimate resolves nothing: the CLI
-# warns, and the ledger marks its MC row untested.
+# Below this many expected hits a tail estimate resolves nothing: `mc`
+# warns, and `MCEstimate.judge` reads the estimate as unresolved.
 MIN_EXPECTED_HITS = 50
 # Fewest trials an estimate accepts.
 MIN_TRIALS = 1000
 # Two-sided 95%: norm.isf(0.025) frozen so the CI never drifts with scipy.
 _WILSON_Z = 1.959963984540054
+# Two-sided tail of a normal deviate beyond 5 sigma, 5.7e-7: the level of
+# `MCEstimate.judge`, by z score or by exact binomial tail.
+_FIVE_SIGMA_LEVEL = math.erfc(5.0 / math.sqrt(2.0))
 # Rows per block when a chunk is transposed for the column walk: a block
 # of 1024 rows of n doubles stays in cache.
 _TRANSPOSE_ROWS = 1024
@@ -168,10 +172,6 @@ class SamplerSpec:
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
 
-    @property
-    def model_label(self) -> str:
-        return self.model if isinstance(self.model, str) else self.model.kind
-
 
 @dataclass(frozen=True)
 class MCEstimate:
@@ -186,7 +186,6 @@ class MCEstimate:
     threshold: float
     variant: str
     beta: float
-    model: str
     spec_hash: str
     warnings: tuple[str, ...] = ()
 
@@ -201,7 +200,6 @@ class MCEstimate:
             "threshold": self.threshold,
             "statistic": self.variant,
             "beta": self.beta,
-            "model": self.model,
             "spec_hash": self.spec_hash,
             "warnings": list(self.warnings),
         }
@@ -209,8 +207,39 @@ class MCEstimate:
     def covers(self, value: float) -> bool:
         return self.ci_low <= value <= self.ci_high
 
+    def judge(self, p: float) -> tuple[bool, bool, str]:
+        """(within, resolved, gate text) of the hits against an exact tail p.
 
-def wilson_interval(hits: int, trials: int, z: float = _WILSON_Z) -> tuple[float, float]:
+        A 95% interval misses on 5% of seeds by design, so the hits are
+        judged by a 5 sigma gate: |z| <= 5 where at least MIN_EXPECTED_HITS
+        hits are expected, and below that, where the normal approximation
+        behind z fails, the exact two-sided binomial tail at the same level.
+        With fewer expected hits the estimate cannot tell p from a
+        neighbour, so it resolves nothing.  At p = 0 any hit is outside.
+        """
+        sigma = math.sqrt(max(p * (1.0 - p), 1e-300) / self.trials)
+        z_score = (self.p_hat - p) / sigma
+        if p * self.trials >= MIN_EXPECTED_HITS:
+            return abs(z_score) <= 5.0, True, f"z = {z_score:+.3f} against the 5 sigma gate"
+        p_value = _binomial_p_value(self.hits, self.trials, p)
+        gate = (
+            f"z = {z_score:+.3f}; exact binomial p = {p_value:.3g} against "
+            f"the 5 sigma level {_FIVE_SIGMA_LEVEL:.3g}"
+        )
+        return p_value >= _FIVE_SIGMA_LEVEL, False, gate
+
+
+def _binomial_p_value(hits: int, trials: int, p: float) -> float:
+    """Two-sided exact p-value of `hits` in `trials` at rate p: twice the
+    binomial tail beyond `hits` on its side of the mean, an incomplete beta."""
+    if hits >= p * trials:
+        tail = regularized_incomplete_beta(hits, trials - hits + 1, p) if hits else 1.0
+    else:
+        tail = regularized_incomplete_beta(trials - hits, hits + 1, 1.0 - p)
+    return min(1.0, 2.0 * tail)
+
+
+def wilson_interval(hits: int, trials: int) -> tuple[float, float]:
     """Wilson score interval for a binomial proportion.
 
     Stays inside [0, 1] and behaves sensibly at hits = 0, which rare-tail
@@ -221,6 +250,7 @@ def wilson_interval(hits: int, trials: int, z: float = _WILSON_Z) -> tuple[float
     if not 0 <= hits <= trials:
         raise ValueError(f"hits must lie in [0, {trials}], got {hits}")
     p = hits / trials
+    z = _WILSON_Z
     z2 = z * z
     denom = 1.0 + z2 / trials
     center = (p + z2 / (2.0 * trials)) / denom
@@ -590,34 +620,25 @@ def _run_chunks(sampler: SamplerSpec, per_chunk, cut: int | None = None) -> list
 
 
 def estimate_tail(
-    sampler: SamplerSpec,
-    stat: StatisticSpec | str | None = None,
-    threshold: float | None = None,
-    epsilon: float | None = None,
+    sampler: SamplerSpec, stat: StatisticSpec | str | None, epsilon: float
 ) -> MCEstimate:
     """Monte Carlo estimate of P(statistic > threshold), strict exceedance.
 
-    Give either `threshold` directly or `epsilon`, which sets threshold =
-    cap - epsilon (the tail parameterization used throughout), the cap being
-    the statistic's largest value: n^(1-1/beta) for `sum` and sqrt(n) for
-    the max variants, which ignore beta.
+    The threshold is cap - epsilon (the tail parameterization used
+    throughout), the cap being the statistic's largest value: n^(1-1/beta)
+    for `sum` and sqrt(n) for the max variants, which ignore beta.
     The result is a pure function of (sampler.model, n, seed, trials,
-    stat, threshold); workers only distribute chunks.
+    stat, epsilon); workers only distribute chunks.
 
     For iid-normal with mu = 0 and iid-student-t, rows with too many
     negative coordinates to hit get no magnitudes where that drops a
     quarter of the rows or more: see the module docstring.
     """
     stat = _as_stat(stat)
-    if (threshold is None) == (epsilon is None):
-        raise ValueError("give exactly one of threshold or epsilon")
-    if threshold is None:
-        cutoff = float(sampler.n) ** _cap_power(stat)
-        if not 0.0 < epsilon < cutoff:
-            raise ValueError(f"epsilon must lie in (0, {cutoff:.6g}), got {epsilon}")
-        threshold = cutoff - epsilon
-    if not math.isfinite(threshold):
-        raise ValueError("threshold must be finite")
+    cutoff = float(sampler.n) ** _cap_power(stat)
+    if not 0.0 < epsilon < cutoff:
+        raise ValueError(f"epsilon must lie in (0, {cutoff:.6g}), got {epsilon}")
+    threshold = cutoff - epsilon
     if sampler.trials < MIN_TRIALS:
         raise ValueError(f"need at least {MIN_TRIALS} trials, got {sampler.trials}")
 
@@ -647,7 +668,6 @@ def _estimate(
         threshold=float(threshold),
         variant=stat.variant,
         beta=stat.beta,
-        model=sampler.model_label,
         spec_hash=spec_hash(sampler, stat, threshold),
         warnings=warnings,
     )

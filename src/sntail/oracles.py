@@ -506,16 +506,14 @@ def leading_coeff_fit(
     n: int,
     eps_grid: np.ndarray,
     expected_exponent: float | None = None,
-    residual_threshold: float = 1e-2,
-    exponent_tolerance: float = 0.1,
 ) -> CoefficientFit:
     """Least-squares power-law fit of a tail evaluator on an epsilon grid.
 
     `evaluator` maps the ascending grid to its values in one call.  Fits
-    log q against log eps.  The residual is the RMS misfit in log space;
-    `conforming` additionally requires the fitted exponent to land near
-    `expected_exponent` (default (n-1)/2, the generic small-epsilon
-    exponent in the continuous case).
+    log q against log eps.  The residual is the RMS misfit in log space.
+    `conforming` requires it to be at most 1e-2 and the fitted exponent to
+    lie within 0.1 of `expected_exponent` (default (n-1)/2, the generic
+    small-epsilon exponent in the continuous case).
     """
     eps = np.array(sorted(float(e) for e in np.atleast_1d(eps_grid)))
     if eps.size < 3:
@@ -532,7 +530,7 @@ def leading_coeff_fit(
     resid = log_q - (slope * log_e + intercept)
     rms = float(np.sqrt(np.mean(resid * resid)))
     expected = 0.5 * (n - 1) if expected_exponent is None else float(expected_exponent)
-    conforming = rms <= residual_threshold and abs(slope - expected) <= exponent_tolerance
+    conforming = rms <= 1e-2 and abs(slope - expected) <= 0.1
     # Grid is recorded largest-first, marching toward zero.
     return CoefficientFit(
         coefficient=float(np.exp(intercept)),

@@ -295,6 +295,43 @@ def test_counterexample_command(capsys):
     assert statuses["degenerate-first-coordinate"] == "confirmed"
 
 
+@pytest.mark.parametrize("seed", [19, 24, 25])
+def test_counterexample_judges_rademacher_by_the_5_sigma_gate(seed, capsys):
+    # the 95% interval misses the exact 1/8 at these seeds, at z = +2.26,
+    # +3.39 and +2.24; the 5 sigma gate of the ledger's MC row holds
+    assert main(["counterexample", "--n", "3", "--seed", str(seed)]) == 0
+    records = json.loads(capsys.readouterr().out)["records"]
+    statuses = {rec["model"]: rec["status"] for rec in records}
+    assert statuses["rademacher"] == "confirmed"
+
+
+def test_counterexample_reads_discrepant_outside_the_5_sigma_gate(capsys, monkeypatch):
+    true_estimate = cli.estimate_tail
+
+    def shifted(sampler, stat, epsilon):
+        est = true_estimate(sampler, stat, epsilon=epsilon)
+        if sampler.model != "rademacher":
+            return est
+        sigma = math.sqrt(0.125 * 0.875 / sampler.trials)
+        hits = round((0.125 + 6.0 * sigma) * sampler.trials)
+        return _estimate(sampler, stat, est.threshold, hits)
+
+    monkeypatch.setattr(cli, "estimate_tail", shifted)
+    assert main(["counterexample", "--n", "3", "--trials", "20000"]) == 1
+    records = json.loads(capsys.readouterr().out)["records"]
+    statuses = {rec["model"]: rec["status"] for rec in records}
+    assert statuses == {"degenerate-first-coordinate": "confirmed", "rademacher": "discrepant"}
+
+
+def test_counterexample_below_fifty_expected_hits_is_untested(capsys):
+    # 2^-20 in 1e6 trials expects 0.95 hits: no count can confirm the tail
+    assert main(["counterexample", "--n", "20", "--seed", "1"]) == 0
+    records = json.loads(capsys.readouterr().out)["records"]
+    rademacher = next(rec for rec in records if rec["model"] == "rademacher")
+    assert rademacher["oracle_value"] * rademacher["mc_trials"] < 1.0
+    assert rademacher["status"] == "untested"
+
+
 def test_rare_event_warning(capsys):
     code = main(["mc", "--n", "3", "--eps", "0.02", "--trials", "1000",
                  "--seed", "11"])

@@ -8,7 +8,7 @@ import pytest
 
 import sntail.ledger as ledger
 from sntail.ledger import LEDGER_FIELDS, LedgerEntry, VerifyReport, run_verify
-from sntail.montecarlo import MIN_EXPECTED_HITS, _estimate
+from sntail.montecarlo import MIN_EXPECTED_HITS, _binomial_p_value, _estimate
 
 
 def test_entry_status_vocabulary():
@@ -215,10 +215,10 @@ def test_binomial_p_value_matches_scipy():
             tail = binom.sf(hits - 1, trials, p)
         else:
             tail = binom.cdf(hits, trials, p)
-        got = ledger._binomial_p_value(hits, trials, p)
+        got = _binomial_p_value(hits, trials, p)
         assert got == pytest.approx(min(1.0, 2.0 * tail), rel=1e-6)
-    assert ledger._binomial_p_value(0, 1000, 0.0) == 1.0
-    assert ledger._binomial_p_value(1, 1000, 0.0) == 0.0
+    assert _binomial_p_value(0, 1000, 0.0) == 1.0
+    assert _binomial_p_value(1, 1000, 0.0) == 0.0
 
 
 def test_mc_row_gate_below_fifty_expected_hits_still_fails_a_wrong_count(monkeypatch):

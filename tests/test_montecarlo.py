@@ -27,6 +27,7 @@ from sntail.montecarlo import (
     _chunk_draws,
     _chunk_sizes,
     _chunk_uniforms,
+    _estimate,
     _kept_signs,
     _row_cut,
     _rows_with_a_sign,
@@ -308,10 +309,6 @@ def test_estimate_tail_threshold_epsilon_exclusive():
     sampler = SamplerSpec(DensityModel.iid_normal(3), 3, 1, 1000, 1)
     stat = StatisticSpec(2.0, "sum")
     with pytest.raises(ValueError):
-        estimate_tail(sampler, stat)
-    with pytest.raises(ValueError):
-        estimate_tail(sampler, stat, threshold=1.0, epsilon=0.1)
-    with pytest.raises(ValueError):
         estimate_tail(sampler, stat, epsilon=2.0)
     with pytest.raises(ValueError):
         estimate_tail(
@@ -331,6 +328,15 @@ def test_wilson_interval_behavior():
         wilson_interval(-1, 100)
     with pytest.raises(ValueError):
         wilson_interval(101, 100)
+
+
+def test_judge_at_p_zero_is_within_exactly_without_hits():
+    sampler = SamplerSpec("degenerate-first-coordinate", 3, 1, 1000, 1)
+    stat = StatisticSpec(2.0, "sum")
+    for hits in (0, 1, 1000):
+        within, resolved, _ = _estimate(sampler, stat, 1.0, hits).judge(0.0)
+        assert within == (hits == 0)
+        assert not resolved
 
 
 def test_spec_hash_sensitivity():
