@@ -358,9 +358,7 @@ class DensityModel:
         The Monte Carlo layer then draws each coordinate as a random sign
         times the draw of a u in [1/2, 1), which has the model's law.
         """
-        return self.kind == "iid-student-t" or (
-            self.kind == "iid-normal" and self.mu == 0.0
-        )
+        return self.sign_symmetric and self.kind in _IID_KINDS
 
 
 @dataclass(frozen=True)

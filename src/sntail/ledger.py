@@ -85,16 +85,7 @@ class LedgerEntry:
         return self.corrected_value / self.oracle_value
 
     def to_record(self) -> dict[str, object]:
-        return {
-            "quantity": self.quantity,
-            "paper_value": self.paper_value,
-            "corrected_value": self.corrected_value,
-            "oracle_value": self.oracle_value,
-            "ratio_paper_oracle": self.ratio_paper_oracle,
-            "ratio_corrected_oracle": self.ratio_corrected_oracle,
-            "status": self.status,
-            "note": self.note,
-        }
+        return {name: getattr(self, name) for name in LEDGER_FIELDS}
 
 
 @dataclass(frozen=True)
@@ -116,6 +107,35 @@ def _status(paper: float, oracle: float, rel: float = 1e-6) -> str:
     if oracle == 0.0:
         return "confirmed" if paper == 0.0 else "discrepant"
     return "confirmed" if abs(paper / oracle - 1.0) <= rel else "discrepant"
+
+
+def _untested(quantity: str, note: str) -> LedgerEntry:
+    return LedgerEntry(quantity, None, None, None, "untested", note)
+
+
+def _finding(
+    quantity: str, paper: float, corrected: float, oracle: float, rel: float,
+    note: str, failure: str, failures: list[str],
+) -> LedgerEntry:
+    """A published value judged against an independent oracle: the paper
+    value off the oracle is a finding ("discrepant"), while the corrected
+    value off it by the same gate is an internal failure."""
+    if _status(corrected, oracle, rel) != "confirmed":
+        failures.append(failure)
+    return LedgerEntry(quantity, paper, corrected, oracle, _status(paper, oracle, rel), note)
+
+
+def _own_check(
+    quantity: str, paper: float | None, value: float, oracle: float, within: bool,
+    note: str, failure: str, failures: list[str], resolved: bool = True,
+) -> LedgerEntry:
+    """The package's own routes against each other: a failed gate reads
+    "untested" and is an internal failure; an estimate that cannot resolve
+    the oracle reads "untested" without one."""
+    if not within:
+        failures.append(failure)
+    status = "confirmed" if within and resolved else "untested"
+    return LedgerEntry(quantity, paper, value, oracle, status, note)
 
 
 def _determinant_row(spec: AntiHessianSpec, failures: list[str]) -> LedgerEntry:
@@ -166,12 +186,10 @@ def run_verify(
     """Build the verification ledger for one (model, n, beta) setting.
 
     Region-integral rows need 2 <= n <= 4 and are skipped (status
-    "untested") outside that range.  Exit semantics: paper-vs-oracle
-    discrepancies are findings; only oracle-vs-oracle inconsistencies
-    make the report fail.  A row that checks the package against itself
-    carries no published value, so when its gate fails it reads
-    "untested" and the failure is reported as internal.  `eps` must hold
-    exactly one value.
+    "untested") outside that range.  A published value is judged by
+    `_finding`, and the package's own routes against each other by
+    `_own_check` (see the module docstring).  `eps` must hold exactly one
+    value.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
@@ -193,28 +211,19 @@ def run_verify(
 
     # Anti-Hessian entries: the published entry formulas are correct, and
     # the oracle is a finite-difference Hessian of the criterion function.
-    # Both routes are the package's own, so a failed gate reads "untested".
     diag, off = anti_hessian_entries(spec)
     fd_diag, fd_off = anti_hessian_entries_fd(spec)
     checks = [("diag", "diagonal", diag, fd_diag)]
     if fd_off is not None:
         checks.append(("off", "off-diagonal", off, fd_off))
     for tag, name, closed, fd_value in checks:
-        agree = _status(closed, fd_value, 1e-5) == "confirmed"
-        if not agree:
-            failures.append(
-                f"anti-Hessian {name}: closed {closed:.12g} vs finite-difference {fd_value:.12g}"
-            )
-        entries.append(
-            LedgerEntry(
-                quantity=f"anti_hessian_{tag}(n={n}, beta={beta:g})",
-                paper_value=closed,
-                corrected_value=closed,
-                oracle_value=fd_value,
-                status="confirmed" if agree else "untested",
-                note="published entry formula (correct as printed) vs -FD Hessian",
-            )
-        )
+        entries.append(_own_check(
+            f"anti_hessian_{tag}(n={n}, beta={beta:g})", closed, closed, fd_value,
+            _status(closed, fd_value, 1e-5) == "confirmed",
+            "published entry formula (correct as printed) vs -FD Hessian",
+            f"anti-Hessian {name}: closed {closed:.12g} vs finite-difference {fd_value:.12g}",
+            failures,
+        ))
 
     # K constant: paper vs corrected differ by construction; adjudication
     # happens through the tail-constant fit below.  Where the ratio is not
@@ -240,98 +249,21 @@ def run_verify(
         )
     )
 
-    # Tail constant against a power-law fit of the exact oracle (beta = 2).
     if continuous and beta == 2.0:
-        note = ""
-        if sphere_law:
-            def evaluator(grid: np.ndarray) -> list[float]:
-                return [sphere_tail_exact(n, math.sqrt(n) - e).value for e in grid]
-
-            oracle_name = "sphere oracle"
-        elif 2 <= n <= 4:
-            # 1e-6 is plenty under the 0.5% gate.  The z-plan starts each
-            # folded-normal ray at its support edge, but at n = 3, 4 that
-            # profile is kinked along v_i = 1 and v_i = v_j, off the pole of
-            # the polar rule, so the ladder converges only algebraically: it
-            # reaches 1e-6 at n = 3 and runs out of levels at n = 4.
-            def evaluator(grid: np.ndarray) -> np.ndarray:
-                return region_tail_integral(
-                    model, n, grid, 2.0, "weighted", rel_target=1e-6
-                ).value
-
-            oracle_name = "region oracle"
-        else:
-            note = "no exact oracle for this model at this dimension"
-        # Low grid: the tail's O(eps) relative correction (about 0.4% at
-        # eps = 1e-2 for heavy-tailed models) must stay under the gate.
-        if not note:
-            try:
-                fit = leading_coeff_fit(evaluator, n, np.geomspace(1e-4, 1e-3, 7))
-            except QuadratureError as exc:
-                note = f"oracle quadrature budget exhausted: {exc}"
-            except ValueError as exc:
-                # from about n = 140 the sphere law underflows to 0.0 on the
-                # grid, and a fit in the log domain is not built
-                note = f"oracle underflows at this n: {exc}"
-        if not note:
-            try:
-                pred_paper = predict_tail(model, TailQuery(n, epsilon), "paper")
-                pred_corr = predict_tail(model, TailQuery(n, epsilon), "corrected")
-            except QuadratureError as exc:
-                # from about n = 115 the weighted profile's z^(n-1) overflows
-                # on the scanned range
-                note = f"prediction quadrature failed: {exc}"
-        if note:
-            entries.append(
-                LedgerEntry(
-                    quantity=f"tail_constant(n={n})",
-                    paper_value=None,
-                    corrected_value=None,
-                    oracle_value=None,
-                    status="untested",
-                    note=note,
-                )
-            )
-        else:
-            if abs(pred_corr.constant / fit.coefficient - 1.0) > 5e-3:
-                failures.append(
-                    "corrected tail constant disagrees with the oracle fit: "
-                    f"{pred_corr.constant:.12g} vs {fit.coefficient:.12g}"
-                )
-            entries.append(
-                LedgerEntry(
-                    quantity=f"tail_constant(n={n})",
-                    paper_value=pred_paper.constant,
-                    corrected_value=pred_corr.constant,
-                    oracle_value=fit.coefficient,
-                    status=_status(pred_paper.constant, fit.coefficient, 5e-3),
-                    note=(
-                        f"leading coefficient of {oracle_name} fit, exponent "
-                        f"{fit.exponent:.6g} (expected {fit.expected_exponent:g})"
-                    ),
-                )
-            )
+        entries.append(_tail_constant_row(model, n, epsilon, sphere_law, failures))
 
     # Cross-oracle consistency: two independent integration routes.
     if sphere_law and 2 <= n <= 4:
         sphere_val = sphere_tail_exact(n, math.sqrt(n) - epsilon).value
         region_val = region_tail_integral(model, n, epsilon, 2.0, "weighted").value
-        agree = abs(region_val / sphere_val - 1.0) <= 1e-5
-        if not agree:
-            failures.append(
-                f"region vs sphere oracle mismatch at eps={epsilon:g}: "
-                f"{region_val:.12g} vs {sphere_val:.12g}"
-            )
-        entries.append(
-            LedgerEntry(
-                quantity=f"cross_oracle(n={n}, eps={epsilon:g})",
-                paper_value=None,
-                corrected_value=region_val,
-                oracle_value=sphere_val,
-                status="confirmed" if agree else "untested",
-                note="region quadrature vs exact sphere law (internal consistency)",
-            )
-        )
+        entries.append(_own_check(
+            f"cross_oracle(n={n}, eps={epsilon:g})", None, region_val, sphere_val,
+            abs(region_val / sphere_val - 1.0) <= 1e-5,
+            "region quadrature vs exact sphere law (internal consistency)",
+            f"region vs sphere oracle mismatch at eps={epsilon:g}: "
+            f"{region_val:.12g} vs {sphere_val:.12g}",
+            failures,
+        ))
 
     # Sandwich: non-asymptotic envelope brackets the region integral.
     if continuous and beta == 2.0 and 2 <= n <= 4:
@@ -339,19 +271,11 @@ def run_verify(
 
         lam, _ = curvature_functionals(n)
         eps_sw = min(epsilon, 0.5 * lam)
+        quantity = f"sandwich(n={n}, eps={eps_sw:g})"
         try:
             report = validate_sandwich(model, n, eps_sw)
         except QuadratureError as exc:
-            entries.append(
-                LedgerEntry(
-                    quantity=f"sandwich(n={n}, eps={eps_sw:g})",
-                    paper_value=None,
-                    corrected_value=None,
-                    oracle_value=None,
-                    status="untested",
-                    note=f"region quadrature budget exhausted: {exc}",
-                )
-            )
+            entries.append(_untested(quantity, f"region quadrature budget exhausted: {exc}"))
         else:
             if not report.holds:
                 failures.append(
@@ -364,7 +288,7 @@ def run_verify(
                 )
             entries.append(
                 LedgerEntry(
-                    quantity=f"sandwich(n={n}, eps={eps_sw:g})",
+                    quantity=quantity,
                     paper_value=report.lower,
                     corrected_value=report.upper,
                     oracle_value=report.integral,
@@ -375,34 +299,25 @@ def run_verify(
 
     # Monte Carlo vs exact oracle (sphere law only; 5 sigma internal gate).
     if sphere_law:
-        eps_mc = epsilon
         est = estimate_tail(
             SamplerSpec(model, n, seed, trials, workers), StatisticSpec(2.0, "sum"),
-            epsilon=eps_mc,
+            epsilon=epsilon,
         )
-        p_exact = sphere_tail_exact(n, math.sqrt(n) - eps_mc).value
+        p_exact = sphere_tail_exact(n, math.sqrt(n) - epsilon).value
         within, resolved, gate = est.judge(p_exact)
-        if not within:
-            failures.append(
-                f"MC estimate {est.p_hat:.12g} is outside the 5 sigma gate around "
-                f"the exact tail {p_exact:.12g} ({gate}; eps={eps_mc:g}, seed={seed})"
-            )
         note = f"{gate}; 95% CI [{est.ci_low:.6g}, {est.ci_high:.6g}], seed={seed}"
         if not resolved:
             note += (
                 f"; {p_exact * trials:.3g} expected hits, below the {MIN_EXPECTED_HITS} "
                 "an estimate needs to resolve the tail"
             )
-        entries.append(
-            LedgerEntry(
-                quantity=f"mc_tail(n={n}, eps={eps_mc:g}, trials={trials})",
-                paper_value=None,
-                corrected_value=est.p_hat,
-                oracle_value=p_exact,
-                status="confirmed" if within and resolved else "untested",
-                note=note,
-            )
-        )
+        entries.append(_own_check(
+            f"mc_tail(n={n}, eps={epsilon:g}, trials={trials})", None, est.p_hat, p_exact,
+            within, note,
+            f"MC estimate {est.p_hat:.12g} is outside the 5 sigma gate around "
+            f"the exact tail {p_exact:.12g} ({gate}; eps={epsilon:g}, seed={seed})",
+            failures, resolved,
+        ))
 
     # Discrete counterexamples: flat Rademacher tail and the degenerate
     # first coordinate.
@@ -410,40 +325,76 @@ def run_verify(
     eps_rad = 0.4 / math.sqrt(n_rad)
     rad = rademacher_tail_exact(n_rad, eps_rad)
     rad_formula = 2.0 ** (-n_rad)
-    if rad.value != rad_formula:
-        failures.append(
-            f"rademacher enumeration {rad.value:.12g} differs from 2^-n = {rad_formula:.12g}"
-        )
-    entries.append(
-        LedgerEntry(
-            quantity=f"rademacher_tail(n={n_rad}, eps={eps_rad:.6g})",
-            paper_value=rad_formula,
-            corrected_value=rad_formula,
-            oracle_value=rad.value,
-            status=_status(rad_formula, rad.value, 0.0),
-            note="flat tail in the window: exact enumeration over all sign patterns",
-        )
-    )
+    entries.append(_finding(
+        f"rademacher_tail(n={n_rad}, eps={eps_rad:.6g})", rad_formula, rad_formula,
+        rad.value, 0.0,
+        "flat tail in the window: exact enumeration over all sign patterns",
+        f"rademacher enumeration {rad.value:.12g} differs from 2^-n = {rad_formula:.12g}",
+        failures,
+    ))
     if n >= 3:
         eps_deg = 0.5 * (math.sqrt(n) - math.sqrt(n - 1))
         deg = degenerate_component_check(n, eps_deg)
-        entries.append(
-            LedgerEntry(
-                quantity=f"degenerate_tail(n={n}, eps={eps_deg:.6g})",
-                paper_value=0.0,
-                corrected_value=0.0,
-                oracle_value=deg.value,
-                status=_status(0.0, deg.value, 0.0),
-                note="one deterministic zero coordinate pins the tail at exactly zero",
-            )
-        )
-        if deg.value != 0.0:
-            failures.append(
-                f"degenerate-coordinate oracle returned {deg.value:.12g}, expected exactly 0"
-            )
+        entries.append(_finding(
+            f"degenerate_tail(n={n}, eps={eps_deg:.6g})", 0.0, 0.0, deg.value, 0.0,
+            "one deterministic zero coordinate pins the tail at exactly zero",
+            f"degenerate-coordinate oracle returned {deg.value:.12g}, expected exactly 0",
+            failures,
+        ))
 
     entries.append(_log_growth_entry(beta))
     return VerifyReport(entries=tuple(entries), internal_failures=tuple(failures))
+
+
+def _tail_constant_row(
+    model: DensityModel, n: int, epsilon: float, sphere_law: bool, failures: list[str]
+) -> LedgerEntry:
+    """Tail constant against a power-law fit of the exact oracle (beta = 2)."""
+    quantity = f"tail_constant(n={n})"
+    if sphere_law:
+        def evaluator(grid: np.ndarray) -> list[float]:
+            return [sphere_tail_exact(n, math.sqrt(n) - e).value for e in grid]
+
+        oracle_name = "sphere oracle"
+    elif 2 <= n <= 4:
+        # 1e-6 is plenty under the 0.5% gate.  The z-plan starts each
+        # folded-normal ray at its support edge, but at n = 3, 4 that
+        # profile is kinked along v_i = 1 and v_i = v_j, off the pole of
+        # the polar rule, so the ladder converges only algebraically: it
+        # reaches 1e-6 at n = 3 and runs out of levels at n = 4.
+        def evaluator(grid: np.ndarray) -> np.ndarray:
+            return region_tail_integral(
+                model, n, grid, 2.0, "weighted", rel_target=1e-6
+            ).value
+
+        oracle_name = "region oracle"
+    else:
+        return _untested(quantity, "no exact oracle for this model at this dimension")
+    # Low grid: the tail's O(eps) relative correction (about 0.4% at
+    # eps = 1e-2 for heavy-tailed models) must stay under the gate.
+    try:
+        fit = leading_coeff_fit(evaluator, n, np.geomspace(1e-4, 1e-3, 7))
+    except QuadratureError as exc:
+        return _untested(quantity, f"oracle quadrature budget exhausted: {exc}")
+    except ValueError as exc:
+        # from about n = 140 the sphere law underflows to 0.0 on the grid,
+        # and a fit in the log domain is not built
+        return _untested(quantity, f"oracle underflows at this n: {exc}")
+    try:
+        paper = predict_tail(model, TailQuery(n, epsilon), "paper").constant
+        corrected = predict_tail(model, TailQuery(n, epsilon), "corrected").constant
+    except QuadratureError as exc:
+        # from about n = 115 the weighted profile's z^(n-1) overflows on
+        # the scanned range
+        return _untested(quantity, f"prediction quadrature failed: {exc}")
+    return _finding(
+        quantity, paper, corrected, fit.coefficient, 5e-3,
+        f"leading coefficient of {oracle_name} fit, exponent "
+        f"{fit.exponent:.6g} (expected {fit.expected_exponent:g})",
+        "corrected tail constant disagrees with the oracle fit: "
+        f"{corrected:.12g} vs {fit.coefficient:.12g}",
+        failures,
+    )
 
 
 def _log_growth_entry(beta: float) -> LedgerEntry:

@@ -645,6 +645,11 @@ def estimate_tail(
     def per_chunk(draws: np.ndarray) -> int:
         return int(np.count_nonzero(statistic_batch(draws, stat) > threshold))
 
+    # Every degenerate row has its first coordinate at 0, so at J = 1 no
+    # row can hit, and nothing is drawn.
+    degenerate = sampler.model == "degenerate-first-coordinate"
+    if degenerate and _sign_cut(sampler.n, stat, threshold) <= 1:
+        return _estimate(sampler, stat, threshold, 0)
     cut = _row_cut(sampler, stat, threshold)
     hits = int(sum(_run_chunks(sampler, per_chunk, cut)))
     return _estimate(sampler, stat, threshold, hits)

@@ -173,7 +173,7 @@ def sphere_law_applies(model: object, beta: float) -> bool:
     workload checks that route on exactly that model.
     """
     return (isinstance(model, DensityModel) and model.kind == "iid-normal"
-            and model.mu == 0.0 and beta == 2.0)
+            and model.sign_symmetric and beta == 2.0)
 
 
 def rademacher_tail_exact(n: int, epsilon: float) -> OracleResult:

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import sntail.cli as cli
 import sntail.ledger as ledger
 from sntail.ledger import LEDGER_FIELDS, LedgerEntry, VerifyReport, run_verify
 from sntail.montecarlo import MIN_EXPECTED_HITS, _binomial_p_value, _estimate
@@ -300,3 +301,57 @@ def test_verify_n4_folded_reads_untested_on_a_missed_grid():
         "oracle quadrature budget exhausted: region quadrature missed relative "
         "target 1.0e-06; last refinement moved the value by 3.516e-10"
     )
+
+
+def _row(report, prefix):
+    return next(e for e in report.entries if e.quantity.startswith(prefix))
+
+
+def test_a_wrong_rademacher_enumeration_is_a_finding_and_an_internal_failure(
+    monkeypatch, capsys
+):
+    # the published 2^-n and its corrected twin both miss the oracle: the
+    # row reads "discrepant", and the corrected miss fails the run
+    true_tail = ledger.rademacher_tail_exact
+
+    def off(n, eps):
+        result = true_tail(n, eps)
+        return dataclasses.replace(result, value=2.0 ** -n * (1.0 + 1e-3))
+
+    monkeypatch.setattr(ledger, "rademacher_tail_exact", off)
+    report = run_verify("iid-student-t:nu=5", n=5)
+    assert _row(report, "rademacher_tail").status == "discrepant"
+    assert [f.split(" ")[:2] for f in report.internal_failures] == [
+        ["rademacher", "enumeration"]
+    ]
+    assert cli.main(["verify", "--n", "5", "--model", "iid-student-t:nu=5"]) == 1
+    assert "internal failure: rademacher enumeration" in capsys.readouterr().err
+
+
+def test_a_nonzero_degenerate_oracle_is_a_finding_and_an_internal_failure(monkeypatch):
+    true_check = ledger.degenerate_component_check
+    monkeypatch.setattr(
+        ledger, "degenerate_component_check",
+        lambda n, eps: dataclasses.replace(true_check(n, eps), value=1e-9),
+    )
+    report = run_verify("iid-student-t:nu=5", n=5)
+    row = _row(report, "degenerate_tail")
+    assert (row.status, row.oracle_value) == ("discrepant", 1e-9)
+    assert report.internal_failures == (
+        "degenerate-coordinate oracle returned 1e-09, expected exactly 0",
+    )
+
+
+def test_a_failed_sandwich_bracket_reads_discrepant(monkeypatch):
+    true_sandwich = ledger.validate_sandwich
+
+    def broken(model, n, eps):
+        report = true_sandwich(model, n, eps)
+        return dataclasses.replace(report, integral=2.0 * report.upper, holds=False)
+
+    monkeypatch.setattr(ledger, "validate_sandwich", broken)
+    report = run_verify("iid-student-t:nu=5", n=2)
+    row = _row(report, "sandwich")
+    assert row.status == "discrepant"
+    assert row.oracle_value > row.corrected_value
+    assert [f.split(" at ")[0] for f in report.internal_failures] == ["sandwich violated"]

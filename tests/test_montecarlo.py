@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtri, stdtrit
 
+import sntail.montecarlo as montecarlo
 from sntail.density import UNIFORM_FLOOR, DensityModel
 from sntail.montecarlo import (
     CHUNK_TRIALS,
@@ -285,6 +286,23 @@ def test_discrete_samplers():
     draws = np.vstack(list(sample_batch(deg)))
     assert np.all(draws[:, 0] == 0.0)
     assert np.std(draws[:, 1]) > 0.5
+
+
+def test_degenerate_estimate_in_the_window_draws_nothing(monkeypatch):
+    # the first coordinate is always 0, and inside counterexample's window
+    # one coordinate <= 0 already keeps a row below the threshold (J = 1)
+    def no_draws(*args, **kwargs):
+        raise AssertionError("a chunk was drawn")
+
+    monkeypatch.setattr(montecarlo, "_chunk_draws", no_draws)
+    n = 20
+    eps = 0.9 * (math.sqrt(n) - math.sqrt(n - 1))
+    sampler = SamplerSpec("degenerate-first-coordinate", n, 1, 10**6, 2)
+    stat = StatisticSpec(2.0, "sum")
+    assert _sign_cut(n, stat, math.sqrt(n) - eps) == 1
+    assert _row_cut(sampler, stat, math.sqrt(n) - eps) is None  # hashed as stream 1
+    est = estimate_tail(sampler, stat, epsilon=eps)
+    assert (est.hits, est.trials) == (0, 10**6)
 
 
 def test_sampler_spec_validation():
