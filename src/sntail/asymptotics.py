@@ -58,16 +58,13 @@ PREDICTION_FIELDS = (
 
 @dataclass(frozen=True)
 class TailQuery:
-    """Right/left/two-sided tail request at P(T > n**(1-1/beta) - epsilon)."""
+    """Right/left/two-sided tail request at P(T > n**(1-1/beta) - epsilon), n = model.n."""
 
-    n: int
     epsilon: float
     beta: float = 2.0
     side: str = "right"
 
     def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ValueError(f"n must be >= 2, got {self.n}")
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon}")
         if not self.beta > 1.0:
@@ -187,11 +184,12 @@ class Prediction:
 def _profile_at(model: DensityModel, side: str, variant: str) -> float:
     """Profile value entering the prediction for the requested side.
 
-    Right tails localize along the positive diagonal ray.  Left tails
-    localize along the negative diagonal: the published convention evaluates
-    the unweighted profile at v = -1 (exact under sign symmetry), while the
-    weighted form integrates the z < 0 branch through the all-ones direction,
-    which is the negative diagonal itself.
+    Right tails localize along the positive diagonal ray, left tails along
+    the negative one.  The weighted form integrates the z < 0 branch through
+    the all-ones direction: the reflected model's right profile, exact for
+    any model.  The published convention evaluates the unweighted profile
+    at v = -1, which is its value at v = 1 only where flipping coordinates
+    2..n leaves f unchanged, as for iid laws symmetric about 0.
     """
     ones = np.ones(model.n - 1)
     if side == "right":
@@ -212,14 +210,13 @@ def predict_tail(
     vanishing right-side profile raises ArithmeticError (the constant
     degenerates and the gamma-variant prediction is the documented escape
     hatch); a vanishing left-side profile is a legitimate exact zero.  A
-    query outside the regime, with eps at or beyond `tail_window` or a
-    value above 1, carries a warning.
+    value above 1, eps at or beyond `tail_window`, or a paper left tail of a
+    model that is not iid and symmetric about 0 carries a warning.
     """
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
-    if model.n != query.n:
-        raise ValueError(f"model dimension {model.n} does not match n = {query.n}")
-    kc = k_constant(query.n, query.beta, variant)
+    n = model.n
+    kc = k_constant(n, query.beta, variant)
     warnings: list[str] = []
     if query.epsilon > 0.5:
         warnings.append("epsilon > 0.5: asymptotic regime questionable")
@@ -234,14 +231,14 @@ def predict_tail(
                 "prediction degenerates (use predict_gamma_variant)"
             )
         h_total += h_side
-    if query.side != "right" and not model.sign_symmetric:
+    if query.side != "right" and variant == "paper" and not model.signs_split_at_median():
         warnings.append(
-            "left-tail profile convention is exact only for sign-symmetric models"
+            "left-tail profile convention is exact only for iid models symmetric about 0"
         )
-    exponent = 0.5 * (query.n - 1)
+    exponent = 0.5 * (n - 1)
     constant = kc.value * h_total
     value = constant * query.epsilon**exponent
-    window = tail_window(query.n, query.beta)
+    window = tail_window(n, query.beta)
     if query.epsilon >= window:
         warnings.append(
             f"epsilon {query.epsilon:g} is outside the window (0, {window:.6g}) "
@@ -251,7 +248,7 @@ def predict_tail(
     if value > 1.0:
         warnings.append(f"predicted probability {value:.6g} exceeds 1")
     return Prediction(
-        n=query.n,
+        n=n,
         beta=query.beta,
         epsilon=query.epsilon,
         side=query.side,

@@ -52,7 +52,7 @@ def unit_ball_volume(dim: int) -> float:
     return math.pi ** (0.5 * dim) / math.gamma(0.5 * dim + 1.0)
 
 
-def curvature_functionals(n: int, beta: float = 2.0) -> tuple[float, float]:
+def curvature_functionals(n: int) -> tuple[float, float]:
     """Infimum lam and supremum mu of (g(1) - g(v)) / ||v - 1||**2 on the unit ball.
 
     For beta = 2, with m = n - 1 and B = sqrt(n + 1 + 2*sqrt(m)):
@@ -79,11 +79,7 @@ def curvature_functionals(n: int, beta: float = 2.0) -> tuple[float, float]:
     The minus end has the smaller B_r and the smaller n - r*sqrt(m) > 0, so the
     larger R; on the plus end B_r and n + r*sqrt(m) grow with r, so R is least
     at r = 1.
-
-    No bound uses another beta, so any other value raises ValueError.
     """
-    if beta != 2.0:
-        raise ValueError(f"curvature functionals need beta = 2, got {beta}")
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     root_n, root_m = math.sqrt(n), math.sqrt(n - 1)
@@ -184,7 +180,7 @@ def _ball_search(
     return v, sign * best, evals
 
 
-def envelope_bounds(model: DensityModel, n: int, epsilon: float) -> BoundsCertificate:
+def envelope_bounds(model: DensityModel, epsilon: float) -> BoundsCertificate:
     """Upper and lower tail bounds from profile extrema over curvature balls.
 
     H is the supremum and G the infimum of prod|v_j| * h_paper(v) over the
@@ -198,10 +194,9 @@ def envelope_bounds(model: DensityModel, n: int, epsilon: float) -> BoundsCertif
     support start where the model has one (the folded normal); a density
     whose profiles defeat the check raises QuadratureError.
     """
+    n = model.n
     if not 2 <= n <= 4:
         raise ValueError(f"envelope bounds need 2 <= n <= 4, got n = {n}")
-    if model.n != n:
-        raise ValueError(f"model dimension {model.n} does not match n = {n}")
     lam, mu = curvature_functionals(n)
     if not 0.0 < epsilon < lam:
         raise ValueError(
@@ -266,7 +261,7 @@ class SandwichReport:
         return self.certificate.upper
 
 
-def validate_sandwich(model: DensityModel, n: int, epsilon: float) -> SandwichReport:
+def validate_sandwich(model: DensityModel, epsilon: float) -> SandwichReport:
     """Check the tail envelope against the region-integral oracle.
 
     The integral uses the as-published region integrand prod(v_j) * h_paper,
@@ -274,15 +269,16 @@ def validate_sandwich(model: DensityModel, n: int, epsilon: float) -> SandwichRe
     the localized region stays inside the ball of radius sqrt(eps/lambda)
     (it must, by the quadratic minorant, as long as eps < lambda), with
     lambda the exact value `envelope_bounds` takes from
-    `curvature_functionals(n)`.
+    `curvature_functionals(model.n)`.
     """
+    n = model.n
     if not 2 <= n <= 4:
         raise ValueError(f"sandwich validation needs 2 <= n <= 4, got {n}")
     window = tail_window(n, 2.0)
     if not 0.0 < epsilon < window:
         raise ValueError(f"epsilon must lie in (0, {window:.6g})")
-    cert = envelope_bounds(model, n, epsilon)
-    oracle = region_tail_integral(model, n, epsilon, 2.0, integrand="paper")
+    cert = envelope_bounds(model, epsilon)
+    oracle = region_tail_integral(model, epsilon, 2.0, integrand="paper")
 
     # Containment certificate: the region's farthest point from the all-ones
     # point lies on the diagonal.  With m = n - 1 and c = sqrt(n) - eps, a

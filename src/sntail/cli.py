@@ -464,7 +464,7 @@ def _run_predict(config: ExperimentConfig):
     model = _require_continuous(config)
     records = []
     for eps in config.eps:
-        query = TailQuery(config.n, eps, config.beta, config.side)
+        query = TailQuery(eps, config.beta, config.side)
         pred = predict_tail(model, query, config.variant)
         for warning in pred.warnings:
             print(f"warning: {warning}", file=sys.stderr)
@@ -485,12 +485,16 @@ def _run_bounds(config: ExperimentConfig):
                 f"eps must lie in (0, lambda) = (0, {lam:.6g}) for "
                 f"bounds, got {eps:g}"
             )
-    records = [envelope_bounds(model, config.n, eps).to_record() for eps in config.eps]
+    records = [envelope_bounds(model, eps).to_record() for eps in config.eps]
     fieldnames = ("n", "beta", "eps", "lambda", "mu", "H", "G", "lower", "upper")
     return records, fieldnames, 0
 
 
 def _run_oracle(config: ExperimentConfig):
+    if config.side != "right":
+        raise UsageError(
+            f"oracle computes the right tail only (--side right), got --side {config.side}"
+        )
     model = parse_model(config.model, config.n)
     records = []
     for eps in config.eps:
@@ -502,9 +506,7 @@ def _run_oracle(config: ExperimentConfig):
         elif sphere_law_applies(model, config.beta):
             result = sphere_tail_exact(config.n, math.sqrt(config.n) - eps)
         elif 2 <= config.n <= 4:
-            result = region_tail_integral(
-                model, config.n, eps, config.beta, "weighted"
-            )
+            result = region_tail_integral(model, eps, config.beta, "weighted")
         else:
             raise UsageError(
                 "no oracle for this model above n = 4; use mc instead"
@@ -529,9 +531,7 @@ def _predicted_tail_for_warning(config: ExperimentConfig, eps: float) -> float |
         return sphere_tail_exact(config.n, math.sqrt(config.n) - eps).value
     if eps < tail_window(config.n, config.beta):
         try:
-            return predict_tail(
-                model, TailQuery(config.n, eps, config.beta), "corrected"
-            ).value
+            return predict_tail(model, TailQuery(eps, config.beta), "corrected").value
         except (ValueError, ArithmeticError, QuadratureError):
             return None
     return None

@@ -255,7 +255,7 @@ def run_verify(
     # Cross-oracle consistency: two independent integration routes.
     if sphere_law and 2 <= n <= 4:
         sphere_val = sphere_tail_exact(n, math.sqrt(n) - epsilon).value
-        region_val = region_tail_integral(model, n, epsilon, 2.0, "weighted").value
+        region_val = region_tail_integral(model, epsilon, 2.0, "weighted").value
         entries.append(_own_check(
             f"cross_oracle(n={n}, eps={epsilon:g})", None, region_val, sphere_val,
             abs(region_val / sphere_val - 1.0) <= 1e-5,
@@ -273,7 +273,7 @@ def run_verify(
         eps_sw = min(epsilon, 0.5 * lam)
         quantity = f"sandwich(n={n}, eps={eps_sw:g})"
         try:
-            report = validate_sandwich(model, n, eps_sw)
+            report = validate_sandwich(model, eps_sw)
         except QuadratureError as exc:
             entries.append(_untested(quantity, f"region quadrature budget exhausted: {exc}"))
         else:
@@ -363,9 +363,7 @@ def _tail_constant_row(
         # the polar rule, so the ladder converges only algebraically: it
         # reaches 1e-6 at n = 3 and runs out of levels at n = 4.
         def evaluator(grid: np.ndarray) -> np.ndarray:
-            return region_tail_integral(
-                model, n, grid, 2.0, "weighted", rel_target=1e-6
-            ).value
+            return region_tail_integral(model, grid, 2.0, "weighted", rel_target=1e-6).value
 
         oracle_name = "region oracle"
     else:
@@ -381,8 +379,8 @@ def _tail_constant_row(
         # and a fit in the log domain is not built
         return _untested(quantity, f"oracle underflows at this n: {exc}")
     try:
-        paper = predict_tail(model, TailQuery(n, epsilon), "paper").constant
-        corrected = predict_tail(model, TailQuery(n, epsilon), "corrected").constant
+        paper = predict_tail(model, TailQuery(epsilon), "paper").constant
+        corrected = predict_tail(model, TailQuery(epsilon), "corrected").constant
     except QuadratureError as exc:
         # from about n = 115 the weighted profile's z^(n-1) overflows on
         # the scanned range

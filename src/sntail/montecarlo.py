@@ -142,9 +142,10 @@ class SamplerSpec:
     """A reproducible sampling plan.
 
     `model` is either a DensityModel or one of the discrete names
-    (rademacher, degenerate-first-coordinate).  Results are bit-identical
-    for fixed (seed, trials) regardless of workers: substreams are keyed
-    by absolute trial position, never by worker identity.
+    (rademacher, degenerate-first-coordinate), plain strings with no
+    dimension, hence `n`.  Results are bit-identical for fixed (seed,
+    trials) regardless of workers: substreams are keyed by absolute trial
+    position, never by worker identity.
     """
 
     model: ModelLike
@@ -260,14 +261,6 @@ def wilson_interval(hits: int, trials: int) -> tuple[float, float]:
     lo = 0.0 if hits == 0 else max(center - spread, 0.0)
     hi = 1.0 if hits == trials else min(center + spread, 1.0)
     return lo, hi
-
-
-def _as_stat(spec: StatisticSpec | str | None) -> StatisticSpec:
-    if spec is None:
-        return StatisticSpec()
-    if isinstance(spec, str):
-        return StatisticSpec(variant=spec)
-    return spec
 
 
 def _columns(x: np.ndarray) -> np.ndarray:
@@ -409,7 +402,7 @@ def _statistics(
     return [values[v] for v in variants]
 
 
-def statistic_batch(x: np.ndarray, spec: StatisticSpec | str | None = None) -> np.ndarray:
+def statistic_batch(x: np.ndarray, spec: StatisticSpec = StatisticSpec()) -> np.ndarray:
     """Self-normalized statistics for a (trials, n) batch of draws.
 
     Rejects all-zero rows: the statistic is undefined there (the models of
@@ -424,11 +417,10 @@ def statistic_batch(x: np.ndarray, spec: StatisticSpec | str | None = None) -> n
     prefix whose squares underflow is multiplied by 2^600 first, so
     [1e-170, 1e-170, 1] reads sqrt(2), from k = 2.
     """
-    stat = _as_stat(spec)
-    return _statistics(x, stat.beta, (stat.variant,))[0]
+    return _statistics(x, spec.beta, (spec.variant,))[0]
 
 
-def statistic(x: np.ndarray, spec: StatisticSpec | str | None = None) -> float:
+def statistic(x: np.ndarray, spec: StatisticSpec = StatisticSpec()) -> float:
     """Statistic of a single length-n sample."""
     return float(statistic_batch(np.asarray(x, dtype=float)[None, :], spec)[0])
 
@@ -619,9 +611,7 @@ def _run_chunks(sampler: SamplerSpec, per_chunk, cut: int | None = None) -> list
         return list(pool.map(job, range(len(sizes))))
 
 
-def estimate_tail(
-    sampler: SamplerSpec, stat: StatisticSpec | str | None, epsilon: float
-) -> MCEstimate:
+def estimate_tail(sampler: SamplerSpec, stat: StatisticSpec, epsilon: float) -> MCEstimate:
     """Monte Carlo estimate of P(statistic > threshold), strict exceedance.
 
     The threshold is cap - epsilon (the tail parameterization used
@@ -634,7 +624,6 @@ def estimate_tail(
     negative coordinates to hit get no magnitudes where that drops a
     quarter of the rows or more: see the module docstring.
     """
-    stat = _as_stat(stat)
     cutoff = float(sampler.n) ** _cap_power(stat)
     if not 0.0 < epsilon < cutoff:
         raise ValueError(f"epsilon must lie in (0, {cutoff:.6g}), got {epsilon}")

@@ -68,7 +68,7 @@ class OracleResult:
 class CoefficientFit:
     """Power-law fit q(eps) ~ coefficient * eps**exponent on a grid.
 
-    `conforming` is judged against `expected_exponent` (default (n-1)/2):
+    `conforming` is judged against `expected_exponent`, which is (n-1)/2:
     the log-log fit must be tight and the fitted exponent close to the
     expected one.  A flat tail (atom at the threshold) fits cleanly with
     exponent 0 and is flagged as non-conforming.
@@ -364,7 +364,6 @@ _KEPT = {
 
 def region_tail_integral(
     model: DensityModel,
-    n: int,
     epsilon: float | np.ndarray,
     beta: float = 2.0,
     integrand: str = "weighted",
@@ -403,14 +402,13 @@ def region_tail_integral(
     Each eps keeps the value of the level where it settles.  metadata counts
     the ladder's last "refinement_level" and the "nodes" it evaluated.
 
-    n is capped at 4 (one to three region dimensions).
+    The model's dimension n is capped at 4 (one to three region dimensions).
     """
     if integrand not in ("paper", "weighted"):
         raise ValueError(f"integrand must be paper or weighted, got {integrand!r}")
+    n = model.n
     if not 2 <= n <= 4:
         raise ValueError(f"region quadrature supports 2 <= n <= 4, got {n}")
-    if model.n != n:
-        raise ValueError(f"model dimension {model.n} does not match n = {n}")
     eps = np.atleast_1d(np.asarray(epsilon, dtype=float))
     window = tail_window(n, beta)
     if eps.ndim != 1 or not 0.0 < eps.min() <= eps.max() < window:
@@ -505,15 +503,14 @@ def leading_coeff_fit(
     evaluator: Callable[[np.ndarray], np.ndarray],
     n: int,
     eps_grid: np.ndarray,
-    expected_exponent: float | None = None,
 ) -> CoefficientFit:
     """Least-squares power-law fit of a tail evaluator on an epsilon grid.
 
     `evaluator` maps the ascending grid to its values in one call.  Fits
     log q against log eps.  The residual is the RMS misfit in log space.
     `conforming` requires it to be at most 1e-2 and the fitted exponent to
-    lie within 0.1 of `expected_exponent` (default (n-1)/2, the generic
-    small-epsilon exponent in the continuous case).
+    lie within 0.1 of (n-1)/2, the generic small-epsilon exponent in the
+    continuous case.
     """
     eps = np.array(sorted(float(e) for e in np.atleast_1d(eps_grid)))
     if eps.size < 3:
@@ -529,7 +526,7 @@ def leading_coeff_fit(
     slope, intercept = np.polyfit(log_e, log_q, 1)
     resid = log_q - (slope * log_e + intercept)
     rms = float(np.sqrt(np.mean(resid * resid)))
-    expected = 0.5 * (n - 1) if expected_exponent is None else float(expected_exponent)
+    expected = 0.5 * (n - 1)
     conforming = rms <= 1e-2 and abs(slope - expected) <= 0.1
     # Grid is recorded largest-first, marching toward zero.
     return CoefficientFit(

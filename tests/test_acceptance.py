@@ -134,7 +134,7 @@ def test_criterion_03_exact_constant_n3():
     exact = 1.0 / (2.0 * math.sqrt(3.0))
     assert constant == pytest.approx(exact, rel=1e-3)
     for eps in (0.01, 0.1):
-        region = region_tail_integral(model, 3, eps, 2.0, "weighted")
+        region = region_tail_integral(model, eps, 2.0, "weighted")
         assert region.value == pytest.approx(eps * exact, rel=1e-5)
 
 
@@ -143,7 +143,7 @@ def test_criterion_04_asymptotic_convergence_n2():
 
     def ratio(eps: float) -> float:
         oracle = sphere_tail_exact(2, math.sqrt(2.0) - eps).value
-        return oracle / predict_tail(model, TailQuery(2, eps)).value
+        return oracle / predict_tail(model, TailQuery(eps)).value
 
     assert 0.98 <= ratio(1e-4) <= 1.02
     # the ratio marches monotonically toward 1 from above on this grid
@@ -193,18 +193,18 @@ def test_criterion_07_counterexamples():
 
 def test_criterion_08_bounds_sandwich():
     for n, eps_grid in ((2, (0.01, 0.02, 0.05)), (3, (0.01, 0.02))):
-        lam, mu = curvature_functionals(n, 2.0)
+        lam, mu = curvature_functionals(n)
         eig = np.linalg.eigvalsh(structured_anti_hessian(AntiHessianSpec(n, 2.0)).materialize())
         assert lam <= 0.5 * eig[0] + 1e-12
         assert mu >= 0.5 * eig[-1] - 1e-12
         model = DensityModel.iid_normal(n)
         for eps in eps_grid:
             assert eps < lam, f"grid point {eps} outside (0, lambda)"
-            report = validate_sandwich(model, n, eps)
+            report = validate_sandwich(model, eps)
             assert report.holds
             assert report.lower <= report.integral <= report.upper
     # 0.05 falls outside (0, lambda) at n = 3 and is excluded by the window
-    lam3, _ = curvature_functionals(3, 2.0)
+    lam3, _ = curvature_functionals(3)
     assert not 0.05 < lam3
 
 
@@ -225,13 +225,13 @@ def test_criterion_09_beta_generalization():
     assert 0.01 < tail_window(2, 3.0)
     grid = np.geomspace(0.001, 0.01, 6)
     fit = leading_coeff_fit(
-        lambda grid: region_tail_integral(model, 2, grid, 3.0, "weighted").value,
+        lambda grid: region_tail_integral(model, grid, 3.0, "weighted").value,
         2,
         grid,
     )
     assert fit.exponent == pytest.approx(0.5, rel=0.02)
     est = mc_beta3(1)
-    oracle = region_tail_integral(model, 2, 0.1, 3.0, "weighted")
+    oracle = region_tail_integral(model, 0.1, 3.0, "weighted")
     assert est.covers(oracle.value)
 
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from sntail.density import DensityModel, RadialProfileQuery, h_profile
+from sntail.density import DensityModel, RadialProfileQuery, h_profile, parse_model
 from sntail.asymptotics import (
     GammaVariantQuery,
     TailQuery,
@@ -69,49 +69,84 @@ def test_corrected_constant_matches_sphere_fit():
 def test_prediction_homogeneity():
     model = DensityModel.iid_normal(3)
     for eps, eps2 in ((0.1, 0.02), (0.3, 0.05)):
-        a = predict_tail(model, TailQuery(3, eps))
-        b = predict_tail(model, TailQuery(3, eps2))
+        a = predict_tail(model, TailQuery(eps))
+        b = predict_tail(model, TailQuery(eps2))
         assert a.value / b.value == pytest.approx((eps / eps2) ** 1.0, rel=1e-14)
     model4 = DensityModel.iid_normal(4)
-    a = predict_tail(model4, TailQuery(4, 0.1))
-    b = predict_tail(model4, TailQuery(4, 0.025))
+    a = predict_tail(model4, TailQuery(0.1))
+    b = predict_tail(model4, TailQuery(0.025))
     assert a.value / b.value == pytest.approx(4.0**1.5, rel=1e-14)
 
 
 def test_two_sided_is_left_plus_right():
     model = DensityModel.iid_normal(3)
     for eps in (0.05, 0.2):
-        left = predict_tail(model, TailQuery(3, eps, side="left"))
-        right = predict_tail(model, TailQuery(3, eps, side="right"))
-        both = predict_tail(model, TailQuery(3, eps, side="two-sided"))
+        left = predict_tail(model, TailQuery(eps, side="left"))
+        right = predict_tail(model, TailQuery(eps, side="right"))
+        both = predict_tail(model, TailQuery(eps, side="two-sided"))
         assert both.value == pytest.approx(left.value + right.value, rel=1e-14)
 
 
 def test_prediction_monotone_in_epsilon():
     model = DensityModel.iid_normal(3)
     grid = np.linspace(0.01, 0.9, 25)
-    vals = [predict_tail(model, TailQuery(3, float(e))).value for e in grid]
+    vals = [predict_tail(model, TailQuery(float(e))).value for e in grid]
     assert all(a < b for a, b in zip(vals, vals[1:]))
 
 
 def test_prediction_validity_guards():
     model = DensityModel.iid_normal(3)
     with pytest.raises(ValueError):
-        predict_tail(model, TailQuery(3, 1.5))
-    warned = predict_tail(model, TailQuery(3, 0.7))
+        predict_tail(model, TailQuery(1.5))
+    warned = predict_tail(model, TailQuery(0.7))
     assert any("asymptotic regime" in w for w in warned.warnings)
-    clean = predict_tail(model, TailQuery(3, 0.3))
+    clean = predict_tail(model, TailQuery(0.3))
     assert clean.warnings == ()
-    with pytest.raises(ValueError):
-        predict_tail(DensityModel.iid_normal(4), TailQuery(3, 0.1))
+    # the query carries no n: the prediction takes the model's dimension
+    assert predict_tail(DensityModel.iid_normal(4), TailQuery(0.1)).n == 4
 
 
 def test_left_tail_of_positive_model_is_zero():
-    # all-positive samples never reach the mirrored threshold
+    # all-positive samples never reach the mirrored threshold; the
+    # corrected left profile is exact for any model, the paper one is not
     model = DensityModel.iid_folded_normal(3)
-    left = predict_tail(model, TailQuery(3, 0.1, side="left"))
+    left = predict_tail(model, TailQuery(0.1, side="left"))
     assert left.value == 0.0
-    assert any("sign-symmetric" in w for w in left.warnings)
+    assert left.warnings == ()
+    paper = predict_tail(model, TailQuery(0.1, side="left"), "paper")
+    assert paper.value == 0.0
+    assert any("left-tail" in w for w in paper.warnings)
+
+
+_EQUICORRELATED_3 = "1 0.3 0.3 0.3 1 0.3 0.3 0.3 1"
+
+
+def test_paper_left_tail_of_a_correlated_gaussian_warns():
+    # sign-symmetric but not iid: flipping coordinates 2..n changes f, so
+    # h_paper(-1) = 0.0897 is not h_paper(1) = 0.1313
+    model = parse_model(f"gaussian:cov={_EQUICORRELATED_3}", 3)
+    left = predict_tail(model, TailQuery(0.1, side="left"), "paper")
+    right = predict_tail(model, TailQuery(0.1), "paper")
+    assert left.h_value == pytest.approx(0.0896736515, rel=1e-9)
+    assert right.h_value == pytest.approx(0.1312687846, rel=1e-9)
+    assert any("left-tail" in w for w in left.warnings)
+
+
+def test_corrected_left_tail_is_the_reflected_right_tail_and_does_not_warn():
+    shifted = parse_model(f"gaussian:mean=0.2 -0.1 0.1,cov={_EQUICORRELATED_3}", 3)
+    assert predict_tail(shifted, TailQuery(0.1, side="two-sided")).warnings == ()
+    left = predict_tail(parse_model("iid-normal:mu=0.3", 3), TailQuery(0.01, side="left"))
+    right = predict_tail(parse_model("iid-normal:mu=-0.3", 3), TailQuery(0.01))
+    assert left.warnings == ()
+    assert left.h_value == pytest.approx(right.h_value, rel=1e-12)
+
+
+def test_paper_left_h_of_an_iid_symmetric_model_is_its_right_h():
+    model = DensityModel.iid_student_t(3, 5.0)
+    left = predict_tail(model, TailQuery(0.1, side="left"), "paper")
+    right = predict_tail(model, TailQuery(0.1), "paper")
+    assert left.h_value == right.h_value
+    assert left.warnings == ()
 
 
 def test_gamma_variant_reduces_to_published_constant():

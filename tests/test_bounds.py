@@ -23,8 +23,6 @@ def test_curvature_positive_and_ordered():
     for n in range(2, 9):
         lam, mu = curvature_functionals(n)
         assert 0.0 < lam <= mu
-    with pytest.raises(ValueError):
-        curvature_functionals(3, 3.0)
 
 
 def test_curvature_frozen_values():
@@ -87,8 +85,8 @@ def test_quadratic_envelopes_on_random_ball_points():
 
 
 def test_curvature_deterministic():
-    a = curvature_functionals(5, 2.0)
-    b = curvature_functionals(5, 2.0)
+    a = curvature_functionals(5)
+    b = curvature_functionals(5)
     assert a == b
 
 
@@ -96,7 +94,7 @@ def test_certificate_record_and_scaling():
     model = DensityModel.iid_normal(2)
     records = []
     for eps in (0.01, 0.02, 0.05):
-        cert = envelope_bounds(model, 2, eps)
+        cert = envelope_bounds(model, eps)
         rec = cert.to_record()
         assert tuple(rec) == (
             "n", "beta", "eps", "lambda", "mu", "H", "G", "lower", "upper",
@@ -114,11 +112,11 @@ def test_envelope_bounds_window_guard():
     model = DensityModel.iid_normal(2)
     lam, _ = curvature_functionals(2)
     with pytest.raises(ValueError):
-        envelope_bounds(model, 2, 1.1 * lam)
+        envelope_bounds(model, 1.1 * lam)
     with pytest.raises(ValueError):
-        envelope_bounds(model, 2, 0.0)
+        envelope_bounds(model, 0.0)
     with pytest.raises(ValueError, match="2 <= n <= 4"):
-        envelope_bounds(DensityModel.iid_normal(5), 5, 0.005)
+        envelope_bounds(DensityModel.iid_normal(5), 0.005)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -142,7 +140,7 @@ def test_ball_grid_lists_each_point_once(dim):
 
 
 def test_sandwich_single_case():
-    report = validate_sandwich(DensityModel.iid_normal(3), 3, 0.02)
+    report = validate_sandwich(DensityModel.iid_normal(3), 0.02)
     assert report.holds
     assert report.region_contained
     assert report.lower <= report.integral <= report.upper
@@ -156,13 +154,13 @@ def test_sandwich_runs_no_root_search(monkeypatch):
 
     monkeypatch.setattr(oracles, "g_many", forbidden)
     for n in (2, 3, 4):
-        report = validate_sandwich(DensityModel.iid_normal(n), n, 0.02)
+        report = validate_sandwich(DensityModel.iid_normal(n), 0.02)
         assert report.holds and report.region_contained
 
 
 def test_extremizer_points_are_recorded():
     model = DensityModel.iid_normal(2)
-    cert = envelope_bounds(model, 2, 0.05)
+    cert = envelope_bounds(model, 0.05)
     assert cert.h_max_point.shape == (1,)
     assert cert.h_min_point.shape == (1,)
 
@@ -200,7 +198,7 @@ def test_evaluations_count_the_points_profiled(monkeypatch):
         return profile_batch(model, vs, variant, plan)
 
     monkeypatch.setattr(bounds, "profile_batch", counted)
-    cert = envelope_bounds(DensityModel.iid_student_t(3, 5.0), 3, 0.01)
+    cert = envelope_bounds(DensityModel.iid_student_t(3, 5.0), 0.01)
     assert cert.evaluations == sum(points)
     # the grid only seeds the search: 13,374 points were profiled when a
     # dense grid carried the accuracy
@@ -253,7 +251,7 @@ def test_certificate_dominates_its_balls(monkeypatch, kind, n):
         return profile_batch(model, vs, variant, plan)
 
     monkeypatch.setattr(bounds, "profile_batch", capture)
-    cert = envelope_bounds(model, n, 0.01)
+    cert = envelope_bounds(model, 0.01)
     plan = plans[0]
     assert all(p is plan for p in plans)
 
@@ -273,7 +271,7 @@ def test_envelope_bounds_on_a_support_edge():
     # the z-plan starts each ray at the folded normal's support edge, so the
     # search runs on a plan that passed its check
     model = DensityModel.iid_folded_normal(3)
-    cert = envelope_bounds(model, 3, 0.01)
+    cert = envelope_bounds(model, 0.01)
 
     def objective(v):
         return float(np.prod(v)) * h_profile(model, RadialProfileQuery(v, "paper"))

@@ -174,6 +174,15 @@ def test_mc_rejects_sides_it_does_not_estimate(capsys):
         assert "right tail only (--side right)" in captured.err
 
 
+def test_oracle_rejects_sides_it_does_not_compute(capsys):
+    for side in ("left", "two-sided"):
+        assert main(["oracle", "--n", "3", "--eps", "0.1", "--model", "iid-normal:mu=0.3",
+                     "--side", side]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "right tail only (--side right)" in captured.err
+
+
 def test_mc_max_variant_at_beta_3_thresholds_below_sqrt_n(capsys):
     # the max statistics ignore beta, so --beta 3 reads the --beta 2 hits
     payloads = []
@@ -340,6 +349,19 @@ def test_rare_event_warning(capsys):
     assert "rare event" in captured.err
     payload = json.loads(captured.out)
     assert any("rare event" in w for w in payload["warnings"])
+
+
+def test_rare_event_warning_for_the_degenerate_model_beyond_its_window(capsys):
+    # the exact reduction predicts 0.0418 at eps = 0.33 (42 expected hits in
+    # 1000 trials, below 50) and 0.163 at eps = 0.5
+    argv = ["mc", "--model", "degenerate-first-coordinate", "--n", "3", "--trials", "1000",
+            "--seed", "1", "--eps"]
+    assert main(argv + ["0.33"]) == 0
+    assert "rare event: predicted probability 0.0418 times 1000" in capsys.readouterr().err
+    assert main(argv + ["0.5"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert json.loads(captured.out)["warnings"] == []
 
 
 def test_rare_event_warning_for_a_shifted_normal_comes_from_the_prediction(capsys):

@@ -281,9 +281,9 @@ def test_tail_constant_fit_runs_one_region_ladder(monkeypatch):
     calls = []
     original = ledger.region_tail_integral
 
-    def recording(model, n, epsilon, *args, **kwargs):
+    def recording(model, epsilon, *args, **kwargs):
         calls.append(np.atleast_1d(epsilon).size)
-        return original(model, n, epsilon, *args, **kwargs)
+        return original(model, epsilon, *args, **kwargs)
 
     monkeypatch.setattr(ledger, "region_tail_integral", recording)
     report = run_verify("iid-student-t:nu=5", n=3)
@@ -345,8 +345,8 @@ def test_a_nonzero_degenerate_oracle_is_a_finding_and_an_internal_failure(monkey
 def test_a_failed_sandwich_bracket_reads_discrepant(monkeypatch):
     true_sandwich = ledger.validate_sandwich
 
-    def broken(model, n, eps):
-        report = true_sandwich(model, n, eps)
+    def broken(model, eps):
+        report = true_sandwich(model, eps)
         return dataclasses.replace(report, integral=2.0 * report.upper, holds=False)
 
     monkeypatch.setattr(ledger, "validate_sandwich", broken)
@@ -355,3 +355,17 @@ def test_a_failed_sandwich_bracket_reads_discrepant(monkeypatch):
     assert row.status == "discrepant"
     assert row.oracle_value > row.corrected_value
     assert [f.split(" at ")[0] for f in report.internal_failures] == ["sandwich violated"]
+
+
+def test_an_escaped_region_is_an_internal_failure_beside_a_held_bracket(monkeypatch):
+    true_sandwich = ledger.validate_sandwich
+
+    def escaped(model, eps):
+        return dataclasses.replace(true_sandwich(model, eps), region_contained=False)
+
+    monkeypatch.setattr(ledger, "validate_sandwich", escaped)
+    report = run_verify("iid-student-t:nu=5", n=2)
+    assert _row(report, "sandwich").status == "confirmed"
+    assert len(report.internal_failures) == 1
+    assert report.internal_failures[0].startswith("localized region escapes")
+    assert report.exit_code == 1

@@ -35,7 +35,7 @@ from sntail.montecarlo import (
     _sign_cut,
     _statistics,
 )
-from sntail.oracles import sphere_tail_exact
+from sntail.oracles import degenerate_component_check, sphere_tail_exact
 
 
 def test_statistic_worked_examples():
@@ -61,8 +61,8 @@ def test_one_walk_serves_sum_beside_the_max_variants_at_beta_2_only():
     # the walk keeps one power sum, and the max variants are Euclidean
     x = np.random.default_rng(3).standard_normal((50, 4))
     both = _statistics(x, 2.0, ("sum", "max-over-Zn"))
-    assert np.array_equal(both[0], statistic_batch(x, "sum"))
-    assert np.array_equal(both[1], statistic_batch(x, "max-over-Zn"))
+    assert np.array_equal(both[0], statistic_batch(x, StatisticSpec(variant="sum")))
+    assert np.array_equal(both[1], statistic_batch(x, StatisticSpec(variant="max-over-Zn")))
     with pytest.raises(ValueError, match="Euclidean"):
         _statistics(x, 3.0, ("sum", "max-over-Zk"))
 
@@ -134,7 +134,7 @@ def test_statistic_batch_matches_rowwise_reference(n):
             assert np.array_equal(got[rest], expect[rest]), spec
             assert got[n + 2] == statistic_batch(np.ones((1, n)), spec)[0], spec
     # the prefix of n - 1 entries 1e-170 is the maximum, sqrt(n - 1)
-    zk = statistic_batch(x, "max-over-Zk")
+    zk = statistic_batch(x, StatisticSpec(variant="max-over-Zk"))
     assert zk[n] == pytest.approx(math.sqrt(n - 1), rel=1e-15)
     x[-1] = 0.0
     for spec in _REFERENCE_SPECS:
@@ -153,10 +153,10 @@ def test_underflowing_rows_read_like_their_rescaled_selves():
             for scale in (1e-170, 1e-160, 1e200):
                 x = np.vstack((np.full(n, scale), np.ones(n), np.full(n, -scale)))
                 for variant in ("sum", "max-over-Zn", "max-over-Zk"):
-                    got = statistic_batch(x, variant)
+                    got = statistic_batch(x, StatisticSpec(variant=variant))
                     assert got[0] == pytest.approx(math.sqrt(n), rel=1e-15), (n, variant)
                     assert got[1] == pytest.approx(math.sqrt(n), rel=1e-15)
-                    assert got[2] == statistic(-np.ones(n), variant)
+                    assert got[2] == statistic(-np.ones(n), StatisticSpec(variant=variant))
             for scale in (1e-170, 1e103):
                 got = statistic(np.full(n, scale), StatisticSpec(3.0, "sum"))
                 assert got == pytest.approx(n ** (2.0 / 3.0), rel=1e-15)
@@ -167,7 +167,7 @@ def test_underflowing_prefix_reads_its_rescaled_ratio():
     # (1e-160) while S(2) does not: the maximum is at k = 2
     x = np.array([[1e-170, 1e-170, 1.0], [1e-160, 1e-160, 1.0], [0.0, 1e-170, 1.0],
                   [0.0, 0.0, 1.0], [1e-170, -1e-170, 1.0], [5e-324, 1e-300, -1e-310]])
-    got = statistic_batch(x, "max-over-Zk")
+    got = statistic_batch(x, StatisticSpec(variant="max-over-Zk"))
     expect = [math.sqrt(2.0), math.sqrt(2.0), 1.0, 1.0, 1.0, (1e-300 + 5e-324) / 1e-300]
     np.testing.assert_allclose(got, expect, rtol=1e-15)
 
@@ -177,10 +177,11 @@ def test_overflowing_row_keeps_its_underflowed_prefix():
     # the first two entries to 0; their prefix, resolved before the rescale,
     # still holds the maximum sqrt(2) at k = 2
     x = np.array([[1e-170, 1e-170, 1e200], [1e-170, 1e-170, 1e308]])
-    got = statistic_batch(x, "max-over-Zk")
+    zk = StatisticSpec(variant="max-over-Zk")
+    got = statistic_batch(x, zk)
     np.testing.assert_allclose(got, [math.sqrt(2.0), math.sqrt(2.0)], rtol=1e-15)
     # an overflowing row without such a prefix reads its rescaled self
-    assert statistic(np.array([1.0, 1e200, 1e200]), "max-over-Zk") == pytest.approx(
+    assert statistic(np.array([1.0, 1e200, 1e200]), zk) == pytest.approx(
         2.0 / math.sqrt(2.0), rel=1e-15
     )
 
@@ -303,6 +304,16 @@ def test_degenerate_estimate_in_the_window_draws_nothing(monkeypatch):
     assert _row_cut(sampler, stat, math.sqrt(n) - eps) is None  # hashed as stream 1
     est = estimate_tail(sampler, stat, epsilon=eps)
     assert (est.hits, est.trials) == (0, 10**6)
+
+
+def test_degenerate_estimate_beyond_the_window_passes_the_reduced_sphere_law():
+    # eps = 0.5 is past sqrt(3) - sqrt(2), so rows with both free
+    # coordinates positive hit, at the n = 2 sphere-law rate 0.1633
+    sampler = SamplerSpec("degenerate-first-coordinate", 3, 1, 10**5, 1)
+    est = estimate_tail(sampler, StatisticSpec(2.0, "sum"), epsilon=0.5)
+    within, resolved, gate = est.judge(degenerate_component_check(3, 0.5).value)
+    assert est.hits == 16461
+    assert (within, resolved) == (True, True), gate
 
 
 def test_sampler_spec_validation():

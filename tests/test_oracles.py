@@ -26,7 +26,7 @@ def test_cross_oracle_region_vs_sphere():
         model = DensityModel.iid_normal(n)
         for eps in (0.01, 0.05, 0.1):
             sphere = sphere_tail_exact(n, math.sqrt(n) - eps)
-            region = region_tail_integral(model, n, eps, 2.0, "weighted")
+            region = region_tail_integral(model, eps, 2.0, "weighted")
             assert region.value == pytest.approx(sphere.value, rel=1e-5)
 
 
@@ -96,8 +96,14 @@ def test_leading_coeff_fit_recovers_synthetic_law():
         c = float(rng.uniform(0.05, 5.0))
         e = float(rng.uniform(0.3, 3.0))
         grid = np.geomspace(1e-4, 1e-2, 9)
-        fit = leading_coeff_fit(lambda t: c * t**e, 4, grid, expected_exponent=e)
+        fit = leading_coeff_fit(lambda t: c * t**e, 4, grid)
         assert fit.coefficient == pytest.approx(c, rel=1e-10)
+        assert fit.exponent == pytest.approx(e, abs=1e-10)
+    # a law with the generic exponent (n - 1)/2 conforms at its own n
+    for n in range(2, 6):
+        e = 0.5 * (n - 1)
+        fit = leading_coeff_fit(lambda t: 0.7 * t**e, n, np.geomspace(1e-4, 1e-2, 9))
+        assert fit.expected_exponent == e
         assert fit.exponent == pytest.approx(e, abs=1e-10)
         assert fit.conforming
 
@@ -157,6 +163,15 @@ def test_degenerate_component_tail_is_zero():
         assert res.error_estimate == 0.0
 
 
+def test_degenerate_component_tail_beyond_its_window_is_the_reduced_sphere_law():
+    # at n = 3 the window ends at sqrt(3) - sqrt(2) = 0.318; beyond it the
+    # tail is the n - 1 = 2 sphere law at the original threshold
+    res = degenerate_component_check(3, 0.5)
+    assert res.value == sphere_tail_exact(2, math.sqrt(3) - 0.5).value
+    assert res.value == pytest.approx(0.163347812089, rel=1e-11)
+    assert res.error_estimate == 5e-15
+
+
 def test_tail_window_values():
     assert tail_window(3, 2.0) == pytest.approx(math.sqrt(3) - math.sqrt(2), rel=1e-12)
     for n in (2, 3, 5):
@@ -168,16 +183,16 @@ def test_tail_window_values():
 def test_region_integral_respects_window():
     model = DensityModel.iid_normal(3)
     with pytest.raises(ValueError):
-        region_tail_integral(model, 3, 2.0 * tail_window(3, 2.0), 2.0, "weighted")
+        region_tail_integral(model, 2.0 * tail_window(3, 2.0), 2.0, "weighted")
     with pytest.raises(ValueError):
-        region_tail_integral(model, 3, -0.1, 2.0, "weighted")
+        region_tail_integral(model, -0.1, 2.0, "weighted")
 
 
 def test_region_integral_beta3():
     # quadrature route works off the Euclidean case too
     model = DensityModel.iid_normal(2)
     eps = 0.05
-    res = region_tail_integral(model, 2, eps, 3.0, "weighted")
+    res = region_tail_integral(model, eps, 3.0, "weighted")
     assert res.value > 0.0
     assert res.error_estimate < 1e-6 * res.value + 1e-12
 
@@ -185,8 +200,8 @@ def test_region_integral_beta3():
 def test_paper_integrand_differs_from_weighted():
     # the two integrands answer different questions; they must not coincide
     model = DensityModel.iid_normal(3)
-    w = region_tail_integral(model, 3, 0.1, 2.0, "weighted").value
-    p = region_tail_integral(model, 3, 0.1, 2.0, "paper").value
+    w = region_tail_integral(model, 0.1, 2.0, "weighted").value
+    p = region_tail_integral(model, 0.1, 2.0, "paper").value
     assert abs(w - p) > 1e-3 * w
 
 
@@ -206,7 +221,7 @@ def test_region_levels_nest(monkeypatch, n, level1_nodes):
         return original(model, vs, variant, plan)
 
     monkeypatch.setattr(oracles, "profile_batch", recording)
-    res = region_tail_integral(DensityModel.iid_normal(n), n, 0.05, 2.0, "weighted")
+    res = region_tail_integral(DensityModel.iid_normal(n), 0.05, 2.0, "weighted")
     assert res.metadata["refinement_level"] == 1 and len(batches) == 2
     seen = np.vstack(batches)
     assert seen.shape[0] == res.metadata["nodes"] == level1_nodes
@@ -218,7 +233,7 @@ def test_region_n2_matches_sphere_law():
     model = DensityModel.iid_normal(2)
     for eps in (1e-3, 0.01, 0.1, 0.4):
         exact = sphere_tail_exact(2, math.sqrt(2.0) - eps).value
-        res = region_tail_integral(model, 2, eps, 2.0, "weighted")
+        res = region_tail_integral(model, eps, 2.0, "weighted")
         assert res.value == pytest.approx(exact, rel=1e-12)
         assert abs(res.value - exact) <= res.error_estimate
 
@@ -248,7 +263,7 @@ def test_region_n2_resolves_a_support_edge():
         exact = 0.0
         for lo, hi in (((1.0 - root) / k, 1.0), (1.0, (1.0 + root) / k)):
             exact += 0.5 * (hi - lo) * (w @ profile(lo + 0.5 * (hi - lo) * (x + 1.0)))
-        res = region_tail_integral(model, 2, eps, 2.0, "weighted")
+        res = region_tail_integral(model, eps, 2.0, "weighted")
         assert res.value == pytest.approx(exact, rel=1e-10)
         assert abs(res.value - exact) <= res.error_estimate
 
@@ -335,7 +350,7 @@ def test_beta2_region_runs_no_root_search(monkeypatch):
 
     monkeypatch.setattr(oracles, "g_many", forbidden)
     for n in (2, 3, 4):
-        res = region_tail_integral(DensityModel.iid_normal(n), n, 0.05, 2.0, "weighted")
+        res = region_tail_integral(DensityModel.iid_normal(n), 0.05, 2.0, "weighted")
         exact = sphere_tail_exact(n, math.sqrt(n) - 0.05).value
         assert res.value == pytest.approx(exact, rel=1e-10)
 
@@ -348,7 +363,7 @@ def test_beta2_region_runs_no_root_search(monkeypatch):
 def test_region_values_frozen(make_model, n, eps, beta, frozen):
     # values of the coordinate-box, bisected-boundary, finite-difference
     # metric route that the closed forms replaced
-    res = region_tail_integral(make_model(), n, eps, beta, "weighted")
+    res = region_tail_integral(make_model(), eps, beta, "weighted")
     assert res.value == pytest.approx(frozen, rel=1e-11)
 
 
@@ -371,9 +386,9 @@ def test_region_grid_matches_float_calls(make_model, n):
     # one ladder for the fit's grid gives each eps what its own ladder gives;
     # the folded normal at n = 3 settles its eps at different levels
     model = make_model(n)
-    grid = region_tail_integral(model, n, _FIT_GRID, 2.0, "weighted", rel_target=1e-6)
+    grid = region_tail_integral(model, _FIT_GRID, 2.0, "weighted", rel_target=1e-6)
     single = [
-        region_tail_integral(model, n, float(e), 2.0, "weighted", rel_target=1e-6)
+        region_tail_integral(model, float(e), 2.0, "weighted", rel_target=1e-6)
         for e in _FIT_GRID
     ]
     assert grid.value.shape == grid.error_estimate.shape == _FIT_GRID.shape
@@ -391,13 +406,13 @@ def test_region_grid_matches_float_calls(make_model, n):
 
 def test_region_grid_keeps_its_order():
     model = DensityModel.iid_student_t(3, 5.0)
-    ascending = region_tail_integral(model, 3, _FIT_GRID, 2.0, "weighted")
-    shuffled = region_tail_integral(model, 3, _FIT_GRID[[3, 6, 0, 5, 1, 4, 2]], 2.0, "weighted")
+    ascending = region_tail_integral(model, _FIT_GRID, 2.0, "weighted")
+    shuffled = region_tail_integral(model, _FIT_GRID[[3, 6, 0, 5, 1, 4, 2]], 2.0, "weighted")
     assert np.array_equal(shuffled.value, ascending.value[[3, 6, 0, 5, 1, 4, 2]])
     with pytest.raises(ValueError):
-        region_tail_integral(model, 3, np.array([1e-3, 2.0 * tail_window(3, 2.0)]))
+        region_tail_integral(model, np.array([1e-3, 2.0 * tail_window(3, 2.0)]))
     with pytest.raises(ValueError):
-        region_tail_integral(model, 3, np.array([]))
+        region_tail_integral(model, np.array([]))
 
 
 @pytest.mark.parametrize("count", [7, 13, 26, 52])
@@ -420,6 +435,6 @@ def test_region_grid_raises_when_one_eps_misses(monkeypatch):
     monkeypatch.setitem(oracles._LADDER, 2, (48, 26, 3))
     model = DensityModel.iid_folded_normal(3)
     with pytest.raises(QuadratureError, match="missed relative target 1.0e-06"):
-        region_tail_integral(model, 3, _FIT_GRID, 2.0, "weighted", rel_target=1e-6)
-    res = region_tail_integral(model, 3, _FIT_GRID[:-1], 2.0, "weighted", rel_target=1e-6)
+        region_tail_integral(model, _FIT_GRID, 2.0, "weighted", rel_target=1e-6)
+    res = region_tail_integral(model, _FIT_GRID[:-1], 2.0, "weighted", rel_target=1e-6)
     assert res.metadata["refinement_level"] == 3
