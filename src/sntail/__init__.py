@@ -38,6 +38,7 @@ from .bounds import (
 )
 from .density import (
     DensityModel,
+    DiscreteModel,
     QuadratureError,
     RadialProfileQuery,
     h_profile,

@@ -44,7 +44,7 @@ from .analytic_core import (
     log_det_anti_hessian_published,
 )
 from .bounds import envelope_bounds, curvature_functionals
-from .density import DensityModel, QuadratureError, parse_model
+from .density import DensityModel, DiscreteModel, QuadratureError, parse_model
 from .ledger import LEDGER_FIELDS, run_verify
 from .montecarlo import (
     MIN_EXPECTED_HITS,
@@ -425,10 +425,10 @@ def emit(
 
 def _require_continuous(config: ExperimentConfig) -> DensityModel:
     model = parse_model(config.model, config.n)
-    if isinstance(model, str):
+    if isinstance(model, DiscreteModel):
         raise UsageError(
             f"command {config.command!r} needs a continuous density model, "
-            f"got {model!r}"
+            f"got {model.kind!r}"
         )
     return model
 
@@ -491,15 +491,11 @@ def _run_bounds(config: ExperimentConfig):
 
 
 def _run_oracle(config: ExperimentConfig):
-    if config.side != "right":
-        raise UsageError(
-            f"oracle computes the right tail only (--side right), got --side {config.side}"
-        )
     model = parse_model(config.model, config.n)
     records = []
     for eps in config.eps:
-        if isinstance(model, str):
-            if model == "rademacher":
+        if isinstance(model, DiscreteModel):
+            if model.kind == "rademacher":
                 result = rademacher_tail_exact(config.n, eps)
             else:
                 result = degenerate_component_check(config.n, eps)
@@ -523,8 +519,8 @@ def _run_oracle(config: ExperimentConfig):
 def _predicted_tail_for_warning(config: ExperimentConfig, eps: float) -> float | None:
     """Cheap prediction of the tail size, used only for the rare-event warning."""
     model = parse_model(config.model, config.n)
-    if isinstance(model, str):
-        if model == "rademacher":
+    if isinstance(model, DiscreteModel):
+        if model.kind == "rademacher":
             return 2.0 ** (-config.n) if eps < 0.5 / math.sqrt(config.n) else None
         return degenerate_component_check(config.n, eps).value
     if sphere_law_applies(model, config.beta):
@@ -538,14 +534,8 @@ def _predicted_tail_for_warning(config: ExperimentConfig, eps: float) -> float |
 
 
 def _run_mc(config: ExperimentConfig):
-    if config.side != "right":
-        raise UsageError(
-            f"mc estimates the right tail only (--side right), got --side {config.side}"
-        )
     model = parse_model(config.model, config.n)
-    sampler = SamplerSpec(
-        model, config.n, config.seed, config.trials, config.workers
-    )
+    sampler = SamplerSpec(model, config.seed, config.trials, config.workers)
     stat = StatisticSpec(config.beta, config.statistic)
     records = []
     for eps in config.eps:
@@ -591,6 +581,8 @@ def _run_counterexample(config: ExperimentConfig):
         raise UsageError(
             f"counterexample takes exactly one eps value, got {len(config.eps)}"
         )
+    if config.beta != 2.0:
+        raise UsageError("counterexample is defined for beta = 2")
     n = config.n
     records = []
     code = 0
@@ -599,8 +591,8 @@ def _run_counterexample(config: ExperimentConfig):
     deg_oracle = degenerate_component_check(n, eps_deg) if n >= 3 else None
     if deg_oracle is not None:
         sampler = SamplerSpec(
-            "degenerate-first-coordinate", n, config.seed, config.trials,
-            config.workers,
+            DiscreteModel(n, "degenerate-first-coordinate"), config.seed,
+            config.trials, config.workers,
         )
         est = estimate_tail(sampler, StatisticSpec(2.0, "sum"), epsilon=eps_deg)
         # the tail is exactly 0, so any hit refutes it
@@ -617,7 +609,7 @@ def _run_counterexample(config: ExperimentConfig):
     eps_rad = min(config.eps[0], 0.4 / math.sqrt(n_rad))
     rad_oracle = rademacher_tail_exact(n_rad, eps_rad)
     sampler = SamplerSpec(
-        "rademacher", n_rad, config.seed, config.trials, config.workers
+        DiscreteModel(n_rad, "rademacher"), config.seed, config.trials, config.workers
     )
     est = estimate_tail(sampler, StatisticSpec(2.0, "sum"), epsilon=eps_rad)
     # the 5 sigma gate of the ledger's MC row; below MIN_EXPECTED_HITS
@@ -657,6 +649,12 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        # only predict reads the side; every other command serves the right tail
+        if config.side != "right" and config.command != "predict":
+            raise UsageError(
+                f"{config.command} handles the right tail only (--side right), "
+                f"got --side {config.side}"
+            )
         records, fieldnames, code = _RUNNERS[config.command](config)
     except ValueError as exc:  # UsageError among them
         print(f"error: {exc}", file=sys.stderr)

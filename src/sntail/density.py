@@ -29,6 +29,7 @@ import numpy as np
 
 __all__ = [
     "DensityModel",
+    "DiscreteModel",
     "RadialProfileQuery",
     "QuadratureError",
     "h_profile",
@@ -44,8 +45,8 @@ __all__ = [
 
 PROFILE_VARIANTS = ("paper", "weighted")
 
-# Discrete sampler kinds understood by the Monte Carlo layer; they are not
-# density models and parse to plain strings.
+# Laws with no density, which only the Monte Carlo layer and the discrete
+# oracles serve: they parse to a `DiscreteModel`.
 DISCRETE_MODELS = ("rademacher", "degenerate-first-coordinate")
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -362,6 +363,42 @@ class DensityModel:
 
 
 @dataclass(frozen=True)
+class DiscreteModel:
+    """A law on R^n with no density: the Monte Carlo layer samples it, and
+    the exact discrete oracles of `oracles` take its n.
+
+    rademacher: iid signs.  degenerate-first-coordinate: the first
+    coordinate identically zero, the rest iid standard normal.
+    """
+
+    n: int
+    kind: str
+
+    def __post_init__(self) -> None:
+        if self.n < 2:
+            raise ValueError(f"n must be >= 2, got {self.n}")
+        if self.kind not in DISCRETE_MODELS:
+            raise ValueError(
+                f"unknown discrete model {self.kind!r}; choose from {DISCRETE_MODELS}"
+            )
+
+    def draw_from_uniforms(self, u: np.ndarray) -> np.ndarray:
+        """Map uniform(0,1) draws of shape (k, n) to model samples, a pure
+        function of `u`: a sign is negative where its uniform is below 1/2."""
+        if self.kind == "rademacher":
+            return np.where(u >= 0.5, 1.0, -1.0)
+        from scipy.special import ndtri
+
+        x = ndtri(np.clip(u, UNIFORM_FLOOR, 1.0 - UNIFORM_FLOOR))
+        x[:, 0] = 0.0
+        return x
+
+    def signs_split_at_median(self) -> bool:
+        """False: both laws read the plain uniforms of stream 1."""
+        return False
+
+
+@dataclass(frozen=True)
 class RadialProfileQuery:
     """Profile evaluation request: point v in R^(n-1) plus variant tag."""
 
@@ -664,13 +701,13 @@ def _parse_params(text: str) -> dict[str, str]:
     return params
 
 
-def parse_model(text: str, n: int) -> DensityModel | str:
+def parse_model(text: str, n: int) -> DensityModel | DiscreteModel:
     """Parse a model spec string: family, optionally ':key=value,...'.
 
     Families: iid-normal (mu, sigma), iid-student-t (nu), iid-folded-normal
     (shift), gaussian (cov required, mean optional; vectors space-separated,
-    cov row-major).  The discrete names rademacher and degenerate-first-coordinate are
-    returned as plain strings for the Monte Carlo layer.
+    cov row-major).  The discrete names rademacher and
+    degenerate-first-coordinate give a `DiscreteModel`.
     """
     text = text.strip()
     family, _, rest = text.partition(":")
@@ -679,7 +716,7 @@ def parse_model(text: str, n: int) -> DensityModel | str:
     if family in DISCRETE_MODELS:
         if params:
             raise ValueError(f"{family} takes no parameters")
-        return family
+        return DiscreteModel(n, family)
 
     def fparam(key: str, default: float | None = None) -> float:
         if key in params:

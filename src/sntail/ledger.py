@@ -191,8 +191,6 @@ def run_verify(
     `_own_check` (see the module docstring).  `eps` must hold exactly one
     value.
     """
-    if n < 2:
-        raise ValueError("n must be >= 2")
     if len(eps) != 1:
         raise ValueError(f"verify takes exactly one eps value, got {len(eps)}")
     entries: list[LedgerEntry] = []
@@ -250,7 +248,7 @@ def run_verify(
     )
 
     if continuous and beta == 2.0:
-        entries.append(_tail_constant_row(model, n, epsilon, sphere_law, failures))
+        entries.append(_tail_constant_row(model, epsilon, sphere_law, failures))
 
     # Cross-oracle consistency: two independent integration routes.
     if sphere_law and 2 <= n <= 4:
@@ -300,7 +298,7 @@ def run_verify(
     # Monte Carlo vs exact oracle (sphere law only; 5 sigma internal gate).
     if sphere_law:
         est = estimate_tail(
-            SamplerSpec(model, n, seed, trials, workers), StatisticSpec(2.0, "sum"),
+            SamplerSpec(model, seed, trials, workers), StatisticSpec(2.0, "sum"),
             epsilon=epsilon,
         )
         p_exact = sphere_tail_exact(n, math.sqrt(n) - epsilon).value
@@ -347,9 +345,10 @@ def run_verify(
 
 
 def _tail_constant_row(
-    model: DensityModel, n: int, epsilon: float, sphere_law: bool, failures: list[str]
+    model: DensityModel, epsilon: float, sphere_law: bool, failures: list[str]
 ) -> LedgerEntry:
     """Tail constant against a power-law fit of the exact oracle (beta = 2)."""
+    n = model.n
     quantity = f"tail_constant(n={n})"
     if sphere_law:
         def evaluator(grid: np.ndarray) -> list[float]:

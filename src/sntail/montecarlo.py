@@ -59,11 +59,11 @@ import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import Iterator
 
 import numpy as np
 
-from .density import DISCRETE_MODELS, UNIFORM_FLOOR, DensityModel
+from .density import DensityModel, DiscreteModel
 from .oracles import regularized_incomplete_beta
 
 __all__ = [
@@ -110,8 +110,6 @@ _HALF_BITS = np.uint64(0x3FE0000000000000)
 
 STATISTICS = ("sum", "max-over-Zn", "max-over-Zk")
 
-ModelLike = Union[DensityModel, str]
-
 
 @dataclass(frozen=True)
 class StatisticSpec:
@@ -141,31 +139,17 @@ class StatisticSpec:
 class SamplerSpec:
     """A reproducible sampling plan.
 
-    `model` is either a DensityModel or one of the discrete names
-    (rademacher, degenerate-first-coordinate), plain strings with no
-    dimension, hence `n`.  Results are bit-identical for fixed (seed,
-    trials) regardless of workers: substreams are keyed by absolute trial
-    position, never by worker identity.
+    `model` carries the dimension n.  Results are bit-identical for fixed
+    (seed, trials) regardless of workers: substreams are keyed by absolute
+    trial position, never by worker identity.
     """
 
-    model: ModelLike
-    n: int
+    model: DensityModel | DiscreteModel
     seed: int
     trials: int
     workers: int = 1
 
     def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ValueError("n must be >= 2")
-        if isinstance(self.model, str):
-            if self.model not in DISCRETE_MODELS:
-                raise ValueError(
-                    f"unknown discrete model {self.model!r}; choose from {DISCRETE_MODELS}"
-                )
-        elif self.model.n != self.n:
-            raise ValueError(
-                f"model dimension {self.model.n} does not match n = {self.n}"
-            )
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must be a 64-bit unsigned integer")
         if self.trials < 1:
@@ -339,69 +323,6 @@ def _underflowed_prefix_max(rows: np.ndarray) -> np.ndarray:
     return np.max(np.where(use, ratio, -np.inf), axis=1)
 
 
-def _statistics(
-    x: np.ndarray, beta: float, variants: tuple[str, ...]
-) -> list[np.ndarray]:
-    """Each of `variants` on a (trials, n) batch, in the order asked.
-
-    One column walk serves every variant (see statistic_batch).
-    """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2:
-        raise ValueError("expected a 2-D batch of draws")
-    if x.shape[1] < 2:
-        raise ValueError("samples must have length >= 2")
-    want_sum = "sum" in variants
-    want_zn = "max-over-Zn" in variants
-    want_zk = "max-over-Zk" in variants
-    if want_sum and beta != 2.0 and (want_zn or want_zk):
-        raise ValueError("the max variants are Euclidean; at beta != 2 sum comes alone")
-    power = beta if want_sum else 2.0
-    # Below `floor`, the power sum behind `norm` (Z(n)^2 or the sum of
-    # |x|^beta) is no normal double: its terms have underflowed.  Above the
-    # largest double they have overflowed, and `norm` is inf.
-    under = None
-    with np.errstate(over="ignore"):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            total, top, best, norm, low = _column_walk(x, want_zn, want_zk, power)
-        floor = _TINY
-        if want_zk and low.any():
-            under = np.full(low.shape, -np.inf)
-            under[low] = _underflowed_prefix_max(x[low])
-            np.maximum(best, under, out=best)
-        if want_zn or want_sum:
-            norm = np.sqrt(norm) if power == 2.0 else norm ** (1.0 / power)
-            floor = _TINY ** (1.0 / power)
-    # The statistics are scale-invariant: rows whose norm underflows (an
-    # all-zero row among them) or overflows are redone divided by their
-    # max-abs entry.
-    rescale = (norm < floor) | np.isinf(norm)
-    if rescale.any():
-        rows = x[rescale]
-        scale = np.max(np.abs(rows), axis=1)
-        if not scale.all():
-            raise ValueError("statistic undefined on the zero vector")
-        redone = _statistics(rows / scale[:, None], beta, variants)
-        norm[rescale] = 1.0  # placeholders, so the divisions below stay finite
-    values: dict[str, np.ndarray] = {}
-    if want_sum:
-        with np.errstate(over="ignore"):  # overflowing rows are redone
-            values["sum"] = np.divide(total, norm, out=total)
-    if want_zn:
-        values["max-over-Zn"] = np.divide(top, norm, out=top)
-    if want_zk:
-        values["max-over-Zk"] = best
-    if rescale.any():
-        for variant, redo in zip(variants, redone):
-            if variant == "max-over-Zk" and under is not None:
-                # Dividing by the max-abs entry flushes entries ~308 orders of
-                # magnitude below it to 0, and with them the prefixes only the
-                # 2^600 path resolved: keep the larger value.
-                redo = np.maximum(redo, under[rescale])
-            values[variant][rescale] = redo
-    return [values[v] for v in variants]
-
-
 def statistic_batch(x: np.ndarray, spec: StatisticSpec = StatisticSpec()) -> np.ndarray:
     """Self-normalized statistics for a (trials, n) batch of draws.
 
@@ -417,7 +338,57 @@ def statistic_batch(x: np.ndarray, spec: StatisticSpec = StatisticSpec()) -> np.
     prefix whose squares underflow is multiplied by 2^600 first, so
     [1e-170, 1e-170, 1] reads sqrt(2), from k = 2.
     """
-    return _statistics(x, spec.beta, (spec.variant,))[0]
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 2:
+        raise ValueError("expected a 2-D batch of draws")
+    if x.shape[1] < 2:
+        raise ValueError("samples must have length >= 2")
+    variant = spec.variant
+    power = spec.beta if variant == "sum" else 2.0
+    # Below `floor`, the power sum behind `norm` (Z(n)^2 or the sum of
+    # |x|^beta) is no normal double: its terms have underflowed.  Above the
+    # largest double they have overflowed, and `norm` is inf.
+    under = None
+    with np.errstate(over="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            total, top, best, norm, low = _column_walk(
+                x, variant == "max-over-Zn", variant == "max-over-Zk", power
+            )
+        floor = _TINY
+        if variant == "max-over-Zk":
+            if low.any():
+                under = np.full(low.shape, -np.inf)
+                under[low] = _underflowed_prefix_max(x[low])
+                np.maximum(best, under, out=best)
+        else:
+            norm = np.sqrt(norm) if power == 2.0 else norm ** (1.0 / power)
+            floor = _TINY ** (1.0 / power)
+    # The statistics are scale-invariant: rows whose norm underflows (an
+    # all-zero row among them) or overflows are redone divided by their
+    # max-abs entry.
+    rescale = (norm < floor) | np.isinf(norm)
+    if rescale.any():
+        rows = x[rescale]
+        scale = np.max(np.abs(rows), axis=1)
+        if not scale.all():
+            raise ValueError("statistic undefined on the zero vector")
+        redone = statistic_batch(rows / scale[:, None], spec)
+        norm[rescale] = 1.0  # placeholders, so the divisions below stay finite
+    if variant == "sum":
+        with np.errstate(over="ignore"):  # overflowing rows are redone
+            values = np.divide(total, norm, out=total)
+    elif variant == "max-over-Zn":
+        values = np.divide(top, norm, out=top)
+    else:
+        values = best
+    if rescale.any():
+        if under is not None:
+            # Dividing by the max-abs entry flushes entries ~308 orders of
+            # magnitude below it to 0, and with them the prefixes only the
+            # 2^600 path resolved: keep the larger value.
+            redone = np.maximum(redone, under[rescale])
+        values[rescale] = redone
+    return values
 
 
 def statistic(x: np.ndarray, spec: StatisticSpec = StatisticSpec()) -> float:
@@ -436,19 +407,16 @@ def spec_hash(sampler: SamplerSpec, stat: StatisticSpec, threshold: float) -> st
     uniform stream 1 hashes as it always did.
     """
     model = sampler.model
-    if isinstance(model, str):
-        desc: dict[str, object] = {"model": model}
-    else:
-        desc = {"model": model.kind}
-        for field in ("mu", "sigma", "nu", "shift"):
-            value = getattr(model, field, None)
-            if value is not None:
-                desc[field] = repr(float(value))
-        if model.kind == "gaussian":
-            desc["mean"] = [repr(float(v)) for v in model.mean]
-            desc["chol"] = [repr(float(v)) for v in model.chol.ravel()]
+    desc: dict[str, object] = {"model": model.kind}
+    for field in ("mu", "sigma", "nu", "shift"):
+        value = getattr(model, field, None)
+        if value is not None:
+            desc[field] = repr(float(value))
+    if model.kind == "gaussian":
+        desc["mean"] = [repr(float(v)) for v in model.mean]
+        desc["chol"] = [repr(float(v)) for v in model.chol.ravel()]
     desc.update(
-        n=sampler.n,
+        n=model.n,
         seed=sampler.seed,
         trials=sampler.trials,
         beta=repr(float(stat.beta)),
@@ -540,10 +508,9 @@ def _row_cut(sampler: SamplerSpec, stat: StatisticSpec, threshold: float) -> int
     than J negative coordinates, with probability P(Bin(n, 1/2) < J), taken
     exactly.  The filter runs when that is at most 3/4.
     """
-    model = sampler.model
-    if isinstance(model, str) or not model.signs_split_at_median():
+    if not sampler.model.signs_split_at_median():
         return None
-    n = sampler.n
+    n = sampler.model.n
     cut = _sign_cut(n, stat, threshold)
     kept = sum(math.comb(n, i) for i in range(cut))
     return cut if 4 * kept <= 3 * 2**n else None
@@ -560,19 +527,8 @@ def _chunk_draws(
     [1/2, 1) to F^-1(u) >= 0, and the sign bit of the double is then set
     where the coordinate is negative, which negates it exactly.
     """
-    u, negative = _chunk_uniforms(sampler.seed, chunk_index, m, sampler.n, cut)
-    model = sampler.model
-    if isinstance(model, str):
-        if model == "rademacher":
-            return np.where(u >= 0.5, 1.0, -1.0)
-        # degenerate-first-coordinate: first coordinate identically zero,
-        # the rest iid standard normal.
-        from scipy.special import ndtri
-
-        x = ndtri(np.clip(u, UNIFORM_FLOOR, 1.0 - UNIFORM_FLOOR))
-        x[:, 0] = 0.0
-        return x
-    x = model.draw_from_uniforms(u)
+    u, negative = _chunk_uniforms(sampler.seed, chunk_index, m, sampler.model.n, cut)
+    x = sampler.model.draw_from_uniforms(u)
     if negative is not None:
         # the model never writes u, so its words take the sign mask
         mask = np.left_shift(negative, 63, out=u.view(np.uint64), dtype=np.uint64)
@@ -617,14 +573,15 @@ def estimate_tail(sampler: SamplerSpec, stat: StatisticSpec, epsilon: float) -> 
     The threshold is cap - epsilon (the tail parameterization used
     throughout), the cap being the statistic's largest value: n^(1-1/beta)
     for `sum` and sqrt(n) for the max variants, which ignore beta.
-    The result is a pure function of (sampler.model, n, seed, trials,
-    stat, epsilon); workers only distribute chunks.
+    The result is a pure function of (sampler.model, seed, trials, stat,
+    epsilon); workers only distribute chunks.
 
     For iid-normal with mu = 0 and iid-student-t, rows with too many
     negative coordinates to hit get no magnitudes where that drops a
     quarter of the rows or more: see the module docstring.
     """
-    cutoff = float(sampler.n) ** _cap_power(stat)
+    n = sampler.model.n
+    cutoff = float(n) ** _cap_power(stat)
     if not 0.0 < epsilon < cutoff:
         raise ValueError(f"epsilon must lie in (0, {cutoff:.6g}), got {epsilon}")
     threshold = cutoff - epsilon
@@ -636,8 +593,8 @@ def estimate_tail(sampler: SamplerSpec, stat: StatisticSpec, epsilon: float) -> 
 
     # Every degenerate row has its first coordinate at 0, so at J = 1 no
     # row can hit, and nothing is drawn.
-    degenerate = sampler.model == "degenerate-first-coordinate"
-    if degenerate and _sign_cut(sampler.n, stat, threshold) <= 1:
+    degenerate = sampler.model.kind == "degenerate-first-coordinate"
+    if degenerate and _sign_cut(n, stat, threshold) <= 1:
         return _estimate(sampler, stat, threshold, 0)
     cut = _row_cut(sampler, stat, threshold)
     hits = int(sum(_run_chunks(sampler, per_chunk, cut)))
@@ -713,7 +670,7 @@ def compare_max_vs_sum(sampler: SamplerSpec, epsilon: float) -> MaxSumComparison
     the two Wilson intervals; it ignores the coupling, so it always
     contains the tighter paired interval.
     """
-    n = sampler.n
+    n = sampler.model.n
     if not 0.0 < epsilon < math.sqrt(n):
         raise ValueError(f"epsilon must lie in (0, sqrt(n)), got {epsilon}")
     if sampler.trials < MIN_TRIALS:
@@ -728,12 +685,10 @@ def compare_max_vs_sum(sampler: SamplerSpec, epsilon: float) -> MaxSumComparison
             "equivalence of the two tails is not guaranteed",
         )
 
-    variants = ("sum", "max-over-Zn", "max-over-Zk")
+    stats = [StatisticSpec(2.0, v) for v in STATISTICS]
 
     def per_chunk(draws: np.ndarray) -> tuple[int, ...]:
-        hit_sum, hit_zn, hit_zk = (
-            v > threshold for v in _statistics(draws, 2.0, variants)
-        )
+        hit_sum, hit_zn, hit_zk = (statistic_batch(draws, s) > threshold for s in stats)
         return tuple(
             int(np.count_nonzero(mask))
             for mask in (hit_sum, hit_zn, hit_zk, hit_zn & ~hit_sum, hit_zn | hit_sum)
@@ -744,8 +699,7 @@ def compare_max_vs_sum(sampler: SamplerSpec, epsilon: float) -> MaxSumComparison
     counts = [sum(c) for c in zip(*_run_chunks(sampler, per_chunk, cut))]
     hits_sum, hits_zn, _, only_max, either = counts
     sum_est, zn_est, zk_est = (
-        _estimate(sampler, StatisticSpec(2.0, v), threshold, hits, warnings)
-        for v, hits in zip(variants, counts[:3])
+        _estimate(sampler, s, threshold, hits, warnings) for s, hits in zip(stats, counts[:3])
     )
     ratio = hits_zn / hits_sum if hits_sum > 0 else math.inf
     ratio_low = zn_est.ci_low / sum_est.ci_high if sum_est.ci_high > 0.0 else math.inf

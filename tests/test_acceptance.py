@@ -29,7 +29,7 @@ from sntail.asymptotics import (
     predict_tail,
 )
 from sntail.bounds import curvature_functionals, validate_sandwich
-from sntail.density import DensityModel, RadialProfileQuery, h_profile
+from sntail.density import DensityModel, DiscreteModel, RadialProfileQuery, h_profile
 from sntail.ledger import run_verify
 from sntail.montecarlo import (
     SamplerSpec,
@@ -54,13 +54,13 @@ SEED = 42
 
 @functools.lru_cache(maxsize=None)
 def mc_normal_n3(workers: int):
-    sampler = SamplerSpec(DensityModel.iid_normal(3), 3, SEED, 10_000_000, workers)
+    sampler = SamplerSpec(DensityModel.iid_normal(3), SEED, 10_000_000, workers)
     return estimate_tail(sampler, StatisticSpec(2.0, "sum"), epsilon=0.3)
 
 
 @functools.lru_cache(maxsize=None)
 def mc_rademacher(n: int, workers: int):
-    sampler = SamplerSpec("rademacher", n, SEED, 1_000_000, workers)
+    sampler = SamplerSpec(DiscreteModel(n, "rademacher"), SEED, 1_000_000, workers)
     return estimate_tail(
         sampler, StatisticSpec(2.0, "sum"), epsilon=0.4 / math.sqrt(n)
     )
@@ -69,28 +69,28 @@ def mc_rademacher(n: int, workers: int):
 @functools.lru_cache(maxsize=None)
 def mc_degenerate(workers: int):
     sampler = SamplerSpec(
-        "degenerate-first-coordinate", 3, SEED, 10_000_000, workers
+        DiscreteModel(3, "degenerate-first-coordinate"), SEED, 10_000_000, workers
     )
     return estimate_tail(sampler, StatisticSpec(2.0, "sum"), epsilon=0.2)
 
 
 @functools.lru_cache(maxsize=None)
 def mc_beta3(workers: int):
-    sampler = SamplerSpec(DensityModel.iid_normal(2), 2, SEED, 1_000_000, workers)
+    sampler = SamplerSpec(DensityModel.iid_normal(2), SEED, 1_000_000, workers)
     return estimate_tail(sampler, StatisticSpec(3.0, "sum"), epsilon=0.1)
 
 
 @functools.lru_cache(maxsize=None)
 def cmp_folded(workers: int):
     sampler = SamplerSpec(
-        DensityModel.iid_folded_normal(4), 4, SEED, 1_000_000, workers
+        DensityModel.iid_folded_normal(4), SEED, 1_000_000, workers
     )
     return compare_max_vs_sum(sampler, 0.1)
 
 
 @functools.lru_cache(maxsize=None)
 def cmp_normal(workers: int):
-    sampler = SamplerSpec(DensityModel.iid_normal(3), 3, SEED, 1_000_000, workers)
+    sampler = SamplerSpec(DensityModel.iid_normal(3), SEED, 1_000_000, workers)
     return compare_max_vs_sum(sampler, 0.1)
 
 

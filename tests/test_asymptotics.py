@@ -178,7 +178,7 @@ def test_mc_respects_dimension_free_bound():
         from sntail.density import parse_model
 
         model = parse_model(model_name, 3)
-        sampler = SamplerSpec(model, 3, 20240604, 200_000, 1)
+        sampler = SamplerSpec(model, 20240604, 200_000, 1)
         est = estimate_tail(sampler, StatisticSpec(beta, "sum"), epsilon=0.3)
         bound = math.exp(-0.5 * est.threshold**2)
         se = (est.ci_high - est.ci_low) / (2.0 * 1.959963984540054)

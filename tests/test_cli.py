@@ -183,6 +183,36 @@ def test_oracle_rejects_sides_it_does_not_compute(capsys):
         assert "right tail only (--side right)" in captured.err
 
 
+def test_every_command_but_predict_rejects_a_side_other_than_right(capsys):
+    for argv in (["bounds", "--n", "3", "--eps", "0.01", "--side", "left"],
+                 ["verify", "--n", "2", "--side", "left"],
+                 ["counterexample", "--n", "3", "--side", "left"],
+                 ["constants", "--n", "3", "--side", "two-sided"]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "right tail only (--side right)" in captured.err
+
+
+def test_counterexample_rejects_beta_other_than_2(capsys):
+    assert main(["counterexample", "--n", "3", "--beta", "3", "--trials", "1e4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "counterexample is defined for beta = 2" in captured.err
+
+
+def test_discrete_mc_hits_and_digests_are_pinned(capsys):
+    # both discrete laws read stream 1; the digest holds on any worker count
+    for argv, hits, digest in (
+        (["--n", "3", "--model", "rademacher", "--eps", "0.2"], 12539, "6269b6fb0fd9d522"),
+        (["--n", "4", "--model", "degenerate-first-coordinate", "--eps", "0.5",
+          "--workers", "2"], 6738, "261dcc936606a972"),
+    ):
+        assert main(["mc", "--trials", "1e5", "--seed", "1", *argv]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["hits"], payload["spec_hash"]) == (hits, digest)
+
+
 def test_mc_max_variant_at_beta_3_thresholds_below_sqrt_n(capsys):
     # the max statistics ignore beta, so --beta 3 reads the --beta 2 hits
     payloads = []
@@ -319,7 +349,7 @@ def test_counterexample_reads_discrepant_outside_the_5_sigma_gate(capsys, monkey
 
     def shifted(sampler, stat, epsilon):
         est = true_estimate(sampler, stat, epsilon=epsilon)
-        if sampler.model != "rademacher":
+        if sampler.model.kind != "rademacher":
             return est
         sigma = math.sqrt(0.125 * 0.875 / sampler.trials)
         hits = round((0.125 + 6.0 * sigma) * sampler.trials)
@@ -461,7 +491,7 @@ def test_verify_rare_mc_count_is_judged_by_the_exact_binomial_tail(capsys, monke
     # z = +8.6 under the normal approximation, yet the exact binomial tail
     # is far above the 5 sigma level, so nothing failed
     def one_hit(sampler, stat, epsilon):
-        return _estimate(sampler, stat, math.sqrt(sampler.n) - epsilon, 1)
+        return _estimate(sampler, stat, math.sqrt(sampler.model.n) - epsilon, 1)
 
     monkeypatch.setattr(sntail.ledger, "estimate_tail", one_hit)
     assert main(["verify", "--n", "8", "--trials", "1000", "--seed", "79"]) == 0

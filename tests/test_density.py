@@ -10,6 +10,7 @@ import sntail.density as density
 from sntail.density import (
     DISCRETE_MODELS,
     DensityModel,
+    DiscreteModel,
     RadialProfileQuery,
     h_profile,
     parse_model,
@@ -118,7 +119,7 @@ def test_parse_model_families():
     assert m.kind == "gaussian"
     np.testing.assert_allclose(m.chol @ m.chol.T, [[1.0, 0.3], [0.3, 1.0]])
     for name in DISCRETE_MODELS:
-        assert parse_model(name, 3) == name
+        assert parse_model(name, 3) == DiscreteModel(3, name)
 
 
 def test_parse_model_rejects_bad_specs():
@@ -130,6 +131,10 @@ def test_parse_model_rejects_bad_specs():
         parse_model("gaussian:cov=1 0 0", 2)
     with pytest.raises(ValueError):
         parse_model("rademacher:p=0.4", 3)
+    with pytest.raises(ValueError, match="n must be >= 2"):
+        parse_model("rademacher", 1)
+    with pytest.raises(ValueError, match="unknown discrete model"):
+        DiscreteModel(3, "not-a-model")
     with pytest.raises(ValueError):
         parse_model("iid-normal:bogus=1", 3)
 

@@ -125,7 +125,7 @@ def test_mc_row_survives_a_missed_interval(monkeypatch):
     # the MC estimate outside its 95% interval (|z| > 1.96) but well inside
     # the 5 sigma gate that decides the internal failure
     def estimate(sampler, stat, epsilon):
-        return _estimate(sampler, stat, math.sqrt(sampler.n) - epsilon, 28513)
+        return _estimate(sampler, stat, math.sqrt(sampler.model.n) - epsilon, 28513)
 
     monkeypatch.setattr(ledger, "estimate_tail", estimate)
     report = run_verify(n=3, seed=3, trials=10**6)

@@ -9,7 +9,7 @@ import pytest
 from scipy.special import ndtri, stdtrit
 
 import sntail.montecarlo as montecarlo
-from sntail.density import UNIFORM_FLOOR, DensityModel
+from sntail.density import UNIFORM_FLOOR, DensityModel, DiscreteModel
 from sntail.montecarlo import (
     CHUNK_TRIALS,
     STATISTICS,
@@ -33,7 +33,6 @@ from sntail.montecarlo import (
     _row_cut,
     _rows_with_a_sign,
     _sign_cut,
-    _statistics,
 )
 from sntail.oracles import degenerate_component_check, sphere_tail_exact
 
@@ -55,16 +54,6 @@ def test_statistic_rejects_zero_vector():
     x[2] = 0.0
     with pytest.raises(ValueError, match="zero vector"):
         statistic_batch(x)
-
-
-def test_one_walk_serves_sum_beside_the_max_variants_at_beta_2_only():
-    # the walk keeps one power sum, and the max variants are Euclidean
-    x = np.random.default_rng(3).standard_normal((50, 4))
-    both = _statistics(x, 2.0, ("sum", "max-over-Zn"))
-    assert np.array_equal(both[0], statistic_batch(x, StatisticSpec(variant="sum")))
-    assert np.array_equal(both[1], statistic_batch(x, StatisticSpec(variant="max-over-Zn")))
-    with pytest.raises(ValueError, match="Euclidean"):
-        _statistics(x, 3.0, ("sum", "max-over-Zk"))
 
 
 def _rowwise_statistic_batch(x, stat):
@@ -191,11 +180,11 @@ def test_max_variants_threshold_below_their_euclidean_cap():
     # the threshold sqrt(n) - eps at every beta; the sum keeps n^(1 - 1/beta)
     runs = {}
     for beta in (2.0, 3.0):
-        sampler = SamplerSpec(DensityModel.iid_normal(4), 4, 1, 100_000)
+        sampler = SamplerSpec(DensityModel.iid_normal(4), 1, 100_000)
         runs[beta] = estimate_tail(sampler, StatisticSpec(beta, "max-over-Zk"), epsilon=0.1)
         assert runs[beta].threshold == 2.0 - 0.1
     assert runs[3.0].hits == runs[2.0].hits > 0
-    sampler = SamplerSpec(DensityModel.iid_normal(4), 4, 1, 1000)
+    sampler = SamplerSpec(DensityModel.iid_normal(4), 1, 1000)
     summed = estimate_tail(sampler, StatisticSpec(3.0, "sum"), epsilon=0.1)
     assert summed.threshold == 4.0 ** (2.0 / 3.0) - 0.1
 
@@ -262,7 +251,7 @@ def test_worker_counts_agree_bitwise():
     model = DensityModel.iid_normal(3)
     hits = []
     for workers in (1, 2, 4, 8):
-        sampler = SamplerSpec(model, 3, 42, 300_000, workers)
+        sampler = SamplerSpec(model, 42, 300_000, workers)
         est = estimate_tail(sampler, StatisticSpec(2.0, "sum"), epsilon=0.3)
         hits.append(est.hits)
     assert hits[0] == hits[1] == hits[2] == hits[3]
@@ -271,19 +260,19 @@ def test_worker_counts_agree_bitwise():
 def test_stream_is_chunk_stable():
     # splitting into chunks must reproduce one monolithic draw sequence
     model = DensityModel.iid_normal(2)
-    small = SamplerSpec(model, 2, 7, CHUNK_TRIALS + 1234, 1)
+    small = SamplerSpec(model, 7, CHUNK_TRIALS + 1234, 1)
     chunks = list(sample_batch(small))
     assert [c.shape[0] for c in chunks] == [CHUNK_TRIALS, 1234]
     merged = np.vstack(chunks)
-    direct = np.vstack(list(sample_batch(SamplerSpec(model, 2, 7, 2000, 1))))
+    direct = np.vstack(list(sample_batch(SamplerSpec(model, 7, 2000, 1))))
     np.testing.assert_array_equal(merged[:2000], direct)
 
 
 def test_discrete_samplers():
-    rad = SamplerSpec("rademacher", 3, 5, 4096, 1)
+    rad = SamplerSpec(DiscreteModel(3, "rademacher"), 5, 4096, 1)
     draws = np.vstack(list(sample_batch(rad)))
     assert set(np.unique(draws)) == {-1.0, 1.0}
-    deg = SamplerSpec("degenerate-first-coordinate", 3, 5, 4096, 1)
+    deg = SamplerSpec(DiscreteModel(3, "degenerate-first-coordinate"), 5, 4096, 1)
     draws = np.vstack(list(sample_batch(deg)))
     assert np.all(draws[:, 0] == 0.0)
     assert np.std(draws[:, 1]) > 0.5
@@ -298,7 +287,7 @@ def test_degenerate_estimate_in_the_window_draws_nothing(monkeypatch):
     monkeypatch.setattr(montecarlo, "_chunk_draws", no_draws)
     n = 20
     eps = 0.9 * (math.sqrt(n) - math.sqrt(n - 1))
-    sampler = SamplerSpec("degenerate-first-coordinate", n, 1, 10**6, 2)
+    sampler = SamplerSpec(DiscreteModel(n, "degenerate-first-coordinate"), 1, 10**6, 2)
     stat = StatisticSpec(2.0, "sum")
     assert _sign_cut(n, stat, math.sqrt(n) - eps) == 1
     assert _row_cut(sampler, stat, math.sqrt(n) - eps) is None  # hashed as stream 1
@@ -309,7 +298,7 @@ def test_degenerate_estimate_in_the_window_draws_nothing(monkeypatch):
 def test_degenerate_estimate_beyond_the_window_passes_the_reduced_sphere_law():
     # eps = 0.5 is past sqrt(3) - sqrt(2), so rows with both free
     # coordinates positive hit, at the n = 2 sphere-law rate 0.1633
-    sampler = SamplerSpec("degenerate-first-coordinate", 3, 1, 10**5, 1)
+    sampler = SamplerSpec(DiscreteModel(3, "degenerate-first-coordinate"), 1, 10**5, 1)
     est = estimate_tail(sampler, StatisticSpec(2.0, "sum"), epsilon=0.5)
     within, resolved, gate = est.judge(degenerate_component_check(3, 0.5).value)
     assert est.hits == 16461
@@ -319,15 +308,13 @@ def test_degenerate_estimate_beyond_the_window_passes_the_reduced_sphere_law():
 def test_sampler_spec_validation():
     model = DensityModel.iid_normal(3)
     with pytest.raises(ValueError):
-        SamplerSpec(model, 2, 0, 1000, 1)
+        SamplerSpec(model, -1, 1000, 1)
     with pytest.raises(ValueError):
-        SamplerSpec(model, 3, -1, 1000, 1)
+        SamplerSpec(model, 2**64, 1000, 1)
     with pytest.raises(ValueError):
-        SamplerSpec(model, 3, 2**64, 1000, 1)
+        DiscreteModel(3, "not-a-model")
     with pytest.raises(ValueError):
-        SamplerSpec("not-a-model", 3, 0, 1000, 1)
-    with pytest.raises(ValueError):
-        SamplerSpec(model, 3, 0, 0, 1)
+        SamplerSpec(model, 0, 0, 1)
     with pytest.raises(ValueError):
         StatisticSpec(1.0, "sum")
     with pytest.raises(ValueError):
@@ -335,13 +322,13 @@ def test_sampler_spec_validation():
 
 
 def test_estimate_tail_threshold_epsilon_exclusive():
-    sampler = SamplerSpec(DensityModel.iid_normal(3), 3, 1, 1000, 1)
+    sampler = SamplerSpec(DensityModel.iid_normal(3), 1, 1000, 1)
     stat = StatisticSpec(2.0, "sum")
     with pytest.raises(ValueError):
         estimate_tail(sampler, stat, epsilon=2.0)
     with pytest.raises(ValueError):
         estimate_tail(
-            SamplerSpec(DensityModel.iid_normal(3), 3, 1, 999, 1), stat, epsilon=0.3
+            SamplerSpec(DensityModel.iid_normal(3), 1, 999, 1), stat, epsilon=0.3
         )
 
 
@@ -360,7 +347,7 @@ def test_wilson_interval_behavior():
 
 
 def test_judge_at_p_zero_is_within_exactly_without_hits():
-    sampler = SamplerSpec("degenerate-first-coordinate", 3, 1, 1000, 1)
+    sampler = SamplerSpec(DiscreteModel(3, "degenerate-first-coordinate"), 1, 1000, 1)
     stat = StatisticSpec(2.0, "sum")
     for hits in (0, 1, 1000):
         within, resolved, _ = _estimate(sampler, stat, 1.0, hits).judge(0.0)
@@ -370,19 +357,19 @@ def test_judge_at_p_zero_is_within_exactly_without_hits():
 
 def test_spec_hash_sensitivity():
     model = DensityModel.iid_normal(3)
-    a = spec_hash(SamplerSpec(model, 3, 1, 1000, 1), StatisticSpec(2.0, "sum"), 1.0)
-    b = spec_hash(SamplerSpec(model, 3, 1, 1000, 1), StatisticSpec(2.0, "sum"), 1.0)
+    a = spec_hash(SamplerSpec(model, 1, 1000, 1), StatisticSpec(2.0, "sum"), 1.0)
+    b = spec_hash(SamplerSpec(model, 1, 1000, 1), StatisticSpec(2.0, "sum"), 1.0)
     assert a == b
-    c = spec_hash(SamplerSpec(model, 3, 2, 1000, 1), StatisticSpec(2.0, "sum"), 1.0)
-    d = spec_hash(SamplerSpec(model, 3, 1, 1000, 1), StatisticSpec(2.0, "sum"), 1.1)
+    c = spec_hash(SamplerSpec(model, 2, 1000, 1), StatisticSpec(2.0, "sum"), 1.0)
+    d = spec_hash(SamplerSpec(model, 1, 1000, 1), StatisticSpec(2.0, "sum"), 1.1)
     assert len({a, c, d}) == 3
     # worker count is an execution detail, not part of the experiment identity
-    e = spec_hash(SamplerSpec(model, 3, 1, 1000, 8), StatisticSpec(2.0, "sum"), 1.0)
+    e = spec_hash(SamplerSpec(model, 1, 1000, 8), StatisticSpec(2.0, "sum"), 1.0)
     assert e == a
 
 
 def test_estimate_payload_round_trip():
-    sampler = SamplerSpec(DensityModel.iid_normal(3), 3, 3, 10_000, 1)
+    sampler = SamplerSpec(DensityModel.iid_normal(3), 3, 10_000, 1)
     est = estimate_tail(sampler, StatisticSpec(2.0, "sum"), epsilon=0.3)
     payload = est.to_payload()
     for key in ("hits", "trials", "p_hat", "ci_low", "ci_high", "seed"):
@@ -393,7 +380,7 @@ def test_estimate_payload_round_trip():
 
 
 def test_strictly_positive_model_collapses_max_variants():
-    sampler = SamplerSpec(DensityModel.iid_folded_normal(3), 3, 21, 100_000, 1)
+    sampler = SamplerSpec(DensityModel.iid_folded_normal(3), 21, 100_000, 1)
     cmp = compare_max_vs_sum(sampler, 0.1)
     assert cmp.all_coincide
     assert cmp.coincidence_rate == 1.0
@@ -402,7 +389,7 @@ def test_strictly_positive_model_collapses_max_variants():
 
 
 def test_comparison_window_warning():
-    sampler = SamplerSpec(DensityModel.iid_normal(3), 3, 21, CHUNK_TRIALS, 1)
+    sampler = SamplerSpec(DensityModel.iid_normal(3), 21, CHUNK_TRIALS, 1)
     inside = compare_max_vs_sum(sampler, 0.9 * 0.5 / math.sqrt(2.0))
     assert not any("window" in w for w in inside.warnings)
     outside = compare_max_vs_sum(sampler, 1.1 * 0.5 / math.sqrt(2.0))
@@ -410,7 +397,7 @@ def test_comparison_window_warning():
 
 
 def test_max_counts_dominate_sum_counts():
-    sampler = SamplerSpec(DensityModel.iid_normal(4), 4, 33, 200_000, 2)
+    sampler = SamplerSpec(DensityModel.iid_normal(4), 33, 200_000, 2)
     cmp = compare_max_vs_sum(sampler, 0.2)
     assert cmp.max_zn_estimate.hits >= cmp.sum_estimate.hits
     assert cmp.max_zk_estimate.hits >= cmp.max_zn_estimate.hits
@@ -425,7 +412,7 @@ def test_coverage_meta():
     model = DensityModel.iid_normal(3)
     covered = 0
     for seed in range(500):
-        sampler = SamplerSpec(model, 3, seed, 100_000, 1)
+        sampler = SamplerSpec(model, seed, 100_000, 1)
         est = estimate_tail(sampler, StatisticSpec(2.0, "sum"), epsilon=0.3)
         covered += est.covers(oracle)
     assert covered >= 465
@@ -433,7 +420,7 @@ def test_coverage_meta():
 
 @pytest.mark.parametrize("n, eps", [(3, 0.1), (9, 0.4)])
 def test_comparison_counts_equal_separate_estimates(n, eps):
-    sampler = SamplerSpec(DensityModel.iid_normal(n), n, 5, 2 * CHUNK_TRIALS + 777, 2)
+    sampler = SamplerSpec(DensityModel.iid_normal(n), 5, 2 * CHUNK_TRIALS + 777, 2)
     cmp = compare_max_vs_sum(sampler, eps)
     pairs = (
         (cmp.max_zn_estimate, "max-over-Zn"),
@@ -543,7 +530,7 @@ def _reference_hits(sampler, spec, threshold):
     if cut is None:
         chunks = list(sample_batch(sampler))
     else:
-        n, rng, chunks = sampler.n, np.random.default_rng(99), []
+        n, rng, chunks = sampler.model.n, np.random.default_rng(99), []
         for c, m in enumerate(_chunk_sizes(sampler.trials)):
             negative = _reference_signs(sampler.seed, c, m, n)
             kept = np.count_nonzero(negative, axis=1) < cut
@@ -570,7 +557,7 @@ def test_filtered_estimates_count_the_same_hits(workers):
     )
     for model, filtered in cases:
         n = model.n
-        sampler = SamplerSpec(model, n, 5, trials, workers)
+        sampler = SamplerSpec(model, 5, trials, workers)
         for spec, eps in (
             (StatisticSpec(2.0, "sum"), 0.1),
             (StatisticSpec(3.0, "sum"), 0.05),
@@ -641,7 +628,7 @@ def test_cut_one_shortcut_draws_the_plane_path_bits():
     # draws, on a full chunk and on a short last one
     for model in (DensityModel.iid_normal(3), DensityModel.iid_student_t(5, 5.0)):
         n = model.n
-        sampler = SamplerSpec(model, n, 21, 2 * CHUNK_TRIALS + 1037, 1)
+        sampler = SamplerSpec(model, 21, 2 * CHUNK_TRIALS + 1037, 1)
         for c, m in ((1, CHUNK_TRIALS), (2, 1037)):
             words = _stream_words(sampler.seed, c, n, 2 * CHUNK_TRIALS * n)
             sign_words = CHUNK_TRIALS * n // 64
@@ -684,7 +671,7 @@ def test_sign_first_estimates_match_the_sphere_law(n, eps, trials):
     variants = STATISTICS if eps < math.sqrt(n) - math.sqrt(n - 1) else ("sum",)
     p = sphere_tail_exact(n, math.sqrt(n) - eps).value
     assert p * trials >= 100
-    sampler = SamplerSpec(DensityModel.iid_normal(n), n, 8, trials, 2)
+    sampler = SamplerSpec(DensityModel.iid_normal(n), 8, trials, 2)
     for variant in variants:
         spec = StatisticSpec(2.0, variant)
         est = estimate_tail(sampler, spec, epsilon=eps)
@@ -698,7 +685,7 @@ def test_sign_first_estimate_at_n64_has_no_stray_hits():
     # coordinates; with a sign lost they would read about 6.4 > 6.05.
     n, eps, trials = 64, 1.95, 10**6
     p = sphere_tail_exact(n, math.sqrt(n) - eps).value
-    sampler = SamplerSpec(DensityModel.iid_normal(n), n, 8, trials, 2)
+    sampler = SamplerSpec(DensityModel.iid_normal(n), 8, trials, 2)
     spec = StatisticSpec(2.0, "sum")
     est = estimate_tail(sampler, spec, epsilon=eps)
     assert _row_cut(sampler, spec, est.threshold) == 28
@@ -708,7 +695,7 @@ def test_sign_first_estimate_at_n64_has_no_stray_hits():
 def test_unfiltered_estimates_keep_their_stream_and_hash():
     # hits and digests of stream 1, recorded before the sign-first stream
     # existed; a filtered run's digest records its stream, now stream 3
-    sampler = SamplerSpec(DensityModel.iid_normal(3, mu=0.2), 3, 5, 2 * CHUNK_TRIALS + 777, 1)
+    sampler = SamplerSpec(DensityModel.iid_normal(3, mu=0.2), 5, 2 * CHUNK_TRIALS + 777, 1)
     for spec, eps, hits, digest in (
         (StatisticSpec(2.0, "sum"), 0.1, 6175, "b04aa0dba0f677e4"),
         (StatisticSpec(2.0, "max-over-Zk"), 0.3, 18207, "9ae5aee221cabeed"),
