@@ -519,13 +519,23 @@ def _run_oracle(config: ExperimentConfig):
 def _predicted_tail_for_warning(config: ExperimentConfig, eps: float) -> float | None:
     """Cheap prediction of the tail size, used only for the rare-event warning."""
     model = parse_model(config.model, config.n)
+    n = config.n
     if isinstance(model, DiscreteModel):
         if model.kind == "rademacher":
-            return 2.0 ** (-config.n) if eps < 0.5 / math.sqrt(config.n) else None
-        return degenerate_component_check(config.n, eps).value
+            # Only the all-plus vector clears the threshold while eps is
+            # below the gap to the statistic's next value on sign vectors,
+            # one minus sign placed last: n - 2 in the sum, n - 1 in a prefix.
+            gap = {"sum": 2.0 * n ** (-1.0 / config.beta),
+                   "max-over-Zn": 1.0 / math.sqrt(n),
+                   "max-over-Zk": math.sqrt(n) - math.sqrt(n - 1)}[config.statistic]
+            return 2.0 ** (-n) if eps < gap else None
+        # The exact reduction is the beta = 2 sum law, for n >= 3 and eps < 1.
+        if config.beta == 2.0 and config.statistic == "sum" and n >= 3 and eps < 1.0:
+            return degenerate_component_check(n, eps).value
+        return None
     if sphere_law_applies(model, config.beta):
-        return sphere_tail_exact(config.n, math.sqrt(config.n) - eps).value
-    if eps < tail_window(config.n, config.beta):
+        return sphere_tail_exact(n, math.sqrt(n) - eps).value
+    if eps < tail_window(n, config.beta):
         try:
             return predict_tail(model, TailQuery(eps, config.beta), "corrected").value
         except (ValueError, ArithmeticError, QuadratureError):

@@ -70,7 +70,9 @@ class DensityModel:
 
     Construct through the classmethods; `kind` is one of iid-normal,
     iid-student-t, iid-folded-normal, gaussian, user.  `pdf` is vectorized
-    over points stacked in the last axis.
+    over points stacked in the last axis.  `sign_symmetric` and
+    `exchangeable` say which symmetries of f are known to hold; a user
+    density claims neither.
     """
 
     n: int
@@ -82,6 +84,9 @@ class DensityModel:
     mean: np.ndarray | None = None
     chol: np.ndarray | None = None
     fn: Callable[[np.ndarray], np.ndarray] | None = None
+    # gaussian only: equal mean entries and covariance alpha I + gamma 11^T,
+    # decided once by `gaussian`.
+    equicorrelated: bool = False
 
     def __post_init__(self) -> None:
         if self.n < 2:
@@ -126,7 +131,12 @@ class DensityModel:
             chol_l = np.linalg.cholesky(cov)
         except np.linalg.LinAlgError as exc:
             raise ValueError("cov must be positive definite") from exc
-        return cls(n=n, kind="gaussian", mean=mean, chol=chol_l)
+        # Exact equality, no tolerance: a fold that copies one point's
+        # density to its mirror image must not rest on a near-symmetry.
+        off = cov[~np.eye(n, dtype=bool)]
+        equicorrelated = all((v == v[:1]).all() for v in (mean, np.diag(cov), off))
+        return cls(n=n, kind="gaussian", mean=mean, chol=chol_l,
+                   equicorrelated=equicorrelated)
 
     @classmethod
     def user(cls, n: int, fn: Callable[[np.ndarray], np.ndarray]) -> "DensityModel":
@@ -144,6 +154,12 @@ class DensityModel:
         if self.kind == "gaussian":
             return bool(np.all(self.mean == 0.0))
         return False
+
+    @property
+    def exchangeable(self) -> bool:
+        """True when f is known to be invariant under every permutation of
+        the coordinates: the iid kinds, and an equicorrelated gaussian."""
+        return self.kind in _IID_KINDS or self.equicorrelated
 
     def _coordinate_log_pdf(self, x: np.ndarray) -> np.ndarray:
         # In place on fresh temporaries: same operations, fewer allocations.

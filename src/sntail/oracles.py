@@ -352,6 +352,8 @@ def _directions(dim: int, count: int) -> tuple[np.ndarray, np.ndarray]:
 
 # Per region dimension: the level-0 direction count and Fejer-2 radial count
 # (dim 2 starts at 48 directions by 25 radial nodes), and the finest level.
+# The azimuth counts (48 in dim 2, 2 * 8 in dim 3) are multiples of 8, so
+# the exchangeable fold's mirror map keeps each level's parity.
 _LADDER = {1: (1, 26, 5), 2: (48, 26, 5), 3: (8, 13, 3)}
 # Where a grid axis keeps the previous level's nodes: every direction for
 # dim 1, even positions for the trapezoid, odd positions for Fejer-2.
@@ -394,13 +396,21 @@ def region_tail_integral(
     user density with a support edge) raises QuadratureError, as does an
     eps that misses rel_target at the finest level.
 
+    For an `exchangeable` model with n >= 3 the integrand is symmetric
+    under swapping v1 and v2, which maps the grid onto itself.  Each level
+    then profiles only its canonical nodes, those with v1 >= v2, and each
+    mirror node copies its twin's value; the rule, its sums and the error
+    estimate are unchanged.
+
     `epsilon` may be a 1-D grid, giving `value` and `error_estimate` arrays
     in its order.  Its regions are nested balls, so one ladder evaluates
     profiles out to the largest eps's boundary, which keeps `_fejer2`'s
     weights as a float does, and a smaller eps integrates the same radial
     interpolant over [0, its reach / the largest's] (`_fejer2_partial`).
     Each eps keeps the value of the level where it settles.  metadata counts
-    the ladder's last "refinement_level" and the "nodes" it evaluated.
+    the ladder's last "refinement_level" and the "nodes" whose integrand it
+    evaluated, over all levels: a mirror node copied from its twin is not
+    counted (at level 1, 2499 of 4896 nodes at n = 3, 6375 of 12000 at n = 4).
 
     The model's dimension n is capped at 4 (one to three region dimensions).
     """
@@ -446,6 +456,7 @@ def region_tail_integral(
     level = n ** (1.0 - 1.0 / beta) - eps
     floor = Z_PLAN_RTOL + dim * np.finfo(float).eps * level / eps
 
+    fold = model.exchangeable and dim >= 2
     dir_count, radial_count, max_level = _LADDER[dim]
     values, prev, diff, nodes_used = None, np.full(eps.shape, np.nan), np.empty(eps.shape), 0
     open_ = np.ones(eps.shape, dtype=bool)
@@ -458,14 +469,31 @@ def region_tail_integral(
         reach = _reach(flat, n, beta, eps[top]).reshape(dir_w.shape)
         x, w = _fejer2(radial_count * 2**lvl)
         s, s_w = 0.5 * (x + 1.0), 0.5 * w
-        pts = 1.0 + (reach[..., None] * s)[..., None] * axes[..., None, :]
-        grid = np.empty(pts.shape[:-1])
+        grid = np.empty(reach.shape + s.shape)
         fresh = np.ones(grid.shape, dtype=bool)
         if values is not None:
             grid[_KEPT[dim]] = values
             fresh[_KEPT[dim]] = False
-        grid[fresh] = _region_integrand(model, pts[fresh], integrand, plan)
-        nodes_used += int(np.count_nonzero(fresh))
+        todo = fresh
+        if fold:
+            # Swapping v1 and v2 commutes with `shape` and keeps the region,
+            # so it maps the grid onto itself: on the azimuth axis (0 in
+            # dim 2, 1 in dim 3) k -> (count/4 - k) mod count.  count/4 is
+            # even, so fresh nodes mirror onto fresh ones.  The canonical
+            # half is the azimuths where v1 >= v2, the diagonal included.
+            count = grid.shape[dim - 2]
+            az = np.arange(count)
+            twin = (count // 4 - az) % count
+            canonical = ((az + 3 * count // 8) % count <= count // 2)[:, None]
+            todo = fresh & canonical
+        # Points only where the integrand is evaluated, in the mask's order.
+        idx = np.nonzero(todo)
+        pts = 1.0 + (reach[idx[:-1]] * s[idx[-1]])[:, None] * axes[idx[:-1]]
+        grid[idx] = _region_integrand(model, pts, integrand, plan)
+        if fold:
+            mirrored = fresh & ~canonical
+            grid[mirrored] = np.take(grid, twin, axis=dim - 2)[mirrored]
+        nodes_used += idx[0].size
         values = grid
         polar = grid * s ** (dim - 1)
         for k in np.flatnonzero(open_):

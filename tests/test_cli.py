@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import io
+import itertools
 import json
 import math
 import os
@@ -24,7 +25,7 @@ from sntail.cli import (
     parse_config,
     parse_eps,
 )
-from sntail.montecarlo import _estimate
+from sntail.montecarlo import StatisticSpec, _estimate, statistic_batch
 
 SAMPLE_CONFIGS = [
     ExperimentConfig(command="predict"),
@@ -394,6 +395,49 @@ def test_rare_event_warning_for_the_degenerate_model_beyond_its_window(capsys):
     assert json.loads(captured.out)["warnings"] == []
 
 
+def test_rare_event_warning_reads_the_degenerate_law_at_beta_2_with_sum_only(capsys):
+    # the beta = 2 sum law's 0.0418 at eps = 0.33 is no prediction for
+    # another beta or statistic, so neither warns
+    argv = ["mc", "--model", "degenerate-first-coordinate", "--n", "3", "--trials", "1000",
+            "--seed", "1", "--eps"]
+    assert main(argv + ["0.33"]) == 0
+    assert "predicted probability 0.0418 times 1000" in capsys.readouterr().err
+    for extra in (["--beta", "3"], ["--statistic", "max-over-Zk"]):
+        assert main(argv + ["0.33"] + extra) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "" and json.loads(captured.out)["warnings"] == []
+    # nor is there a law to read at n = 2 or from eps = 1: mc still runs
+    assert main(argv + ["1.2"]) == 0
+    assert main(["mc", "--model", "degenerate-first-coordinate", "--n", "2",
+                 "--trials", "1000", "--eps", "0.1"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("n, beta, statistic, gap", [
+    (30, 1.1, "sum", 2.0 * 30 ** (-1.0 / 1.1)),  # 0.0908, below 0.5 / sqrt(30)
+    (5, 1.1, "sum", 2.0 * 5 ** (-1.0 / 1.1)),
+    (3, 2.0, "sum", 2.0 / math.sqrt(3.0)),
+    (4, 3.0, "max-over-Zn", 0.5),
+    (4, 3.0, "max-over-Zk", 2.0 - math.sqrt(3.0)),
+])
+def test_rademacher_warning_predicts_2_to_the_minus_n_below_the_gap_only(
+    n, beta, statistic, gap
+):
+    config = ExperimentConfig(command="mc", model="rademacher", n=n, beta=beta,
+                              statistic=statistic)
+    below, above = 0.999 * gap, 1.001 * gap
+    assert cli._predicted_tail_for_warning(config, below) == 2.0 ** -n
+    assert cli._predicted_tail_for_warning(config, above) is None
+    if n < 10:
+        # by enumeration: the all-plus vector alone clears the threshold
+        # below the gap, and more vectors do above it
+        values = statistic_batch(np.array(list(itertools.product((-1.0, 1.0), repeat=n))),
+                                 StatisticSpec(beta, statistic))
+        cap = n ** (1.0 - 1.0 / beta) if statistic == "sum" else math.sqrt(n)
+        assert np.count_nonzero(values > cap - below) == 1
+        assert np.count_nonzero(values > cap - above) > 1
+
+
 def test_rare_event_warning_for_a_shifted_normal_comes_from_the_prediction(capsys):
     # the sphere law, 0.0289, would expect 289 hits in 1e4 trials; the
     # prediction for the normal shifted to -2 expects 0.019
@@ -587,6 +631,15 @@ print(json.dumps(report))
 """
 
 
+def _fresh_python(args, timeout):
+    """Run `python *args` in a fresh interpreter that imports this sntail."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=timeout)
+
+
 def test_scipy_loads_only_where_sampling_starts():
     # a fresh interpreter, so modules imported by other tests do not count
     src = str(Path(cli.__file__).resolve().parents[1])
@@ -601,6 +654,27 @@ def test_scipy_loads_only_where_sampling_starts():
     code, loaded = report["mc"]
     assert code == 0 and "scipy.special" in loaded
     assert not [m for m in loaded if m.startswith(("scipy.integrate", "scipy.linalg"))]
+
+
+def test_the_dim3_region_ladder_serves_the_whole_fit_grid_in_a_minute():
+    done = _fresh_python(["-m", "sntail.cli", "verify", "--n", "4",
+                          "--model", "iid-student-t:nu=5", "--seed", "1"], timeout=60)
+    assert done.returncode == 0, done.stderr
+
+
+def test_a_shifted_normal_leaves_the_sphere_law_at_n_4_in_a_minute():
+    # region quadrature at n <= 4 (`test_oracle_routes` checks the oracle's
+    # method), and a ledger with no Monte Carlo row
+    done = _fresh_python(["-m", "sntail.cli", "verify", "--n", "4",
+                          "--model", "iid-normal:mu=0.3", "--seed", "1"], timeout=60)
+    assert done.returncode == 0, done.stderr
+
+
+def test_the_one_region_path_that_keeps_a_root_search(capsys):
+    # beta != 2 bisects the region boundary along each ray
+    assert main(["oracle", "--n", "3", "--beta", "3", "--model", "iid-student-t:nu=5",
+                 "--eps", "0.05"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize(

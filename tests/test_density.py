@@ -314,6 +314,28 @@ def test_sign_symmetric_plans_are_exact_mirrors(model):
     assert not density.build_z_plan(model, vs, ("weighted",)).mirrored
 
 
+# The unequal-variance covariance of the golden `bounds-n3-gauss-unequal` run.
+_UNEQUAL_3 = np.array([[1.0, 0.2, 0.0], [0.2, 2.0, 0.1], [0.0, 0.1, 0.5]])
+_ULP_OFF = _EQUICORRELATED_3.copy()
+_ULP_OFF[0, 2] = _ULP_OFF[2, 0] = np.nextafter(0.3, 1.0)
+
+
+@pytest.mark.parametrize("model, exchangeable", [
+    (DensityModel.iid_normal(3, mu=0.3, sigma=1.7), True),
+    (DensityModel.iid_student_t(4, nu=5.0), True),
+    (DensityModel.iid_folded_normal(3), True),
+    (DensityModel.gaussian(np.zeros(3), np.eye(3)), True),
+    (DensityModel.gaussian(np.full(3, 0.2), _EQUICORRELATED_3), True),
+    (DensityModel.gaussian(np.zeros(3), _UNEQUAL_3), False),
+    (DensityModel.gaussian(np.array([0.2, -0.1, 0.1]), _EQUICORRELATED_3), False),
+    (DensityModel.gaussian(np.zeros(3), _ULP_OFF), False),
+    (DensityModel.user(3, DensityModel.iid_normal(3).pdf), False),
+], ids=["iid-normal", "iid-student-t", "iid-folded-normal", "identity", "equicorrelated",
+        "unequal", "mean-not-constant", "one-ulp-off", "user"])
+def test_exchangeable_is_decided_exactly(model, exchangeable):
+    assert model.exchangeable is exchangeable
+
+
 def test_paper_profile_sums_both_halves_without_sign_symmetry():
     # symmetric, but a user density does not declare it: both halves count
     model = DensityModel.user(2, lambda x: np.exp(-0.5 * np.sum(x * x, axis=-1)) / (2.0 * math.pi))

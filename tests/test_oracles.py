@@ -5,6 +5,7 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 import sntail.oracles as oracles
 from sntail.density import DISCRETE_MODELS, DensityModel, QuadratureError
@@ -205,14 +206,12 @@ def test_paper_integrand_differs_from_weighted():
     assert abs(w - p) > 1e-3 * w
 
 
-@pytest.mark.parametrize("n, level1_nodes", [
-    (2, 2 * 51),        # directions +-1, Fejer-2 radius 25 -> 51 nodes
-    (3, 96 * 51),       # trapezoid 48 -> 96 directions
-    (4, 15 * 32 * 25),  # polar cosine 7 -> 15, azimuth 16 -> 32, radius 12 -> 25
-])
-def test_region_levels_nest(monkeypatch, n, level1_nodes):
-    # each level's node set holds the previous level's, so a level evaluates
-    # only its new nodes: no point twice, and together the full finer grid
+def _unfolded_twin(model):
+    # the same density as a user model, which never claims exchangeability
+    return DensityModel.user(model.n, model.pdf)
+
+
+def _recorded_points(monkeypatch, model):
     batches = []
     original = oracles.profile_batch
 
@@ -221,11 +220,39 @@ def test_region_levels_nest(monkeypatch, n, level1_nodes):
         return original(model, vs, variant, plan)
 
     monkeypatch.setattr(oracles, "profile_batch", recording)
-    res = region_tail_integral(DensityModel.iid_normal(n), 0.05, 2.0, "weighted")
+    res = region_tail_integral(model, 0.05, 2.0, "weighted")
+    monkeypatch.undo()
     assert res.metadata["refinement_level"] == 1 and len(batches) == 2
     seen = np.vstack(batches)
-    assert seen.shape[0] == res.metadata["nodes"] == level1_nodes
-    assert np.unique(seen, axis=0).shape[0] == seen.shape[0]
+    assert seen.shape[0] == res.metadata["nodes"]
+    return seen
+
+
+@pytest.mark.parametrize("n, level1_nodes", [
+    (2, 2 * 51),        # directions +-1, Fejer-2 radius 25 -> 51 nodes
+    (3, 96 * 51),       # trapezoid 48 -> 96 directions
+    (4, 15 * 32 * 25),  # polar cosine 7 -> 15, azimuth 16 -> 32, radius 12 -> 25
+])
+def test_region_levels_nest(monkeypatch, n, level1_nodes):
+    # each level's node set holds the previous level's, so a level evaluates
+    # only its new nodes: no point twice, and together the full finer grid
+    full = _recorded_points(monkeypatch, _unfolded_twin(DensityModel.iid_normal(n)))
+    assert full.shape[0] == level1_nodes
+    assert np.unique(full, axis=0).shape[0] == full.shape[0]
+    # an exchangeable model evaluates only the canonical half (v1 >= v2) of
+    # the azimuths, diagonal included: 49 of 96 at n = 3, 17 of 32 at n = 4
+    folded = _recorded_points(monkeypatch, DensityModel.iid_normal(n))
+    assert folded.shape[0] == {2: 102, 3: 49 * 51, 4: 15 * 17 * 25}[n]
+    if n == 2:
+        np.testing.assert_array_equal(folded, full)
+        return
+    assert (folded[:, 0] >= folded[:, 1] - 1e-15).all()
+    # the evaluated points and their mirrors are the whole level-1 grid
+    swapped = folded.copy()
+    swapped[:, [0, 1]] = folded[:, [1, 0]]
+    distance, index = cKDTree(full).query(np.vstack((folded, swapped)))
+    assert distance.max() < 1e-14
+    assert np.unique(index).size == full.shape[0]
 
 
 def test_region_n2_matches_sphere_law():
@@ -402,6 +429,32 @@ def test_region_grid_matches_float_calls(make_model, n):
         r.metadata["refinement_level"] for r in single
     )
     assert grid.metadata["nodes"] == single[-1].metadata["nodes"]
+
+
+_EXCHANGEABLE = {
+    "iid-normal": DensityModel.iid_normal,
+    "iid-normal:mu=0.3": lambda n: DensityModel.iid_normal(n, mu=0.3),
+    "iid-student-t:nu=5": lambda n: DensityModel.iid_student_t(n, 5.0),
+    "equicorrelated": _equicorrelated,
+}
+
+
+@pytest.mark.parametrize("name", list(_EXCHANGEABLE))
+@pytest.mark.parametrize("n", [3, 4])
+def test_folded_region_matches_its_unfolded_twin(name, n):
+    # copying each mirror node's value from its twin changes only rounding
+    model = _EXCHANGEABLE[name](n)
+    assert model.exchangeable
+    cases = [(0.02 * tail_window(n, beta), beta, integrand)
+             for beta in (2.0, 3.0) for integrand in ("weighted", "paper")]
+    if n == 3:
+        cases.append((_FIT_GRID, 2.0, "weighted"))
+    for eps, beta, integrand in cases:
+        folded = region_tail_integral(model, eps, beta, integrand)
+        twin = region_tail_integral(_unfolded_twin(model), eps, beta, integrand)
+        assert folded.metadata["refinement_level"] == twin.metadata["refinement_level"]
+        assert folded.metadata["nodes"] < twin.metadata["nodes"]
+        np.testing.assert_allclose(folded.value, twin.value, rtol=1e-13, atol=0.0)
 
 
 def test_region_grid_keeps_its_order():
