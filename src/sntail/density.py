@@ -14,8 +14,9 @@ by z.  Two variants are kept as first-class citizens:
 variables (needed for left tails and total-mass checks).
 Every profile integral runs on a z-plan (`build_z_plan`): a composite
 Gauss-Legendre rule sized by one embedded check and evaluated by
-`profile_batch`, whether it serves one ray or a whole region.  scipy loads
-only where sampling starts.
+`profile_batch`, whether it serves one ray or a whole region.  A normal
+law centred at 0 reads its profiles in closed form instead, on the same
+plan.  scipy loads only where sampling starts.
 """
 
 from __future__ import annotations
@@ -224,8 +225,32 @@ class DensityModel:
 
     @functools.cached_property
     def _gaussian_log_norm(self) -> float:
-        """Log of the gaussian's normalizer, computed once per model."""
+        """Log c of the normalizer of a gaussian or an iid normal, which has
+        covariance sigma^2 I, computed once per model."""
+        if self.kind == "iid-normal":
+            return -self.n * (_LOG_SQRT_2PI + math.log(self.sigma))
         return -self.n * _LOG_SQRT_2PI - float(np.sum(np.log(np.diag(self.chol))))
+
+    @functools.cached_property
+    def _chol_inv(self) -> np.ndarray:
+        """L^-1 for the gaussian's Cholesky factor L, computed once per
+        model, so each quadratic form is a product, not a solve.  Its upper
+        triangle is exactly 0, whatever pivots the inversion took."""
+        inv = np.tril(np.linalg.inv(self.chol))
+        inv.flags.writeable = False
+        return inv
+
+    def ray_quadratic(self, rays: np.ndarray) -> np.ndarray | None:
+        """q(r) for the rays r in the rows of `rays` when f(z r) =
+        exp(c - q(r) z^2 / 2), c the log normalizer: a normal law centred
+        at 0, where q(r) = |L^-1 r|^2 (|r|^2 / sigma^2 for an iid normal).
+        None for every other law, decided from the kind and parameters."""
+        if self.kind == "iid-normal" and self.mu == 0.0:
+            return np.sum(rays * rays, axis=1) / (self.sigma * self.sigma)
+        if self.kind == "gaussian" and self.sign_symmetric:
+            y = self._chol_inv @ rays.T
+            return np.sum(y * y, axis=0)
+        return None
 
     def pdf(self, x: np.ndarray) -> np.ndarray:
         """Joint density at points stacked in the last axis of `x`."""
@@ -243,7 +268,7 @@ class DensityModel:
         if self.kind == "gaussian":
             dev = x - self.mean
             flat = dev.reshape(-1, self.n)
-            y = np.linalg.solve(self.chol, flat.T)
+            y = self._chol_inv @ flat.T
             q = np.sum(y * y, axis=0).reshape(x.shape[:-1])
             return np.exp(self._gaussian_log_norm - 0.5 * q)
         if self.kind == "user":
@@ -272,9 +297,9 @@ class DensityModel:
                     a time, left to right (the order of `pdf`'s axis sum up
                     to n = 7, so values agree bit for bit there); the first
                     coordinate's term is computed once.
-          gaussian  one solve on the Cholesky factor L per ray, not per
-                    point.  With y = L^-1 ray, a = |y|^2, c = L^-1 mean
-                    and b = y.c, the quadratic form is
+          gaussian  one product with the inverse Cholesky factor L^-1
+                    per ray, not per point.  With y = L^-1 ray, a = |y|^2,
+                    c = L^-1 mean and b = y.c, the quadratic form is
                     a (z - b/a)^2 + |(b/a) y - c|^2; the residual is
                     formed as a vector, so nothing cancels.
         """
@@ -299,10 +324,10 @@ class DensityModel:
                     logf = logf + self._coordinate_log_pdf(z * rays[:, j : j + 1])
             return np.exp(logf, out=logf)
         if self.kind == "gaussian":
-            y = np.linalg.solve(self.chol, rays.T)
+            y = self._chol_inv @ rays.T
             a = np.sum(y * y, axis=0)
             if np.any(self.mean):
-                c = np.linalg.solve(self.chol, self.mean)
+                c = self._chol_inv @ self.mean
                 shift = (c @ y) / a
                 resid = shift * y - c[:, None]
                 q = z - shift[:, None]
@@ -572,7 +597,9 @@ class ZPlan:
     One plan serves a whole region's profiles; a plan for one ray serves
     `h_profile` and `weighted_profile_mirror`.  `profile_batch` evaluates
     the density at the nodes through `DensityModel.ray_pdf`, as does the
-    support scan, so each model kind has one ray evaluator.  The positive
+    support scan, so each model kind has one ray evaluator.  A normal law
+    centred at 0 reads its profiles in closed form, with no `ray_pdf` at
+    the nodes, so its check passes at the first node count.  The positive
     half starts at 0, or at each ray's own support start where the model
     has one (`DensityModel.ray_support_start`), so no panel holds the
     folded normal's support edge.  `mirrored` is decided once, on
@@ -642,21 +669,23 @@ def profile_batch(
 ) -> np.ndarray:
     """Profiles of the points stacked in rows of `vs`, on one z-plan.
 
-    paper takes the plan's negative and positive halves, weighted the
-    positive half with weight z**(n-1), and mirror (the z < 0 branch of the
-    weighted change of variables) the negative half with |z|**(n-1).  For
-    a sign-symmetric model on a mirrored plan the two paper halves are
-    equal node for node, so paper is twice the positive half, at half the
-    density evaluations.  Where
-    the model's support starts at z = a > 0 along a ray, the positive half
-    is moved to start at a; the mirror is then 0, as is every profile of a
-    ray that misses the support.
+    A normal law centred at 0 (`DensityModel.ray_quadratic` gives q) reads
+    its profiles in closed form and runs no `ray_pdf` at the plan's nodes.
+    Every other law is integrated on the plan: paper takes the plan's
+    negative and positive halves, weighted the positive half with weight
+    z**(n-1), and mirror (the z < 0 branch of the weighted change of
+    variables) the negative half with |z|**(n-1).  For a sign-symmetric
+    model on a mirrored plan the two paper halves are equal node for node,
+    so paper is twice the positive half, at half the density evaluations.
+    Where the model's support starts at z = a > 0 along a ray, the positive
+    half is moved to start at a; the mirror is then 0, as is every profile
+    of a ray that misses the support.
     """
     vs = np.atleast_2d(np.asarray(vs, dtype=float))
     n = model.n
-    twice = variant == "paper" and plan.mirrored and model.sign_symmetric
-    if twice:
-        nodes, weights = plan.pos_nodes, plan.pos_weights
+    if variant == "paper" and plan.mirrored and model.sign_symmetric:
+        # twice the positive half; doubling the weights is exact
+        nodes, weights = plan.pos_nodes, 2.0 * plan.pos_weights
     elif variant == "paper":
         nodes = np.concatenate((plan.neg_nodes, plan.pos_nodes))
         weights = np.concatenate((plan.neg_weights, plan.pos_weights))
@@ -672,8 +701,11 @@ def profile_batch(
     for first in range(0, vs.shape[0], _RAY_CHUNK):
         part = slice(first, first + _RAY_CHUNK)
         rays = _rays(model, vs[part])
+        q = model.ray_quadratic(rays)
         starts = model.ray_support_start(rays)
-        if starts is None:
+        if q is not None:
+            out[part] = _centred_normal_profiles(model, q, variant)
+        elif starts is None:
             out[part] = model.ray_pdf(rays, nodes) @ weights
         elif variant == "mirror":
             out[part] = 0.0
@@ -681,9 +713,23 @@ def profile_batch(
             z = _finite_starts(starts)[:, None] + plan.pos_nodes
             w = plan.pos_weights * z ** (n - 1) if variant == "weighted" else plan.pos_weights
             out[part] = (model.ray_pdf(rays, z) * w).sum(axis=1)
-    if twice:
-        out *= 2.0
     return out
+
+
+def _centred_normal_profiles(model: DensityModel, q: np.ndarray, variant: str) -> np.ndarray:
+    """Exact profiles of a normal law centred at 0, f(z r) = e^c exp(-q z^2/2),
+    as Gamma integrals (DLMF 5.2.1): paper sqrt(2 pi / q) e^c, weighted and
+    mirror 2^(n/2 - 1) Gamma(n/2) q^(-n/2) e^c.  Formed in log form, so
+    neither Gamma(n/2) nor e^c overflows or underflows before the last exp."""
+    if variant == "paper":
+        power, log_k = 0.5, _LOG_SQRT_2PI
+    else:
+        power = 0.5 * model.n
+        log_k = (power - 1.0) * math.log(2.0) + math.lgamma(power)
+    log_h = np.log(q)
+    log_h *= -power
+    log_h += model._gaussian_log_norm + log_k
+    return np.exp(log_h, out=log_h)
 
 
 def h_profile(model: DensityModel, query: RadialProfileQuery) -> float:

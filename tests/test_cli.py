@@ -677,6 +677,15 @@ def test_the_one_region_path_that_keeps_a_root_search(capsys):
     assert capsys.readouterr().err == ""
 
 
+def test_the_dim3_ball_search_reaches_the_extremum_off_the_diagonal(capsys):
+    # unequal variances at n = 4: a search that moves one coordinate at a
+    # time stops at H = 0.0564441443923
+    cov = "1 0.2 0 0.1 0.2 2 0.1 0 0 0.1 0.5 0.2 0.1 0 0.2 1.5"
+    assert main(["bounds", "--n", "4", "--eps", "0.01", "--format", "json",
+                 "--model", f"gaussian:cov={cov}"]) == 0
+    assert json.loads(capsys.readouterr().out)["H"] >= 0.0569404205
+
+
 @pytest.mark.parametrize(
     "argv, name",
     [

@@ -204,6 +204,10 @@ def test_profile_batch_matches_pdf_on_materialized_points(n):
     vs = 1.0 + 0.4 * rng.standard_normal((53, n - 1))
     rays = np.concatenate((np.ones((vs.shape[0], 1)), vs), axis=1)
     for model, exact in _kernel_models(n):
+        if model.ray_quadratic(rays) is not None:
+            # a normal law centred at 0 reads its profiles in closed form:
+            # test_centred_normal_profiles_match_the_z_plan checks those
+            continue
         plan = density.build_z_plan(model, vs[:4])
         starts = model.ray_support_start(rays)
         for variant in density.PROFILE_VARIANTS:
@@ -230,6 +234,51 @@ def test_profile_batch_matches_pdf_on_materialized_points(n):
                 weights = plan.pos_weights * plan.pos_nodes ** (n - 1)
             expect = model.pdf(nodes[None, :, None] * rays[:, None, :]) @ weights
             _assert_kernel_matches(got, expect, exact)
+
+
+def _centred_normal_models(n: int) -> list[DensityModel]:
+    models = [
+        DensityModel.iid_normal(n, sigma=1.7),
+        DensityModel.gaussian(np.zeros(n), np.eye(n)),
+        DensityModel.gaussian(np.zeros(n), 0.7 * np.eye(n) + 0.3 * np.ones((n, n))),
+    ]
+    # _kernel_models' signed covariance, positive definite up to n = 10
+    if n <= 10:
+        models += [m for m, _ in _kernel_models(n) if m.kind == "gaussian" and m.sign_symmetric]
+    return models
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 10, 40])
+def test_centred_normal_profiles_match_the_z_plan(n, monkeypatch):
+    # The closed form against the z-plan integrator, run on a user twin of
+    # the same density, on a plan certified at these very points.
+    rng = np.random.default_rng(600 + n)
+    vs = 1.0 + 0.4 * rng.standard_normal((12, n - 1))
+    models = _centred_normal_models(n)
+    assert len(models) == (4 if n <= 10 else 3)
+    for model in models:
+        assert model.ray_quadratic(density._rays(model, vs)) is not None
+        twin = DensityModel.user(n, model.pdf)
+        for variant in ("paper", "weighted", "mirror"):
+            plan = density.build_z_plan(twin, vs, (variant,))
+            expect = density.profile_batch(twin, vs, variant, plan)
+            with monkeypatch.context() as patch:
+                # no density is evaluated at the plan's nodes
+                patch.delattr(DensityModel, "ray_pdf")
+                got = density.profile_batch(model, vs, variant, plan)
+            np.testing.assert_allclose(got, expect, rtol=density.Z_PLAN_RTOL, atol=0.0)
+
+
+def test_ray_quadratic_is_none_off_the_centred_normal_laws():
+    rays = density._rays(DensityModel.iid_normal(3), np.ones((2, 2)))
+    for model in (
+        DensityModel.iid_normal(3, mu=0.3),
+        DensityModel.iid_student_t(3, nu=5.0),
+        DensityModel.iid_folded_normal(3),
+        DensityModel.gaussian(np.array([0.0, 0.0, 1e-300]), np.eye(3)),
+        DensityModel.user(3, DensityModel.iid_normal(3).pdf),
+    ):
+        assert model.ray_quadratic(rays) is None
 
 
 def test_ray_pdf_rejects_bad_rays():
@@ -382,6 +431,25 @@ def test_z_plan_sized_by_its_check_resolves_unprobed_rays():
     np.testing.assert_allclose(
         density.profile_batch(model, vs, "weighted", plan), weighted, rtol=1e-13
     )
+
+
+def test_z_plan_settles_for_a_centred_normal_at_n_100():
+    # The probe 1 * 1.0002 once failed the plan's check on roundoff alone
+    # (relative change 1.1e-13 against 96 nodes per panel): a 100-term ray
+    # sum rounds at Z_PLAN_RTOL.  A centred normal's profiles are exact.
+    n = 100
+    model = DensityModel.iid_normal(n)
+    v = np.full(n - 1, 1.0002)
+    plan = density.build_z_plan(model, v)
+    norm2 = 1.0 + float(v @ v)
+    log_paper = -(n - 1) * 0.5 * math.log(2.0 * math.pi) - 0.5 * math.log(norm2)
+    log_weighted = (
+        -0.5 * n * math.log(2.0 * math.pi) + (0.5 * n - 1.0) * math.log(2.0)
+        + math.lgamma(0.5 * n) - 0.5 * n * math.log(norm2)
+    )
+    for variant, log_h in (("paper", log_paper), ("weighted", log_weighted)):
+        got = density.profile_batch(model, v, variant, plan)[0]
+        assert got == pytest.approx(math.exp(log_h), rel=1e-13, abs=0.0)
 
 
 def test_z_plan_resolves_a_support_edge():
