@@ -15,8 +15,9 @@ variables (needed for left tails and total-mass checks).
 Every profile integral runs on a z-plan (`build_z_plan`): a composite
 Gauss-Legendre rule sized by one embedded check and evaluated by
 `profile_batch`, whether it serves one ray or a whole region.  A normal
-law centred at 0 reads its profiles in closed form instead, on the same
-plan.  scipy loads only where sampling starts.
+law centred at 0 (`DensityModel.centred_normal`) reads its profiles in
+closed form instead, and its plan is the empty one: no support scan, no
+check.  scipy loads only where sampling starts.
 """
 
 from __future__ import annotations
@@ -148,13 +149,16 @@ class DensityModel:
     @property
     def sign_symmetric(self) -> bool:
         """True when f(-x) = f(x) is known to hold."""
+        return self.centred_normal or self.kind == "iid-student-t"
+
+    @property
+    def centred_normal(self) -> bool:
+        """True for a normal law centred at 0: an iid normal with mu = 0, or
+        a gaussian whose mean is all zeros.  Its ray profiles have closed
+        forms (`ray_quadratic`), so it needs no z-plan."""
         if self.kind == "iid-normal":
             return self.mu == 0.0
-        if self.kind == "iid-student-t":
-            return True
-        if self.kind == "gaussian":
-            return bool(np.all(self.mean == 0.0))
-        return False
+        return self.kind == "gaussian" and bool(np.all(self.mean == 0.0))
 
     @property
     def exchangeable(self) -> bool:
@@ -244,13 +248,13 @@ class DensityModel:
         """q(r) for the rays r in the rows of `rays` when f(z r) =
         exp(c - q(r) z^2 / 2), c the log normalizer: a normal law centred
         at 0, where q(r) = |L^-1 r|^2 (|r|^2 / sigma^2 for an iid normal).
-        None for every other law, decided from the kind and parameters."""
-        if self.kind == "iid-normal" and self.mu == 0.0:
+        None for every other law (`centred_normal`)."""
+        if not self.centred_normal:
+            return None
+        if self.kind == "iid-normal":
             return np.sum(rays * rays, axis=1) / (self.sigma * self.sigma)
-        if self.kind == "gaussian" and self.sign_symmetric:
-            y = self._chol_inv @ rays.T
-            return np.sum(y * y, axis=0)
-        return None
+        y = self._chol_inv @ rays.T
+        return np.sum(y * y, axis=0)
 
     def pdf(self, x: np.ndarray) -> np.ndarray:
         """Joint density at points stacked in the last axis of `x`."""
@@ -301,7 +305,8 @@ class DensityModel:
                     per ray, not per point.  With y = L^-1 ray, a = |y|^2,
                     c = L^-1 mean and b = y.c, the quadratic form is
                     a (z - b/a)^2 + |(b/a) y - c|^2; the residual is
-                    formed as a vector, so nothing cancels.
+                    formed as a vector, so nothing cancels.  A zero mean
+                    gives c = 0 and a z^2 exactly, bit for bit.
         """
         rays = np.atleast_2d(np.asarray(rays, dtype=float))
         z = np.asarray(z, dtype=float)
@@ -326,16 +331,13 @@ class DensityModel:
         if self.kind == "gaussian":
             y = self._chol_inv @ rays.T
             a = np.sum(y * y, axis=0)
-            if np.any(self.mean):
-                c = self._chol_inv @ self.mean
-                shift = (c @ y) / a
-                resid = shift * y - c[:, None]
-                q = z - shift[:, None]
-                q *= q
-                q *= a[:, None]
-                q += np.sum(resid * resid, axis=0)[:, None]
-            else:
-                q = a[:, None] * (z * z)
+            c = self._chol_inv @ self.mean
+            shift = (c @ y) / a
+            resid = shift * y - c[:, None]
+            q = z - shift[:, None]
+            q *= q
+            q *= a[:, None]
+            q += np.sum(resid * resid, axis=0)[:, None]
             q *= -0.5
             q += self._gaussian_log_norm
             return np.exp(q, out=q)
@@ -598,8 +600,8 @@ class ZPlan:
     `h_profile` and `weighted_profile_mirror`.  `profile_batch` evaluates
     the density at the nodes through `DensityModel.ray_pdf`, as does the
     support scan, so each model kind has one ray evaluator.  A normal law
-    centred at 0 reads its profiles in closed form, with no `ray_pdf` at
-    the nodes, so its check passes at the first node count.  The positive
+    centred at 0 reads its profiles in closed form, so its plan is empty:
+    four empty arrays, with no certificate to carry.  The positive
     half starts at 0, or at each ray's own support start where the model
     has one (`DensityModel.ray_support_start`), so no panel holds the
     folded normal's support edge.  `mirrored` is decided once, on
@@ -627,14 +629,19 @@ def build_z_plan(
     """Composite rule covering the profile support of every probe direction.
 
     `variants` are the profile variants the plan serves (`profile_batch`'s
-    paper, weighted and mirror).  `_scan_support` finds the joint span of
-    the probe rays' integrands in one batched scan.  Panels double in width
-    away from the start out to twice that span; the twofold margin covers
-    the weighted profiles of a shared region plan (n <= 4).  The node count
+    paper, weighted and mirror).  A `centred_normal` model gets the empty
+    plan at once, as `profile_batch` reads its profiles in closed form: no
+    density is evaluated.  For every other model `_scan_support` finds the
+    joint span of the probe rays' integrands in one batched scan.  Panels
+    double in width away from the start out to twice that span; the
+    twofold margin covers the weighted profiles of a shared region plan
+    (n <= 4).  The node count
     per panel is the smallest m in _PANEL_NODES whose probe profiles, in
     every served variant, agree with those at 2m nodes per panel to
     Z_PLAN_RTOL; QuadratureError is raised when none does.
     """
+    if model.centred_normal:
+        return ZPlan(*[np.empty(0)] * 4)
     probe_vs = np.atleast_2d(np.asarray(probe_vs, dtype=float))
     z_lo, z_hi = _scan_support(model, probe_vs, variants)
     # Margin: one extra octave on both sides.
@@ -670,7 +677,8 @@ def profile_batch(
     """Profiles of the points stacked in rows of `vs`, on one z-plan.
 
     A normal law centred at 0 (`DensityModel.ray_quadratic` gives q) reads
-    its profiles in closed form and runs no `ray_pdf` at the plan's nodes.
+    its profiles in closed form and never reads the plan, which
+    `build_z_plan` leaves empty for it.
     Every other law is integrated on the plan: paper takes the plan's
     negative and positive halves, weighted the positive half with weight
     z**(n-1), and mirror (the z < 0 branch of the weighted change of

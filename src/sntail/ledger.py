@@ -34,6 +34,7 @@ from .oracles import (
     rademacher_tail_exact,
     region_tail_integral,
     sphere_law_applies,
+    sphere_tail_constant,
     sphere_tail_exact,
 )
 
@@ -224,7 +225,7 @@ def run_verify(
         ))
 
     # K constant: paper vs corrected differ by construction; adjudication
-    # happens through the tail-constant fit below.  Where the ratio is not
+    # happens through the tail-constant row below.  Where the ratio is not
     # normal (n >= 1018 at beta = 2) the note logs it, to 15 digits, and
     # where a K overflows (corrected, beta = 1.5, n >= 697) the note logs
     # that K, whose value prints as null.
@@ -347,14 +348,18 @@ def run_verify(
 def _tail_constant_row(
     model: DensityModel, epsilon: float, sphere_law: bool, failures: list[str]
 ) -> LedgerEntry:
-    """Tail constant against a power-law fit of the exact oracle (beta = 2)."""
+    """Tail constant (beta = 2) against the exact oracle's small-eps limit:
+    under the sphere law its closed form (`sphere_tail_constant`), met to
+    1e-9; else, for 2 <= n <= 4, a power-law fit of the region oracle on a
+    low eps grid, met to 5e-3.  A limit that is not a normal double, an
+    oracle of 0.0 on the grid or a failed prediction reads "untested"."""
     n = model.n
     quantity = f"tail_constant(n={n})"
     if sphere_law:
-        def evaluator(grid: np.ndarray) -> list[float]:
-            return [sphere_tail_exact(n, math.sqrt(n) - e).value for e in grid]
-
-        oracle_name = "sphere oracle"
+        oracle, rel = sphere_tail_constant(n), 1e-9
+        if oracle < np.finfo(float).tiny:
+            return _untested(quantity, "the sphere law's limit c0 underflows a double at this n")
+        note = "closed-form limit c0 of the sphere law, (2/sqrt(n))^a / (2a B(a, 1/2))"
     elif 2 <= n <= 4:
         # 1e-6 is plenty under the 0.5% gate.  The z-plan starts each
         # folded-normal ray at its support edge, but at n = 3, 4 that
@@ -364,32 +369,33 @@ def _tail_constant_row(
         def evaluator(grid: np.ndarray) -> np.ndarray:
             return region_tail_integral(model, grid, 2.0, "weighted", rel_target=1e-6).value
 
-        oracle_name = "region oracle"
+        # Low grid: the tail's O(eps) relative correction (about 0.4% at
+        # eps = 1e-2 for heavy-tailed models) must stay under the gate.
+        try:
+            fit = leading_coeff_fit(evaluator, n, np.geomspace(1e-4, 1e-3, 7))
+        except QuadratureError as exc:
+            return _untested(quantity, f"oracle quadrature budget exhausted: {exc}")
+        except ValueError as exc:
+            # a law whose mass lies far from the all-ones ray (a normal
+            # centred at -20) reads a region oracle of 0.0
+            return _untested(quantity, f"region oracle is 0.0 on the fit grid: {exc}")
+        oracle, rel = fit.coefficient, 5e-3
+        note = (
+            f"leading coefficient of region oracle fit, exponent {fit.exponent:.6g} "
+            f"(expected {fit.expected_exponent:g})"
+        )
     else:
         return _untested(quantity, "no exact oracle for this model at this dimension")
-    # Low grid: the tail's O(eps) relative correction (about 0.4% at
-    # eps = 1e-2 for heavy-tailed models) must stay under the gate.
-    try:
-        fit = leading_coeff_fit(evaluator, n, np.geomspace(1e-4, 1e-3, 7))
-    except QuadratureError as exc:
-        return _untested(quantity, f"oracle quadrature budget exhausted: {exc}")
-    except ValueError as exc:
-        # from about n = 140 the sphere law underflows to 0.0 on the grid,
-        # and a fit in the log domain is not built
-        return _untested(quantity, f"oracle underflows at this n: {exc}")
     try:
         paper = predict_tail(model, TailQuery(epsilon), "paper").constant
         corrected = predict_tail(model, TailQuery(epsilon), "corrected").constant
-    except QuadratureError as exc:
-        # from about n = 115 the weighted profile's z^(n-1) overflows on
-        # the scanned range
-        return _untested(quantity, f"prediction quadrature failed: {exc}")
+    except (QuadratureError, ArithmeticError) as exc:
+        # a profile whose quadrature fails, or whose closed form underflows
+        # to 0.0 (the iid normal's from n = 524)
+        return _untested(quantity, f"prediction failed: {exc}")
     return _finding(
-        quantity, paper, corrected, fit.coefficient, 5e-3,
-        f"leading coefficient of {oracle_name} fit, exponent "
-        f"{fit.exponent:.6g} (expected {fit.expected_exponent:g})",
-        "corrected tail constant disagrees with the oracle fit: "
-        f"{corrected:.12g} vs {fit.coefficient:.12g}",
+        quantity, paper, corrected, oracle, rel, note,
+        f"corrected tail constant disagrees with the oracle: {corrected:.12g} vs {oracle:.12g}",
         failures,
     )
 

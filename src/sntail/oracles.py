@@ -6,12 +6,15 @@ sharing no algebra with the formulas under test:
 
   sphere_tail_exact       regularized incomplete beta: the exact cap law of
                           the models `sphere_law_applies` admits
+  sphere_tail_constant    that law's small-eps limit q / eps^((n-1)/2), in
+                          closed form
   region_tail_integral    direct quadrature of the joint density over the
                           tail region, in ray coordinates
   rademacher_tail_exact   exhaustive enumeration of all sign vectors
   degenerate_component_check  exact reduction when one coordinate is pinned
 
-`leading_coeff_fit` extracts the small-epsilon power law from any of them.
+`leading_coeff_fit` extracts the small-epsilon power law from a route with
+no closed-form limit (the region quadrature).
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ __all__ = [
     "regularized_incomplete_beta",
     "sphere_law_applies",
     "sphere_tail_exact",
+    "sphere_tail_constant",
     "rademacher_tail_exact",
     "degenerate_component_check",
     "region_tail_integral",
@@ -162,6 +166,21 @@ def sphere_tail_exact(n: int, threshold: float) -> OracleResult:
         error_estimate=5e-15,
         metadata={"n": n, "threshold": float(threshold)},
     )
+
+
+def sphere_tail_constant(n: int) -> float:
+    """Limit c0 of sphere_tail_exact(n, sqrt(n) - eps) / eps^a, a = (n-1)/2.
+
+    The tail is (1/2) I_x(a, 1/2) with x = (2 sqrt(n) eps - eps^2) / n, and
+    I_x(a, b) = x^a / (a B(a, b)) (1 + O(x)) (DLMF §8.17), so
+    c0 = (2/sqrt(n))^a / (2 a B(a, 1/2)), formed in log form: only the last
+    exp underflows, below the normal doubles from about n = 570.
+    """
+    if n < 2:
+        raise ValueError(f"n must be >= 2, got {n}")
+    a = 0.5 * (n - 1)
+    log_beta = math.lgamma(a) + math.lgamma(0.5) - math.lgamma(a + 0.5)
+    return math.exp(0.5 * a * math.log(4.0 / n) - math.log(2.0 * a) - log_beta)
 
 
 def sphere_law_applies(model: object, beta: float) -> bool:

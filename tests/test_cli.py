@@ -25,7 +25,8 @@ from sntail.cli import (
     parse_config,
     parse_eps,
 )
-from sntail.montecarlo import StatisticSpec, _estimate, statistic_batch
+from sntail.density import parse_model
+from sntail.montecarlo import SamplerSpec, StatisticSpec, _estimate, _row_cut, statistic_batch
 
 SAMPLE_CONFIGS = [
     ExperimentConfig(command="predict"),
@@ -214,6 +215,29 @@ def test_discrete_mc_hits_and_digests_are_pinned(capsys):
         assert (payload["hits"], payload["spec_hash"]) == (hits, digest)
 
 
+@pytest.mark.parametrize("argv, cut", [
+    (["--n", "3", "--eps", "0.1", "--statistic", "max-over-Zk", "--trials", "1e6"], 1),
+    (["--n", "9", "--eps", "0.6", "--trials", "1e6"], 4),
+    (["--n", "64", "--eps", "1.95", "--trials", "1e6"], 28),
+    # stdtrit runs on the kept rows only
+    (["--n", "4", "--model", "iid-student-t:nu=5", "--eps", "0.2", "--trials", "1e6"], 1),
+    (["--n", "3", "--model", "rademacher", "--eps", "0.2", "--trials", "1e5"], None),
+    (["--n", "4", "--model", "degenerate-first-coordinate", "--eps", "0.5",
+      "--trials", "1e5"], None),
+], ids=["n3-cut1", "n9-cut4", "n64-cut28", "student-t-n4", "rademacher", "degenerate"])
+def test_mc_output_is_byte_identical_on_one_and_two_workers(argv, cut, capsys):
+    argv = ["mc", "--seed", "1", "--format", "json", *argv]
+    config = parse_config(argv)
+    sampler = SamplerSpec(parse_model(config.model, config.n), 1, config.trials, 1)
+    threshold = math.sqrt(config.n) - config.eps[0]
+    assert _row_cut(sampler, StatisticSpec(2.0, config.statistic), threshold) == cut
+    outputs = []
+    for workers in ("1", "2"):
+        assert main([*argv, "--workers", workers]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
 def test_mc_max_variant_at_beta_3_thresholds_below_sqrt_n(capsys):
     # the max statistics ignore beta, so --beta 3 reads the --beta 2 hits
     payloads = []
@@ -250,8 +274,9 @@ def test_exit_code_zero_on_success(capsys):
 
 
 def test_exit_code_one_on_computation_failure(capsys):
-    # z**(n-1) overflows where the n = 300 weighted profile is scanned
-    code = main(["predict", "--n", "300", "--eps", "1e-3"])
+    # z**(n-1) overflows where the n = 300 weighted profile is scanned (a
+    # centred normal reads its profile in closed form and scans nothing)
+    code = main(["predict", "--n", "300", "--eps", "1e-3", "--model", "iid-student-t:nu=5"])
     assert code == 1
     err = capsys.readouterr().err
     assert "computation failed" in err and "Traceback" not in err
@@ -459,6 +484,18 @@ def test_a_vanishing_profile_is_a_computation_result(capsys):
     assert "computation failed: profile vanishes" in captured.err
     assert main(["mc", "--n", "2", "--model", model, "--trials", "1000"]) == 0
     assert "rare event" not in capsys.readouterr().err
+
+
+def test_the_left_tail_warning_prints_once_for_the_paper_convention_only(capsys):
+    cov = "1 0.3 0.3 0.3 1 0.3 0.3 0.3 1"
+    assert main(["predict", "--n", "3", "--side", "two-sided", "--model",
+                 f"gaussian:mean=0.2 -0.1 0.1,cov={cov}"]) == 0
+    assert "left-tail" not in capsys.readouterr().err
+    assert main(["predict", "--n", "3", "--side", "left", "--variant", "paper",
+                 "--model", f"gaussian:cov={cov}"]) == 0
+    assert capsys.readouterr().err.count("left-tail") == 1
+    assert main(["oracle", "--n", "3", "--side", "left"]) == 2
+    assert "right tail only (--side right)" in capsys.readouterr().err
 
 
 def test_predict_warns_out_of_regime(capsys):

@@ -1,6 +1,7 @@
 """Ledger entry contracts and the verification report."""
 
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -240,24 +241,52 @@ def test_mc_row_gate_below_fifty_expected_hits_still_fails_a_wrong_count(monkeyp
 
 
 def test_verify_marks_an_underflowed_tail_constant_fit_untested():
-    # from about n = 140 the exact sphere law reads 0.0 on the fit's grid;
-    # the row says so and the rest of the ledger is still built
-    report = run_verify(n=160, trials=1000)
+    # at n = 1000 the sphere law's limit c0, about e^-1383, underflows; the
+    # row says so and the rest of the ledger is still built
+    report = run_verify(n=1000, trials=1000)
     assert len(report.entries) == 9
     row = next(e for e in report.entries if e.quantity.startswith("tail_constant"))
     assert row.status == "untested"
-    assert "oracle underflows at this n" in row.note
+    assert row.note == "the sphere law's limit c0 underflows a double at this n"
     assert not any("tail constant" in f for f in report.internal_failures)
 
 
 def test_tail_constant_note_names_a_failed_prediction():
-    # at n = 120 the exact sphere law fits, and the weighted profile behind
-    # the prediction overflows: the note must name the prediction
-    report = run_verify(n=120, trials=1000)
+    # at n = 560 c0 is a normal double, 2.02e-302, and the closed-form
+    # weighted profile behind the prediction underflows to 0.0: the note
+    # must name the prediction
+    report = run_verify(n=560, trials=1000)
     row = next(e for e in report.entries if e.quantity.startswith("tail_constant"))
     assert row.status == "untested"
-    assert row.note.startswith("prediction quadrature failed: ")
-    assert "oracle" not in row.note
+    assert row.note.startswith("prediction failed: profile vanishes")
+    assert "c0" not in row.note and "oracle" not in row.note
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 10, 48, 100, 120, 150, 400])
+def test_tail_constant_meets_the_sphere_law_limit_at_every_n(n):
+    # the corrected constant against the closed-form c0, not a fitted
+    # slope; from n = 66 the FD anti-Hessian gate fails on its own
+    report = run_verify(n=n, trials=1000, seed=1)
+    row = next(e for e in report.entries if e.quantity.startswith("tail_constant"))
+    assert row.status == "discrepant"
+    assert abs(row.ratio_corrected_oracle - 1.0) <= 1e-9
+    assert not any("tail constant" in f for f in report.internal_failures)
+    if n <= 48:
+        assert report.exit_code == 0, report.internal_failures
+
+
+def test_region_oracle_of_zero_reads_untested_and_says_why(capsys):
+    # the region oracle reads 0.0 on the fit grid for a normal centred at
+    # -20, at any n: the row says so, and verify still exits 0
+    model = "gaussian:cov=1 0 0 1,mean=-20 -20"
+    assert cli.main(["verify", "--n", "2", "--model", model, "--trials", "1000"]) == 0
+    records = json.loads(capsys.readouterr().out)["records"]
+    row = next(r for r in records if r["quantity"].startswith("tail_constant"))
+    assert row["status"] == "untested"
+    assert row["note"] == (
+        "region oracle is 0.0 on the fit grid: tail evaluator returned "
+        "non-positive values; nothing to fit"
+    )
 
 
 def test_k_constant_note_gives_the_log_ratio_where_the_ratio_underflows():

@@ -16,6 +16,7 @@ from sntail.oracles import (
     region_tail_integral,
     regularized_incomplete_beta,
     sphere_law_applies,
+    sphere_tail_constant,
     sphere_tail_exact,
     tail_window,
 )
@@ -64,6 +65,38 @@ def test_sphere_tail_exactly_linear_at_n3():
     for eps in (1e-6, 1e-3, 0.1, 0.5):
         got = sphere_tail_exact(3, math.sqrt(3.0) - eps).value
         assert got == pytest.approx(eps / (2.0 * math.sqrt(3.0)), rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 10])
+def test_sphere_tail_constant_is_the_limit_of_the_exact_law(n):
+    # q / eps^a = c0 (1 + k1 eps + O(eps^2)), a = (n-1)/2: with
+    # I_x(a, 1/2) = x^a / (a B) (1 + a x / (2(a+1)) + ...) (DLMF §8.17) and
+    # x = (2 eps / sqrt(n)) (1 - eps / (2 sqrt(n))), k1 = a (1 - a) / (2 sqrt(n) (a+1))
+    a = 0.5 * (n - 1)
+    c0 = sphere_tail_constant(n)
+    k1 = a * (1.0 - a) / (2.0 * math.sqrt(n) * (a + 1.0))
+    for eps in (1e-2, 1e-3, 1e-4):
+        ratio = sphere_tail_exact(n, math.sqrt(n) - eps).value / eps**a / c0
+        assert abs(ratio - 1.0) <= n * eps
+        assert abs(ratio - 1.0 - k1 * eps) <= eps * eps
+    # n = 3 is exactly linear: c0 = 1 / (2 sqrt(3))
+    if n == 3:
+        assert c0 == pytest.approx(0.5 / math.sqrt(3.0), rel=1e-15)
+
+
+def test_sphere_tail_constant_is_the_corrected_prediction():
+    # the corrected K times the closed-form weighted profile is the limit,
+    # for every n whose prediction does not underflow
+    from sntail.asymptotics import TailQuery, predict_tail
+
+    for n in range(2, 401):
+        predicted = predict_tail(DensityModel.iid_normal(n), TailQuery(0.1)).constant
+        assert predicted == pytest.approx(sphere_tail_constant(n), rel=1e-12, abs=0.0)
+    # log form: the limit leaves the normal doubles only near n = 570
+    assert sphere_tail_constant(560) > np.finfo(float).tiny
+    assert sphere_tail_constant(1000) == 0.0
+    with pytest.raises(ValueError):
+        sphere_tail_constant(1)
 
 
 def test_incomplete_beta_symmetry_sweep():
