@@ -15,7 +15,7 @@ from .analytic_core import (
     AntiHessianSpec,
     StructuredMatrix,
     anti_hessian_entries,
-    anti_hessian_entries_fd,
+    anti_hessian_entries_hyperdual,
     log_det_anti_hessian_factorized,
 )
 from .asymptotics import (

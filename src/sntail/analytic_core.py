@@ -5,8 +5,8 @@ all-ones point has a uniform diagonal and a uniform off-diagonal, so its
 log-determinant has a closed form, the product of its two eigenvalues.
 One independent route checks it: a pivoted LU factorization (`slogdet`) of
 the dense matrix, up to order DET_FACTOR_LIMIT.  The two entries of the
-matrix have closed forms too, and a central-difference oracle checks them
-on seven evaluations of the criterion function.
+matrix have closed forms too, checked exactly, with no step, by one call of
+the criterion function on hyper-dual numbers.
 """
 
 from __future__ import annotations
@@ -20,9 +20,10 @@ __all__ = [
     "DET_FACTOR_LIMIT",
     "StructuredMatrix",
     "AntiHessianSpec",
+    "HyperDual",
     "structured_anti_hessian",
     "anti_hessian_entries",
-    "anti_hessian_entries_fd",
+    "anti_hessian_entries_hyperdual",
     "exp_or_inf",
     "log_det_anti_hessian",
     "log_det_anti_hessian_factorized",
@@ -33,11 +34,6 @@ __all__ = [
 # Largest order that is materialized and factorized densely: 8 MB and
 # about 0.1 s at 1024.
 DET_FACTOR_LIMIT = 1024
-
-# Central second differences: eps**(1/4) balances truncation (h^2) against
-# roundoff (eps/h^2).  The often-quoted eps**(1/3) step is tuned for first
-# derivatives and loses ~2 digits here.
-_FD_STEP = float(np.finfo(float).eps) ** 0.25
 
 
 @dataclass(frozen=True)
@@ -108,26 +104,19 @@ def anti_hessian_entries(spec: AntiHessianSpec) -> tuple[float, float]:
     return diag, off
 
 
-def anti_hessian_entries_fd(spec: AntiHessianSpec) -> tuple[float, float | None]:
-    """(diagonal, off-diagonal) of the negated central-difference Hessian of
-    the criterion function at the all-ones point.
-
-    By the permutation symmetry of g at that point the (0, 0) and (0, 1)
-    entries are all the matrix holds, so only the points 1, 1 +- h e_1 and
-    1 +- h e_1 +- h e_2 are evaluated, in one `g_many` call.  At n = 2 the
-    matrix has no off-diagonal, and that slot is None.
+def anti_hessian_entries_hyperdual(spec: AntiHessianSpec) -> tuple[float, float | None]:
+    """(diagonal, off-diagonal) of the negated Hessian of the criterion
+    function at the all-ones point, exact to rounding: by the permutation
+    symmetry of g there, they are all the matrix holds.  One `g_many` call
+    on the hyper-dual rows 1 + e1 u_0 + e2 u_j, j = 0 and 1 (u_j the unit
+    vectors), carries d2g/dv0^2 and d2g/dv0 dv1 in its e1e2 parts.  At
+    n = 2 there is one row, and the off-diagonal slot is None.
     """
-    d, h = spec.n - 1, _FD_STEP
-    steps = np.array([[0, 0], [1, 0], [-1, 0], [1, 1], [1, -1], [-1, 1], [-1, -1]])
-    if d == 1:
-        steps = steps[:3, :1]
-    points = np.ones((len(steps), d))
-    points[:, : steps.shape[1]] += h * steps
-    g = g_many(points, spec.beta)
-    diag = -float((g[1] - 2.0 * g[0] + g[2]) / (h * h))
-    if d == 1:
-        return diag, None
-    return diag, -float((g[3] - g[4] - g[5] + g[6]) / (4.0 * h * h))
+    d, rows = spec.n - 1, min(spec.n - 1, 2)
+    unit = np.eye(rows, d)
+    point = HyperDual(np.ones((rows, d)), unit[[0] * rows], unit, np.zeros((rows, d)))
+    hessian = -g_many(point, spec.beta).x12
+    return float(hessian[0]), float(hessian[1]) if rows == 2 else None
 
 
 def structured_anti_hessian(spec: AntiHessianSpec) -> StructuredMatrix:
@@ -180,13 +169,43 @@ def log_det_anti_hessian_published(spec: AntiHessianSpec) -> float:
     return (n - 1) * math.log(beta - 1.0) - (n - 2) / beta * math.log(n) + math.log(tail)
 
 
-def g_many(vs: np.ndarray, beta: float = 2.0) -> np.ndarray:
+class HyperDual:
+    """x + x1 e1 + x2 e2 + x12 e1e2 with e1^2 = e2^2 = 0, each part an array
+    (Fike & Alonso, AIAA 2011-886): f at x + e1 u + e2 w carries its second
+    derivative along u and w in x12, exact to rounding.  Only what `g_many`
+    uses is defined: sum, a scalar added, abs, a real power and a quotient."""
+
+    def __init__(self, x: np.ndarray, x1: np.ndarray, x2: np.ndarray, x12: np.ndarray):
+        self.x, self.x1, self.x2, self.x12 = x, x1, x2, x12
+
+    def _chain(self, f, df, d2f) -> HyperDual:
+        return HyperDual(f, df * self.x1, df * self.x2, df * self.x12 + d2f * self.x1 * self.x2)
+
+    def sum(self, axis: int) -> HyperDual:
+        return HyperDual(*(p.sum(axis=axis) for p in (self.x, self.x1, self.x2, self.x12)))
+
+    def __radd__(self, other: float) -> HyperDual:
+        return HyperDual(other + self.x, self.x1, self.x2, self.x12)
+
+    def __abs__(self) -> HyperDual:
+        return self._chain(np.abs(self.x), np.sign(self.x), 0.0)
+
+    def __pow__(self, p: float) -> HyperDual:
+        return self._chain(self.x**p, p * self.x ** (p - 1.0), p * (p - 1.0) * self.x ** (p - 2.0))
+
+    def __truediv__(self, other: HyperDual) -> HyperDual:
+        a, w = self, other ** -1.0
+        return HyperDual(a.x * w.x, a.x * w.x1 + a.x1 * w.x, a.x * w.x2 + a.x2 * w.x,
+                         a.x * w.x12 + a.x1 * w.x2 + a.x2 * w.x1 + a.x12 * w.x)
+
+
+def g_many(vs: np.ndarray | HyperDual, beta: float = 2.0) -> np.ndarray | HyperDual:
     """Vectorized criterion function over points stacked in the last axis.
 
     g(v) = (1 + sum v_j) / (1 + sum |v_j|**beta)**(1/beta).  The maximum over
     the positive orthant is n**(1 - 1/beta), attained at the all-ones point.
     """
-    arr = np.asarray(vs, dtype=float)
+    arr = vs if isinstance(vs, HyperDual) else np.asarray(vs, dtype=float)
     num = 1.0 + arr.sum(axis=-1)
-    den = (1.0 + (np.abs(arr) ** beta).sum(axis=-1)) ** (1.0 / beta)
+    den = (1.0 + (abs(arr) ** beta).sum(axis=-1)) ** (1.0 / beta)
     return num / den

@@ -207,9 +207,9 @@ def predict_tail(
 
     The paper variant pairs the published K with the unweighted profile; the
     corrected variant pairs the corrected K with the weighted profile.  A
-    vanishing right-side profile raises ArithmeticError (the constant
-    degenerates and the gamma-variant prediction is the documented escape
-    hatch); a vanishing left-side profile is a legitimate exact zero.  A
+    right-side profile that vanishes or underflows (below the normal
+    doubles, where it has lost its precision) raises ArithmeticError; a
+    vanishing left-side profile is a legitimate exact zero.  A
     value above 1, eps at or beyond `tail_window`, or a paper left tail of a
     model that is not iid and symmetric about 0 carries a warning.
     """
@@ -225,10 +225,10 @@ def predict_tail(
     h_total = 0.0
     for side in sides:
         h_side = _profile_at(model, side, variant)
-        if side == "right" and h_side <= 0.0:
+        if side == "right" and h_side < np.finfo(float).tiny:
             raise ArithmeticError(
-                "profile vanishes at the all-ones direction; the constant-order "
-                "prediction degenerates (use predict_gamma_variant)"
+                f"profile vanishes or underflows a double (it reads {float(h_side)!r}) "
+                "at the all-ones direction; no constant-order prediction is formed"
             )
         h_total += h_side
     if query.side != "right" and variant == "paper" and not model.signs_split_at_median():

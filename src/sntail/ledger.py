@@ -19,7 +19,7 @@ from .analytic_core import (
     DET_FACTOR_LIMIT,
     AntiHessianSpec,
     anti_hessian_entries,
-    anti_hessian_entries_fd,
+    anti_hessian_entries_hyperdual,
     log_det_anti_hessian,
     log_det_anti_hessian_factorized,
     log_det_anti_hessian_published,
@@ -208,19 +208,19 @@ def run_verify(
     spec = AntiHessianSpec(n, beta)
     entries.append(_determinant_row(spec, failures))
 
-    # Anti-Hessian entries: the published entry formulas are correct, and
-    # the oracle is a finite-difference Hessian of the criterion function.
+    # Anti-Hessian entries: the published entry formulas are correct, and the
+    # oracle is the hyper-dual Hessian of g, exact to rounding at every n.
     diag, off = anti_hessian_entries(spec)
-    fd_diag, fd_off = anti_hessian_entries_fd(spec)
-    checks = [("diag", "diagonal", diag, fd_diag)]
-    if fd_off is not None:
-        checks.append(("off", "off-diagonal", off, fd_off))
-    for tag, name, closed, fd_value in checks:
+    hd_diag, hd_off = anti_hessian_entries_hyperdual(spec)
+    checks = [("diag", "diagonal", diag, hd_diag)]
+    if hd_off is not None:
+        checks.append(("off", "off-diagonal", off, hd_off))
+    for tag, name, closed, hd_value in checks:
         entries.append(_own_check(
-            f"anti_hessian_{tag}(n={n}, beta={beta:g})", closed, closed, fd_value,
-            _status(closed, fd_value, 1e-5) == "confirmed",
-            "published entry formula (correct as printed) vs -FD Hessian",
-            f"anti-Hessian {name}: closed {closed:.12g} vs finite-difference {fd_value:.12g}",
+            f"anti_hessian_{tag}(n={n}, beta={beta:g})", closed, closed, hd_value,
+            _status(closed, hd_value, 1e-12) == "confirmed",
+            "published entry formula (correct as printed) vs hyper-dual Hessian of g",
+            f"anti-Hessian {name}: closed {closed:.12g} vs hyper-dual {hd_value:.12g}",
             failures,
         ))
 
@@ -391,7 +391,7 @@ def _tail_constant_row(
         corrected = predict_tail(model, TailQuery(epsilon), "corrected").constant
     except (QuadratureError, ArithmeticError) as exc:
         # a profile whose quadrature fails, or whose closed form underflows
-        # to 0.0 (the iid normal's from n = 524)
+        # (the iid normal's leaves the normal doubles from n = 498)
         return _untested(quantity, f"prediction failed: {exc}")
     return _finding(
         quantity, paper, corrected, oracle, rel, note,

@@ -41,9 +41,8 @@ COMMANDS: dict[str, list[str]] = {
     "verify-n3-beta3": ["verify", "--n", "3", "--beta", "3"],
     "verify-n2-folded": ["verify", "--n", "2", "--model", "iid-folded-normal"],
     # The ledger's other exits: no exact oracle, an unresolved MC row, the
-    # sphere law's closed-form limit past the old fit's reach (n = 48, exit
-    # 0; n = 120 and 150, exit 1 on the FD anti-Hessian), and the region
-    # route for a shifted normal.
+    # sphere law's closed-form limit past the old fit's reach (n = 48, 120
+    # and 150, each exit 0), and the region route for a shifted normal.
     "verify-n5-student": ["verify", "--n", "5", "--model", "iid-student-t:nu=5"],
     "verify-n10": ["verify", "--n", "10", "--trials", "1000"],
     "verify-n48": ["verify", "--n", "48", "--trials", "1000"],

@@ -16,7 +16,7 @@ import pytest
 from sntail.analytic_core import (
     AntiHessianSpec,
     anti_hessian_entries,
-    anti_hessian_entries_fd,
+    anti_hessian_entries_hyperdual,
     log_det_anti_hessian,
     log_det_anti_hessian_factorized,
     structured_anti_hessian,
@@ -123,8 +123,8 @@ def test_criterion_02_hessian_check():
             # n = 2 has no off-diagonal entry
             spec = AntiHessianSpec(n, beta)
             closed = anti_hessian_entries(spec)[: n - 1]
-            fd = anti_hessian_entries_fd(spec)[: n - 1]
-            np.testing.assert_allclose(fd, closed, rtol=1e-5)
+            exact = anti_hessian_entries_hyperdual(spec)[: n - 1]
+            np.testing.assert_allclose(exact, closed, rtol=1e-13)
 
 
 def test_criterion_03_exact_constant_n3():

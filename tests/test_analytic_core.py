@@ -1,5 +1,6 @@
-"""Structured determinants, criterion function, and derivative checks."""
+"""Structured determinants, criterion function, and hyper-dual derivatives."""
 
+import itertools
 import math
 
 import numpy as np
@@ -9,9 +10,10 @@ import sntail.analytic_core as analytic_core
 from sntail.analytic_core import (
     DET_FACTOR_LIMIT,
     AntiHessianSpec,
+    HyperDual,
     StructuredMatrix,
     anti_hessian_entries,
-    anti_hessian_entries_fd,
+    anti_hessian_entries_hyperdual,
     g_many,
     log_det_anti_hessian,
     log_det_anti_hessian_factorized,
@@ -67,32 +69,97 @@ def test_anti_hessian_entry_formulas():
             assert off == pytest.approx(expect_off, rel=1e-14)
 
 
-def test_fd_hessian_matches_closed_form():
-    for n in range(2, 9):
-        for beta in BETAS:
-            spec = AntiHessianSpec(n, beta)
-            diag, off = anti_hessian_entries(spec)
-            fd_diag, fd_off = anti_hessian_entries_fd(spec)
-            assert fd_diag == pytest.approx(diag, rel=1e-5)
-            if n == 2:
-                assert fd_off is None
-            else:
-                assert fd_off == pytest.approx(off, rel=1e-5)
+def test_hyperdual_hessian_matches_closed_form():
+    # exact to rounding at every n: no step, no cancellation
+    for n, beta in itertools.product([*range(2, 9), 10, 66, 100, 400, 1000, 2000, 10**4], BETAS):
+        spec = AntiHessianSpec(n, beta)
+        diag, off = anti_hessian_entries(spec)
+        hd_diag, hd_off = anti_hessian_entries_hyperdual(spec)
+        assert hd_diag == pytest.approx(diag, rel=1e-13, abs=0.0)
+        if n == 2:
+            assert hd_off is None
+        else:
+            assert hd_off == pytest.approx(off, rel=1e-13, abs=0.0)
 
 
-@pytest.mark.parametrize("n, points", [(2, 3), (3, 7), (2000, 7)])
-def test_fd_entries_take_one_call_of_fixed_size(monkeypatch, n, points):
-    # the two entries need the same seven points at every n
+@pytest.mark.parametrize("n, rows", [(2, 1), (3, 2), (2000, 2), (10**5, 2)])
+def test_hyperdual_entries_take_one_g_many_call_of_two_rows(monkeypatch, n, rows):
+    # two hyper-dual rows hold both entries at every n (one at n = 2): the
+    # seeds are (rows, n - 1) arrays, never an (n - 1) x (n - 1) one
     shapes = []
     true_g_many = analytic_core.g_many
 
     def counted(vs, beta=2.0):
-        shapes.append(np.shape(vs))
+        shapes.append({np.shape(part) for part in (vs.x, vs.x1, vs.x2, vs.x12)})
         return true_g_many(vs, beta)
 
     monkeypatch.setattr(analytic_core, "g_many", counted)
-    anti_hessian_entries_fd(AntiHessianSpec(n, 2.0))
-    assert shapes == [(points, n - 1)]
+    anti_hessian_entries_hyperdual(AntiHessianSpec(n, 2.0))
+    assert shapes == [{(rows, n - 1)}]
+
+
+def _seeded(x: np.ndarray) -> HyperDual:
+    """x + e1 + e2: a scalar function's f' lands in x1 and x2, f'' in x12."""
+    return HyperDual(x, np.ones_like(x), np.ones_like(x), np.zeros_like(x))
+
+
+def test_hyperdual_carries_exact_first_and_second_derivatives():
+    # against analytic derivatives, independent of g
+    rng = np.random.default_rng(29)
+    for _ in range(20):
+        x = rng.uniform(0.1, 4.0, 7)
+        p, q = rng.uniform(-3.0, 4.0, 2)
+        got = _seeded(x) ** p
+        np.testing.assert_allclose(got.x, x**p, rtol=1e-15)
+        np.testing.assert_allclose(got.x1, p * x ** (p - 1.0), rtol=1e-14)
+        np.testing.assert_allclose(got.x2, got.x1, rtol=0.0)
+        np.testing.assert_allclose(got.x12, p * (p - 1.0) * x ** (p - 2.0), rtol=1e-14)
+
+        s = x * rng.choice((-1.0, 1.0), x.size)
+        got = abs(_seeded(s))
+        np.testing.assert_array_equal(got.x, np.abs(s))
+        np.testing.assert_array_equal(got.x1, np.sign(s))
+        np.testing.assert_array_equal(got.x12, np.zeros_like(s))
+
+        # (1 + x^p) / (1 + |x|^q) by the quotient rule, twice
+        u, du, d2u = 1.0 + x**p, p * x ** (p - 1.0), p * (p - 1.0) * x ** (p - 2.0)
+        w, dw, d2w = 1.0 + x**q, q * x ** (q - 1.0), q * (q - 1.0) * x ** (q - 2.0)
+        got = (1.0 + _seeded(x) ** p) / (1.0 + abs(_seeded(x)) ** q)
+        np.testing.assert_allclose(got.x, u / w, rtol=1e-15)
+        np.testing.assert_allclose(got.x1, (du * w - u * dw) / w**2, rtol=1e-13)
+        np.testing.assert_allclose(
+            got.x12, d2u / w - 2.0 * du * dw / w**2 - u * d2w / w**2 + 2.0 * u * dw**2 / w**3,
+            rtol=1e-12,
+        )
+
+
+def test_hyperdual_sums_give_the_mixed_partials():
+    # F(v) = sum v_j^p: seeding e1 on v_i and e2 on v_j gives
+    # dF/dv_i in x1, dF/dv_j in x2 and delta_ij p (p - 1) v_i^(p - 2) in x12
+    rng = np.random.default_rng(31)
+    v = rng.uniform(0.2, 3.0, 6)
+    p = 2.7
+    for i in range(v.size):
+        for j in range(v.size):
+            x1, x2 = np.zeros_like(v), np.zeros_like(v)
+            x1[i], x2[j] = 1.0, 1.0
+            got = (HyperDual(v, x1, x2, np.zeros_like(v)) ** p).sum(axis=-1)
+            assert got.x == pytest.approx(np.sum(v**p), rel=1e-15)
+            assert got.x1 == pytest.approx(p * v[i] ** (p - 1.0), rel=1e-15)
+            assert got.x2 == pytest.approx(p * v[j] ** (p - 1.0), rel=1e-15)
+            mixed = p * (p - 1.0) * v[i] ** (p - 2.0) if i == j else 0.0
+            assert got.x12 == pytest.approx(mixed, rel=1e-15, abs=0.0)
+
+
+def test_g_many_float_path_is_the_plain_formula():
+    # the criterion function on floats is unchanged bit for bit
+    rng = np.random.default_rng(3)
+    pts = rng.uniform(-2.0, 3.0, (50, 4))
+    for beta in BETAS:
+        plain = (1.0 + pts.sum(axis=-1)) / (
+            1.0 + (np.abs(pts) ** beta).sum(axis=-1)
+        ) ** (1.0 / beta)
+        np.testing.assert_array_equal(g_many(pts, beta), plain)
 
 
 def test_g_maximum_on_dense_grid():

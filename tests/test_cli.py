@@ -627,10 +627,9 @@ def test_constants_give_a_log_where_the_value_overflows(capsys):
 
 def test_verify_json_stays_valid_where_k_overflows(capsys):
     # the ledger's corrected K overflows too; JSON has no Infinity, so the
-    # row reads null and its note keeps the log.  Exit 1 is the FD
-    # anti-Hessian gate at this n.
+    # row reads null and its note keeps the log
     argv = ["verify", "--n", "1000", "--beta", "1.5", "--trials", "1000", "--format", "json"]
-    assert main(argv) in (0, 1)
+    assert main(argv) == 0
 
     def reject(name):
         raise ValueError(f"invalid JSON constant {name}")
@@ -641,6 +640,19 @@ def test_verify_json_stays_valid_where_k_overflows(capsys):
     assert 0.0 < k_row["paper_value"] < math.inf
     log_k = float(k_row["note"].split("log(corrected) = ")[1].split(";")[0])
     assert log_k > 709.0
+
+
+@pytest.mark.parametrize("n, beta", [
+    (66, 2.0), (100, 2.0), (400, 2.0), (1000, 2.0), (2000, 2.0),
+    (100, 1.5), (1000, 1.5), (100, 3.0), (1000, 3.0),
+])
+def test_verify_exits_0_across_the_dimension_sweep(capsys, n, beta):
+    # every route of the ledger holds at these n: no internal failure, and
+    # no traceback
+    argv = ["verify", "--n", str(n), "--beta", str(beta), "--trials", "1000", "--seed", "1"]
+    assert main(argv) == 0
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "internal failure" not in err
 
 
 _SCIPY_PROBE = """

@@ -465,10 +465,10 @@ def _ring_probes(radius: float) -> np.ndarray:
 
 def test_z_plan_sized_by_its_check_resolves_unprobed_rays():
     # iid normal profiles have closed forms in |w|, w = (1, v):
-    # paper (2 pi)^(-(n-1)/2) / |w|, weighted (2 pi)^(-n/2) 2^(n/2-1) Gamma(n/2) / |w|^n
+    # paper (2 pi)^(-(n-1)/2) / |w|, weighted (2 pi)^(-n/2) 2^(n/2-1) Gamma(n/2) / |w|^n.
+    # The `user` twin of the same law takes the quadrature path, so its plan
+    # is sized on the probes alone and must serve the 60 rays it never saw.
     n = 3
-    model = DensityModel.iid_normal(n)
-    plan = density.build_z_plan(model, _ring_probes(0.3))
     rng = np.random.default_rng(5)
     dirs = rng.standard_normal((60, 2))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
@@ -476,29 +476,36 @@ def test_z_plan_sized_by_its_check_resolves_unprobed_rays():
     norm = np.sqrt(1.0 + np.sum(vs * vs, axis=1))
     paper = (2.0 * math.pi) ** (-(n - 1) / 2.0) / norm
     weighted = (2.0 * math.pi) ** (-n / 2.0) * 2.0 ** (n / 2.0 - 1.0) * math.gamma(n / 2.0) / norm**n
-    np.testing.assert_allclose(density.profile_batch(model, vs, "paper", plan), paper, rtol=1e-13)
-    np.testing.assert_allclose(
-        density.profile_batch(model, vs, "weighted", plan), weighted, rtol=1e-13
-    )
+    normal = DensityModel.iid_normal(n)
+    for model in (normal, DensityModel.user(n, normal.pdf)):
+        plan = density.build_z_plan(model, _ring_probes(0.3))
+        np.testing.assert_allclose(
+            density.profile_batch(model, vs, "paper", plan), paper, rtol=1e-13
+        )
+        np.testing.assert_allclose(
+            density.profile_batch(model, vs, "weighted", plan), weighted, rtol=1e-13
+        )
 
 
 def test_z_plan_settles_for_a_centred_normal_at_n_100():
     # The probe 1 * 1.0002 once failed the plan's check on roundoff alone
     # (relative change 1.1e-13 against 96 nodes per panel): a 100-term ray
-    # sum rounds at Z_PLAN_RTOL.  A centred normal's profiles are exact.
+    # sum rounds at Z_PLAN_RTOL.  A centred normal's profiles are exact; its
+    # `user` twin takes the quadrature path, whose check must settle too.
     n = 100
-    model = DensityModel.iid_normal(n)
+    normal = DensityModel.iid_normal(n)
     v = np.full(n - 1, 1.0002)
-    plan = density.build_z_plan(model, v)
     norm2 = 1.0 + float(v @ v)
     log_paper = -(n - 1) * 0.5 * math.log(2.0 * math.pi) - 0.5 * math.log(norm2)
     log_weighted = (
         -0.5 * n * math.log(2.0 * math.pi) + (0.5 * n - 1.0) * math.log(2.0)
         + math.lgamma(0.5 * n) - 0.5 * n * math.log(norm2)
     )
-    for variant, log_h in (("paper", log_paper), ("weighted", log_weighted)):
-        got = density.profile_batch(model, v, variant, plan)[0]
-        assert got == pytest.approx(math.exp(log_h), rel=1e-13, abs=0.0)
+    for model in (normal, DensityModel.user(n, normal.pdf)):
+        plan = density.build_z_plan(model, v)
+        for variant, log_h in (("paper", log_paper), ("weighted", log_weighted)):
+            got = density.profile_batch(model, v, variant, plan)[0]
+            assert got == pytest.approx(math.exp(log_h), rel=1e-13, abs=0.0)
 
 
 def test_z_plan_resolves_a_support_edge():

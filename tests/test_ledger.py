@@ -140,17 +140,19 @@ def test_mc_row_survives_a_missed_interval(monkeypatch):
 
 
 @pytest.mark.parametrize("entry", [(0, 0), (0, 1)])
-def test_anti_hessian_row_reads_untested_when_its_fd_gate_fails(monkeypatch, entry):
-    # the finite-difference oracle is the package's own: a failed gate is an
-    # internal failure, and the row reads "untested", not "discrepant"
-    true_fd = ledger.anti_hessian_entries_fd
+def test_anti_hessian_row_reads_untested_when_its_hyperdual_gate_fails(monkeypatch, entry):
+    # the hyper-dual oracle is the package's own: a failed gate is an
+    # internal failure, and the row reads "untested", not "discrepant".  It
+    # is exact to rounding, so the gate is 1e-12 and an entry off by 1e-9
+    # fails it (a 1e-5 gate would pass it)
+    true_route = ledger.anti_hessian_entries_hyperdual
 
     def perturbed(spec):
-        entries = list(true_fd(spec))
-        entries[entry[1]] *= 1.001
+        entries = list(true_route(spec))
+        entries[entry[1]] *= 1.0 + 1e-9
         return tuple(entries)
 
-    monkeypatch.setattr(ledger, "anti_hessian_entries_fd", perturbed)
+    monkeypatch.setattr(ledger, "anti_hessian_entries_hyperdual", perturbed)
     report = run_verify(n=3, trials=20_000)
     rows = {e.quantity.split("(")[0]: e for e in report.entries}
     bad, good = ("diag", "off") if entry == (0, 0) else ("off", "diag")
@@ -259,20 +261,31 @@ def test_tail_constant_note_names_a_failed_prediction():
     row = next(e for e in report.entries if e.quantity.startswith("tail_constant"))
     assert row.status == "untested"
     assert row.note.startswith("prediction failed: profile vanishes")
+    assert "underflows a double (it reads 0.0)" in row.note
     assert "c0" not in row.note and "oracle" not in row.note
+
+
+@pytest.mark.parametrize("n", [498, 515, 523])
+def test_a_subnormal_profile_fails_the_prediction_not_the_ledger(n):
+    # from n = 498 the weighted profile at 1 is a subnormal double, which
+    # keeps too few digits for the 1e-9 gate (at n = 515 the corrected
+    # constant read 1 - 2.6e-6 of c0): the row reads "untested", and the
+    # ledger holds no internal failure
+    report = run_verify(n=n, trials=1000, seed=1)
+    row = next(e for e in report.entries if e.quantity.startswith("tail_constant"))
+    assert row.status == "untested"
+    assert row.note.startswith("prediction failed: profile vanishes or underflows a double")
+    assert report.exit_code == 0, report.internal_failures
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 10, 48, 100, 120, 150, 400])
 def test_tail_constant_meets_the_sphere_law_limit_at_every_n(n):
-    # the corrected constant against the closed-form c0, not a fitted
-    # slope; from n = 66 the FD anti-Hessian gate fails on its own
+    # the corrected constant against the closed-form c0, not a fitted slope
     report = run_verify(n=n, trials=1000, seed=1)
     row = next(e for e in report.entries if e.quantity.startswith("tail_constant"))
     assert row.status == "discrepant"
     assert abs(row.ratio_corrected_oracle - 1.0) <= 1e-9
-    assert not any("tail constant" in f for f in report.internal_failures)
-    if n <= 48:
-        assert report.exit_code == 0, report.internal_failures
+    assert report.exit_code == 0, report.internal_failures
 
 
 def test_region_oracle_of_zero_reads_untested_and_says_why(capsys):
