@@ -43,6 +43,7 @@ __all__ = [
     "parse_model",
     "DISCRETE_MODELS",
     "UNIFORM_FLOOR",
+    "MAGNITUDE_CELLS",
 ]
 
 PROFILE_VARIANTS = ("paper", "weighted")
@@ -60,6 +61,8 @@ _IID_KINDS = ("iid-normal", "iid-student-t", "iid-folded-normal")
 # every quantile finite and the mirror image of the top end (1e-300 sent
 # stdtrit(5, .) to +inf).
 UNIFORM_FLOOR = 2.0**-53
+# Equal cells of [1/2, 1) that the Monte Carlo screen sorts magnitudes into.
+MAGNITUDE_CELLS = 2**12
 
 
 class QuadratureError(RuntimeError):
@@ -243,6 +246,18 @@ class DensityModel:
         inv = np.tril(np.linalg.inv(self.chol))
         inv.flags.writeable = False
         return inv
+
+    @functools.cached_property
+    def cell_edges(self) -> np.ndarray:
+        """The draws at the MAGNITUDE_CELLS + 1 cell edges of [1/2, 1), from
+        one `draw_from_uniforms` call per model; they must not decrease."""
+        edges = 0.5 + np.arange(MAGNITUDE_CELLS + 1) / (2 * MAGNITUDE_CELLS)
+        rows = np.resize(edges, (-(-edges.size // self.n), self.n))
+        x = self.draw_from_uniforms(rows).ravel()[: edges.size]
+        if not np.all(x[1:] >= x[:-1]):
+            raise RuntimeError(f"the {self.kind} inverse CDF decreases on [1/2, 1)")
+        x.flags.writeable = False
+        return x
 
     def ray_quadratic(self, rays: np.ndarray) -> np.ndarray | None:
         """q(r) for the rays r in the rows of `rays` when f(z r) =

@@ -25,7 +25,7 @@ from sntail.cli import (
     parse_config,
     parse_eps,
 )
-from sntail.density import parse_model
+from sntail.density import MAGNITUDE_CELLS, DensityModel, parse_model
 from sntail.montecarlo import SamplerSpec, StatisticSpec, _estimate, _row_cut, statistic_batch
 
 SAMPLE_CONFIGS = [
@@ -226,16 +226,42 @@ def test_discrete_mc_hits_and_digests_are_pinned(capsys):
       "--trials", "1e5"], None),
 ], ids=["n3-cut1", "n9-cut4", "n64-cut28", "student-t-n4", "rademacher", "degenerate"])
 def test_mc_output_is_byte_identical_on_one_and_two_workers(argv, cut, capsys):
+    # three workers too: the cell screen at cut 1 walks every third chunk
     argv = ["mc", "--seed", "1", "--format", "json", *argv]
     config = parse_config(argv)
     sampler = SamplerSpec(parse_model(config.model, config.n), 1, config.trials, 1)
     threshold = math.sqrt(config.n) - config.eps[0]
     assert _row_cut(sampler, StatisticSpec(2.0, config.statistic), threshold) == cut
     outputs = []
-    for workers in ("1", "2"):
+    for workers in ("1", "2", "3"):
         assert main([*argv, "--workers", workers]) == 0
         outputs.append(capsys.readouterr().out)
-    assert outputs[0] == outputs[1]
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_small_mc_runs_build_no_cell_table(monkeypatch, capsys):
+    # below MAGNITUDE_CELLS + 1 expected kept magnitudes the screen's table
+    # would cost more inverse CDFs than it saves; 1e5 trials build it once
+    edges = 0.5 + np.arange(MAGNITUDE_CELLS + 1) / (2 * MAGNITUDE_CELLS)
+    draw = DensityModel.draw_from_uniforms
+    tables = []
+
+    def spy(self, u):
+        flat = np.asarray(u).ravel()
+        tables.append(flat.size >= edges.size and np.array_equal(flat[: edges.size], edges))
+        return draw(self, u)
+
+    monkeypatch.setattr(DensityModel, "draw_from_uniforms", spy)
+    for argv, built in (
+        (["--trials", "1000"], 0),
+        (["--model", "iid-student-t:nu=5", "--trials", "1e4"], 0),
+        (["--trials", "1e5"], 1),
+        (["--model", "iid-student-t:nu=5", "--trials", "1e5"], 1),
+    ):
+        tables.clear()
+        assert main(["mc", "--seed", "1", *argv]) == 0
+        assert json.loads(capsys.readouterr().out)["hits"] > 0
+        assert tables and sum(tables) == built, argv
 
 
 def test_mc_max_variant_at_beta_3_thresholds_below_sqrt_n(capsys):

@@ -9,7 +9,7 @@ import pytest
 from scipy.special import ndtri, stdtrit
 
 import sntail.montecarlo as montecarlo
-from sntail.density import UNIFORM_FLOOR, DensityModel, DiscreteModel
+from sntail.density import MAGNITUDE_CELLS, UNIFORM_FLOOR, DensityModel, DiscreteModel
 from sntail.montecarlo import (
     CHUNK_TRIALS,
     STATISTICS,
@@ -27,11 +27,14 @@ from sntail.montecarlo import (
 from sntail.montecarlo import (
     _chunk_draws,
     _chunk_sizes,
+    _cap_power,
+    _cell_bounds,
     _chunk_uniforms,
     _estimate,
     _kept_signs,
     _row_cut,
     _rows_with_a_sign,
+    _screen,
     _sign_cut,
 )
 from sntail.oracles import degenerate_component_check, sphere_tail_exact
@@ -548,10 +551,22 @@ def _reference_hits(sampler, spec, threshold):
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_filtered_estimates_count_the_same_hits(workers):
+def test_filtered_estimates_count_the_same_hits(workers, monkeypatch):
+    # at cut 1 the cell screen judges the kept rows: it must run there, so
+    # that the hits below check it, and nowhere else
+    screened = []
+
+    def spy(*args):
+        screened.append(screen(*args))
+        return screened[-1]
+
+    screen = montecarlo._screened_hits
+    monkeypatch.setattr(montecarlo, "_screened_hits", spy)
     trials = 2 * CHUNK_TRIALS + 777
     cases = (
         (DensityModel.iid_normal(3), True),
+        (DensityModel.iid_normal(3, sigma=0.37), True),
+        (DensityModel.iid_normal(2), True),
         (DensityModel.iid_student_t(4, 5.0), True),
         (DensityModel.iid_normal(3, mu=0.2), False),
     )
@@ -561,14 +576,18 @@ def test_filtered_estimates_count_the_same_hits(workers):
         for spec, eps in (
             (StatisticSpec(2.0, "sum"), 0.1),
             (StatisticSpec(3.0, "sum"), 0.05),
-            # cut 2: the kept rows carry up to one negative coordinate
+            (StatisticSpec(1.5, "sum"), 0.1),
+            # cut 2 at n >= 3: the kept rows carry up to one negative coordinate
             (StatisticSpec(2.0, "sum"), 0.35),
             (StatisticSpec(2.0, "max-over-Zn"), 0.1),
             # threshold sqrt(n) - 0.3: the max variants ignore beta
             (StatisticSpec(3.0, "max-over-Zk"), 0.3),
         ):
+            screened.clear()
             est = estimate_tail(sampler, spec, epsilon=eps)
-            assert (_row_cut(sampler, spec, est.threshold) is not None) == filtered
+            cut = _row_cut(sampler, spec, est.threshold)
+            assert (cut is not None) == filtered
+            assert len(screened) == (cut == 1) and None not in screened
             assert est.hits == _reference_hits(sampler, spec, est.threshold) > 0
         cmp = compare_max_vs_sum(sampler, 0.1)
         for got, variant in (
@@ -578,6 +597,26 @@ def test_filtered_estimates_count_the_same_hits(workers):
         ):
             expect = _reference_hits(sampler, StatisticSpec(2.0, variant), got.threshold)
             assert got.hits == expect > 0, (model.kind, variant)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_screen_judges_held_band_rows_at_any_flush_size(workers, monkeypatch):
+    # a worker that judges its band after every chunk counts the same hits
+    # as one that holds the whole band
+    draws = []
+    draw = DensityModel.draw_from_uniforms
+    monkeypatch.setattr(
+        DensityModel, "draw_from_uniforms", lambda self, u: draws.append(len(u)) or draw(self, u)
+    )
+    sampler = SamplerSpec(DensityModel.iid_normal(3), 5, 4 * CHUNK_TRIALS + 777, workers)
+    spec = StatisticSpec(2.0, "max-over-Zk")
+    held = estimate_tail(sampler, spec, epsilon=0.1)
+    assert len(draws) == 1 + workers  # the cell table, then one band per worker
+    monkeypatch.setattr(montecarlo, "_BAND_ROWS", 1)
+    draws.clear()
+    assert estimate_tail(sampler, spec, epsilon=0.1) == held
+    # every full chunk has band rows; the last, of 777 rows, may have none
+    assert len(draws) >= 4 and all(draws)
 
 
 def test_sign_first_chunks_read_disjoint_word_ranges():
@@ -740,3 +779,141 @@ def test_draws_are_negative_below_the_median():
         if splits:
             u = np.repeat(below[:, None], 3, axis=1)
             assert np.all(model.draw_from_uniforms(u) < 0.0), model.kind
+
+
+def _screen_models(n=3):
+    return [
+        DensityModel.iid_normal(n),
+        DensityModel.iid_normal(n, sigma=0.37),
+    ] + [DensityModel.iid_student_t(n, nu) for nu in (2.01, 3.0, 5.0, 30.0)]
+
+
+def _magnitude_uniforms(rng, shape):
+    """Uniforms of magnitudes as stream 3 makes them, 1/2 + w * 2^-53 for
+    52-bit w, with the first and last w of random cells among them."""
+    w = rng.integers(0, 2**52, size=shape, dtype=np.uint64)
+    cells = rng.integers(0, MAGNITUDE_CELLS, size=shape, dtype=np.uint64)
+    last = rng.integers(0, 2, size=shape, dtype=np.uint64) * np.uint64(2**40 - 1)
+    edge = rng.random(shape) < 0.1
+    w[edge] = (cells[edge] << np.uint64(40)) + last[edge]
+    return 0.5 + w * 2.0**-53
+
+
+def test_cell_edges_are_the_draws_at_the_edges_and_never_decrease():
+    edges_u = 0.5 + np.arange(MAGNITUDE_CELLS + 1) / (2 * MAGNITUDE_CELLS)
+    for model in _screen_models():
+        edges = model.cell_edges
+        assert edges is model.cell_edges  # built once per model
+        x = model.draw_from_uniforms(np.repeat(edges_u[:, None], 3, axis=1))[:, 0]
+        assert np.array_equal(edges, x) and edges[0] == 0.0, model.nu
+        assert np.all(np.isfinite(edges)) and np.all(np.diff(edges) >= 0.0), model.nu
+
+
+def test_cell_edges_reject_a_decreasing_inverse_cdf(monkeypatch):
+    monkeypatch.setattr(DensityModel, "draw_from_uniforms", lambda self, u: 1.0 - u)
+    with pytest.raises(RuntimeError, match="decreases"):
+        DensityModel.iid_normal(3).cell_edges
+
+
+def test_magnitudes_lie_between_their_cell_edges():
+    # each draw lies within its cell's edges, up to the few ulps by which
+    # stdtrit fails to be monotone (1.2e-15 relative at nu = 2.01 on scipy
+    # 1.17), far inside the screen's 1e-9 slack
+    rng = np.random.default_rng(2)
+    u = _magnitude_uniforms(rng, (50_000, 3))
+    cells = (u.view(np.int64) >> 40) - (0x3FE0000000000000 >> 40)
+    assert np.array_equal(cells, np.floor((u - 0.5) * 2 * MAGNITUDE_CELLS))
+    for model in _screen_models():
+        x, edges = model.draw_from_uniforms(u), model.cell_edges
+        assert np.all(edges[cells] * (1.0 - 1e-13) <= x), model.nu
+        assert np.all(x <= edges[cells + 1] * (1.0 + 1e-13)), model.nu
+
+
+def _screen_specs():
+    return [StatisticSpec(beta, "sum") for beta in (1.5, 2.0, 3.0)] + [
+        StatisticSpec(2.0, "max-over-Zn")
+    ]
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_rows_at_the_threshold_land_in_the_band(n):
+    # a threshold within 1e-12 of a row's own statistic, above or below it,
+    # never gets a sure decision; rows along the diagonal (equal cells), in
+    # cell 0 and in the last cell are among them
+    rng = np.random.default_rng(n)
+    u = np.vstack((
+        _magnitude_uniforms(rng, (3000, n)),
+        np.repeat(_magnitude_uniforms(rng, (300, 1)), n, axis=1),
+        0.5 + rng.random((200, n)) * 2.0**-13,
+        np.where(rng.random((200, n)) < 0.5, 1.0 - 2.0**-53, 0.75),
+    ))
+    for model in _screen_models(n):
+        x = model.draw_from_uniforms(u)
+        for spec in _screen_specs():
+            power = spec.beta if spec.variant == "sum" else 2.0
+            bounds = _cell_bounds(model, power)
+            values = statistic_batch(x, spec)
+            for factor in (1.0 - 1e-12, 1.0, 1.0 + 1e-12):
+                hit, band = _screen(u, bounds, power, values * factor)
+                assert band.all() and not hit.any(), (model.nu, spec, factor)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_screen_slack_on_cells_of_zero_width(n):
+    # with lo = hi in every cell both bounds are the statistic itself, up to
+    # rounding: within 1e-12 of it a row stays in the band, and 2e-9 away,
+    # beyond the 1e-9 slack, it is decided
+    rng = np.random.default_rng(20 + n)
+    u = _magnitude_uniforms(rng, (5000, n))
+    cells = np.floor((u - 0.5) * 2 * MAGNITUDE_CELLS).astype(int)
+    level = np.sort(rng.random(MAGNITUDE_CELLS)) + 0.01
+    for spec in _screen_specs():
+        power = spec.beta if spec.variant == "sum" else 2.0
+        bounds = np.stack((level, level, level**power, level**power), axis=1)
+        values = statistic_batch(level[cells], spec)
+        for factor in (1.0 - 1e-12, 1.0, 1.0 + 1e-12):
+            hit, band = _screen(u, bounds, power, values * factor)
+            assert band.all() and not hit.any(), (spec, factor)
+        hit, band = _screen(u, bounds, power, values * (1.0 - 2e-9))
+        assert hit.all() and not band.any(), spec
+        hit, band = _screen(u, bounds, power, values * (1.0 + 2e-9))
+        assert not hit.any() and not band.any(), spec
+
+
+def test_screen_steps_aside_where_its_bounds_leave_the_doubles():
+    # threshold^beta overflows at beta = 1000 (a Python float raises), and
+    # the edges' powers go subnormal or overflow sooner on some models: the
+    # run then takes the plain sign-first path, with the parent's hits
+    assert _cell_bounds(DensityModel.iid_normal(3), 87.0) is not None
+    for model, beta in (
+        (DensityModel.iid_normal(3), 90.0),
+        (DensityModel.iid_normal(3, sigma=1e-3), 60.0),
+        (DensityModel.iid_student_t(3, 2.01), 40.0),
+    ):
+        assert _cell_bounds(model, beta) is None, (model.sigma, model.nu)
+    spec = StatisticSpec(1000.0, "sum")
+    eps = 0.5 * (3.0 ** _cap_power(spec) - 2.0 ** _cap_power(spec))
+    sampler = SamplerSpec(DensityModel.iid_normal(3), 1, 300_000, 1)
+    est = estimate_tail(sampler, spec, eps)
+    assert _row_cut(sampler, spec, est.threshold) == 1
+    assert est.hits == 2420
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_sure_decisions_agree_with_the_statistic(n):
+    # at cut-1 thresholds the screen decides most rows, and rightly
+    rng = np.random.default_rng(10 + n)
+    u = _magnitude_uniforms(rng, (20_000, n))
+    for model in (DensityModel.iid_normal(n), DensityModel.iid_student_t(n, 3.0)):
+        x = model.draw_from_uniforms(u)
+        for spec in _screen_specs():
+            power = spec.beta if spec.variant == "sum" else 2.0
+            values = statistic_batch(x, spec)
+            cap = n ** _cap_power(spec)
+            for eps in (0.02, 0.1, 0.3):
+                threshold = cap - eps * (cap - (n - 1) ** _cap_power(spec))
+                assert _sign_cut(n, spec, threshold) == 1
+                hit, band = _screen(u, _cell_bounds(model, power), power, threshold)
+                assert np.all(values[hit] > threshold)
+                assert np.all(values[~hit & ~band] <= threshold)
+                assert np.count_nonzero(band) < 0.05 * len(u), (model.kind, spec, eps)
