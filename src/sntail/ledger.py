@@ -20,6 +20,7 @@ from .analytic_core import (
     AntiHessianSpec,
     anti_hessian_entries,
     anti_hessian_entries_hyperdual,
+    exp_or_inf,
     log_det_anti_hessian,
     log_det_anti_hessian_factorized,
     log_det_anti_hessian_published,
@@ -31,10 +32,10 @@ from .montecarlo import MIN_EXPECTED_HITS, MIN_TRIALS, SamplerSpec, StatisticSpe
 from .oracles import (
     degenerate_component_check,
     leading_coeff_fit,
+    normal_log_tail_constant,
     rademacher_tail_exact,
     region_tail_integral,
     sphere_law_applies,
-    sphere_tail_constant,
     sphere_tail_exact,
 )
 
@@ -249,7 +250,7 @@ def run_verify(
     )
 
     if continuous and beta == 2.0:
-        entries.append(_tail_constant_row(model, epsilon, sphere_law, failures))
+        entries.append(_tail_constant_row(model, epsilon, failures))
 
     # Cross-oracle consistency: two independent integration routes.
     if sphere_law and 2 <= n <= 4:
@@ -345,21 +346,32 @@ def run_verify(
     return VerifyReport(entries=tuple(entries), internal_failures=tuple(failures))
 
 
-def _tail_constant_row(
-    model: DensityModel, epsilon: float, sphere_law: bool, failures: list[str]
-) -> LedgerEntry:
+def _tail_constant_row(model: DensityModel, epsilon: float, failures: list[str]) -> LedgerEntry:
     """Tail constant (beta = 2) against the exact oracle's small-eps limit:
-    under the sphere law its closed form (`sphere_tail_constant`), met to
+    for a centred normal at any n, the exact law's limit
+    (`normal_log_tail_constant`: the sphere law's closed form for an iid
+    normal, the eigenvalues of the quadratic form for a gaussian), met to
     1e-9; else, for 2 <= n <= 4, a power-law fit of the region oracle on a
     low eps grid, met to 5e-3.  A limit that is not a normal double, an
     oracle of 0.0 on the grid or a failed prediction reads "untested"."""
     n = model.n
     quantity = f"tail_constant(n={n})"
-    if sphere_law:
-        oracle, rel = sphere_tail_constant(n), 1e-9
-        if oracle < np.finfo(float).tiny:
-            return _untested(quantity, "the sphere law's limit c0 underflows a double at this n")
-        note = "closed-form limit c0 of the sphere law, (2/sqrt(n))^a / (2a B(a, 1/2))"
+    log_c0 = normal_log_tail_constant(model, 2.0)
+    if log_c0 is not None:
+        sphere = model.kind == "iid-normal"
+        law = "the sphere law's" if sphere else "the quadratic-form law's"
+        oracle, rel = exp_or_inf(log_c0), 1e-9
+        if not np.finfo(float).tiny <= oracle < math.inf:
+            # an equicorrelated gaussian's c0 grows with n: 0.7 I + 0.3 11^T
+            # overflows from about n = 490
+            side = "overflows" if log_c0 > 0.0 else "underflows"
+            return _untested(quantity, f"{law} limit c0 {side} a double at this n")
+        note = (
+            "closed-form limit c0 of the sphere law, (2/sqrt(n))^a / (2a B(a, 1/2))"
+            if sphere else
+            "exact limit c0 of the quadratic-form law, from the eigenvalues of "
+            "L^T (n I - 11^T) L"
+        )
     elif 2 <= n <= 4:
         # 1e-6 is plenty under the 0.5% gate.  The z-plan starts each
         # folded-normal ray at its support edge, but at n = 3, 4 that

@@ -8,13 +8,17 @@ sharing no algebra with the formulas under test:
                           the models `sphere_law_applies` admits
   sphere_tail_constant    that law's small-eps limit q / eps^((n-1)/2), in
                           closed form
+  normal_log_tail_constant  log of the same limit for any centred normal
+                          at beta = 2: the eigenvalues of the quadratic
+                          form whose sign decides the tail (Ruben, 1962)
   region_tail_integral    direct quadrature of the joint density over the
                           tail region, in ray coordinates
   rademacher_tail_exact   exhaustive enumeration of all sign vectors
   degenerate_component_check  exact reduction when one coordinate is pinned
 
 `leading_coeff_fit` extracts the small-epsilon power law from a route with
-no closed-form limit (the region quadrature).
+no closed-form limit (the region quadrature, for the other models at
+n <= 4).
 """
 
 from __future__ import annotations
@@ -43,6 +47,7 @@ __all__ = [
     "sphere_law_applies",
     "sphere_tail_exact",
     "sphere_tail_constant",
+    "normal_log_tail_constant",
     "rademacher_tail_exact",
     "degenerate_component_check",
     "region_tail_integral",
@@ -168,6 +173,12 @@ def sphere_tail_exact(n: int, threshold: float) -> OracleResult:
     )
 
 
+def _log_sphere_tail_constant(n: int) -> float:
+    a = 0.5 * (n - 1)
+    log_beta = math.lgamma(a) + math.lgamma(0.5) - math.lgamma(a + 0.5)
+    return 0.5 * a * math.log(4.0 / n) - math.log(2.0 * a) - log_beta
+
+
 def sphere_tail_constant(n: int) -> float:
     """Limit c0 of sphere_tail_exact(n, sqrt(n) - eps) / eps^a, a = (n-1)/2.
 
@@ -178,9 +189,43 @@ def sphere_tail_constant(n: int) -> float:
     """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
-    a = 0.5 * (n - 1)
-    log_beta = math.lgamma(a) + math.lgamma(0.5) - math.lgamma(a + 0.5)
-    return math.exp(0.5 * a * math.log(4.0 / n) - math.log(2.0 * a) - log_beta)
+    return math.exp(_log_sphere_tail_constant(n))
+
+
+def normal_log_tail_constant(model: object, beta: float) -> float | None:
+    """Exact log c0, c0 the small-eps limit of P(T > sqrt(n) - eps) / eps^a
+    with a = (n-1)/2, for a centred normal law at beta = 2; None elsewhere.
+
+    For X ~ N(0, L L^T) and c > 0, T > c exactly when the sum is positive
+    and X^T (11^T - c^2 I) X > 0, so by X -> -X the tail is
+    (1/2) P(Z^T B Z > 0) with Z standard normal and
+    B = L^T (11^T - c^2 I) L (Ruben, Ann. Math. Stat. 33, 1962).  At
+    c = sqrt(n), B = -M with M = L^T (n I - 11^T) L, whose eigenvalues are
+    0 (unit eigenvector u0) and m = n - 1 positive mu_j.  B's one positive
+    eigenvalue grows as kappa eps, kappa = 2 sqrt(n) |L u0|^2, and
+    P(kappa eps Z0^2 > sum_j mu_j Zj^2)
+        = (kappa eps)^a (prod_j mu_j)^(-1/2) / (a B(a, 1/2)) (1 + O(eps)),
+    so log c0 = a log kappa - (1/2) sum_j log mu_j - log(2a B(a, 1/2)).
+    It is formed as the sphere law's log c0 (Sigma = I: kappa = 2 sqrt(n),
+    every mu_j = n) plus the terms by which Sigma departs from I.  An iid
+    normal, whose statistic is scale-free, takes the sphere law's value
+    with no eigh.
+
+    The route shares only L with the prediction: no K, no anti-Hessian, no
+    ray profile.
+    """
+    if not (isinstance(model, DensityModel) and model.centred_normal and beta == 2.0):
+        return None
+    n = model.n
+    log_c0 = _log_sphere_tail_constant(n)
+    if model.kind == "iid-normal":
+        return log_c0
+    chol = model.chol
+    col_sums = chol.sum(axis=0)
+    mu, vecs = np.linalg.eigh(n * (chol.T @ chol) - np.outer(col_sums, col_sums))
+    null_image = chol @ vecs[:, 0]
+    return (log_c0 + 0.5 * (n - 1) * math.log(float(null_image @ null_image))
+            - 0.5 * float(np.sum(np.log(mu[1:] / n))))
 
 
 def sphere_law_applies(model: object, beta: float) -> bool:
@@ -189,7 +234,10 @@ def sphere_law_applies(model: object, beta: float) -> bool:
 
     A centred `gaussian` with covariance proportional to I has that law
     too, but stays with region quadrature: the `oracle-n4` benchmark
-    workload checks that route on exactly that model.
+    workload checks that route on exactly that model.  This decides the
+    tail-probability routes (`oracle`, the MC and cross-oracle rows); the
+    tail constant of every centred normal, that gaussian included, comes
+    from `normal_log_tail_constant`.
     """
     return (isinstance(model, DensityModel) and model.kind == "iid-normal"
             and model.sign_symmetric and beta == 2.0)
@@ -540,9 +588,11 @@ def region_tail_integral(
                     "nodes": nodes_used,
                 },
             )
+    moved = np.where(open_, diff / np.maximum(np.abs(prev), 1e-300), 0.0)
+    k = int(np.argmax(moved))
     raise QuadratureError(
-        f"region quadrature missed relative target {rel_target:.1e}; "
-        f"last refinement moved the value by {diff[open_][0]:.3e}"
+        f"region quadrature missed relative target {rel_target:.1e}; last "
+        f"refinement moved the value at eps = {eps[k]:g} by {moved[k]:.3e} of itself"
     )
 
 

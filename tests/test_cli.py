@@ -731,6 +731,38 @@ def test_scipy_loads_only_where_sampling_starts():
     assert not [m for m in loaded if m.startswith(("scipy.integrate", "scipy.linalg"))]
 
 
+_STARTUP_PROBE = """
+import contextlib, io, json, sys
+
+import sntail.cli
+
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+
+gauss = "gaussian:cov=" + " ".join("1" if i == j else "0.3" for i in range(6) for j in range(6))
+report = {}
+for name, n, model in (("student", "3", "iid-student-t:nu=5"), ("gaussian", "6", gauss)):
+    sntail.cli.parse_config(["verify", "--n", n, "--model", model])
+    report[name] = scipy_modules()
+with contextlib.redirect_stdout(io.StringIO()):
+    code = sntail.cli.main(["verify", "--n", "6", "--model", gauss, "--seed", "1"])
+report["verify"] = [code, scipy_modules()]
+print(json.dumps(report))
+"""
+
+
+def test_the_cli_starts_without_scipy():
+    # the workflow's start-up check on an installed CLI, in a fresh
+    # interpreter: parsing a verify loads no scipy, and a centred gaussian's
+    # ledger, whose exact tail constant takes math.lgamma, loads none either
+    done = _fresh_python(["-c", _STARTUP_PROBE], timeout=120)
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout)
+    assert report == {"student": [], "gaussian": [], "verify": [0, []]}
+
+
 def test_the_dim3_region_ladder_serves_the_whole_fit_grid_in_a_minute():
     done = _fresh_python(["-m", "sntail.cli", "verify", "--n", "4",
                           "--model", "iid-student-t:nu=5", "--seed", "1"], timeout=60)

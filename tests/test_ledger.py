@@ -193,6 +193,82 @@ def test_verify_takes_the_region_oracle_for_a_shifted_normal():
     assert "mc_tail" not in rows
 
 
+def _gaussian_text(cov, mean=None):
+    text = "gaussian:cov=" + " ".join(repr(float(x)) for x in np.ravel(cov))
+    if mean is not None:
+        text += ",mean=" + " ".join(repr(float(x)) for x in mean)
+    return text
+
+
+_EQUICORRELATED_3 = "gaussian:cov=1 0.3 0.3 0.3 1 0.3 0.3 0.3 1"
+_GAUSS_ROWS = (
+    "det_anti_hessian", "anti_hessian_diag", "anti_hessian_off", "k_constant",
+    "tail_constant", "sandwich", "rademacher_tail", "degenerate_tail",
+    "log_growth_limit",
+)
+
+
+def test_a_centred_gaussian_ledger_keeps_its_nine_rows(capsys):
+    # the exact tail constant changes no route: a centred gaussian has no
+    # sphere law, so no MC or cross-oracle row, and its tail-constant row
+    # is judged by the eigenvalue route
+    argv = ["verify", "--n", "3", "--model", _EQUICORRELATED_3, "--workers", "1",
+            "--seed", "1", "--format", "json"]
+    assert cli.main(argv) == 0
+    records = json.loads(capsys.readouterr().out)["records"]
+    kinds = [r["quantity"].split("(")[0] for r in records]
+    assert sorted(kinds) == sorted(_GAUSS_ROWS)
+    tail = next(r for r in records if r["quantity"].startswith("tail_constant"))
+    assert "eigenvalues" in tail["note"]
+    assert abs(tail["ratio_corrected_oracle"] - 1.0) <= 1e-9
+
+
+def test_oracle_on_an_identity_gaussian_stays_on_region_quadrature(capsys):
+    identity = _gaussian_text(np.eye(4))
+    assert cli.main(["oracle", "--n", "4", "--model", identity, "--eps", "0.1"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["method"] == "region-quadrature"
+
+
+@pytest.mark.parametrize("n", [5, 10, 48, 100])
+def test_a_centred_gaussian_gets_an_exact_tail_constant_past_n_4(n):
+    rng = np.random.default_rng(n)
+    a = rng.standard_normal((n, n))
+    for cov in (0.7 * np.eye(n) + 0.3, a @ a.T / n + 0.5 * np.eye(n)):
+        report = run_verify(_gaussian_text(cov), n=n, seed=1)
+        assert report.exit_code == 0, report.internal_failures
+        row = next(e for e in report.entries if e.quantity.startswith("tail_constant"))
+        assert row.status == "discrepant"
+        assert abs(row.ratio_corrected_oracle - 1.0) <= 1e-9
+        assert "eigenvalues" in row.note
+
+
+def test_a_gaussian_constant_past_the_doubles_reads_untested():
+    # c0 of 0.7 I + 0.3 11^T grows with n and overflows from n = 490; the
+    # row says so instead of raising, and the ledger holds no failure
+    n = 490
+    report = run_verify(_gaussian_text(0.7 * np.eye(n) + 0.3), n=n, seed=1)
+    assert report.exit_code == 0, report.internal_failures
+    row = next(e for e in report.entries if e.quantity.startswith("tail_constant"))
+    assert row.status == "untested"
+    assert row.note == "the quadratic-form law's limit c0 overflows a double at this n"
+
+
+def test_a_shifted_gaussian_keeps_the_region_fit():
+    # a non-zero mean has no quadratic-form law: the region fit at n = 3,
+    # nothing past n = 4.  (The fit's verdict is not asserted: on this
+    # model its free slope reads the O(eps) term and lands 5.5e-3 off.)
+    cov3 = 0.7 * np.eye(3) + 0.3
+    report = run_verify(_gaussian_text(cov3, np.full(3, 0.3)), n=3, seed=1)
+    row = next(e for e in report.entries if e.quantity.startswith("tail_constant"))
+    assert row.note.startswith("leading coefficient of region oracle fit")
+    cov5 = 0.7 * np.eye(5) + 0.3
+    report = run_verify(_gaussian_text(cov5, np.full(5, 0.3)), n=5, seed=1)
+    row = next(e for e in report.entries if e.quantity.startswith("tail_constant"))
+    assert row.status == "untested"
+    assert row.note == "no exact oracle for this model at this dimension"
+
+
 def test_verify_n2_has_a_sandwich_row():
     report = run_verify(n=2, trials=20_000)
     assert report.exit_code == 0
@@ -341,7 +417,7 @@ def test_verify_n4_folded_reads_untested_on_a_missed_grid():
     assert row.status == "untested"
     assert row.note == (
         "oracle quadrature budget exhausted: region quadrature missed relative "
-        "target 1.0e-06; last refinement moved the value by 3.516e-10"
+        "target 1.0e-06; last refinement moved the value at eps = 0.001 by 2.224e-06 of itself"
     )
 
 

@@ -12,6 +12,7 @@ from sntail.density import DISCRETE_MODELS, DensityModel, QuadratureError
 from sntail.oracles import (
     degenerate_component_check,
     leading_coeff_fit,
+    normal_log_tail_constant,
     rademacher_tail_exact,
     region_tail_integral,
     regularized_incomplete_beta,
@@ -97,6 +98,62 @@ def test_sphere_tail_constant_is_the_corrected_prediction():
     assert sphere_tail_constant(1000) == 0.0
     with pytest.raises(ValueError):
         sphere_tail_constant(1)
+
+
+def _random_spd(n, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, n))
+    return a @ a.T / n + 0.5 * np.eye(n)
+
+
+@pytest.mark.parametrize("n", [2, 3, 10, 100])
+def test_normal_constant_is_the_sphere_law_on_an_isotropic_normal(n):
+    # log c0, compared in the log: at n = 100 it is about -80, where one
+    # ulp of it is 1.4e-14 of c0
+    sphere = math.log(sphere_tail_constant(n))
+    for sigma in (1.0, 0.37, 2.5):
+        iid = DensityModel.iid_normal(n, sigma=sigma)
+        isotropic = DensityModel.gaussian(np.zeros(n), sigma * sigma * np.eye(n))
+        for model in (iid, isotropic):
+            got = normal_log_tail_constant(model, 2.0)
+            assert got == pytest.approx(sphere, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 10, 30, 100])
+def test_normal_constant_is_the_corrected_prediction(n):
+    from sntail.asymptotics import TailQuery, predict_tail
+
+    for seed in (1, 2):
+        model = DensityModel.gaussian(np.zeros(n), _random_spd(n, seed))
+        predicted = predict_tail(model, TailQuery(0.1), "corrected").constant
+        exact = math.exp(normal_log_tail_constant(model, 2.0))
+        assert predicted == pytest.approx(exact, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_normal_constant_is_the_limit_of_the_region_oracle(n):
+    # the region quadrature shares nothing with the eigenvalues: its tail
+    # over c0 eps^a meets 1 at O(eps), 100 times closer at eps = 1e-6
+    # than at 1e-4 (an error in c0 would leave a floor instead)
+    a = 0.5 * (n - 1)
+    for cov in (_random_spd(n, 31), 0.7 * np.eye(n) + 0.3):
+        model = DensityModel.gaussian(np.zeros(n), cov)
+        c0 = math.exp(normal_log_tail_constant(model, 2.0))
+        grid = np.array([1e-6, 1e-4])
+        gap = region_tail_integral(model, grid).value / (c0 * grid**a) - 1.0
+        assert abs(gap[0]) <= 1e-5
+        assert 50.0 <= gap[1] / gap[0] <= 200.0
+
+
+def test_normal_constant_needs_a_centred_normal_at_beta_2():
+    cov = _random_spd(3, 4)
+    assert normal_log_tail_constant(DensityModel.gaussian(np.full(3, 0.3), cov), 2.0) is None
+    assert normal_log_tail_constant(DensityModel.gaussian(np.zeros(3), cov), 3.0) is None
+    assert normal_log_tail_constant(DensityModel.iid_normal(3, mu=0.3), 2.0) is None
+    assert normal_log_tail_constant(DensityModel.iid_normal(3), 1.5) is None
+    assert normal_log_tail_constant(DensityModel.iid_student_t(3, 5.0), 2.0) is None
+    for name in DISCRETE_MODELS:
+        assert normal_log_tail_constant(name, 2.0) is None
 
 
 def test_incomplete_beta_symmetry_sweep():
