@@ -31,13 +31,13 @@ from .density import DensityModel, QuadratureError, parse_model
 from .montecarlo import MIN_EXPECTED_HITS, MIN_TRIALS, SamplerSpec, StatisticSpec, estimate_tail
 from .oracles import (
     degenerate_component_check,
-    leading_coeff_fit,
     normal_log_tail_constant,
     rademacher_tail_exact,
     region_tail_integral,
     sphere_law_applies,
     sphere_tail_exact,
 )
+from .oracles import leading_coeff_fit  # noqa: F401  (perfbench hooks ledger.leading_coeff_fit)
 
 __all__ = ["LedgerEntry", "VerifyReport", "run_verify", "LEDGER_FIELDS"]
 
@@ -53,6 +53,12 @@ LEDGER_FIELDS = (
 )
 
 _STATUSES = ("confirmed", "discrepant", "untested")
+
+# The one eps at which the tail-constant row reads q / eps^((n-1)/2) off
+# the region oracle: off c0 by kappa_1 eps0 (at most 2e-8 on a smooth law)
+# or a sqrt(eps0) kink term (5.1e-5 on the folded normal).  The oracle's
+# boundary-rounding floor grows as 1/eps0: 3.3e-7 here, 1e-5 at 1e-10.
+EPS0 = 1e-8
 
 
 @dataclass(frozen=True)
@@ -187,8 +193,9 @@ def run_verify(
 ) -> VerifyReport:
     """Build the verification ledger for one (model, n, beta) setting.
 
-    Region-integral rows need 2 <= n <= 4 and are skipped (status
-    "untested") outside that range.  A published value is judged by
+    Region-integral rows (the sandwich, the cross-oracle row, and the tail
+    constant of a law with no exact limit, read at EPS0) need 2 <= n <= 4.
+    A published value is judged by
     `_finding`, and the package's own routes against each other by
     `_own_check` (see the module docstring).  `eps` must hold exactly one
     value.
@@ -351,9 +358,10 @@ def _tail_constant_row(model: DensityModel, epsilon: float, failures: list[str])
     for a centred normal at any n, the exact law's limit
     (`normal_log_tail_constant`: the sphere law's closed form for an iid
     normal, the eigenvalues of the quadratic form for a gaussian), met to
-    1e-9; else, for 2 <= n <= 4, a power-law fit of the region oracle on a
-    low eps grid, met to 5e-3.  A limit that is not a normal double, an
-    oracle of 0.0 on the grid or a failed prediction reads "untested"."""
+    1e-9; else, for 2 <= n <= 4, the region oracle's q / eps0^a at the one
+    small eps0 = EPS0, met to 5e-3.  A limit that is not a normal double, a
+    region oracle of 0.0 or out of budget, or a failed prediction reads
+    "untested"."""
     n = model.n
     quantity = f"tail_constant(n={n})"
     log_c0 = normal_log_tail_constant(model, 2.0)
@@ -373,28 +381,25 @@ def _tail_constant_row(model: DensityModel, epsilon: float, failures: list[str])
             "L^T (n I - 11^T) L"
         )
     elif 2 <= n <= 4:
-        # 1e-6 is plenty under the 0.5% gate.  The z-plan starts each
-        # folded-normal ray at its support edge, but at n = 3, 4 that
-        # profile is kinked along v_i = 1 and v_i = v_j, off the pole of
-        # the polar rule, so the ladder converges only algebraically: it
-        # reaches 1e-6 at n = 3 and runs out of levels at n = 4.
-        def evaluator(grid: np.ndarray) -> np.ndarray:
-            return region_tail_integral(model, grid, 2.0, "weighted", rel_target=1e-6).value
-
-        # Low grid: the tail's O(eps) relative correction (about 0.4% at
-        # eps = 1e-2 for heavy-tailed models) must stay under the gate.
+        # 1e-6 is plenty under the 0.5% gate, and every model settles at
+        # level 1 there; the folded normal's kinked profile would take
+        # n = 4 to level 3 for 1e-8.
         try:
-            fit = leading_coeff_fit(evaluator, n, np.geomspace(1e-4, 1e-3, 7))
+            region = region_tail_integral(model, EPS0, 2.0, "weighted", rel_target=1e-6)
         except QuadratureError as exc:
             return _untested(quantity, f"oracle quadrature budget exhausted: {exc}")
-        except ValueError as exc:
-            # a law whose mass lies far from the all-ones ray (a normal
-            # centred at -20) reads a region oracle of 0.0
-            return _untested(quantity, f"region oracle is 0.0 on the fit grid: {exc}")
-        oracle, rel = fit.coefficient, 5e-3
+        if region.value == 0.0:
+            return _untested(quantity, (
+                f"region oracle is 0.0 at eps0 = {EPS0:g}: the weighted integrand is "
+                "0.0 at every node, as for a law centred far from the all-ones ray"
+            ))
+        a = 0.5 * (n - 1)
+        oracle, rel = region.value / EPS0**a, 5e-3
+        meta = region.metadata
         note = (
-            f"leading coefficient of region oracle fit, exponent {fit.exponent:.6g} "
-            f"(expected {fit.expected_exponent:g})"
+            f"region oracle q / eps0^{a:g} at eps0 = {EPS0:g}: refinement level "
+            f"{meta['refinement_level']}, {meta['nodes']} nodes profiled, relative "
+            f"error estimate {region.error_estimate / region.value:.1e}"
         )
     else:
         return _untested(quantity, "no exact oracle for this model at this dimension")

@@ -16,9 +16,9 @@ sharing no algebra with the formulas under test:
   rademacher_tail_exact   exhaustive enumeration of all sign vectors
   degenerate_component_check  exact reduction when one coordinate is pinned
 
-`leading_coeff_fit` extracts the small-epsilon power law from a route with
-no closed-form limit (the region quadrature, for the other models at
-n <= 4).
+Where no closed-form limit exists (the other models at n <= 4) the
+ledger reads the region quadrature at one small eps.  `leading_coeff_fit`
+fits a power law to any tail evaluator on an eps grid.
 """
 
 from __future__ import annotations
@@ -65,11 +65,11 @@ _FPMIN = 1e-300
 
 @dataclass(frozen=True)
 class OracleResult:
-    """One oracle route's value and own error estimate; arrays, in grid order, for a grid."""
+    """One oracle route's value and own error estimate."""
 
-    value: float | np.ndarray
+    value: float
     method: str
-    error_estimate: float | np.ndarray
+    error_estimate: float
     metadata: Mapping[str, object]
 
 
@@ -376,17 +376,6 @@ def _fejer2(count: int) -> tuple[np.ndarray, np.ndarray]:
     return np.cos(theta), (4.0 / count) * weights
 
 
-def _fejer2_partial(count: int, upper: np.ndarray) -> np.ndarray:
-    """Weights (..., count - 1) integrating `_fejer2`'s interpolant, the sine
-    series f(cos th) sin th = sum_{k < count} b_k sin(k th), over [-1, upper]
-    (...): exact where that rule is, and its weights at upper = 1 (Waldvogel)."""
-    k = np.arange(1, count)
-    theta = k * (math.pi / count)
-    cut = np.arccos(np.clip(upper, -1.0, 1.0))
-    series = (np.cos(np.multiply.outer(cut, k)) - (-1.0) ** k) / k
-    return (2.0 / count) * np.sin(theta) * (series @ np.sin(np.outer(k, theta)))
-
-
 def _directions(dim: int, count: int) -> tuple[np.ndarray, np.ndarray]:
     """Rule on the unit sphere of R^dim: directions (..., dim), weights (...).
 
@@ -433,7 +422,7 @@ _KEPT = {
 
 def region_tail_integral(
     model: DensityModel,
-    epsilon: float | np.ndarray,
+    epsilon: float,
     beta: float = 2.0,
     integrand: str = "weighted",
     rel_target: float = 1e-8,
@@ -454,30 +443,23 @@ def region_tail_integral(
     `_reach`, exact for beta = 2, where the region is an ellipsoid and no
     root search runs; other beta bisect g.  Both rules are nested, so every
     refinement level doubles each count and evaluates, in one
-    `profile_batch` call, only the nodes the previous level lacks.  An eps
+    `profile_batch` call, only the nodes the previous level lacks.  The value
     settles at level L once |L - (L-1)| <= rel_target * |L|; the error
     estimate adds to that difference the z-plan's certified tolerance and
     the rounding of the boundary.  The z-plan starts each ray at its
     support start where the model has one (the folded normal), so its
     check passes there too.  A density whose profiles defeat the check (a
-    user density with a support edge) raises QuadratureError, as does an
-    eps that misses rel_target at the finest level.
+    user density with a support edge) raises QuadratureError, as does a
+    value that misses rel_target at the finest level.
 
     For an `exchangeable` model with n >= 3 the integrand is symmetric
     under swapping v1 and v2, which maps the grid onto itself.  Each level
     then profiles only its canonical nodes, those with v1 >= v2, and each
     mirror node copies its twin's value; the rule, its sums and the error
-    estimate are unchanged.
-
-    `epsilon` may be a 1-D grid, giving `value` and `error_estimate` arrays
-    in its order.  Its regions are nested balls, so one ladder evaluates
-    profiles out to the largest eps's boundary, which keeps `_fejer2`'s
-    weights as a float does, and a smaller eps integrates the same radial
-    interpolant over [0, its reach / the largest's] (`_fejer2_partial`).
-    Each eps keeps the value of the level where it settles.  metadata counts
-    the ladder's last "refinement_level" and the "nodes" whose integrand it
-    evaluated, over all levels: a mirror node copied from its twin is not
-    counted (at level 1, 2499 of 4896 nodes at n = 3, 6375 of 12000 at n = 4).
+    estimate are unchanged.  metadata counts the ladder's last
+    "refinement_level" and the "nodes" whose integrand it evaluated, over
+    all levels: a mirror node copied from its twin is not counted (at level
+    1, 2499 of 4896 nodes at n = 3, 6375 of 12000 at n = 4).
 
     The model's dimension n is capped at 4 (one to three region dimensions).
     """
@@ -486,19 +468,18 @@ def region_tail_integral(
     n = model.n
     if not 2 <= n <= 4:
         raise ValueError(f"region quadrature supports 2 <= n <= 4, got {n}")
-    eps = np.atleast_1d(np.asarray(epsilon, dtype=float))
+    epsilon = float(epsilon)
     window = tail_window(n, beta)
-    if eps.ndim != 1 or not 0.0 < eps.min() <= eps.max() < window:
+    if not 0.0 < epsilon < window:
         raise ValueError(
             f"epsilon must lie in (0, {window:.6g}) for n = {n}, beta = {beta}"
         )
     rel_target = max(rel_target, 1e-12)
     dim = n - 1
-    top = int(np.argmax(eps))
 
     # Shared ray-parameter quadrature plan, built from boundary probes.
     probe_dirs = _directions(dim, 16 if dim == 2 else 4)[0].reshape(-1, dim)
-    probe_r = _reach(probe_dirs, n, beta, eps[top])
+    probe_r = _reach(probe_dirs, n, beta, epsilon)
     probes = np.vstack((np.ones((1, dim)), 1.0 + probe_r[:, None] * probe_dirs))
     plan = build_z_plan(model, probes)
 
@@ -520,20 +501,18 @@ def region_tail_integral(
     # by dim/2 times as much relative to eps.  That bounds the bisection of
     # beta != 2; the closed-form reach of beta = 2 is far more accurate, so
     # there the term is conservative.
-    level = n ** (1.0 - 1.0 / beta) - eps
-    floor = Z_PLAN_RTOL + dim * np.finfo(float).eps * level / eps
+    level = n ** (1.0 - 1.0 / beta) - epsilon
+    floor = Z_PLAN_RTOL + dim * np.finfo(float).eps * level / epsilon
 
     fold = model.exchangeable and dim >= 2
     dir_count, radial_count, max_level = _LADDER[dim]
-    values, prev, diff, nodes_used = None, np.full(eps.shape, np.nan), np.empty(eps.shape), 0
-    open_ = np.ones(eps.shape, dtype=bool)
+    values, prev, nodes_used = None, math.nan, 0
     for lvl in range(max_level + 1):
         dirs, dir_w = _directions(dim, dir_count * 2**lvl)
         axes = dirs @ shape
         stretch = np.linalg.norm(axes, axis=-1)
         axes /= stretch[..., None]
-        flat = axes.reshape(-1, dim)
-        reach = _reach(flat, n, beta, eps[top]).reshape(dir_w.shape)
+        reach = _reach(axes.reshape(-1, dim), n, beta, epsilon).reshape(dir_w.shape)
         x, w = _fejer2(radial_count * 2**lvl)
         s, s_w = 0.5 * (x + 1.0), 0.5 * w
         grid = np.empty(reach.shape + s.shape)
@@ -562,37 +541,27 @@ def region_tail_integral(
             grid[mirrored] = np.take(grid, twin, axis=dim - 2)[mirrored]
         nodes_used += idx[0].size
         values = grid
-        polar = grid * s ** (dim - 1)
-        for k in np.flatnonzero(open_):
-            if k == top:
-                radial = polar @ s_w
-            else:
-                t = _reach(flat, n, beta, eps[k]).reshape(dir_w.shape) / reach
-                radial = 0.5 * np.sum(polar * _fejer2_partial(x.size + 1, 2.0 * t - 1.0), -1)
-            current = jacobian * float(np.sum(dir_w * (reach / stretch) ** dim * radial))
-            diff[k], prev[k] = abs(current - prev[k]), current
-            open_[k] = not diff[k] <= rel_target * max(abs(current), 1e-300)
-        if not open_.any():
-            scalar = np.ndim(epsilon) == 0
-            error = diff + floor * np.abs(prev)
+        radial = (grid * s ** (dim - 1)) @ s_w
+        current = jacobian * float(np.sum(dir_w * (reach / stretch) ** dim * radial))
+        diff, prev = abs(current - prev), current
+        if diff <= rel_target * max(abs(current), 1e-300):
             return OracleResult(
-                value=float(prev[0]) if scalar else prev,
+                value=current,
                 method="region-quadrature",
-                error_estimate=float(error[0]) if scalar else error,
+                error_estimate=float(diff + floor * abs(current)),
                 metadata={
                     "n": n,
-                    "epsilon": float(epsilon) if scalar else tuple(eps.tolist()),
+                    "epsilon": epsilon,
                     "beta": float(beta),
                     "integrand": integrand,
                     "refinement_level": lvl,
                     "nodes": nodes_used,
                 },
             )
-    moved = np.where(open_, diff / np.maximum(np.abs(prev), 1e-300), 0.0)
-    k = int(np.argmax(moved))
     raise QuadratureError(
         f"region quadrature missed relative target {rel_target:.1e}; last "
-        f"refinement moved the value at eps = {eps[k]:g} by {moved[k]:.3e} of itself"
+        f"refinement moved the value at eps = {epsilon:g} by "
+        f"{diff / max(abs(prev), 1e-300):.3e} of itself"
     )
 
 

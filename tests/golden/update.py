@@ -42,13 +42,16 @@ COMMANDS: dict[str, list[str]] = {
     "verify-n2-folded": ["verify", "--n", "2", "--model", "iid-folded-normal"],
     # The ledger's other exits: no exact oracle, an unresolved MC row, the
     # sphere law's closed-form limit past the old fit's reach (n = 48, 120
-    # and 150, each exit 0), and the region route for a shifted normal.
+    # and 150, each exit 0), and the region read at eps0 for a shifted
+    # normal and a shifted equicorrelated gaussian.
     "verify-n5-student": ["verify", "--n", "5", "--model", "iid-student-t:nu=5"],
     "verify-n10": ["verify", "--n", "10", "--trials", "1000"],
     "verify-n48": ["verify", "--n", "48", "--trials", "1000"],
     "verify-n120": ["verify", "--n", "120", "--trials", "1000"],
     "verify-n150": ["verify", "--n", "150", "--trials", "1000"],
     "verify-n3-shifted": ["verify", "--n", "3", "--model", "iid-normal:mu=0.3"],
+    "verify-n3-shifted-gauss": ["verify", "--n", "3", "--model",
+                                f"gaussian:cov={_EQUICORRELATED_3},mean=0.3 0.3 0.3"],
     "oracle-n4": ["oracle", "--n", "4", "--model", f"gaussian:cov={_IDENTITY_4}",
                   "--eps", "0.1"],
     "oracle-n2-folded": ["oracle", "--n", "2", "--model", "iid-folded-normal"],

@@ -225,7 +225,7 @@ def test_criterion_09_beta_generalization():
     assert 0.01 < tail_window(2, 3.0)
     grid = np.geomspace(0.001, 0.01, 6)
     fit = leading_coeff_fit(
-        lambda grid: region_tail_integral(model, grid, 3.0, "weighted").value,
+        lambda grid: [region_tail_integral(model, e, 3.0, "weighted").value for e in grid],
         2,
         grid,
     )

@@ -254,14 +254,16 @@ def test_a_gaussian_constant_past_the_doubles_reads_untested():
     assert row.note == "the quadratic-form law's limit c0 overflows a double at this n"
 
 
-def test_a_shifted_gaussian_keeps_the_region_fit():
-    # a non-zero mean has no quadratic-form law: the region fit at n = 3,
-    # nothing past n = 4.  (The fit's verdict is not asserted: on this
-    # model its free slope reads the O(eps) term and lands 5.5e-3 off.)
+def test_a_shifted_gaussian_gets_a_region_verdict():
+    # a non-zero mean has no quadratic-form law: the region oracle read at
+    # eps0 at n = 3, nothing past n = 4
     cov3 = 0.7 * np.eye(3) + 0.3
     report = run_verify(_gaussian_text(cov3, np.full(3, 0.3)), n=3, seed=1)
+    assert report.exit_code == 0, report.internal_failures
     row = next(e for e in report.entries if e.quantity.startswith("tail_constant"))
-    assert row.note.startswith("leading coefficient of region oracle fit")
+    assert row.status == "discrepant"
+    assert abs(row.ratio_corrected_oracle - 1.0) <= 1e-6
+    assert row.note.startswith("region oracle q / eps0^1 at eps0 = 1e-08: refinement level 1,")
     cov5 = 0.7 * np.eye(5) + 0.3
     report = run_verify(_gaussian_text(cov5, np.full(5, 0.3)), n=5, seed=1)
     row = next(e for e in report.entries if e.quantity.startswith("tail_constant"))
@@ -365,16 +367,16 @@ def test_tail_constant_meets_the_sphere_law_limit_at_every_n(n):
 
 
 def test_region_oracle_of_zero_reads_untested_and_says_why(capsys):
-    # the region oracle reads 0.0 on the fit grid for a normal centred at
-    # -20, at any n: the row says so, and verify still exits 0
+    # the region oracle reads 0.0 at eps0 for a normal centred at -20:
+    # the row says so, and verify still exits 0
     model = "gaussian:cov=1 0 0 1,mean=-20 -20"
     assert cli.main(["verify", "--n", "2", "--model", model, "--trials", "1000"]) == 0
     records = json.loads(capsys.readouterr().out)["records"]
     row = next(r for r in records if r["quantity"].startswith("tail_constant"))
     assert row["status"] == "untested"
     assert row["note"] == (
-        "region oracle is 0.0 on the fit grid: tail evaluator returned "
-        "non-positive values; nothing to fit"
+        "region oracle is 0.0 at eps0 = 1e-08: the weighted integrand is 0.0 "
+        "at every node, as for a law centred far from the all-ones ray"
     )
 
 
@@ -394,30 +396,44 @@ def test_k_constant_note_gives_the_log_ratio_where_the_ratio_underflows():
 
 
 def test_tail_constant_fit_runs_one_region_ladder(monkeypatch):
-    # the fit reaches the region oracle through ledger.region_tail_integral,
-    # the name the tracer hooks, once for its whole grid
+    # the row reaches the region oracle through ledger.region_tail_integral,
+    # the name the tracer hooks, once, at the one float eps0
     calls = []
     original = ledger.region_tail_integral
 
     def recording(model, epsilon, *args, **kwargs):
-        calls.append(np.atleast_1d(epsilon).size)
+        calls.append(epsilon)
         return original(model, epsilon, *args, **kwargs)
 
     monkeypatch.setattr(ledger, "region_tail_integral", recording)
     report = run_verify("iid-student-t:nu=5", n=3)
     row = next(e for e in report.entries if e.quantity.startswith("tail_constant"))
     assert row.oracle_value is not None
-    assert calls == [7]
+    assert calls == [ledger.EPS0]
+    assert type(calls[0]) is float
 
 
-def test_verify_n4_folded_reads_untested_on_a_missed_grid():
-    # the folded normal's kinked profile runs the n = 4 ladder out of levels
-    report = run_verify("iid-folded-normal", n=4, seed=1)
+@pytest.mark.parametrize("model, n, bound", [
+    pytest.param(model, n, bound, id=f"{model}-{n}")
+    for model, ns, bound in (
+        ("iid-student-t:nu=5", (2, 3, 4), 1e-6),
+        ("iid-normal:mu=0.3", (3, 4), 1e-6),
+        # the folded normal's profile is kinked at the all-ones point, so
+        # its tail carries a sqrt(eps) term: 4.3e-5 to 5.1e-5 at eps0
+        ("iid-folded-normal", (2, 3, 4), 1e-4),
+    )
+    for n in ns
+])
+def test_region_read_meets_the_corrected_constant(model, n, bound):
+    # one read of the region oracle at eps0 settles at level 1 and meets
+    # the corrected constant far inside the 5e-3 gate
+    report = run_verify(model, n=n, seed=1)
+    assert report.exit_code == 0, report.internal_failures
     row = next(e for e in report.entries if e.quantity.startswith("tail_constant"))
-    assert row.status == "untested"
-    assert row.note == (
-        "oracle quadrature budget exhausted: region quadrature missed relative "
-        "target 1.0e-06; last refinement moved the value at eps = 0.001 by 2.224e-06 of itself"
+    assert row.status == "discrepant"
+    assert abs(row.ratio_corrected_oracle - 1.0) <= bound
+    assert row.note.startswith(
+        f"region oracle q / eps0^{0.5 * (n - 1):g} at eps0 = 1e-08: refinement level 1,"
     )
 
 

@@ -139,8 +139,8 @@ def test_normal_constant_is_the_limit_of_the_region_oracle(n):
     for cov in (_random_spd(n, 31), 0.7 * np.eye(n) + 0.3):
         model = DensityModel.gaussian(np.zeros(n), cov)
         c0 = math.exp(normal_log_tail_constant(model, 2.0))
-        grid = np.array([1e-6, 1e-4])
-        gap = region_tail_integral(model, grid).value / (c0 * grid**a) - 1.0
+        gap = [region_tail_integral(model, eps).value / (c0 * eps**a) - 1.0
+               for eps in (1e-6, 1e-4)]
         assert abs(gap[0]) <= 1e-5
         assert 50.0 <= gap[1] / gap[0] <= 200.0
 
@@ -484,41 +484,8 @@ def test_region_values_frozen(make_model, n, eps, beta, frozen):
     assert res.value == pytest.approx(frozen, rel=1e-11)
 
 
-_FIT_GRID = np.geomspace(1e-4, 1e-3, 7)
-
-
 def _equicorrelated(n):
     return DensityModel.gaussian(np.zeros(n), 0.7 * np.eye(n) + 0.3)
-
-
-@pytest.mark.parametrize("make_model, n", [
-    (_equicorrelated, 2), (_equicorrelated, 3), (_equicorrelated, 4),
-    (lambda n: DensityModel.iid_student_t(n, 5.0), 2),
-    (lambda n: DensityModel.iid_student_t(n, 5.0), 3),
-    (lambda n: DensityModel.iid_student_t(n, 5.0), 4),
-    (DensityModel.iid_folded_normal, 2),
-    (DensityModel.iid_folded_normal, 3),
-])
-def test_region_grid_matches_float_calls(make_model, n):
-    # one ladder for the fit's grid gives each eps what its own ladder gives;
-    # the folded normal at n = 3 settles its eps at different levels
-    model = make_model(n)
-    grid = region_tail_integral(model, _FIT_GRID, 2.0, "weighted", rel_target=1e-6)
-    single = [
-        region_tail_integral(model, float(e), 2.0, "weighted", rel_target=1e-6)
-        for e in _FIT_GRID
-    ]
-    assert grid.value.shape == grid.error_estimate.shape == _FIT_GRID.shape
-    for k, res in enumerate(single):
-        assert grid.value[k] == pytest.approx(res.value, rel=1e-13)
-        assert grid.error_estimate[k] == pytest.approx(res.error_estimate, rel=1e-6)
-    # the largest eps takes the float call's path, bit for bit
-    assert grid.value[-1] == single[-1].value
-    assert grid.error_estimate[-1] == single[-1].error_estimate
-    assert grid.metadata["refinement_level"] == max(
-        r.metadata["refinement_level"] for r in single
-    )
-    assert grid.metadata["nodes"] == single[-1].metadata["nodes"]
 
 
 _EXCHANGEABLE = {
@@ -537,8 +504,6 @@ def test_folded_region_matches_its_unfolded_twin(name, n):
     assert model.exchangeable
     cases = [(0.02 * tail_window(n, beta), beta, integrand)
              for beta in (2.0, 3.0) for integrand in ("weighted", "paper")]
-    if n == 3:
-        cases.append((_FIT_GRID, 2.0, "weighted"))
     for eps, beta, integrand in cases:
         folded = region_tail_integral(model, eps, beta, integrand)
         twin = region_tail_integral(_unfolded_twin(model), eps, beta, integrand)
@@ -547,37 +512,16 @@ def test_folded_region_matches_its_unfolded_twin(name, n):
         np.testing.assert_allclose(folded.value, twin.value, rtol=1e-13, atol=0.0)
 
 
-def test_region_grid_keeps_its_order():
-    model = DensityModel.iid_student_t(3, 5.0)
-    ascending = region_tail_integral(model, _FIT_GRID, 2.0, "weighted")
-    shuffled = region_tail_integral(model, _FIT_GRID[[3, 6, 0, 5, 1, 4, 2]], 2.0, "weighted")
-    assert np.array_equal(shuffled.value, ascending.value[[3, 6, 0, 5, 1, 4, 2]])
-    with pytest.raises(ValueError):
-        region_tail_integral(model, np.array([1e-3, 2.0 * tail_window(3, 2.0)]))
-    with pytest.raises(ValueError):
-        region_tail_integral(model, np.array([]))
-
-
-@pytest.mark.parametrize("count", [7, 13, 26, 52])
-def test_fejer2_partial_weights(count):
-    # exact for s**k on [0, t], k <= count - 2, on the radius s = (x + 1) / 2
-    x, w = oracles._fejer2(count)
-    s = 0.5 * (x + 1.0)
-    t = np.array([0.0, 0.05, 0.3, 0.5, 0.77, 1.0])
-    weights = 0.5 * oracles._fejer2_partial(count, 2.0 * t - 1.0)
-    assert weights.shape == (t.size, count - 1)
-    for k in range(count - 1):
-        assert np.allclose(weights @ s**k, t ** (k + 1) / (k + 1), rtol=1e-13, atol=1e-15)
-    # at t = 1 they are the full rule's weights
-    assert np.allclose(2.0 * weights[-1], w, rtol=0.0, atol=1e-15)
-
-
 def test_region_grid_raises_when_one_eps_misses(monkeypatch):
-    # the folded normal at n = 3 settles its smaller eps at level 3 and its
-    # largest at level 4; with level 3 the finest, only the largest misses
+    # the folded normal at n = 3 settles eps = 1e-4 at level 3 and 1e-3 at
+    # level 4; with level 3 the finest, 1e-3 misses and names its last move
     monkeypatch.setitem(oracles._LADDER, 2, (48, 26, 3))
     model = DensityModel.iid_folded_normal(3)
-    with pytest.raises(QuadratureError, match="missed relative target 1.0e-06"):
-        region_tail_integral(model, _FIT_GRID, 2.0, "weighted", rel_target=1e-6)
-    res = region_tail_integral(model, _FIT_GRID[:-1], 2.0, "weighted", rel_target=1e-6)
+    with pytest.raises(QuadratureError) as info:
+        region_tail_integral(model, 1e-3, 2.0, "weighted", rel_target=1e-6)
+    assert str(info.value) == (
+        "region quadrature missed relative target 1.0e-06; last refinement "
+        "moved the value at eps = 0.001 by 1.191e-06 of itself"
+    )
+    res = region_tail_integral(model, 1e-4, 2.0, "weighted", rel_target=1e-6)
     assert res.metadata["refinement_level"] == 3
