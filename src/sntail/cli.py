@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import hashlib
 import io
 import json
@@ -54,13 +55,14 @@ from .montecarlo import (
     estimate_tail,
 )
 from .oracles import (
+    TailLaw,
     degenerate_component_check,
     rademacher_tail_exact,
     region_tail_integral,
-    sphere_law_applies,
-    sphere_tail_exact,
+    tail_law,
     tail_window,
 )
+from .oracles import sphere_tail_exact  # noqa: F401  (perfbench hooks cli.sphere_tail_exact)
 
 __all__ = [
     "ExperimentConfig",
@@ -492,21 +494,22 @@ def _run_bounds(config: ExperimentConfig):
 
 def _run_oracle(config: ExperimentConfig):
     model = parse_model(config.model, config.n)
+    law = tail_law(model, config.beta)
+    if isinstance(model, DiscreteModel):
+        # both discrete oracles compute the beta = 2 statistic
+        if config.beta != 2.0:
+            raise UsageError(f"the {model.kind} oracle is defined for beta = 2")
+        exact = rademacher_tail_exact if model.kind == "rademacher" else degenerate_component_check
+        route = functools.partial(exact, config.n)
+    elif law is not None and law.tail is not None:
+        route = law.tail
+    elif 2 <= config.n <= 4:
+        route = functools.partial(region_tail_integral, model, beta=config.beta)
+    else:
+        raise UsageError("no oracle for this model above n = 4; use mc instead")
     records = []
     for eps in config.eps:
-        if isinstance(model, DiscreteModel):
-            if model.kind == "rademacher":
-                result = rademacher_tail_exact(config.n, eps)
-            else:
-                result = degenerate_component_check(config.n, eps)
-        elif sphere_law_applies(model, config.beta):
-            result = sphere_tail_exact(config.n, math.sqrt(config.n) - eps)
-        elif 2 <= config.n <= 4:
-            result = region_tail_integral(model, eps, config.beta, "weighted")
-        else:
-            raise UsageError(
-                "no oracle for this model above n = 4; use mc instead"
-            )
+        result = route(eps)
         records.append(
             {"n": config.n, "beta": config.beta, "eps": eps,
              "model": config.model, "method": result.method,
@@ -516,9 +519,11 @@ def _run_oracle(config: ExperimentConfig):
     return records, fieldnames, 0
 
 
-def _predicted_tail_for_warning(config: ExperimentConfig, eps: float) -> float | None:
-    """Cheap prediction of the tail size, used only for the rare-event warning."""
-    model = parse_model(config.model, config.n)
+def _predicted_tail_for_warning(
+    config: ExperimentConfig, model: DensityModel | DiscreteModel, law: TailLaw | None, eps: float
+) -> float | None:
+    """Cheap prediction of the tail size, used only for the rare-event
+    warning; `law` is `tail_law(model, config.beta)`."""
     n = config.n
     if isinstance(model, DiscreteModel):
         if model.kind == "rademacher":
@@ -533,8 +538,8 @@ def _predicted_tail_for_warning(config: ExperimentConfig, eps: float) -> float |
         if config.beta == 2.0 and config.statistic == "sum" and n >= 3 and eps < 1.0:
             return degenerate_component_check(n, eps).value
         return None
-    if sphere_law_applies(model, config.beta):
-        return sphere_tail_exact(n, math.sqrt(n) - eps).value
+    if law is not None and law.tail is not None:
+        return law.tail(eps).value
     if eps < tail_window(n, config.beta):
         try:
             return predict_tail(model, TailQuery(eps, config.beta), "corrected").value
@@ -547,6 +552,7 @@ def _run_mc(config: ExperimentConfig):
     model = parse_model(config.model, config.n)
     sampler = SamplerSpec(model, config.seed, config.trials, config.workers)
     stat = StatisticSpec(config.beta, config.statistic)
+    law = tail_law(model, config.beta)
     records = []
     for eps in config.eps:
         est = estimate_tail(sampler, stat, epsilon=eps)
@@ -554,7 +560,7 @@ def _run_mc(config: ExperimentConfig):
         record["model"] = config.model
         record["n"] = config.n
         record["eps"] = eps
-        predicted = _predicted_tail_for_warning(config, eps)
+        predicted = _predicted_tail_for_warning(config, model, law, eps)
         if predicted is not None and predicted * config.trials < MIN_EXPECTED_HITS:
             warning = (
                 f"rare event: predicted probability {predicted:.3g} times "

@@ -30,14 +30,14 @@ from .bounds import validate_sandwich
 from .density import DensityModel, QuadratureError, parse_model
 from .montecarlo import MIN_EXPECTED_HITS, MIN_TRIALS, SamplerSpec, StatisticSpec, estimate_tail
 from .oracles import (
+    TailLaw,
     degenerate_component_check,
-    normal_log_tail_constant,
     rademacher_tail_exact,
     region_tail_integral,
-    sphere_law_applies,
-    sphere_tail_exact,
+    tail_law,
 )
 from .oracles import leading_coeff_fit  # noqa: F401  (perfbench hooks ledger.leading_coeff_fit)
+from .oracles import sphere_tail_exact  # noqa: F401  (perfbench hooks ledger.sphere_tail_exact)
 
 __all__ = ["LedgerEntry", "VerifyReport", "run_verify", "LEDGER_FIELDS"]
 
@@ -193,12 +193,13 @@ def run_verify(
 ) -> VerifyReport:
     """Build the verification ledger for one (model, n, beta) setting.
 
-    Region-integral rows (the sandwich, the cross-oracle row, and the tail
-    constant of a law with no exact limit, read at EPS0) need 2 <= n <= 4.
-    A published value is judged by
-    `_finding`, and the package's own routes against each other by
-    `_own_check` (see the module docstring).  `eps` must hold exactly one
-    value.
+    `oracles.tail_law` alone decides the model's exact law: the tail
+    constant is judged against its c0, and the cross-oracle and Monte Carlo
+    rows run where it has an exact tail.  Region-integral rows (the
+    sandwich, the cross-oracle row, and the tail constant of a model with
+    no law, read at EPS0) need 2 <= n <= 4.  A published value is judged by
+    `_finding`, and our routes against each other by `_own_check` (see the
+    module docstring).  `eps` must hold exactly one value.
     """
     if len(eps) != 1:
         raise ValueError(f"verify takes exactly one eps value, got {len(eps)}")
@@ -207,10 +208,10 @@ def run_verify(
     model = parse_model(model_text, n)
     continuous = isinstance(model, DensityModel)
     epsilon = float(eps[0])
-    # The Monte Carlo row runs where the sphere law gives the exact tail;
-    # its trial floor is checked before any row is built.
-    sphere_law = sphere_law_applies(model, beta)
-    if sphere_law and trials < MIN_TRIALS:
+    # The Monte Carlo row's trial floor is checked before any row is built.
+    law = tail_law(model, beta)
+    exact_tail = law.tail if law is not None else None
+    if exact_tail is not None and trials < MIN_TRIALS:
         raise ValueError(f"need at least {MIN_TRIALS} trials, got {trials}")
 
     spec = AntiHessianSpec(n, beta)
@@ -257,18 +258,18 @@ def run_verify(
     )
 
     if continuous and beta == 2.0:
-        entries.append(_tail_constant_row(model, epsilon, failures))
+        entries.append(_tail_constant_row(model, law, epsilon, failures))
 
     # Cross-oracle consistency: two independent integration routes.
-    if sphere_law and 2 <= n <= 4:
-        sphere_val = sphere_tail_exact(n, math.sqrt(n) - epsilon).value
+    if exact_tail is not None and 2 <= n <= 4:
+        exact_val = exact_tail(epsilon).value
         region_val = region_tail_integral(model, epsilon, 2.0, "weighted").value
         entries.append(_own_check(
-            f"cross_oracle(n={n}, eps={epsilon:g})", None, region_val, sphere_val,
-            abs(region_val / sphere_val - 1.0) <= 1e-5,
-            "region quadrature vs exact sphere law (internal consistency)",
-            f"region vs sphere oracle mismatch at eps={epsilon:g}: "
-            f"{region_val:.12g} vs {sphere_val:.12g}",
+            f"cross_oracle(n={n}, eps={epsilon:g})", None, region_val, exact_val,
+            abs(region_val / exact_val - 1.0) <= 1e-5,
+            f"region quadrature vs exact {law.name} (internal consistency)",
+            f"region vs {law.name} oracle mismatch at eps={epsilon:g}: "
+            f"{region_val:.12g} vs {exact_val:.12g}",
             failures,
         ))
 
@@ -304,13 +305,13 @@ def run_verify(
                 )
             )
 
-    # Monte Carlo vs exact oracle (sphere law only; 5 sigma internal gate).
-    if sphere_law:
+    # Monte Carlo vs the exact law's tail (5 sigma internal gate).
+    if exact_tail is not None:
         est = estimate_tail(
             SamplerSpec(model, seed, trials, workers), StatisticSpec(2.0, "sum"),
             epsilon=epsilon,
         )
-        p_exact = sphere_tail_exact(n, math.sqrt(n) - epsilon).value
+        p_exact = exact_tail(epsilon).value
         within, resolved, gate = est.judge(p_exact)
         note = f"{gate}; 95% CI [{est.ci_low:.6g}, {est.ci_high:.6g}], seed={seed}"
         if not resolved:
@@ -353,33 +354,27 @@ def run_verify(
     return VerifyReport(entries=tuple(entries), internal_failures=tuple(failures))
 
 
-def _tail_constant_row(model: DensityModel, epsilon: float, failures: list[str]) -> LedgerEntry:
+def _tail_constant_row(
+    model: DensityModel, law: TailLaw | None, epsilon: float, failures: list[str]
+) -> LedgerEntry:
     """Tail constant (beta = 2) against the exact oracle's small-eps limit:
-    for a centred normal at any n, the exact law's limit
-    (`normal_log_tail_constant`: the sphere law's closed form for an iid
-    normal, the eigenvalues of the quadratic form for a gaussian), met to
-    1e-9; else, for 2 <= n <= 4, the region oracle's q / eps0^a at the one
-    small eps0 = EPS0, met to 5e-3.  A limit that is not a normal double, a
+    where `oracles.tail_law` gives the model a law (a centred normal, at
+    any n), that law's c0, note and name, met to 1e-9; else, for
+    2 <= n <= 4, the region oracle's q / eps0^a at the one small
+    eps0 = EPS0, met to 5e-3.  A limit that is not a normal double, a
     region oracle of 0.0 or out of budget, or a failed prediction reads
     "untested"."""
     n = model.n
     quantity = f"tail_constant(n={n})"
-    log_c0 = normal_log_tail_constant(model, 2.0)
-    if log_c0 is not None:
-        sphere = model.kind == "iid-normal"
-        law = "the sphere law's" if sphere else "the quadratic-form law's"
+    if law is not None:
+        log_c0 = law.log_c0
         oracle, rel = exp_or_inf(log_c0), 1e-9
         if not np.finfo(float).tiny <= oracle < math.inf:
             # an equicorrelated gaussian's c0 grows with n: 0.7 I + 0.3 11^T
             # overflows from about n = 490
             side = "overflows" if log_c0 > 0.0 else "underflows"
-            return _untested(quantity, f"{law} limit c0 {side} a double at this n")
-        note = (
-            "closed-form limit c0 of the sphere law, (2/sqrt(n))^a / (2a B(a, 1/2))"
-            if sphere else
-            "exact limit c0 of the quadratic-form law, from the eigenvalues of "
-            "L^T (n I - 11^T) L"
-        )
+            return _untested(quantity, f"the {law.name}'s limit c0 {side} a double at this n")
+        note = law.note
     elif 2 <= n <= 4:
         # 1e-6 is plenty under the 0.5% gate, and every model settles at
         # level 1 there; the folded normal's kinked profile would take

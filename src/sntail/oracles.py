@@ -4,27 +4,27 @@ Every closed-form constant this package produces must survive comparison
 against at least one of these routes, each built from first principles and
 sharing no algebra with the formulas under test:
 
+  tail_law                the one table of exact laws: for a centred normal
+                          at beta = 2, the quadratic-form law (Ruben, 1962),
+                          its small-eps limit c0 in log form, and, for an
+                          iid normal, its isotropic case the sphere law
   sphere_tail_exact       regularized incomplete beta: the exact cap law of
-                          the models `sphere_law_applies` admits
-  sphere_tail_constant    that law's small-eps limit q / eps^((n-1)/2), in
-                          closed form
-  normal_log_tail_constant  log of the same limit for any centred normal
-                          at beta = 2: the eigenvalues of the quadratic
-                          form whose sign decides the tail (Ruben, 1962)
+                          a spherically symmetric model
   region_tail_integral    direct quadrature of the joint density over the
                           tail region, in ray coordinates
   rademacher_tail_exact   exhaustive enumeration of all sign vectors
   degenerate_component_check  exact reduction when one coordinate is pinned
 
-Where no closed-form limit exists (the other models at n <= 4) the
-ledger reads the region quadrature at one small eps.  `leading_coeff_fit`
-fits a power law to any tail evaluator on an eps grid.
+Where `tail_law` has no law (the other models at n <= 4) the ledger reads
+the region quadrature at one small eps.  `leading_coeff_fit` fits a power
+law to any tail evaluator on an eps grid.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Mapping
 
 import numpy as np
@@ -43,11 +43,10 @@ from .density import h_profile  # noqa: F401  (perfbench hooks oracles.h_profile
 __all__ = [
     "OracleResult",
     "CoefficientFit",
+    "TailLaw",
     "regularized_incomplete_beta",
-    "sphere_law_applies",
     "sphere_tail_exact",
-    "sphere_tail_constant",
-    "normal_log_tail_constant",
+    "tail_law",
     "rademacher_tail_exact",
     "degenerate_component_check",
     "region_tail_integral",
@@ -173,74 +172,73 @@ def sphere_tail_exact(n: int, threshold: float) -> OracleResult:
     )
 
 
-def _log_sphere_tail_constant(n: int) -> float:
-    a = 0.5 * (n - 1)
-    log_beta = math.lgamma(a) + math.lgamma(0.5) - math.lgamma(a + 0.5)
-    return 0.5 * a * math.log(4.0 / n) - math.log(2.0 * a) - log_beta
+@dataclass(frozen=True, eq=False)
+class TailLaw:
+    """A model's exact law at beta = 2, from `tail_law`: the ledger's `name`
+    and `note` for it, `tail(eps)` = P(T > sqrt(n) - eps) where a closed
+    form exists (else None), and the factor L of the covariance L L^T
+    (None for the sphere law, whose statistic is scale-free)."""
+
+    n: int
+    name: str
+    note: str
+    tail: Callable[[float], OracleResult] | None
+    chol: np.ndarray | None = None
+
+    @cached_property
+    def log_c0(self) -> float:
+        """Log of c0, the small-eps limit of P(T > sqrt(n) - eps) / eps^a
+        with a = (n-1)/2, computed when first read.
+
+        For X ~ N(0, L L^T) and c > 0, T > c exactly when the sum is positive
+        and X^T (11^T - c^2 I) X > 0, so by X -> -X the tail is
+        (1/2) P(Z^T B Z > 0) with Z standard normal and
+        B = L^T (11^T - c^2 I) L (Ruben, Ann. Math. Stat. 33, 1962).  At
+        c = sqrt(n), B = -M with M = L^T (n I - 11^T) L, whose eigenvalues are
+        0 (unit eigenvector u0) and m = n - 1 positive mu_j.  B's one positive
+        eigenvalue grows as kappa eps, kappa = 2 sqrt(n) |L u0|^2, and
+        P(kappa eps Z0^2 > sum_j mu_j Zj^2)
+            = (kappa eps)^a (prod_j mu_j)^(-1/2) / (a B(a, 1/2)) (1 + O(eps)),
+        so log c0 = a log kappa - (1/2) sum_j log mu_j - log(2a B(a, 1/2)).
+        It is formed as the sphere law's log c0 (Sigma = I: kappa = 2 sqrt(n),
+        every mu_j = n) plus the terms by which Sigma departs from I, from one
+        eigh.  The route shares only L with the prediction: no K, no
+        anti-Hessian, no ray profile.
+        """
+        n = self.n
+        a = 0.5 * (n - 1)
+        log_beta = math.lgamma(a) + math.lgamma(0.5) - math.lgamma(a + 0.5)
+        log_c0 = 0.5 * a * math.log(4.0 / n) - math.log(2.0 * a) - log_beta
+        if self.chol is None:
+            return log_c0
+        chol = self.chol
+        col_sums = chol.sum(axis=0)
+        mu, vecs = np.linalg.eigh(n * (chol.T @ chol) - np.outer(col_sums, col_sums))
+        null_image = chol @ vecs[:, 0]
+        return (log_c0 + 0.5 * (n - 1) * math.log(float(null_image @ null_image))
+                - 0.5 * float(np.sum(np.log(mu[1:] / n))))
 
 
-def sphere_tail_constant(n: int) -> float:
-    """Limit c0 of sphere_tail_exact(n, sqrt(n) - eps) / eps^a, a = (n-1)/2.
+def tail_law(model: object, beta: float) -> TailLaw | None:
+    """The exact law of `model` at `beta`, the one place that decides it: a
+    centred normal at beta = 2 has one, every other model and beta None.
 
-    The tail is (1/2) I_x(a, 1/2) with x = (2 sqrt(n) eps - eps^2) / n, and
-    I_x(a, b) = x^a / (a B(a, b)) (1 + O(x)) (DLMF §8.17), so
-    c0 = (2/sqrt(n))^a / (2 a B(a, 1/2)), formed in log form: only the last
-    exp underflows, below the normal doubles from about n = 570.
-    """
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
-    return math.exp(_log_sphere_tail_constant(n))
-
-
-def normal_log_tail_constant(model: object, beta: float) -> float | None:
-    """Exact log c0, c0 the small-eps limit of P(T > sqrt(n) - eps) / eps^a
-    with a = (n-1)/2, for a centred normal law at beta = 2; None elsewhere.
-
-    For X ~ N(0, L L^T) and c > 0, T > c exactly when the sum is positive
-    and X^T (11^T - c^2 I) X > 0, so by X -> -X the tail is
-    (1/2) P(Z^T B Z > 0) with Z standard normal and
-    B = L^T (11^T - c^2 I) L (Ruben, Ann. Math. Stat. 33, 1962).  At
-    c = sqrt(n), B = -M with M = L^T (n I - 11^T) L, whose eigenvalues are
-    0 (unit eigenvector u0) and m = n - 1 positive mu_j.  B's one positive
-    eigenvalue grows as kappa eps, kappa = 2 sqrt(n) |L u0|^2, and
-    P(kappa eps Z0^2 > sum_j mu_j Zj^2)
-        = (kappa eps)^a (prod_j mu_j)^(-1/2) / (a B(a, 1/2)) (1 + O(eps)),
-    so log c0 = a log kappa - (1/2) sum_j log mu_j - log(2a B(a, 1/2)).
-    It is formed as the sphere law's log c0 (Sigma = I: kappa = 2 sqrt(n),
-    every mu_j = n) plus the terms by which Sigma departs from I.  An iid
-    normal, whose statistic is scale-free, takes the sphere law's value
-    with no eigh.
-
-    The route shares only L with the prediction: no K, no anti-Hessian, no
-    ray profile.
+    A centred iid normal (any sigma) has the sphere law, whose tail is
+    `sphere_tail_exact`.  A centred `gaussian` has the quadratic-form law
+    with tail None, even an isotropic one, whose tail is the sphere law's
+    too: the `oracle-n4` benchmark workload checks region quadrature on
+    exactly that model, and `verify-n3-gauss` has no cross-oracle or Monte
+    Carlo row.
     """
     if not (isinstance(model, DensityModel) and model.centred_normal and beta == 2.0):
         return None
     n = model.n
-    log_c0 = _log_sphere_tail_constant(n)
     if model.kind == "iid-normal":
-        return log_c0
-    chol = model.chol
-    col_sums = chol.sum(axis=0)
-    mu, vecs = np.linalg.eigh(n * (chol.T @ chol) - np.outer(col_sums, col_sums))
-    null_image = chol @ vecs[:, 0]
-    return (log_c0 + 0.5 * (n - 1) * math.log(float(null_image @ null_image))
-            - 0.5 * float(np.sum(np.log(mu[1:] / n))))
-
-
-def sphere_law_applies(model: object, beta: float) -> bool:
-    """Whether `sphere_tail_exact` is the tail of `model` at `beta`: only for
-    a centred iid normal (any sigma; the statistic is scale-free) at beta = 2.
-
-    A centred `gaussian` with covariance proportional to I has that law
-    too, but stays with region quadrature: the `oracle-n4` benchmark
-    workload checks that route on exactly that model.  This decides the
-    tail-probability routes (`oracle`, the MC and cross-oracle rows); the
-    tail constant of every centred normal, that gaussian included, comes
-    from `normal_log_tail_constant`.
-    """
-    return (isinstance(model, DensityModel) and model.kind == "iid-normal"
-            and model.sign_symmetric and beta == 2.0)
+        return TailLaw(n, "sphere law", "closed-form limit c0 of the sphere law, "
+                       "(2/sqrt(n))^a / (2a B(a, 1/2))",
+                       lambda eps: sphere_tail_exact(n, math.sqrt(n) - eps))
+    return TailLaw(n, "quadratic-form law", "exact limit c0 of the quadratic-form "
+                   "law, from the eigenvalues of L^T (n I - 11^T) L", None, model.chol)
 
 
 def rademacher_tail_exact(n: int, epsilon: float) -> OracleResult:

@@ -476,9 +476,11 @@ def test_rademacher_warning_predicts_2_to_the_minus_n_below_the_gap_only(
 ):
     config = ExperimentConfig(command="mc", model="rademacher", n=n, beta=beta,
                               statistic=statistic)
+    model = parse_model(config.model, n)
+    law = cli.tail_law(model, beta)
     below, above = 0.999 * gap, 1.001 * gap
-    assert cli._predicted_tail_for_warning(config, below) == 2.0 ** -n
-    assert cli._predicted_tail_for_warning(config, above) is None
+    assert cli._predicted_tail_for_warning(config, model, law, below) == 2.0 ** -n
+    assert cli._predicted_tail_for_warning(config, model, law, above) is None
     if n < 10:
         # by enumeration: the all-plus vector alone clears the threshold
         # below the gap, and more vectors do above it
@@ -580,6 +582,52 @@ def test_oracle_routes(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["method"] == "sphere-exact"
     assert payload["value"] == pytest.approx(0.0288675134595, rel=1e-10)
+
+
+@pytest.mark.parametrize("model, n, beta, eps", [
+    ("degenerate-first-coordinate", 3, 3.0, 0.6),
+    ("rademacher", 20, 1.01, 0.11),
+])
+def test_discrete_oracle_refuses_a_beta_other_than_2(capsys, model, n, beta, eps):
+    # both exact discrete oracles compute the beta = 2 statistic
+    assert main(["oracle", "--model", model, "--n", str(n), "--beta", str(beta),
+                 "--eps", str(eps)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"the {model} oracle is defined for beta = 2" in captured.err
+
+
+def test_only_reading_the_quadratic_form_constant_runs_eigh(capsys, monkeypatch):
+    # the oracle and the sampler never read the law's c0, and the ledger
+    # reads it once
+    real = np.linalg.eigh
+    calls = []
+
+    class EighCalled(Exception):
+        pass
+
+    def refuse(*args, **kwargs):
+        raise EighCalled
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    identity = " ".join("1" if i == j else "0" for i in range(4) for j in range(4))
+    assert main(["oracle", "--n", "4", "--model", f"gaussian:cov={identity}",
+                 "--eps", "0.1"]) == 0
+    assert json.loads(capsys.readouterr().out)["method"] == "region-quadrature"
+    centred = "gaussian:cov=1 0.3 0.3 0.3 1 0.3 0.3 0.3 1"
+    assert main(["mc", "--n", "3", "--model", centred, "--eps", "0.1",
+                 "--trials", "1e4"]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    assert main(["verify", "--n", "3", "--model", centred]) == 0
+    records = json.loads(capsys.readouterr().out)["records"]
+    row = next(r for r in records if r["quantity"] == "tail_constant(n=3)")
+    assert row["status"] == "discrepant" and "quadratic-form law" in row["note"]
+    assert len(calls) == 1
 
 
 def test_twelve_digit_output(capsys):

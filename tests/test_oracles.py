@@ -12,13 +12,11 @@ from sntail.density import DISCRETE_MODELS, DensityModel, QuadratureError
 from sntail.oracles import (
     degenerate_component_check,
     leading_coeff_fit,
-    normal_log_tail_constant,
     rademacher_tail_exact,
     region_tail_integral,
     regularized_incomplete_beta,
-    sphere_law_applies,
-    sphere_tail_constant,
     sphere_tail_exact,
+    tail_law,
     tail_window,
 )
 
@@ -33,18 +31,30 @@ def test_cross_oracle_region_vs_sphere():
             assert region.value == pytest.approx(sphere.value, rel=1e-5)
 
 
+def _exact_tail(model, beta):
+    law = tail_law(model, beta)
+    return None if law is None else law.tail
+
+
+def _sphere_c0(n):
+    return math.exp(tail_law(DensityModel.iid_normal(n), 2.0).log_c0)
+
+
 def test_sphere_law_applies_to_a_centred_iid_normal_at_beta_2_only():
     # the statistic is scale-free, so sigma is free; a shift is not
-    assert sphere_law_applies(DensityModel.iid_normal(3, sigma=2.0), 2.0)
-    assert not sphere_law_applies(DensityModel.iid_normal(3, mu=0.3), 2.0)
-    assert not sphere_law_applies(DensityModel.iid_normal(3), 3.0)
+    law = tail_law(DensityModel.iid_normal(3, sigma=2.0), 2.0)
+    assert law.name == "sphere law"
+    assert law.tail(0.1).value == sphere_tail_exact(3, math.sqrt(3.0) - 0.1).value
+    assert _exact_tail(DensityModel.iid_normal(3, mu=0.3), 2.0) is None
+    assert _exact_tail(DensityModel.iid_normal(3), 3.0) is None
     # uniform on the sphere as well, but left to region quadrature
     isotropic = DensityModel.gaussian(np.zeros(3), 2.0 * np.eye(3))
-    assert not sphere_law_applies(isotropic, 2.0)
-    assert not sphere_law_applies(DensityModel.iid_student_t(3, 5.0), 2.0)
-    assert not sphere_law_applies(DensityModel.iid_folded_normal(3), 2.0)
+    assert tail_law(isotropic, 2.0).name == "quadratic-form law"
+    assert _exact_tail(isotropic, 2.0) is None
+    assert _exact_tail(DensityModel.iid_student_t(3, 5.0), 2.0) is None
+    assert _exact_tail(DensityModel.iid_folded_normal(3), 2.0) is None
     for name in DISCRETE_MODELS:
-        assert not sphere_law_applies(name, 2.0)
+        assert _exact_tail(name, 2.0) is None
 
 
 def test_sphere_tail_shape():
@@ -74,10 +84,11 @@ def test_sphere_tail_constant_is_the_limit_of_the_exact_law(n):
     # I_x(a, 1/2) = x^a / (a B) (1 + a x / (2(a+1)) + ...) (DLMF §8.17) and
     # x = (2 eps / sqrt(n)) (1 - eps / (2 sqrt(n))), k1 = a (1 - a) / (2 sqrt(n) (a+1))
     a = 0.5 * (n - 1)
-    c0 = sphere_tail_constant(n)
+    law = tail_law(DensityModel.iid_normal(n), 2.0)
+    c0 = math.exp(law.log_c0)
     k1 = a * (1.0 - a) / (2.0 * math.sqrt(n) * (a + 1.0))
     for eps in (1e-2, 1e-3, 1e-4):
-        ratio = sphere_tail_exact(n, math.sqrt(n) - eps).value / eps**a / c0
+        ratio = law.tail(eps).value / eps**a / c0
         assert abs(ratio - 1.0) <= n * eps
         assert abs(ratio - 1.0 - k1 * eps) <= eps * eps
     # n = 3 is exactly linear: c0 = 1 / (2 sqrt(3))
@@ -92,12 +103,12 @@ def test_sphere_tail_constant_is_the_corrected_prediction():
 
     for n in range(2, 401):
         predicted = predict_tail(DensityModel.iid_normal(n), TailQuery(0.1)).constant
-        assert predicted == pytest.approx(sphere_tail_constant(n), rel=1e-12, abs=0.0)
+        assert predicted == pytest.approx(_sphere_c0(n), rel=1e-12, abs=0.0)
     # log form: the limit leaves the normal doubles only near n = 570
-    assert sphere_tail_constant(560) > np.finfo(float).tiny
-    assert sphere_tail_constant(1000) == 0.0
+    assert _sphere_c0(560) > np.finfo(float).tiny
+    assert _sphere_c0(1000) == 0.0
     with pytest.raises(ValueError):
-        sphere_tail_constant(1)
+        _sphere_c0(1)
 
 
 def _random_spd(n, seed):
@@ -110,12 +121,12 @@ def _random_spd(n, seed):
 def test_normal_constant_is_the_sphere_law_on_an_isotropic_normal(n):
     # log c0, compared in the log: at n = 100 it is about -80, where one
     # ulp of it is 1.4e-14 of c0
-    sphere = math.log(sphere_tail_constant(n))
+    sphere = math.log(_sphere_c0(n))
     for sigma in (1.0, 0.37, 2.5):
         iid = DensityModel.iid_normal(n, sigma=sigma)
         isotropic = DensityModel.gaussian(np.zeros(n), sigma * sigma * np.eye(n))
         for model in (iid, isotropic):
-            got = normal_log_tail_constant(model, 2.0)
+            got = tail_law(model, 2.0).log_c0
             assert got == pytest.approx(sphere, rel=1e-14, abs=0.0)
 
 
@@ -126,7 +137,7 @@ def test_normal_constant_is_the_corrected_prediction(n):
     for seed in (1, 2):
         model = DensityModel.gaussian(np.zeros(n), _random_spd(n, seed))
         predicted = predict_tail(model, TailQuery(0.1), "corrected").constant
-        exact = math.exp(normal_log_tail_constant(model, 2.0))
+        exact = math.exp(tail_law(model, 2.0).log_c0)
         assert predicted == pytest.approx(exact, rel=1e-12, abs=0.0)
 
 
@@ -138,7 +149,7 @@ def test_normal_constant_is_the_limit_of_the_region_oracle(n):
     a = 0.5 * (n - 1)
     for cov in (_random_spd(n, 31), 0.7 * np.eye(n) + 0.3):
         model = DensityModel.gaussian(np.zeros(n), cov)
-        c0 = math.exp(normal_log_tail_constant(model, 2.0))
+        c0 = math.exp(tail_law(model, 2.0).log_c0)
         gap = [region_tail_integral(model, eps).value / (c0 * eps**a) - 1.0
                for eps in (1e-6, 1e-4)]
         assert abs(gap[0]) <= 1e-5
@@ -147,13 +158,13 @@ def test_normal_constant_is_the_limit_of_the_region_oracle(n):
 
 def test_normal_constant_needs_a_centred_normal_at_beta_2():
     cov = _random_spd(3, 4)
-    assert normal_log_tail_constant(DensityModel.gaussian(np.full(3, 0.3), cov), 2.0) is None
-    assert normal_log_tail_constant(DensityModel.gaussian(np.zeros(3), cov), 3.0) is None
-    assert normal_log_tail_constant(DensityModel.iid_normal(3, mu=0.3), 2.0) is None
-    assert normal_log_tail_constant(DensityModel.iid_normal(3), 1.5) is None
-    assert normal_log_tail_constant(DensityModel.iid_student_t(3, 5.0), 2.0) is None
+    assert tail_law(DensityModel.gaussian(np.full(3, 0.3), cov), 2.0) is None
+    assert tail_law(DensityModel.gaussian(np.zeros(3), cov), 3.0) is None
+    assert tail_law(DensityModel.iid_normal(3, mu=0.3), 2.0) is None
+    assert tail_law(DensityModel.iid_normal(3), 1.5) is None
+    assert tail_law(DensityModel.iid_student_t(3, 5.0), 2.0) is None
     for name in DISCRETE_MODELS:
-        assert normal_log_tail_constant(name, 2.0) is None
+        assert tail_law(name, 2.0) is None
 
 
 def test_incomplete_beta_symmetry_sweep():
