@@ -207,8 +207,8 @@ def predict_tail(
 
     The paper variant pairs the published K with the unweighted profile; the
     corrected variant pairs the corrected K with the weighted profile.  A
-    right-side profile that vanishes or underflows (below the normal
-    doubles, where it has lost its precision) raises ArithmeticError; a
+    right-side profile that vanishes, underflows (below the normal doubles,
+    where it has lost its precision) or overflows raises ArithmeticError; a
     vanishing left-side profile is a legitimate exact zero.  A
     value above 1, eps at or beyond `tail_window`, or a paper left tail of a
     model that is not iid and symmetric about 0 carries a warning.
@@ -225,9 +225,10 @@ def predict_tail(
     h_total = 0.0
     for side in sides:
         h_side = _profile_at(model, side, variant)
-        if side == "right" and h_side < np.finfo(float).tiny:
+        if side == "right" and not np.finfo(float).tiny <= h_side < math.inf:
+            fault = "overflows" if h_side == math.inf else "vanishes or underflows"
             raise ArithmeticError(
-                f"profile vanishes or underflows a double (it reads {float(h_side)!r}) "
+                f"profile {fault} a double (it reads {float(h_side)!r}) "
                 "at the all-ones direction; no constant-order prediction is formed"
             )
         h_total += h_side

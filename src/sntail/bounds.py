@@ -190,9 +190,8 @@ def envelope_bounds(model: DensityModel, epsilon: float) -> BoundsCertificate:
     `curvature_functionals(n)`.  Requires 2 <= n <= 4, the range of the ball
     grid and of the region quadrature, and eps < lam so the localized region
     stays inside the unit ball.  The extrema are searched on one z-plan
-    sized by `build_z_plan`'s embedded check, which starts each ray at its
-    support start where the model has one (the folded normal); a density
-    whose profiles defeat the check raises QuadratureError.
+    sized by `build_z_plan`'s embedded check; a density whose profiles
+    defeat the check raises QuadratureError.
     """
     n = model.n
     if not 2 <= n <= 4:

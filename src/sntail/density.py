@@ -15,9 +15,9 @@ variables (needed for left tails and total-mass checks).
 Every profile integral runs on a z-plan (`build_z_plan`): a composite
 Gauss-Legendre rule sized by one embedded check and evaluated by
 `profile_batch`, whether it serves one ray or a whole region.  A normal
-law centred at 0 (`DensityModel.centred_normal`) reads its profiles in
-closed form instead, and its plan is the empty one: no support scan, no
-check.  scipy loads only where sampling starts.
+law centred at 0 and the folded normal (`DensityModel.closed_form_profiles`)
+read their profiles in closed form instead, and their plan is the empty
+one: no support scan, no check.  scipy loads only where sampling starts.
 """
 
 from __future__ import annotations
@@ -162,6 +162,12 @@ class DensityModel:
         if self.kind == "iid-normal":
             return self.mu == 0.0
         return self.kind == "gaussian" and bool(np.all(self.mean == 0.0))
+
+    @property
+    def closed_form_profiles(self) -> bool:
+        """True when `profile_batch` reads the ray profiles in closed form
+        and needs no z-plan: a `centred_normal`, or the folded normal."""
+        return self.centred_normal or self.kind == "iid-folded-normal"
 
     @property
     def exchangeable(self) -> bool:
@@ -358,22 +364,6 @@ class DensityModel:
             return np.exp(q, out=q)
         return self.pdf(z[..., None] * rays[:, None, :])
 
-    def ray_support_start(self, rays: np.ndarray) -> np.ndarray | None:
-        """Ray parameter where the support starts along each ray, or None.
-
-        Only the folded normal has a start.  Its coordinates are at least
-        `shift`, so z * (1, v) lies in the support exactly when
-        z * min_j w_j >= shift with w = (1, v): from z = shift / min_j w_j on
-        when min_j w_j > 0.  A ray with min_j w_j <= 0 misses the support and
-        gets +inf.  Every start is positive.
-        """
-        if self.kind != "iid-folded-normal":
-            return None
-        low = np.min(rays, axis=1)
-        start = np.full(low.shape, math.inf)
-        np.divide(self.shift, low, out=start, where=low > 0.0)
-        return start
-
     def draw_from_uniforms(self, u: np.ndarray) -> np.ndarray:
         """Map uniform(0,1) draws of shape (k, n) to model samples.
 
@@ -485,12 +475,6 @@ def _rays(model: DensityModel, vs: np.ndarray) -> np.ndarray:
     return np.concatenate((np.ones((vs.shape[0], 1)), vs), axis=1)
 
 
-def _finite_starts(starts: np.ndarray) -> np.ndarray:
-    """Support starts with 0 for the rays that miss the support, along
-    which f vanishes for every z."""
-    return np.where(starts < math.inf, starts, 0.0)
-
-
 def _scan_support(
     model: DensityModel, probe_vs: np.ndarray, variants: tuple[str, ...]
 ) -> tuple[float, float]:
@@ -498,32 +482,24 @@ def _scan_support(
 
     The integrand is f along the ray for a plan that serves the paper
     variant, else z**(n-1) f, whose mass the weight moves outward by about
-    sqrt(n - 1).  All rays are scanned in one `ray_pdf` call, from each
-    ray's support start (rays that miss it add nothing), on a log-spaced
-    grid over the half-lines the variants integrate.  Each ray's span runs
-    from the node before its first value above its own peak * 1e-18 to the
-    node after its last; ends still above it at the grid's edge are
-    doubled until they fall to it, one call per step for all such rays.
-    Rays that vanish on the whole grid, or are live at z = 0 alone (steep
-    rays, whose mass lies within its first node 1e-3), are scanned again
-    on the grid scaled by 1e-3/512, toward z = 0 while that node stays a
-    normal double.  Raises
-    QuadratureError where the integrand is not finite (z**(n-1)
-    overflowing at large n): a span cut short there would truncate it.
+    sqrt(n - 1).  All rays are scanned in one `ray_pdf` call on one shared
+    log-spaced grid over the half-lines the variants integrate.  Each ray's
+    span runs from the node before its first value above its own
+    peak * 1e-18 to the node after its last; ends still above it at the
+    grid's edge are doubled until they fall to it, one call per step for
+    all such rays.  Rays that vanish on the whole grid, or are live at
+    z = 0 alone (steep rays, whose mass lies within its first node 1e-3),
+    are scanned again on the grid scaled by 1e-3/512, toward z = 0 while
+    that node stays a normal double.  Raises QuadratureError where the
+    integrand is not finite (z**(n-1) overflowing at large n): a span cut
+    short there would truncate it.
     """
     rays = _rays(model, probe_vs)
-    starts = model.ray_support_start(rays)
     weight_pow = 0 if "paper" in variants else model.n - 1
-    # With a support start (always positive) the profile lives on z > start.
-    scan_neg = starts is None and bool({"paper", "mirror"} & set(variants))
+    scan_neg = bool({"paper", "mirror"} & set(variants))
     scan_pos = bool({"paper", "weighted"} & set(variants))
-    if starts is None:
-        offsets = np.zeros(rays.shape[0])
-    else:
-        rays, offsets = rays[starts < math.inf], starts[starts < math.inf]
 
-    def psi(rows: np.ndarray, t: np.ndarray) -> np.ndarray:
-        z = t + offsets[rows, None]
+    def psi(rows: np.ndarray, z: np.ndarray) -> np.ndarray:
         base = model.ray_pdf(rays[rows], z)
         if not weight_pow:
             return base
@@ -614,12 +590,9 @@ class ZPlan:
     One plan serves a whole region's profiles; a plan for one ray serves
     `h_profile` and `weighted_profile_mirror`.  `profile_batch` evaluates
     the density at the nodes through `DensityModel.ray_pdf`, as does the
-    support scan, so each model kind has one ray evaluator.  A normal law
-    centred at 0 reads its profiles in closed form, so its plan is empty:
-    four empty arrays, with no certificate to carry.  The positive
-    half starts at 0, or at each ray's own support start where the model
-    has one (`DensityModel.ray_support_start`), so no panel holds the
-    folded normal's support edge.  `mirrored` is decided once, on
+    support scan, so each model kind has one ray evaluator.  Both halves
+    start at z = 0; a model with `closed_form_profiles` gets four empty
+    arrays, with no certificate to carry.  `mirrored` is decided once, on
     construction: the negative half is the positive one negated and
     reversed, nodes and weights bit for bit, as it is for every plan whose
     scanned span is symmetric (a sign-symmetric model's paper plan).
@@ -644,18 +617,17 @@ def build_z_plan(
     """Composite rule covering the profile support of every probe direction.
 
     `variants` are the profile variants the plan serves (`profile_batch`'s
-    paper, weighted and mirror).  A `centred_normal` model gets the empty
-    plan at once, as `profile_batch` reads its profiles in closed form: no
-    density is evaluated.  For every other model `_scan_support` finds the
-    joint span of the probe rays' integrands in one batched scan.  Panels
-    double in width away from the start out to twice that span; the
+    paper, weighted and mirror).  A model with `closed_form_profiles` gets
+    the empty plan at once, as `profile_batch` reads its profiles in closed
+    form: no density is evaluated.  For every other model `_scan_support`
+    finds the joint span of the probe rays' integrands in one batched scan.
+    Panels double in width away from z = 0 out to twice that span; the
     twofold margin covers the weighted profiles of a shared region plan
-    (n <= 4).  The node count
-    per panel is the smallest m in _PANEL_NODES whose probe profiles, in
-    every served variant, agree with those at 2m nodes per panel to
-    Z_PLAN_RTOL; QuadratureError is raised when none does.
+    (n <= 4).  The node count per panel is the smallest m in _PANEL_NODES
+    whose probe profiles, in every served variant, agree with those at 2m
+    nodes per panel to Z_PLAN_RTOL; QuadratureError is raised when none does.
     """
-    if model.centred_normal:
+    if model.closed_form_profiles:
         return ZPlan(*[np.empty(0)] * 4)
     probe_vs = np.atleast_2d(np.asarray(probe_vs, dtype=float))
     z_lo, z_hi = _scan_support(model, probe_vs, variants)
@@ -691,8 +663,7 @@ def profile_batch(
 ) -> np.ndarray:
     """Profiles of the points stacked in rows of `vs`, on one z-plan.
 
-    A normal law centred at 0 (`DensityModel.ray_quadratic` gives q) reads
-    its profiles in closed form and never reads the plan, which
+    A model with `closed_form_profiles` never reads the plan, which
     `build_z_plan` leaves empty for it.
     Every other law is integrated on the plan: paper takes the plan's
     negative and positive halves, weighted the positive half with weight
@@ -700,9 +671,6 @@ def profile_batch(
     variables) the negative half with |z|**(n-1).  For a sign-symmetric
     model on a mirrored plan the two paper halves are equal node for node,
     so paper is twice the positive half, at half the density evaluations.
-    Where the model's support starts at z = a > 0 along a ray, the positive
-    half is moved to start at a; the mirror is then 0, as is every profile
-    of a ray that misses the support.
     """
     vs = np.atleast_2d(np.asarray(vs, dtype=float))
     n = model.n
@@ -725,17 +693,12 @@ def profile_batch(
         part = slice(first, first + _RAY_CHUNK)
         rays = _rays(model, vs[part])
         q = model.ray_quadratic(rays)
-        starts = model.ray_support_start(rays)
         if q is not None:
             out[part] = _centred_normal_profiles(model, q, variant)
-        elif starts is None:
-            out[part] = model.ray_pdf(rays, nodes) @ weights
-        elif variant == "mirror":
-            out[part] = 0.0
+        elif model.kind == "iid-folded-normal":
+            out[part] = _folded_normal_profiles(model, rays, variant)
         else:
-            z = _finite_starts(starts)[:, None] + plan.pos_nodes
-            w = plan.pos_weights * z ** (n - 1) if variant == "weighted" else plan.pos_weights
-            out[part] = (model.ray_pdf(rays, z) * w).sum(axis=1)
+            out[part] = model.ray_pdf(rays, nodes) @ weights
     return out
 
 
@@ -753,6 +716,41 @@ def _centred_normal_profiles(model: DensityModel, q: np.ndarray, variant: str) -
     log_h *= -power
     log_h += model._gaussian_log_norm + log_k
     return np.exp(log_h, out=log_h)
+
+
+def _folded_normal_profiles(model: DensityModel, rays: np.ndarray, variant: str) -> np.ndarray:
+    """Exact profiles of the folded normal, coordinates shift + |N(0, 1)|.
+
+    Along w with min w > 0, f(z w) = C exp(-a (z - m)^2 / 2) from the edge
+    z0 = shift / min w on, 0 before: a = |w|^2, m = shift sum(w) / a <= z0,
+    log C = n log(2 / sqrt(2 pi)) - shift^2 |1 - (sum(w) / a) w|^2 / 2 with
+    no cancelling.  Missed rays (min w <= 0) and mirrors read 0.  Paper is
+    C J_0 and weighted C J_(n-1), J_k the integral of z^k exp(-a (z - m)^2 / 2)
+    past z0: J_0 by erfc (DLMF 7.2) and, by parts, with no negative term,
+    J_k = m J_(k-1) + (k - 1)/a J_(k-2) + z0^(k-1) exp(-a (z0 - m)^2 / 2) / a,
+    run on R_k = J_k / (m^k 2^e_k) in [1/2, 1) (2^e_k exact); one exp at the end.
+    """
+    out, low = np.zeros(rays.shape[0]), rays.min(axis=1)
+    hit = (low > 0.0) & (variant != "mirror")
+    n, shift, w = model.n, model.shift, rays[hit]
+    a = np.sum(w * w, axis=1)
+    ratio = np.sum(w, axis=1) / a
+    m, z0 = shift * ratio, shift / low[hit]
+    resid = 1.0 - ratio[:, None] * w
+    log_h = n * (math.log(2.0) - _LOG_SQRT_2PI) - 0.5 * shift**2 * np.sum(resid * resid, axis=1)
+    erfc = np.frompyfunc(math.erfc, 1, 1)(np.sqrt(0.5 * a) * (z0 - m))
+    r = np.sqrt(0.5 * math.pi / a) * erfc.astype(float)
+    if variant == "weighted":
+        log_step, half_gap = np.log(z0 / m), 0.5 * a * (z0 - m) ** 2
+        r_prev, e = np.zeros_like(r), np.zeros_like(r)
+        for k in range(1, n):
+            edge = np.exp((k - 1) * log_step - half_gap - e * math.log(2.0)) / (a * m)
+            r_next, step = np.frexp(r + (k - 1) / (a * m * m) * r_prev + edge)
+            r_prev, r, e = np.ldexp(r, -step), r_next, e + step
+        log_h += (n - 1) * np.log(m) + e * math.log(2.0)
+    with np.errstate(divide="ignore", over="ignore"):
+        out[hit] = np.exp(log_h + np.log(r))
+    return out
 
 
 def h_profile(model: DensityModel, query: RadialProfileQuery) -> float:

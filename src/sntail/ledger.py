@@ -327,20 +327,21 @@ def run_verify(
             failures, resolved,
         ))
 
-    # Discrete counterexamples: flat Rademacher tail and the degenerate
-    # first coordinate.
-    n_rad = min(n, 12)
-    eps_rad = 0.4 / math.sqrt(n_rad)
-    rad = rademacher_tail_exact(n_rad, eps_rad)
-    rad_formula = 2.0 ** (-n_rad)
-    entries.append(_finding(
-        f"rademacher_tail(n={n_rad}, eps={eps_rad:.6g})", rad_formula, rad_formula,
-        rad.value, 0.0,
-        "flat tail in the window: exact enumeration over all sign patterns",
-        f"rademacher enumeration {rad.value:.12g} differs from 2^-n = {rad_formula:.12g}",
-        failures,
-    ))
-    if n >= 3:
+    # Discrete counterexamples, at beta = 2 only, the statistic both oracles
+    # compute: flat Rademacher tail and the degenerate first coordinate.
+    if beta == 2.0:
+        n_rad = min(n, 12)
+        eps_rad = 0.4 / math.sqrt(n_rad)
+        rad = rademacher_tail_exact(n_rad, eps_rad)
+        rad_formula = 2.0 ** (-n_rad)
+        entries.append(_finding(
+            f"rademacher_tail(n={n_rad}, eps={eps_rad:.6g})", rad_formula, rad_formula,
+            rad.value, 0.0,
+            "flat tail in the window: exact enumeration over all sign patterns",
+            f"rademacher enumeration {rad.value:.12g} differs from 2^-n = {rad_formula:.12g}",
+            failures,
+        ))
+    if beta == 2.0 and n >= 3:
         eps_deg = 0.5 * (math.sqrt(n) - math.sqrt(n - 1))
         deg = degenerate_component_check(n, eps_deg)
         entries.append(_finding(

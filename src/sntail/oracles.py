@@ -444,11 +444,10 @@ def region_tail_integral(
     `profile_batch` call, only the nodes the previous level lacks.  The value
     settles at level L once |L - (L-1)| <= rel_target * |L|; the error
     estimate adds to that difference the z-plan's certified tolerance and
-    the rounding of the boundary.  The z-plan starts each ray at its
-    support start where the model has one (the folded normal), so its
-    check passes there too.  A density whose profiles defeat the check (a
-    user density with a support edge) raises QuadratureError, as does a
-    value that misses rel_target at the finest level.
+    the rounding of the boundary.  A density whose profiles defeat the
+    z-plan's check (a user density with a support edge) raises
+    QuadratureError, as does a value that misses rel_target at the finest
+    level.
 
     For an `exchangeable` model with n >= 3 the integrand is symmetric
     under swapping v1 and v2, which maps the grid onto itself.  Each level

@@ -106,6 +106,14 @@ def test_prediction_validity_guards():
     assert predict_tail(DensityModel.iid_normal(4), TailQuery(0.1)).n == 4
 
 
+def test_an_overflowing_profile_fails_the_prediction():
+    # log h = 1398.7 at n = 1000, shift 5: the profile overflows a double,
+    # and no inf or nan prediction is formed from it
+    model = DensityModel.iid_folded_normal(1000, shift=5.0)
+    with pytest.raises(ArithmeticError, match="profile overflows a double"):
+        predict_tail(model, TailQuery(1e-3))
+
+
 def test_left_tail_of_positive_model_is_zero():
     # all-positive samples never reach the mirrored threshold; the
     # corrected left profile is exact for any model, the paper one is not

@@ -268,8 +268,8 @@ def test_certificate_dominates_its_balls(monkeypatch, kind, n):
 
 
 def test_envelope_bounds_on_a_support_edge():
-    # the z-plan starts each ray at the folded normal's support edge, so the
-    # search runs on a plan that passed its check
+    # the folded normal's profiles are closed form from each ray's support
+    # edge, so the search runs on the empty plan with nothing to check
     model = DensityModel.iid_folded_normal(3)
     cert = envelope_bounds(model, 0.01)
 

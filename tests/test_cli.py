@@ -309,8 +309,8 @@ def test_exit_code_one_on_computation_failure(capsys):
 
 
 def test_support_edge_commands_succeed(capsys):
-    # the folded normal's z-plans start each ray at its support edge, so
-    # both commands run on plans that passed their checks
+    # the folded normal's profiles are read in closed form from each ray's
+    # support edge, so both commands run with no plan to check there
     assert main(["oracle", "--model", "iid-folded-normal", "--n", "2"]) == 0
     oracle = json.loads(capsys.readouterr().out)
     assert oracle["value"] == pytest.approx(0.941482218014, rel=1e-10)
@@ -318,6 +318,14 @@ def test_support_edge_commands_succeed(capsys):
                  "--eps", "0.01"]) == 0
     cert = json.loads(capsys.readouterr().out)
     assert 0.0 < cert["lower"] < cert["upper"]
+
+
+def test_folded_normal_predicts_at_n_200(capsys):
+    # the closed-form weighted profile forms no z^(n-1) on a scanned range,
+    # which overflowed here; 36868.40127831016 is a 50-digit quadrature
+    assert main(["predict", "--n", "200", "--eps", "1e-3", "--model", "iid-folded-normal"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["h"] == pytest.approx(36868.40127831016, rel=1e-10, abs=0.0)
 
 
 def test_exit_code_one_on_runtime_error(monkeypatch, capsys):

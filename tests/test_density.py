@@ -204,22 +204,14 @@ def test_profile_batch_matches_pdf_on_materialized_points(n):
     vs = 1.0 + 0.4 * rng.standard_normal((53, n - 1))
     rays = np.concatenate((np.ones((vs.shape[0], 1)), vs), axis=1)
     for model, exact in _kernel_models(n):
-        if model.ray_quadratic(rays) is not None:
-            # a normal law centred at 0 reads its profiles in closed form:
-            # test_centred_normal_profiles_match_the_z_plan checks those
+        if model.closed_form_profiles:
+            # a normal law centred at 0 and the folded normal read their
+            # profiles in closed form: test_centred_normal_profiles_match_the_z_plan
+            # and test_folded_profiles_match_quadrature_along_each_ray check those
             continue
         plan = density.build_z_plan(model, vs[:4])
-        starts = model.ray_support_start(rays)
         for variant in density.PROFILE_VARIANTS:
             got = density.profile_batch(model, vs, variant, plan)
-            if starts is not None:
-                # the positive half moved to each ray's support start; a ray
-                # that misses the support keeps the unmoved half
-                z = np.where(np.isfinite(starts), starts, 0.0)[:, None] + plan.pos_nodes
-                weights = plan.pos_weights * (z ** (n - 1) if variant == "weighted" else 1.0)
-                expect = (model.pdf(z[..., None] * rays[:, None, :]) * weights).sum(axis=1)
-                _assert_kernel_matches(got, expect, exact)
-                continue
             if variant == "paper" and model.sign_symmetric:
                 # the plan's halves are mirrors and f(-x) = f(x): one half twice
                 assert plan.mirrored
@@ -269,6 +261,21 @@ def test_centred_normal_profiles_match_the_z_plan(n, monkeypatch):
             np.testing.assert_allclose(got, expect, rtol=density.Z_PLAN_RTOL, atol=0.0)
 
 
+@pytest.mark.parametrize("n, shift, log_h", [
+    (200, 1.0, math.log(36868.40127831016)),
+    (1000, 0.1, -631.1566586336496023504),
+    (5000, 1.0, 318.2047425573831556956),
+])
+def test_folded_weighted_profile_at_large_n(n, shift, log_h):
+    # log of the weighted profile at the all-ones ray by a 50-digit
+    # quadrature.  R_k grows
+    # by about 10 a step at shift 0.1 and 1.6 at shift 1, so J_k / m^k
+    # passes the doubles at n = 1000 and 5000 without its rescaling
+    model = DensityModel.iid_folded_normal(n, shift)
+    got = h_profile(model, RadialProfileQuery(np.ones(n - 1), "weighted"))
+    assert math.log(got) == pytest.approx(log_h, rel=1e-14, abs=0.0)
+
+
 def _spd(rng: np.random.Generator, n: int) -> np.ndarray:
     a = rng.standard_normal((n, n))
     return a @ a.T / n + 0.5 * np.eye(n)
@@ -276,7 +283,9 @@ def _spd(rng: np.random.Generator, n: int) -> np.ndarray:
 
 @pytest.mark.parametrize("n", [2, 3, 10, 300])
 def test_centred_normals_build_the_empty_plan(n, monkeypatch):
-    # no support scan and no node check: no density is evaluated at all
+    # no support scan and no node check: no density is evaluated at all,
+    # neither for the plan nor for the profiles read on it; the folded
+    # normal's closed form needs no plan either
     def refuse(self, rays, z):
         raise AssertionError("ray_pdf called")
 
@@ -285,16 +294,46 @@ def test_centred_normals_build_the_empty_plan(n, monkeypatch):
     vs = 1.0 + 0.3 * rng.standard_normal((5, n - 1))
     models = [DensityModel.iid_normal(n), DensityModel.iid_normal(n, sigma=1.7),
               DensityModel.gaussian(np.zeros(n), _spd(rng, n))]
-    for model in models:
-        assert model.centred_normal
+    for model in models + [DensityModel.iid_folded_normal(n, shift) for shift in (1.0, 0.4)]:
+        assert model.closed_form_profiles
+        assert model.centred_normal is (model.kind != "iid-folded-normal")
         for variants in (("paper",), ("weighted",), ("mirror",), density.PROFILE_VARIANTS):
             plan = density.build_z_plan(model, vs, variants)
             for arr in (plan.pos_nodes, plan.pos_weights, plan.neg_nodes, plan.neg_weights):
                 assert arr.shape == (0,)
+            for variant in variants:
+                assert np.isfinite(density.profile_batch(model, vs, variant, plan)).all()
     shifted = DensityModel.iid_normal(3, mu=0.3)
-    assert not shifted.centred_normal
+    assert not shifted.closed_form_profiles
     with pytest.raises(AssertionError, match="ray_pdf called"):
         density.build_z_plan(shifted, np.ones(2))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 10])
+def test_folded_profiles_match_quadrature_along_each_ray(n):
+    # The closed form against scipy's adaptive quadrature of `pdf` along
+    # each ray, from its support edge z0 = shift / min w to where the
+    # integrand is below e^-800 of its peak.
+    rng = np.random.default_rng(800 + n)
+    vs = 1.0 + 0.3 * rng.standard_normal((12, n - 1))
+    vs[0, -1] = -0.5  # a ray that misses the support
+    vs[1, 0] = 0.0  # a zero coordinate stays below the shift: a miss too
+    for shift in (1.0, 2.5):
+        model = DensityModel.iid_folded_normal(n, shift)
+        plan = density.build_z_plan(model, vs)
+        assert density.profile_batch(model, vs, "mirror", plan).tolist() == [0.0] * 12
+        for variant, power in (("paper", 0), ("weighted", n - 1)):
+            got = density.profile_batch(model, vs, variant, plan)
+            assert got[0] == got[1] == 0.0
+            for v, value in zip(vs[2:], got[2:]):
+                w = np.concatenate(([1.0], v))
+                edge = shift / w.min()
+                top = edge + (40.0 + math.sqrt(n)) / math.sqrt(w @ w)
+                expect, _ = integrate.quad(
+                    lambda z: z**power * model.pdf(z * w), edge, top,
+                    epsabs=0.0, epsrel=1e-13, limit=200,
+                )
+                assert value == pytest.approx(expect, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 10])
@@ -508,10 +547,10 @@ def test_z_plan_settles_for_a_centred_normal_at_n_100():
             assert got == pytest.approx(math.exp(log_h), rel=1e-13, abs=0.0)
 
 
-def test_z_plan_resolves_a_support_edge():
-    # the folded profile jumps where z * min(1, v) crosses the shift; the
-    # plan starts every ray there, so one shared plan passes its check and
-    # serves both the probes and rays it never saw
+def test_folded_empty_plan_serves_rays_it_never_saw():
+    # the folded profile jumps where z * min(1, v) crosses the shift; its
+    # closed form starts every ray there, so the plan built from the probes
+    # is the empty one and serves the probes and rays it never saw alike
     model = DensityModel.iid_folded_normal(3)
     probes = _ring_probes(0.3)
     plan = density.build_z_plan(model, probes)
@@ -539,9 +578,10 @@ def _folded_profile(v: np.ndarray, variant: str) -> float:
     return scale * (m * tail + math.exp(-0.5 * a * (edge - m) ** 2) / a)
 
 
-def test_h_profile_locates_a_support_edge():
-    # the support scan brackets the jump between two grid points; without
-    # locating it, the adaptive rule integrates across it and misses ~1e-7
+def test_h_profile_of_the_folded_normal_matches_its_edge_integral():
+    # h_profile reads the closed form, which integrates each ray from its
+    # support edge; the reference takes the edge as max(1 / w_i) instead
+    # of shift / min w, and its weighted profile from the n = 2 moment
     model = DensityModel.iid_folded_normal(2)
     for t in (0.55, 0.8, 1.0, 1.3, 2.0):
         for variant in density.PROFILE_VARIANTS:

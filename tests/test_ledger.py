@@ -278,7 +278,7 @@ def test_verify_n2_has_a_sandwich_row():
 
 
 def test_verify_n2_resolves_a_support_edge():
-    # the folded normal's region rows run on the adaptive profile
+    # the folded normal's region rows run on its closed-form profiles
     report = run_verify("iid-folded-normal", n=2)
     rows = {e.quantity.split("(")[0]: e for e in report.entries}
     assert rows["tail_constant"].status != "untested"
@@ -474,6 +474,35 @@ def test_a_nonzero_degenerate_oracle_is_a_finding_and_an_internal_failure(monkey
     assert report.internal_failures == (
         "degenerate-coordinate oracle returned 1e-09, expected exactly 0",
     )
+
+
+def test_discrete_rows_stand_at_beta_2_only():
+    # both discrete oracles compute the beta = 2 statistic, so a ledger at
+    # beta = 3 must not report them as its own
+    for beta, present in ((2.0, True), (3.0, False)):
+        report = run_verify("iid-student-t:nu=5", n=5, beta=beta)
+        kinds = [e.quantity.split("(")[0] for e in report.entries]
+        assert ("rademacher_tail" in kinds) is present
+        assert ("degenerate_tail" in kinds) is present
+        assert "log_growth_limit" in kinds and report.exit_code == 0
+
+
+def test_an_exhausted_region_oracle_leaves_the_tail_constant_untested(monkeypatch, capsys):
+    true_region = ledger.region_tail_integral
+
+    def exhausted(model, epsilon, *args, **kwargs):
+        if epsilon == ledger.EPS0:
+            raise ledger.QuadratureError("budget spent at eps0")
+        return true_region(model, epsilon, *args, **kwargs)
+
+    monkeypatch.setattr(ledger, "region_tail_integral", exhausted)
+    report = run_verify("iid-student-t:nu=5", n=3)
+    row = _row(report, "tail_constant")
+    assert row.status == "untested"
+    assert row.note == "oracle quadrature budget exhausted: budget spent at eps0"
+    assert report.internal_failures == ()
+    assert cli.main(["verify", "--n", "3", "--model", "iid-student-t:nu=5"]) == 0
+    assert "oracle quadrature budget exhausted" in capsys.readouterr().out
 
 
 def test_a_failed_sandwich_bracket_reads_discrepant(monkeypatch):

@@ -367,8 +367,8 @@ def test_region_n2_matches_sphere_law():
 
 
 def test_region_n2_resolves_a_support_edge():
-    # The folded normal's profile has a support edge, where the z-plan
-    # starts each ray.  Reference:
+    # The folded normal's profile has a support edge, where its closed
+    # form starts each ray.  Reference:
     # coordinates 2 phi(x - 1) on x >= 1 give, along (1, t), the weighted
     # profile C (m Q + exp(-a (e - m)^2 / 2) / a) with a = 1 + t^2,
     # m = (1 + t) / a, e = max(1, 1 / t) and Q the Gaussian tail past e.
