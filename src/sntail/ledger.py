@@ -386,8 +386,8 @@ def _tail_constant_row(
             return _untested(quantity, f"oracle quadrature budget exhausted: {exc}")
         if region.value == 0.0:
             return _untested(quantity, (
-                f"region oracle is 0.0 at eps0 = {EPS0:g}: the weighted integrand is "
-                "0.0 at every node, as for a law centred far from the all-ones ray"
+                f"region oracle is 0.0 at eps0 = {EPS0:g}: the weighted integrand "
+                "underflows to 0.0 at every node"
             ))
         a = 0.5 * (n - 1)
         oracle, rel = region.value / EPS0**a, 5e-3

@@ -511,6 +511,19 @@ def test_rare_event_warning_for_a_shifted_normal_comes_from_the_prediction(capsy
     assert payload["model"] == "iid-normal:mu=-2"
 
 
+@pytest.mark.parametrize("n", [115, 200])
+@pytest.mark.parametrize("mu", ["0.3", "-0.3"])
+def test_predict_reaches_shifted_normals_past_n_100(n, mu, capsys):
+    # their profiles are closed-form moments, not a scan of z^(n-1) f,
+    # which overflowed from n = 115
+    for side in ("right", "two-sided"):
+        assert main(["predict", "--n", str(n), "--eps", "1e-3", "--side", side,
+                     "--model", f"iid-normal:mu={mu}"]) == 0
+        record = json.loads(capsys.readouterr().out)
+        # eps^99.5 underflows the value at n = 200, not the profile
+        assert 0.0 < record["h"] < math.inf and 0.0 < record["constant"] < math.inf
+
+
 def test_a_vanishing_profile_is_a_computation_result(capsys):
     # the arguments are valid, so the degenerate prediction exits 1, and
     # the mc warning that asks for it goes without one

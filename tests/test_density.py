@@ -205,9 +205,9 @@ def test_profile_batch_matches_pdf_on_materialized_points(n):
     rays = np.concatenate((np.ones((vs.shape[0], 1)), vs), axis=1)
     for model, exact in _kernel_models(n):
         if model.closed_form_profiles:
-            # a normal law centred at 0 and the folded normal read their
-            # profiles in closed form: test_centred_normal_profiles_match_the_z_plan
-            # and test_folded_profiles_match_quadrature_along_each_ray check those
+            # every normal law reads its profiles in closed form:
+            # test_centred_normal_profiles_match_the_z_plan and
+            # test_normal_profiles_match_quadrature_along_each_ray check those
             continue
         plan = density.build_z_plan(model, vs[:4])
         for variant in density.PROFILE_VARIANTS:
@@ -249,7 +249,8 @@ def test_centred_normal_profiles_match_the_z_plan(n, monkeypatch):
     models = _centred_normal_models(n)
     assert len(models) == (4 if n <= 10 else 3)
     for model in models:
-        assert model.ray_quadratic(density._rays(model, vs)) is not None
+        _, _, m, z0 = model.ray_gaussian(density._rays(model, vs))
+        assert np.isscalar(m) and m == 0.0 and z0 is None
         twin = DensityModel.user(n, model.pdf)
         for variant in ("paper", "weighted", "mirror"):
             plan = density.build_z_plan(twin, vs, (variant,))
@@ -274,6 +275,25 @@ def test_folded_weighted_profile_at_large_n(n, shift, log_h):
     model = DensityModel.iid_folded_normal(n, shift)
     got = h_profile(model, RadialProfileQuery(np.ones(n - 1), "weighted"))
     assert math.log(got) == pytest.approx(log_h, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("n", [115, 200])
+@pytest.mark.parametrize("mu", [0.3, -0.3])
+def test_shifted_normal_profiles_at_the_all_ones_ray_past_n_100(n, mu):
+    # log f(z 1) = -n (z - mu)^2 / 2 - n log sqrt(2 pi): each profile is a
+    # log-scaled quadrature of one Gaussian moment, where the z-plan's scan
+    # of z^(n-1) f once overflowed
+    model = DensityModel.iid_normal(n, mu=mu)
+    v, log_norm = np.ones(n - 1), -n * 0.5 * math.log(2.0 * math.pi)
+    got = h_profile(model, RadialProfileQuery(v, "weighted"))
+    assert math.log(got) == pytest.approx(log_norm + _log_moment_by_quad(n, mu, n - 1),
+                                          rel=0.0, abs=1e-10)
+    got = weighted_profile_mirror(model, v)
+    assert math.log(got) == pytest.approx(log_norm + _log_moment_by_quad(n, -mu, n - 1),
+                                          rel=0.0, abs=1e-10)
+    got = h_profile(model, RadialProfileQuery(v, "paper"))
+    assert math.log(got) == pytest.approx(log_norm + 0.5 * math.log(2.0 * math.pi / n),
+                                          rel=0.0, abs=1e-12)
 
 
 def _spd(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -303,10 +323,33 @@ def test_centred_normals_build_the_empty_plan(n, monkeypatch):
                 assert arr.shape == (0,)
             for variant in variants:
                 assert np.isfinite(density.profile_batch(model, vs, variant, plan)).all()
-    shifted = DensityModel.iid_normal(3, mu=0.3)
-    assert not shifted.closed_form_profiles
+    student = DensityModel.iid_student_t(3, nu=5.0)
+    assert not student.closed_form_profiles
     with pytest.raises(AssertionError, match="ray_pdf called"):
-        density.build_z_plan(shifted, np.ones(2))
+        density.build_z_plan(student, np.ones(2))
+
+
+@pytest.mark.parametrize("n", [2, 3, 10, 300])
+def test_shifted_normals_build_the_empty_plan_and_evaluate_no_density(n, monkeypatch):
+    # a mean moves the closed form's centre along each ray, not its route:
+    # neither the plan nor the profiles read the density anywhere
+    def refuse(self, *args):
+        raise AssertionError("density evaluated")
+
+    monkeypatch.setattr(DensityModel, "ray_pdf", refuse)
+    monkeypatch.setattr(DensityModel, "pdf", refuse)
+    rng = np.random.default_rng(750 + n)
+    vs = 1.0 + 0.3 * rng.standard_normal((5, n - 1))
+    for model in (DensityModel.iid_normal(n, mu=0.3), DensityModel.iid_normal(n, mu=-0.3, sigma=2.0),
+                  DensityModel.gaussian(np.linspace(0.2, -0.1, n), _spd(rng, n))):
+        assert model.closed_form_profiles and not model.centred_normal
+        for variants in (("paper",), ("weighted",), ("mirror",), density.PROFILE_VARIANTS):
+            plan = density.build_z_plan(model, vs, variants)
+            for arr in (plan.pos_nodes, plan.pos_weights, plan.neg_nodes, plan.neg_weights):
+                assert arr.shape == (0,)
+            for variant in variants:
+                got = density.profile_batch(model, vs, variant, plan)
+                assert np.isfinite(got).all() and (got > 0.0).all()
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 10])
@@ -336,31 +379,117 @@ def test_folded_profiles_match_quadrature_along_each_ray(n):
                 assert value == pytest.approx(expect, rel=1e-12, abs=0.0)
 
 
+def _shifted_normal_models(n: int) -> list[DensityModel]:
+    cov = 0.7 * np.eye(n) + 0.3 * np.ones((n, n))
+    return [
+        DensityModel.iid_normal(n, mu=0.3),
+        DensityModel.iid_normal(n, mu=-0.3),
+        DensityModel.iid_normal(n, mu=0.3, sigma=2.0),
+        DensityModel.iid_normal(n, mu=-0.3, sigma=2.0),
+        DensityModel.gaussian(np.resize([0.2, -0.1, 0.1], n), cov),
+    ]
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 10])
-def test_gaussian_ray_pdf_with_a_zero_mean_is_the_centred_formula_bit_for_bit(n):
-    # with c = L^-1 0 = 0 the shifted quadratic form reduces to a z^2 exactly
+def test_normal_profiles_match_quadrature_along_each_ray(n):
+    # The closed forms of the shifted normals against scipy's adaptive
+    # quadrature of `pdf` along each ray, in every variant: the weighted
+    # profile of a ray whose centre m lies behind the origin reads a
+    # Gaussian tail moment, and its mirror the moment at -m.
+    rng = np.random.default_rng(850 + n)
+    vs = np.vstack((1.0 + 0.4 * rng.standard_normal((5, n - 1)), -np.ones((1, n - 1))))
+    for model in _shifted_normal_models(n):
+        plan = density.build_z_plan(model, vs)
+        for variant, lo, hi in (("paper", -np.inf, np.inf), ("weighted", 0.0, np.inf),
+                                ("mirror", -np.inf, 0.0)):
+            power = 0 if variant == "paper" else n - 1
+            got = density.profile_batch(model, vs, variant, plan)
+            for v, value in zip(vs, got):
+                w = np.concatenate(([1.0], v))
+                expect, _ = integrate.quad(
+                    lambda z: abs(z) ** power * float(model.pdf(z * w)), lo, hi,
+                    epsabs=0.0, epsrel=1e-13, limit=500,
+                )
+                assert value == pytest.approx(expect, rel=1e-12, abs=0.0)
+
+
+def _log_moment_by_quad(a: float, m: float, k: int) -> float:
+    """log of the integral over z > 0 of z^k exp(-a (z - m)^2 / 2), by
+    scipy's quad of the integrand over its value at the peak z*, on a
+    window of 60 widths about z*."""
+    peak = 0.5 * (m + math.sqrt(m * m + 4.0 * k / a)) if k else max(m, 0.0)
+
+    def g(z: float) -> float:
+        return (k * math.log(z) if k else 0.0) - 0.5 * a * (z - m) ** 2
+
+    if peak > 0.0:
+        width = 1.0 / math.sqrt(a + k / peak**2)
+    else:  # k = 0 and m <= 0: the integrand falls from z = 0 at rate a |m| at least
+        width = 1.0 / max(math.sqrt(a), -a * m)
+    lo, hi = max(0.0, peak - 60.0 * width), peak + 60.0 * (width + 1.0 / math.sqrt(a))
+    value, _ = integrate.quad(lambda z: math.exp(g(z) - g(peak)) if z > 0.0 else 0.0,
+                              lo, hi, points=[peak] if lo < peak < hi else None,
+                              epsabs=0.0, epsrel=1e-13, limit=500)
+    return g(peak) + math.log(value)
+
+
+@pytest.mark.parametrize("a, m", [(1.0, 0.7), (3.3, -0.1), (0.5, -1.0), (2.0, -4.0), (1.0, -30.0)])
+def test_log_moment_matches_the_exact_first_moments(a, m):
+    # J_0 = sqrt(pi / 2a) erfc(-m sqrt(a/2)), J_1 = m J_0 + e^(-a m^2/2) / a
+    # and J_2 = m J_1 + J_0 / a from math.erfc.  J_1 and J_2 cancel by about
+    # a m^2 where m < 0, so they are checked up to m sqrt a = -5.7; at
+    # m sqrt a = -30, J_0 alone, which Miller's backward run gives at k = 0
+    # (a 3-step start was off by 8.9e-12 there).  Near m = 0-, at
+    # (3.3, -0.1, 2), the backward ratios alone were off by 9.7e-6.
+    j0 = math.sqrt(0.5 * math.pi / a) * math.erfc(-m * math.sqrt(0.5 * a))
+    j1 = m * j0 + math.exp(-0.5 * a * m * m) / a
+    j2 = m * j1 + j0 / a
+    exact = (j0, j1, j2) if m * math.sqrt(a) > -6.0 else (j0,)
+    for k, value in enumerate(exact):
+        got = density._log_moment(np.array([a]), np.array([m]), np.zeros(1), k)[0]
+        assert got == pytest.approx(math.log(value), rel=1e-15, abs=1e-13)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 9, 99, 999])
+def test_log_moment_matches_quadrature_on_both_sides_of_its_switch(k):
+    # the forward recurrence runs where m sqrt(a (k + 1)) > -5, Miller's
+    # backward ratios below; each is checked next to the switch and far
+    # from it, in one call with the regimes mixed
+    a = np.array([0.3, 3.3, 3.3, 20.0, 1.0, 1.0, 4.0, 0.7])
+    scale = np.array([2.0, -0.1, -0.99, -1.01, -2.0, -10.0, -40.0, 0.0]) * 5.0
+    m = scale / np.sqrt(a * (k + 1))
+    got = density._log_moment(a, m, np.zeros(a.size), k)
+    for log_j, ai, mi in zip(got, a, m):
+        assert log_j == pytest.approx(_log_moment_by_quad(ai, mi, k), rel=0.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 10])
+def test_ray_gaussian_of_a_zero_mean_is_the_centred_quadratic_bit_for_bit(n):
+    # a zero mean takes the centred route: log_c is the log normalizer,
+    # m the scalar 0, and a = |L^-1 r|^2 from one product per chunk
     rng = np.random.default_rng(900 + n)
     model = DensityModel.gaussian(np.zeros(n), _spd(rng, n))
     rays = np.concatenate((np.ones((17, 1)), rng.standard_normal((17, n - 1))), axis=1)
-    z = np.linspace(-3.0, 3.0, 41)
     y = model._chol_inv @ rays.T
-    q = np.sum(y * y, axis=0)[:, None] * (z * z)
-    q *= -0.5
-    q += model._gaussian_log_norm
-    assert np.array_equal(model.ray_pdf(rays, z), np.exp(q))
+    log_c, a, m, z0 = model.ray_gaussian(rays)
+    assert log_c == model._gaussian_log_norm and np.isscalar(m) and m == 0.0 and z0 is None
+    assert np.array_equal(a, np.sum(y * y, axis=0))
+    iid = DensityModel.iid_normal(n, sigma=1.7)
+    assert np.array_equal(iid.ray_gaussian(rays)[1], np.sum(rays * rays, axis=1) / 1.7**2)
 
 
-def test_ray_quadratic_is_none_off_the_centred_normal_laws():
+def test_ray_gaussian_is_none_for_student_t_and_user():
     rays = density._rays(DensityModel.iid_normal(3), np.ones((2, 2)))
-    for model in (
-        DensityModel.iid_normal(3, mu=0.3),
-        DensityModel.iid_student_t(3, nu=5.0),
-        DensityModel.iid_folded_normal(3),
-        DensityModel.gaussian(np.array([0.0, 0.0, 1e-300]), np.eye(3)),
-        DensityModel.user(3, DensityModel.iid_normal(3).pdf),
-    ):
+    for model in (DensityModel.iid_student_t(3, nu=5.0),
+                  DensityModel.user(3, DensityModel.iid_normal(3).pdf)):
+        assert not model.closed_form_profiles
+        assert model.ray_gaussian(rays) is None
+    # a mean of 1e-300 is not centred: m is a per-ray array, however small
+    for model in (DensityModel.iid_normal(3, mu=0.3), DensityModel.iid_folded_normal(3),
+                  DensityModel.gaussian(np.array([0.0, 0.0, 1e-300]), np.eye(3))):
         assert not model.centred_normal
-        assert model.ray_quadratic(rays) is None
+        _, _, m, z0 = model.ray_gaussian(rays)
+        assert m.shape == (2,) and (z0 is None) is (model.kind != "iid-folded-normal")
 
 
 def test_ray_pdf_rejects_bad_rays():

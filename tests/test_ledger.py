@@ -367,17 +367,30 @@ def test_tail_constant_meets_the_sphere_law_limit_at_every_n(n):
 
 
 def test_region_oracle_of_zero_reads_untested_and_says_why(capsys):
-    # the region oracle reads 0.0 at eps0 for a normal centred at -20:
-    # the row says so, and verify still exits 0
-    model = "gaussian:cov=1 0 0 1,mean=-20 -20"
+    # for a normal centred at -30 the weighted profile near the all-ones
+    # ray is about e^-900: the region oracle reads 0.0 at eps0, the row
+    # says so, and verify still exits 0
+    model = "gaussian:cov=1 0 0 1,mean=-30 -30"
     assert cli.main(["verify", "--n", "2", "--model", model, "--trials", "1000"]) == 0
     records = json.loads(capsys.readouterr().out)["records"]
     row = next(r for r in records if r["quantity"].startswith("tail_constant"))
     assert row["status"] == "untested"
     assert row["note"] == (
-        "region oracle is 0.0 at eps0 = 1e-08: the weighted integrand is 0.0 "
-        "at every node, as for a law centred far from the all-ones ray"
+        "region oracle is 0.0 at eps0 = 1e-08: the weighted integrand "
+        "underflows to 0.0 at every node"
     )
+
+
+@pytest.mark.parametrize("mean", [-8.0, -20.0])
+def test_region_oracle_judges_a_normal_centred_far_behind_the_origin(mean, capsys):
+    # each weighted profile is a closed-form moment, so no plan sized on
+    # the paper integrand can leave the weighted half empty
+    model = f"gaussian:cov=1 0 0 1,mean={mean} {mean}"
+    assert cli.main(["verify", "--n", "2", "--model", model, "--trials", "1000"]) == 0
+    records = json.loads(capsys.readouterr().out)["records"]
+    row = next(r for r in records if r["quantity"].startswith("tail_constant"))
+    assert row["status"] == "discrepant"
+    assert row["ratio_corrected_oracle"] == pytest.approx(1.0, abs=1e-7)
 
 
 def test_k_constant_note_gives_the_log_ratio_where_the_ratio_underflows():
