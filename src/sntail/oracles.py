@@ -22,9 +22,10 @@ law to any tail evaluator on an eps grid.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, Mapping
 
 import numpy as np
@@ -64,7 +65,9 @@ _FPMIN = 1e-300
 
 @dataclass(frozen=True)
 class OracleResult:
-    """One oracle route's value and own error estimate."""
+    """One oracle route's value and own error estimate.  Region quadrature's
+    metadata counts its per-axis ladder's "refinement_level" (steps after
+    the first grid) and the "nodes" whose integrand it evaluated."""
 
     value: float
     method: str
@@ -360,20 +363,29 @@ def _region_integrand(
     return vals if integrand == "weighted" else vals * np.prod(pts, axis=-1)
 
 
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays
+
+
+@cache
 def _fejer2(count: int) -> tuple[np.ndarray, np.ndarray]:
     """Fejer's second rule on [-1, 1]: nodes cos(k pi / count), k = 1..count-1.
 
     Exact for polynomials of degree count - 2, spectrally convergent for
     analytic integrands, and nested, which Gauss-Legendre is not: the rule
     for 2 * count holds these nodes at its odd (0-based) positions, bit for
-    bit.  Weights after Waldvogel (BIT 46, 2006).
+    bit.  Weights after Waldvogel (BIT 46, 2006).  Each count's rule is
+    built once per process, read-only.
     """
     theta = np.arange(1, count) * (math.pi / count)
     odd = np.arange(1, count // 2 + 1) * 2 - 1
     weights = np.sin(theta) * (np.sin(np.outer(theta, odd)) @ (1.0 / odd))
-    return np.cos(theta), (4.0 / count) * weights
+    return _read_only(np.cos(theta), (4.0 / count) * weights)
 
 
+@cache
 def _directions(dim: int, count: int) -> tuple[np.ndarray, np.ndarray]:
     """Rule on the unit sphere of R^dim: directions (..., dim), weights (...).
 
@@ -381,15 +393,15 @@ def _directions(dim: int, count: int) -> tuple[np.ndarray, np.ndarray]:
     dim 2: the periodic trapezoid at angles 2 pi k / count, shape (count, 2).
     dim 3: Fejer-2 in the polar cosine crossed with the periodic trapezoid
            on 2 * count azimuths, shape (count - 1, 2 * count, 3).
-    Doubling `count` keeps every direction; `_KEPT` says where.
+    Doubling `count` keeps every direction; `_KEPT` says where.  Each rule
+    is built once per process, read-only.
     """
     if dim == 1:
-        return np.array([[1.0], [-1.0]]), np.ones(2)
+        return _read_only(np.array([[1.0], [-1.0]]), np.ones(2))
     if dim == 2:
         theta = np.arange(count) * (2.0 * math.pi / count)
-        return np.stack((np.cos(theta), np.sin(theta)), axis=-1), np.full(
-            count, 2.0 * math.pi / count
-        )
+        return _read_only(np.stack((np.cos(theta), np.sin(theta)), axis=-1),
+                          np.full(count, 2.0 * math.pi / count))
     mu, w_mu = _fejer2(count)
     phi = np.arange(2 * count) * (math.pi / count)
     sin_theta = np.sqrt(1.0 - mu * mu)[:, None]
@@ -401,14 +413,15 @@ def _directions(dim: int, count: int) -> tuple[np.ndarray, np.ndarray]:
         ),
         axis=-1,
     )
-    return dirs, np.outer(w_mu, np.full(phi.size, math.pi / count))
+    return _read_only(dirs, np.outer(w_mu, np.full(phi.size, math.pi / count)))
 
 
-# Per region dimension: the level-0 direction count and Fejer-2 radial count
-# (dim 2 starts at 48 directions by 25 radial nodes), and the finest level.
-# The azimuth counts (48 in dim 2, 2 * 8 in dim 3) are multiples of 8, so
-# the exchangeable fold's mirror map keeps each level's parity.
-_LADDER = {1: (1, 26, 5), 2: (48, 26, 5), 3: (8, 13, 3)}
+# Per region dimension: the first grid's direction count and Fejer-2 radial
+# count (dim 2 starts at 16 directions by 11 radial nodes, dim 3 at 7 polar
+# cosines by 16 azimuths by 11), and the node budget, the size of the
+# finest grid the ladder may build.  The azimuth counts stay multiples of 8,
+# so the exchangeable fold's mirror map keeps each level's parity.
+_LADDER = {1: (1, 12, 2 * 831), 2: (16, 12, 1536 * 831), 3: (8, 12, 63 * 128 * 103)}
 # Where a grid axis keeps the previous level's nodes: every direction for
 # dim 1, even positions for the trapezoid, odd positions for Fejer-2.
 _KEPT = {
@@ -439,24 +452,31 @@ def region_tail_integral(
     region is nearly a ball: a rule over directions (`_directions`) times
     Fejer-2 in the radius out to the region boundary.  That boundary is
     `_reach`, exact for beta = 2, where the region is an ellipsoid and no
-    root search runs; other beta bisect g.  Both rules are nested, so every
-    refinement level doubles each count and evaluates, in one
-    `profile_batch` call, only the nodes the previous level lacks.  The value
-    settles at level L once |L - (L-1)| <= rel_target * |L|; the error
-    estimate adds to that difference the z-plan's certified tolerance and
-    the rounding of the boundary.  A density whose profiles defeat the
-    z-plan's check (a user density with a support edge) raises
-    QuadratureError, as does a value that misses rel_target at the finest
-    level.
+    root search runs; other beta bisect g.
+
+    Both rules are nested, and the ladder keeps one level per axis
+    (dimension-adaptive tensor quadrature; Gerstner & Griebel, Computing
+    71, 2003).  From a small first grid (`_LADDER`) it reads two error
+    indicators off sub-grids it already holds, at no evaluation cost: e_d
+    and e_r, how far halving the direction or the radial count moves the
+    value Q.  Once e_d + e_r <= rel_target * |Q| it returns Q; otherwise it
+    doubles the axis with the larger indicator (the radius on a tie) and
+    evaluates, in one `profile_batch` call, only that axis's fresh nodes,
+    so an axis that has settled is not refined again.  The error estimate
+    adds to e_d + e_r what the ladder cannot see: the z-plan's certified
+    tolerance and the rounding of the boundary.  A density whose profiles
+    defeat the z-plan's check (a user density with a support edge) raises
+    QuadratureError, as does a step whose grid would pass the node budget.
+    The ladder is the one deterministic route with a certified error
+    estimate, which the Monte Carlo oracle cannot give.
 
     For an `exchangeable` model with n >= 3 the integrand is symmetric
-    under swapping v1 and v2, which maps the grid onto itself.  Each level
+    under swapping v1 and v2, which maps the grid onto itself.  Each step
     then profiles only its canonical nodes, those with v1 >= v2, and each
     mirror node copies its twin's value; the rule, its sums and the error
-    estimate are unchanged.  metadata counts the ladder's last
-    "refinement_level" and the "nodes" whose integrand it evaluated, over
-    all levels: a mirror node copied from its twin is not counted (at level
-    1, 2499 of 4896 nodes at n = 3, 6375 of 12000 at n = 4).
+    estimate are unchanged.  metadata counts the "refinement_level", the
+    steps after the first grid, and the "nodes" whose integrand the ladder
+    evaluated: a mirror node copied from its twin is not counted.
 
     The model's dimension n is capped at 4 (one to three region dimensions).
     """
@@ -501,22 +521,29 @@ def region_tail_integral(
     level = n ** (1.0 - 1.0 / beta) - epsilon
     floor = Z_PLAN_RTOL + dim * np.finfo(float).eps * level / epsilon
 
+    def quadrature(values, dir_w, scale, radial_count):
+        x, w = _fejer2(radial_count)
+        radial = (values * (0.5 * (x + 1.0)) ** (dim - 1)) @ (0.5 * w)
+        return jacobian * float(np.sum(dir_w * scale * radial))
+
     fold = model.exchangeable and dim >= 2
-    dir_count, radial_count, max_level = _LADDER[dim]
-    values, prev, nodes_used = None, math.nan, 0
-    for lvl in range(max_level + 1):
-        dirs, dir_w = _directions(dim, dir_count * 2**lvl)
-        axes = dirs @ shape
-        stretch = np.linalg.norm(axes, axis=-1)
-        axes /= stretch[..., None]
-        reach = _reach(axes.reshape(-1, dim), n, beta, epsilon).reshape(dir_w.shape)
-        x, w = _fejer2(radial_count * 2**lvl)
-        s, s_w = 0.5 * (x + 1.0), 0.5 * w
-        grid = np.empty(reach.shape + s.shape)
+    dir_count, radial_count, budget = _LADDER[dim]
+    kept_dirs, kept_radii = _KEPT[dim][:-1], (Ellipsis, _KEPT[dim][-1])
+    grid, kept, nodes_used = None, None, 0
+    for step in itertools.count():
+        dirs, dir_w = _directions(dim, dir_count)
+        if kept is not kept_radii:  # the first grid, or new directions
+            axes = dirs @ shape
+            stretch = np.linalg.norm(axes, axis=-1)
+            axes /= stretch[..., None]
+            reach = _reach(axes.reshape(-1, dim), n, beta, epsilon).reshape(dir_w.shape)
+            scale = (reach / stretch) ** dim
+        s = 0.5 * (_fejer2(radial_count)[0] + 1.0)
+        prev, grid = grid, np.empty(reach.shape + s.shape)
         fresh = np.ones(grid.shape, dtype=bool)
-        if values is not None:
-            grid[_KEPT[dim]] = values
-            fresh[_KEPT[dim]] = False
+        if prev is not None:
+            grid[kept] = prev
+            fresh[kept] = False
         todo = fresh
         if fold:
             # Swapping v1 and v2 commutes with `shape` and keeps the region,
@@ -537,29 +564,36 @@ def region_tail_integral(
             mirrored = fresh & ~canonical
             grid[mirrored] = np.take(grid, twin, axis=dim - 2)[mirrored]
         nodes_used += idx[0].size
-        values = grid
-        radial = (grid * s ** (dim - 1)) @ s_w
-        current = jacobian * float(np.sum(dir_w * (reach / stretch) ** dim * radial))
-        diff, prev = abs(current - prev), current
-        if diff <= rel_target * max(abs(current), 1e-300):
+        # The indicators halve one axis of the grid; dim 1's two directions
+        # never refine, so there e_d is 0.
+        current = quadrature(grid, dir_w, scale, radial_count)
+        e_d = abs(current - quadrature(grid[kept_dirs], _directions(dim, dir_count // 2)[1],
+                                       scale[kept_dirs], radial_count))
+        e_r = abs(current - quadrature(grid[kept_radii], dir_w, scale, radial_count // 2))
+        if e_d + e_r <= rel_target * max(abs(current), 1e-300):
             return OracleResult(
                 value=current,
                 method="region-quadrature",
-                error_estimate=float(diff + floor * abs(current)),
+                error_estimate=float(e_d + e_r + floor * abs(current)),
                 metadata={
                     "n": n,
                     "epsilon": epsilon,
                     "beta": float(beta),
                     "integrand": integrand,
-                    "refinement_level": lvl,
+                    "refinement_level": step,
                     "nodes": nodes_used,
                 },
             )
-    raise QuadratureError(
-        f"region quadrature missed relative target {rel_target:.1e}; last "
-        f"refinement moved the value at eps = {epsilon:g} by "
-        f"{diff / max(abs(prev), 1e-300):.3e} of itself"
-    )
+        if e_d > e_r:
+            dir_count, kept = 2 * dir_count, kept_dirs
+        else:
+            radial_count, kept = 2 * radial_count, kept_radii
+        if _directions(dim, dir_count)[1].size * (radial_count - 1) > budget:
+            raise QuadratureError(
+                f"region quadrature missed relative target {rel_target:.1e}; last "
+                f"refinement moved the value at eps = {epsilon:g} by "
+                f"{(e_d + e_r) / max(abs(current), 1e-300):.3e} of itself"
+            )
 
 
 def leading_coeff_fit(

@@ -16,6 +16,7 @@ import pytest
 
 import sntail.cli as cli
 import sntail.ledger
+import sntail.oracles
 from sntail.cli import (
     ExperimentConfig,
     UsageError,
@@ -26,7 +27,14 @@ from sntail.cli import (
     parse_eps,
 )
 from sntail.density import MAGNITUDE_CELLS, DensityModel, parse_model
-from sntail.montecarlo import SamplerSpec, StatisticSpec, _estimate, _row_cut, statistic_batch
+from sntail.montecarlo import (
+    SamplerSpec,
+    StatisticSpec,
+    _estimate,
+    _row_cut,
+    estimate_tail,
+    statistic_batch,
+)
 
 SAMPLE_CONFIGS = [
     ExperimentConfig(command="predict"),
@@ -318,6 +326,27 @@ def test_support_edge_commands_succeed(capsys):
                  "--eps", "0.01"]) == 0
     cert = json.loads(capsys.readouterr().out)
     assert 0.0 < cert["lower"] < cert["upper"]
+
+
+def test_folded_normal_region_settles_within_the_node_budget(monkeypatch, capsys):
+    # the profile is kinked along v_i = 1 and v_i = v_j, so the angles need
+    # far more nodes than the radius; refining them alone settles the
+    # value inside the 1536 x 831 dim-2 budget, and 1e7 Monte Carlo trials
+    # agree with it within 5 sigma
+    profiled = []
+    original = sntail.oracles.profile_batch
+
+    def counting(model, vs, variant, plan):
+        profiled.append(len(vs))
+        return original(model, vs, variant, plan)
+
+    monkeypatch.setattr(sntail.oracles, "profile_batch", counting)
+    assert main(["oracle", "--model", "iid-folded-normal", "--n", "3", "--eps", "0.1"]) == 0
+    value = json.loads(capsys.readouterr().out)["value"]
+    assert sum(profiled) < 1536 * 831
+    sampler = SamplerSpec(DensityModel.iid_folded_normal(3), seed=1, trials=10**7, workers=2)
+    within, resolved, gate = estimate_tail(sampler, StatisticSpec(2.0, "sum"), 0.1).judge(value)
+    assert within and resolved, gate
 
 
 def test_folded_normal_predicts_at_n_200(capsys):

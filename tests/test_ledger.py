@@ -263,7 +263,10 @@ def test_a_shifted_gaussian_gets_a_region_verdict():
     row = next(e for e in report.entries if e.quantity.startswith("tail_constant"))
     assert row.status == "discrepant"
     assert abs(row.ratio_corrected_oracle - 1.0) <= 1e-6
-    assert row.note.startswith("region oracle q / eps0^1 at eps0 = 1e-08: refinement level 1,")
+    # settled on the first grid, 16 x 11 with the fold's 9 x 11 profiled
+    assert row.note.startswith(
+        "region oracle q / eps0^1 at eps0 = 1e-08: refinement level 0, 99 nodes profiled,"
+    )
     cov5 = 0.7 * np.eye(5) + 0.3
     report = run_verify(_gaussian_text(cov5, np.full(5, 0.3)), n=5, seed=1)
     row = next(e for e in report.entries if e.quantity.startswith("tail_constant"))
@@ -438,15 +441,18 @@ def test_tail_constant_fit_runs_one_region_ladder(monkeypatch):
     for n in ns
 ])
 def test_region_read_meets_the_corrected_constant(model, n, bound):
-    # one read of the region oracle at eps0 settles at level 1 and meets
-    # the corrected constant far inside the 5e-3 gate
+    # one read of the region oracle at eps0 settles on its first grid
+    # (2 x 11, 16 x 11 and 7 x 16 x 11 nodes, the fold's canonical half
+    # profiled) and meets the corrected constant far inside the 5e-3 gate
     report = run_verify(model, n=n, seed=1)
     assert report.exit_code == 0, report.internal_failures
     row = next(e for e in report.entries if e.quantity.startswith("tail_constant"))
     assert row.status == "discrepant"
     assert abs(row.ratio_corrected_oracle - 1.0) <= bound
+    nodes = {2: 22, 3: 99, 4: 693}[n]
     assert row.note.startswith(
-        f"region oracle q / eps0^{0.5 * (n - 1):g} at eps0 = 1e-08: refinement level 1,"
+        f"region oracle q / eps0^{0.5 * (n - 1):g} at eps0 = 1e-08: refinement level 0, "
+        f"{nodes} nodes profiled,"
     )
 
 

@@ -6,6 +6,7 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
+from scipy.special import betainc
 
 import sntail.oracles as oracles
 from sntail.density import DISCRETE_MODELS, DensityModel, QuadratureError
@@ -180,8 +181,6 @@ def test_incomplete_beta_symmetry_sweep():
 
 
 def test_incomplete_beta_against_scipy():
-    from scipy.special import betainc
-
     rng = np.random.default_rng(99)
     for _ in range(200):
         a = float(rng.uniform(0.2, 20.0))
@@ -312,7 +311,7 @@ def _unfolded_twin(model):
     return DensityModel.user(model.n, model.pdf)
 
 
-def _recorded_points(monkeypatch, model):
+def _recorded_batches(monkeypatch, model, eps, integrand):
     batches = []
     original = oracles.profile_batch
 
@@ -321,34 +320,76 @@ def _recorded_points(monkeypatch, model):
         return original(model, vs, variant, plan)
 
     monkeypatch.setattr(oracles, "profile_batch", recording)
-    res = region_tail_integral(model, 0.05, 2.0, "weighted")
+    res = region_tail_integral(model, eps, 2.0, integrand)
     monkeypatch.undo()
-    assert res.metadata["refinement_level"] == 1 and len(batches) == 2
-    seen = np.vstack(batches)
-    assert seen.shape[0] == res.metadata["nodes"]
-    return seen
+    # one profile_batch call for the first grid and one per step
+    assert len(batches) == res.metadata["refinement_level"] + 1
+    assert sum(b.shape[0] for b in batches) == res.metadata["nodes"]
+    return batches
 
 
-@pytest.mark.parametrize("n, level1_nodes", [
-    (2, 2 * 51),        # directions +-1, Fejer-2 radius 25 -> 51 nodes
-    (3, 96 * 51),       # trapezoid 48 -> 96 directions
-    (4, 15 * 32 * 25),  # polar cosine 7 -> 15, azimuth 16 -> 32, radius 12 -> 25
+def _labels(x):
+    # one label per point, shared by the points within 1e-9 of each other
+    x = x.reshape(len(x), -1)
+    return np.array([min(near) for near in cKDTree(x).query_ball_point(x, 1e-9)])
+
+
+def _steps(batches, n, eps):
+    # split each point 1 + r s a into its grid direction a and radial
+    # fraction s = r / reach(a), and name the axis each step refined
+    full = np.vstack(batches)
+    offset = full - 1.0
+    radius = np.linalg.norm(offset, axis=1)
+    axes = offset / radius[:, None]
+    d_label = _labels(axes)
+    s_label = _labels(radius / oracles._reach(axes, n, 2.0, eps))
+    dirs, radii, steps = set(), set(), []
+    for k, part in enumerate(np.split(np.arange(full.shape[0]),
+                                      np.cumsum([b.shape[0] for b in batches])[:-1])):
+        d, s = set(d_label[part]), set(s_label[part])
+        # each batch is the whole tensor product of its directions and radii
+        assert part.size == len(d) * len(s)
+        if k:
+            # a step evaluates the fresh nodes of one axis against every
+            # node the other axis already holds
+            assert (d == dirs and not s & radii) or (s == radii and not d & dirs)
+            steps.append("radius" if d == dirs else "directions")
+        dirs, radii = dirs | d, radii | s
+    # together the batches are the whole final grid
+    assert full.shape[0] == len(dirs) * len(radii)
+    return steps
+
+
+# The axes each step refines: dim 1's directions +-1 never refine, the
+# paper integrand at n = 3 doubles 16 -> 32 angles, the weighted one at
+# n = 4 doubles 7 x 16 -> 15 x 32 after its radius.
+_STEPS = {2: ["radius"], 3: ["directions", "radius"], 4: ["radius", "directions"]}
+
+
+@pytest.mark.parametrize("n, eps, integrand", [
+    (2, 0.05, "weighted"), (3, 0.05, "paper"), (4, 0.05, "weighted"),
 ])
-def test_region_levels_nest(monkeypatch, n, level1_nodes):
-    # each level's node set holds the previous level's, so a level evaluates
-    # only its new nodes: no point twice, and together the full finer grid
-    full = _recorded_points(monkeypatch, _unfolded_twin(DensityModel.iid_normal(n)))
-    assert full.shape[0] == level1_nodes
+def test_region_levels_nest(monkeypatch, n, eps, integrand):
+    # each step doubles one axis and evaluates only that axis's new nodes:
+    # no point twice, and together the full final grid
+    model = DensityModel.iid_student_t(n, 5.0)
+    batches = _recorded_batches(monkeypatch, _unfolded_twin(model), eps, integrand)
+    full = np.vstack(batches)
     assert np.unique(full, axis=0).shape[0] == full.shape[0]
-    # an exchangeable model evaluates only the canonical half (v1 >= v2) of
-    # the azimuths, diagonal included: 49 of 96 at n = 3, 17 of 32 at n = 4
-    folded = _recorded_points(monkeypatch, DensityModel.iid_normal(n))
-    assert folded.shape[0] == {2: 102, 3: 49 * 51, 4: 15 * 17 * 25}[n]
+    assert _steps(batches, n, eps) == _STEPS[n]
+    # an exchangeable model takes the same steps on the canonical half
+    # (v1 >= v2) of the azimuths, diagonal included: 9 of 16 on the first
+    # grid at n = 3, 7 x 9 of 7 x 16 at n = 4
+    folded_batches = _recorded_batches(monkeypatch, model, eps, integrand)
+    folded = np.vstack(folded_batches)
+    assert folded_batches[0].shape[0] == {2: 2 * 11, 3: 9 * 11, 4: 7 * 9 * 11}[n]
     if n == 2:
         np.testing.assert_array_equal(folded, full)
         return
+    assert len(folded_batches) == len(batches)
+    assert all(f.shape[0] < b.shape[0] for f, b in zip(folded_batches, batches))
     assert (folded[:, 0] >= folded[:, 1] - 1e-15).all()
-    # the evaluated points and their mirrors are the whole level-1 grid
+    # the evaluated points and their mirrors are the whole final grid
     swapped = folded.copy()
     swapped[:, [0, 1]] = folded[:, [1, 0]]
     distance, index = cKDTree(full).query(np.vstack((folded, swapped)))
@@ -524,15 +565,33 @@ def test_folded_region_matches_its_unfolded_twin(name, n):
 
 
 def test_region_grid_raises_when_one_eps_misses(monkeypatch):
-    # the folded normal at n = 3 settles eps = 1e-4 at level 3 and 1e-3 at
-    # level 4; with level 3 the finest, 1e-3 misses and names its last move
-    monkeypatch.setitem(oracles._LADDER, 2, (48, 26, 3))
+    # the folded normal at n = 3 refines only its angles, 16 -> 128 to
+    # settle eps = 1e-4 and 16 -> 256 for 1e-3; with a budget of 128 x 11
+    # nodes, 1e-3 misses and names its last move
+    monkeypatch.setitem(oracles._LADDER, 2, (16, 12, 128 * 11))
     model = DensityModel.iid_folded_normal(3)
     with pytest.raises(QuadratureError) as info:
         region_tail_integral(model, 1e-3, 2.0, "weighted", rel_target=1e-6)
     assert str(info.value) == (
         "region quadrature missed relative target 1.0e-06; last refinement "
-        "moved the value at eps = 0.001 by 1.191e-06 of itself"
+        "moved the value at eps = 0.001 by 1.192e-06 of itself"
     )
     res = region_tail_integral(model, 1e-4, 2.0, "weighted", rel_target=1e-6)
     assert res.metadata["refinement_level"] == 3
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_region_meets_the_exact_sphere_law(n):
+    # a small first grid must not settle on a false value: every read of a
+    # standard normal, from eps = 1e-8 to the edge of the window, holds the
+    # sphere law within its error estimate and 1e-12 relative; 1 - s^2 is
+    # formed as delta / n, delta = eps (2 sqrt(n) - eps), free of cancellation
+    window = tail_window(n)
+    for eps in (1e-8, 1e-4, 1e-2, 0.5 * window, 0.95 * window):
+        x = eps * (2.0 * math.sqrt(n) - eps) / n
+        exact = 0.5 * betainc(0.5 * (n - 1), 0.5, x)
+        for rel_target in (1e-6, 1e-8):
+            res = region_tail_integral(DensityModel.iid_normal(n), eps, 2.0, "weighted",
+                                       rel_target=rel_target)
+            assert abs(res.value - exact) <= res.error_estimate, (eps, rel_target)
+            assert res.value == pytest.approx(exact, rel=1e-12, abs=0.0), (eps, rel_target)
