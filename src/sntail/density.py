@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -454,43 +454,39 @@ def _rays(model: DensityModel, vs: np.ndarray) -> np.ndarray:
 
 def _scan_support(
     model: DensityModel, probe_vs: np.ndarray, variants: tuple[str, ...]
-) -> tuple[float, float]:
-    """Joint span (z_lo, z_hi), z_lo <= 0 <= z_hi, of every probe ray's integrand.
+) -> float:
+    """Extent z_max >= 0 of every probe ray's integrand, on both half-lines.
 
     The integrand is f along the ray for a plan that serves the paper
     variant, else z**(n-1) f, whose mass the weight moves outward by about
     sqrt(n - 1).  All rays are scanned in one `ray_pdf` call on one shared
-    log-spaced grid over the half-lines the variants integrate.  Each ray's
-    span runs from the node before its first value above its own
-    peak * 1e-18 to the node after its last; ends still above it at the
-    grid's edge are doubled until they fall to it, one call per step for
-    all such rays.  Rays that vanish on the whole grid, or are live at
-    z = 0 alone (steep rays, whose mass lies within its first node 1e-3),
-    are scanned again on the grid scaled by 1e-3/512, toward z = 0 while
-    that node stays a normal double.  Raises QuadratureError where the
-    integrand is not finite (z**(n-1) overflowing at large n): a span cut
-    short there would truncate it.
+    log-spaced grid over the half-line z >= 0.  Where a served variant
+    integrates z < 0 (paper, mirror) each ray is read at z and at -z in
+    that call and the larger value counts; a sign-symmetric model reads z
+    alone.  Each ray's extent is the node after its last value above its
+    own peak * 1e-18; extents still above it at the grid's edge are doubled
+    until they fall to it, one call per step for all such rays.  Rays that
+    vanish on the whole grid, or are live at z = 0 alone (steep rays, whose
+    mass lies within its first node 1e-3), are scanned again on the grid
+    scaled by 1e-3/512, toward z = 0 while that node stays a normal double.
+    Raises QuadratureError where the integrand is not finite (z**(n-1)
+    overflowing at large n): an extent cut short there would truncate it.
     """
     rays = _rays(model, probe_vs)
     weight_pow = 0 if "paper" in variants else model.n - 1
-    scan_neg = bool({"paper", "mirror"} & set(variants))
-    scan_pos = bool({"paper", "weighted"} & set(variants))
+    both = not model.sign_symmetric and bool({"paper", "mirror"} & set(variants))
 
     def psi(rows: np.ndarray, z: np.ndarray) -> np.ndarray:
-        base = model.ray_pdf(rays[rows], z)
-        if not weight_pow:
-            return base
-        with np.errstate(over="ignore", invalid="ignore"):
-            return base * np.abs(z) ** weight_pow
+        if both:
+            z = np.concatenate((z, -z), axis=-1)
+        vals = model.ray_pdf(rays[rows], z)
+        if weight_pow:
+            with np.errstate(over="ignore", invalid="ignore"):
+                vals = vals * np.abs(z) ** weight_pow
+        return np.maximum(*np.split(vals, 2, axis=1)) if both else vals
 
-    pos = np.concatenate(([0.0], np.geomspace(1e-3, 512.0, 160)))
-    zs = np.concatenate((-pos[::-1], pos[1:]))
-    if not scan_neg:
-        zs = zs[zs >= 0.0]
-    if not scan_pos:
-        zs = zs[zs <= 0.0]
-    zero = int(np.flatnonzero(zs == 0.0)[0])
-    z_lo, z_hi = 0.0, 0.0
+    zs = np.concatenate(([0.0], np.geomspace(1e-3, 512.0, 160)))
+    z_max = 0.0
     rows, scale = np.arange(rays.shape[0]), 1.0
     while rows.size and 1e-3 * scale >= np.finfo(float).tiny:
         grid = zs * scale
@@ -500,15 +496,13 @@ def _scan_support(
         peak = vals.max(axis=1, initial=0.0)
         live = vals > peak[:, None] * 1e-18
         # A ray live only at z = 0 (a steep ray's paper profile) is as
-        # unresolved as one that vanishes: its span is narrower than a node.
-        found = live.sum(axis=1) > live[:, zero]
-        thresh, live = peak[found] * 1e-18, live[found]
-        first, edge = np.argmax(live, axis=1), grid.size - 1
-        last = edge - np.argmax(live[:, ::-1], axis=1)
-        # Lower ends, then upper ends; those still live at the grid's edge double.
-        ends = grid[np.concatenate((np.maximum(first - 1, 0), np.minimum(last + 1, edge)))]
-        grow = np.concatenate(((first == 0) & scan_neg, (last == edge) & scan_pos))
-        owner, limit = np.tile(rows[found], 2), np.tile(thresh, 2)
+        # unresolved as one that vanishes: its extent is narrower than a node.
+        found = live[:, 1:].any(axis=1)
+        limit, edge = peak[found] * 1e-18, grid.size - 1
+        last = edge - np.argmax(live[found, ::-1], axis=1)
+        ends = grid[np.minimum(last + 1, edge)]
+        # Extents still live at the grid's edge double.
+        grow, owner = last == edge, rows[found]
         for _ in range(39):
             if not grow.any():
                 break
@@ -516,10 +510,9 @@ def _scan_support(
             grow[grow] = ~(psi(owner[grow], ends[grow, None])[:, 0] <= limit[grow])
         if grow.any():
             raise QuadratureError("profile integrand does not decay on the scanned range")
-        z_lo = min(z_lo, float(ends.min(initial=0.0)))
-        z_hi = max(z_hi, float(ends.max(initial=0.0)))
+        z_max = max(z_max, float(ends.max(initial=0.0)))
         rows, scale = rows[~found], scale * (1e-3 / 512.0)
-    return z_lo, z_hi
+    return z_max
 
 
 # Relative agreement every profile must reach between m and 2m Gauss
@@ -567,25 +560,17 @@ class ZPlan:
     One plan serves a whole region's profiles; a plan for one ray serves
     `h_profile` and `weighted_profile_mirror`.  `profile_batch` evaluates a
     student-t or user density at the nodes through `DensityModel.ray_pdf`,
-    as does the support scan.  Both halves start at z = 0; a normal law
-    (`closed_form_profiles`) gets four empty arrays, with no certificate to
-    carry.  `mirrored` is decided once, on
+    as does the support scan.  The plan is symmetric about z = 0 by
     construction: the negative half is the positive one negated and
-    reversed, nodes and weights bit for bit, as it is for every plan whose
-    scanned span is symmetric (a sign-symmetric model's paper plan).
+    reversed, nodes and weights bit for bit.  A normal law
+    (`closed_form_profiles`) gets four empty arrays, with no certificate to
+    carry.
     """
 
     pos_nodes: np.ndarray
     pos_weights: np.ndarray
     neg_nodes: np.ndarray
     neg_weights: np.ndarray
-    mirrored: bool = field(init=False)
-
-    def __post_init__(self) -> None:
-        mirrored = np.array_equal(self.neg_nodes, -self.pos_nodes[::-1]) and np.array_equal(
-            self.neg_weights, self.pos_weights[::-1]
-        )
-        object.__setattr__(self, "mirrored", mirrored)
 
 
 def build_z_plan(
@@ -597,24 +582,24 @@ def build_z_plan(
     paper, weighted and mirror).  A normal law (`closed_form_profiles`) gets
     the empty plan at once, as `profile_batch` reads its profiles in closed
     form: no density is evaluated.  For student-t and user `_scan_support`
-    finds the joint span of the probe rays' integrands in one batched scan.
-    Panels double in width away from z = 0 out to twice that span; the
-    twofold margin covers the weighted profiles of a shared region plan
-    (n <= 4).  The node count per panel is the smallest m in _PANEL_NODES
-    whose probe profiles, in every served variant, agree with those at 2m
-    nodes per panel to Z_PLAN_RTOL; QuadratureError is raised when none does.
+    finds the extent z_max of the probe rays' integrands on both half-lines
+    in one batched scan.  Panels double in width away from z = 0 out to
+    2 z_max, and the negative half mirrors the positive one; the twofold
+    margin covers the weighted profiles of a shared region plan (n <= 4).
+    The node count per panel is the smallest m in _PANEL_NODES whose probe
+    profiles, in every served variant, agree with those at 2m nodes per
+    panel to Z_PLAN_RTOL; QuadratureError is raised when none does.
     """
     if model.closed_form_profiles:
         return ZPlan(*[np.empty(0)] * 4)
     probe_vs = np.atleast_2d(np.asarray(probe_vs, dtype=float))
-    z_lo, z_hi = _scan_support(model, probe_vs, variants)
-    # Margin: one extra octave on both sides.
-    pos_edges = _panel_edges(2.0 * z_hi)
-    neg_edges = -_panel_edges(-2.0 * z_lo)[::-1]
+    # Margin: one extra octave.
+    edges = _panel_edges(2.0 * _scan_support(model, probe_vs, variants))
 
     previous, worst = None, math.inf
     for per_panel in (*_PANEL_NODES, 2 * _PANEL_NODES[-1]):
-        plan = ZPlan(*_composite(pos_edges, per_panel), *_composite(neg_edges, per_panel))
+        nodes, weights = _composite(edges, per_panel)
+        plan = ZPlan(nodes, weights, -nodes[::-1], weights[::-1])
         profiles = np.concatenate(
             [profile_batch(model, probe_vs, variant, plan) for variant in variants]
         )
@@ -645,14 +630,14 @@ def profile_batch(
     leaves empty for it.  Student-t and user are integrated on the plan:
     paper takes the plan's negative and positive halves, weighted the
     positive half with weight z**(n-1), and mirror (the z < 0 branch of the
-    weighted change of variables) the negative half with |z|**(n-1).  For a
-    sign-symmetric model on a mirrored plan the two paper halves are equal
-    node for node, so paper is twice the positive half, at half the density
-    evaluations.
+    weighted change of variables) the negative half with |z|**(n-1).  Every
+    plan's halves mirror each other, so for a sign-symmetric model the two
+    paper halves are equal node for node, and paper is twice the positive
+    half, at half the density evaluations.
     """
     vs = np.atleast_2d(np.asarray(vs, dtype=float))
     n = model.n
-    if variant == "paper" and plan.mirrored and model.sign_symmetric:
+    if variant == "paper" and model.sign_symmetric:
         # twice the positive half; doubling the weights is exact
         nodes, weights = plan.pos_nodes, 2.0 * plan.pos_weights
     elif variant == "paper":

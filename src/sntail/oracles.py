@@ -159,13 +159,21 @@ def sphere_tail_exact(n: int, threshold: float) -> OracleResult:
     """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
+    s = threshold / math.sqrt(n)
+    return _sphere_tail(n, threshold, 1.0 - s * s)
+
+
+def _sphere_tail(n: int, threshold: float, x: float) -> OracleResult:
+    """P(T(n) > threshold) on the sphere law from x = 1 - threshold**2 / n,
+    which the caller forms: `sphere_tail_exact` from the threshold, which
+    cancels as it nears sqrt(n), the sphere law's `TailLaw.tail` from eps
+    without cancelling."""
     root_n = math.sqrt(n)
     if abs(threshold) > root_n:
         raise ValueError(
             f"threshold {threshold} outside the attainable range [-{root_n}, {root_n}]"
         )
-    s = threshold / root_n
-    upper_half = 0.5 * regularized_incomplete_beta(0.5 * (n - 1), 0.5, 1.0 - s * s)
+    upper_half = 0.5 * regularized_incomplete_beta(0.5 * (n - 1), 0.5, x)
     value = upper_half if threshold >= 0.0 else 1.0 - upper_half
     return OracleResult(
         value=float(value),
@@ -226,20 +234,24 @@ def tail_law(model: object, beta: float) -> TailLaw | None:
     """The exact law of `model` at `beta`, the one place that decides it: a
     centred normal at beta = 2 has one, every other model and beta None.
 
-    A centred iid normal (any sigma) has the sphere law, whose tail is
-    `sphere_tail_exact`.  A centred `gaussian` has the quadratic-form law
-    with tail None, even an isotropic one, whose tail is the sphere law's
-    too: the `oracle-n4` benchmark workload checks region quadrature on
-    exactly that model, and `verify-n3-gauss` has no cross-oracle or Monte
-    Carlo row.
+    A centred iid normal (any sigma) has the sphere law, whose tail at eps
+    is 0.5 I_x((n-1)/2, 1/2) at x = delta / n, delta = eps (2 sqrt(n) - eps)
+    formed as `_reach` forms it, so that nothing cancels at small eps.  A
+    centred `gaussian` has the quadratic-form law with tail None, even an
+    isotropic one, whose tail is the sphere law's too: the `oracle-n4`
+    benchmark workload checks region quadrature on exactly that model, and
+    `verify-n3-gauss` has no cross-oracle or Monte Carlo row.
     """
     if not (isinstance(model, DensityModel) and model.centred_normal and beta == 2.0):
         return None
     n = model.n
     if model.kind == "iid-normal":
+        root_n = math.sqrt(n)
+        # delta / n may round past 1 near eps = sqrt(n)
         return TailLaw(n, "sphere law", "closed-form limit c0 of the sphere law, "
                        "(2/sqrt(n))^a / (2a B(a, 1/2))",
-                       lambda eps: sphere_tail_exact(n, math.sqrt(n) - eps))
+                       lambda eps: _sphere_tail(n, root_n - eps,
+                                                min(eps * (2.0 * root_n - eps) / n, 1.0)))
     return TailLaw(n, "quadratic-form law", "exact limit c0 of the quadratic-form "
                    "law, from the eigenvalues of L^T (n I - 11^T) L", None, model.chol)
 

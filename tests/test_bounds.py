@@ -139,6 +139,19 @@ def test_ball_grid_lists_each_point_once(dim):
     assert np.sum(np.all(grid == 1.0, axis=1)) == 1
 
 
+def test_sandwich_rejects_what_the_envelope_rejects():
+    # validate_sandwich leaves its input checks to envelope_bounds
+    with pytest.raises(ValueError, match="2 <= n <= 4"):
+        validate_sandwich(DensityModel.iid_normal(5), 0.005)
+    for n in (2, 3, 4):
+        lam, _ = curvature_functionals(n)
+        for eps in (lam, 1.1 * lam):
+            with pytest.raises(ValueError, match="lambda"):
+                validate_sandwich(DensityModel.iid_normal(n), eps)
+        with pytest.raises(ValueError):
+            validate_sandwich(DensityModel.iid_normal(n), 0.0)
+
+
 def test_sandwich_single_case():
     report = validate_sandwich(DensityModel.iid_normal(3), 0.02)
     assert report.holds

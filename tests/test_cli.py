@@ -407,6 +407,20 @@ def test_exit_code_two_on_usage_error(capsys):
         assert "Traceback" not in captured.err and captured.out == ""
 
 
+def test_bounds_at_another_beta_is_a_usage_error(capsys):
+    assert main(["bounds", "--n", "3", "--beta", "3", "--eps", "0.01"]) == 2
+    captured = capsys.readouterr()
+    assert "bounds are defined for beta = 2" in captured.err and captured.out == ""
+
+
+def test_argparse_exits_become_return_codes(capsys):
+    # --version and an unknown command end argparse with SystemExit
+    assert main(["--version"]) == 0
+    assert capsys.readouterr().out.startswith("sntail ")
+    assert main(["bogus"]) == 2
+    assert "invalid choice: 'bogus'" in capsys.readouterr().err
+
+
 def test_exit_code_three_on_io_error(tmp_path, capsys):
     target = tmp_path / "missing-dir" / "out.json"
     code = main(["predict", "--n", "3", "--output", str(target)])
@@ -481,6 +495,21 @@ def test_rare_event_warning_for_the_degenerate_model_beyond_its_window(capsys):
     captured = capsys.readouterr()
     assert captured.err == ""
     assert json.loads(captured.out)["warnings"] == []
+
+
+def test_no_rare_event_warning_beyond_the_window_without_an_exact_law(capsys):
+    # student-t has no exact law, and at eps = 0.5, past the n = 3 window
+    # 0.318, there is no prediction either: mc warns of nothing
+    argv = ["mc", "--model", "iid-student-t:nu=5", "--n", "3", "--trials", "1000",
+            "--seed", "1", "--eps", "0.5"]
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "" and json.loads(captured.out)["warnings"] == []
+    config = ExperimentConfig(command="mc", model="iid-student-t:nu=5", n=3)
+    model = parse_model(config.model, 3)
+    assert cli.tail_law(model, 2.0) is None
+    assert cli._predicted_tail_for_warning(config, model, None, 0.5) is None
+    assert cli._predicted_tail_for_warning(config, model, None, 0.01) > 0.0
 
 
 def test_rare_event_warning_reads_the_degenerate_law_at_beta_2_with_sum_only(capsys):

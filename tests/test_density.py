@@ -62,9 +62,8 @@ def test_profile_invariant_under_wider_truncation(monkeypatch):
     original = density._scan_support
 
     def widened(model, probe_vs, variants):
-        # the joint span, outward in both directions, never into the support
-        z_lo, z_hi = original(model, probe_vs, variants)
-        return 2.0 * z_lo, 2.0 * z_hi
+        # the one extent, outward on both half-lines, never into the support
+        return 2.0 * original(model, probe_vs, variants)
 
     monkeypatch.setattr(density, "_scan_support", widened)
     for (m, var), base in zip(cases, baselines):
@@ -214,7 +213,8 @@ def test_profile_batch_matches_pdf_on_materialized_points(n):
             got = density.profile_batch(model, vs, variant, plan)
             if variant == "paper" and model.sign_symmetric:
                 # the plan's halves are mirrors and f(-x) = f(x): one half twice
-                assert plan.mirrored
+                np.testing.assert_array_equal(plan.neg_nodes, -plan.pos_nodes[::-1])
+                np.testing.assert_array_equal(plan.neg_weights, plan.pos_weights[::-1])
                 expect = model.pdf(plan.pos_nodes[None, :, None] * rays[:, None, :])
                 _assert_kernel_matches(got, 2.0 * (expect @ plan.pos_weights), exact)
                 continue
@@ -556,28 +556,36 @@ _SIGN_SYMMETRIC = [
 ]
 
 
+_VARIANT_SETS = [("weighted",), ("mirror",), ("paper",), ("paper", "weighted")]
+
+
 @pytest.mark.parametrize("model", _SIGN_SYMMETRIC, ids=lambda m: f"{m.kind}-n{m.n}")
 def test_sign_symmetric_plans_are_exact_mirrors(model):
+    # Every plan is symmetric about z = 0 by construction, whichever
+    # variants it serves: for student-t, and for a `user` density (the twin
+    # of each law here), which claims no symmetry.
     assert model.sign_symmetric
     rng = np.random.default_rng(500 + model.n)
     vs = 1.0 + 0.3 * rng.standard_normal((9, model.n - 1))
+    twin = DensityModel.user(model.n, model.pdf)
     if model.centred_normal:
         # closed-form profiles: every plan is the empty one
-        for variants in (("paper",), ("paper", "weighted"), ("weighted",)):
+        for variants in _VARIANT_SETS:
             plan = density.build_z_plan(model, vs, variants)
             assert plan.pos_nodes.size == plan.neg_nodes.size == 0
-        return
-    for variants in (("paper",), ("paper", "weighted")):
-        plan = density.build_z_plan(model, vs, variants)
-        assert plan.mirrored
-        np.testing.assert_array_equal(plan.neg_nodes, -plan.pos_nodes[::-1])
-        np.testing.assert_array_equal(plan.neg_weights, plan.pos_weights[::-1])
-        rays = density._rays(model, vs)
-        np.testing.assert_array_equal(
-            model.ray_pdf(rays, plan.neg_nodes), model.ray_pdf(rays, plan.pos_nodes)[:, ::-1]
-        )
-    # a plan that serves only the positive half has no negative half to mirror
-    assert not density.build_z_plan(model, vs, ("weighted",)).mirrored
+    rays = density._rays(model, vs)
+    for quadrature in ([twin] if model.centred_normal else [model, twin]):
+        for variants in _VARIANT_SETS:
+            plan = density.build_z_plan(quadrature, vs, variants)
+            assert plan.pos_nodes.size > 0
+            np.testing.assert_array_equal(plan.neg_nodes, -plan.pos_nodes[::-1])
+            np.testing.assert_array_equal(plan.neg_weights, plan.pos_weights[::-1])
+            if quadrature is model:
+                # f(-x) = f(x) bit for bit at the mirrored nodes
+                np.testing.assert_array_equal(
+                    model.ray_pdf(rays, plan.neg_nodes),
+                    model.ray_pdf(rays, plan.pos_nodes)[:, ::-1],
+                )
 
 
 # The unequal-variance covariance of the golden `bounds-n3-gauss-unequal` run.
@@ -607,7 +615,8 @@ def test_paper_profile_sums_both_halves_without_sign_symmetry():
     model = DensityModel.user(2, lambda x: np.exp(-0.5 * np.sum(x * x, axis=-1)) / (2.0 * math.pi))
     vs = np.array([[1.0], [0.5]])
     plan = density.build_z_plan(model, vs, ("paper",))
-    assert not model.sign_symmetric and plan.mirrored
+    assert not model.sign_symmetric
+    np.testing.assert_array_equal(plan.neg_nodes, -plan.pos_nodes[::-1])
     rays = density._rays(model, vs)
     nodes = np.concatenate((plan.neg_nodes, plan.pos_nodes))
     weights = np.concatenate((plan.neg_weights, plan.pos_weights))
@@ -839,14 +848,12 @@ _SCAN_CASES = [
 ]
 
 
-@pytest.mark.parametrize("variants", [("weighted",), ("mirror",), ("paper",), ("paper", "weighted")])
+@pytest.mark.parametrize("variants", _VARIANT_SETS)
 @pytest.mark.parametrize("model, probes", _SCAN_CASES)
 def test_batched_scan_is_the_union_of_one_ray_scans(model, probes, variants):
-    z_lo, z_hi = density._scan_support(model, probes, variants)
-    spans = [density._scan_support(model, v[None, :], variants) for v in probes]
-    assert z_lo == min(span[0] for span in spans)
-    assert z_hi == max(span[1] for span in spans)
-    assert z_lo <= 0.0 < z_hi or variants == ("mirror",)
+    z_max = density._scan_support(model, probes, variants)
+    assert z_max == max(density._scan_support(model, v[None, :], variants) for v in probes)
+    assert z_max > 0.0
 
 
 def test_batched_scan_makes_one_density_call(monkeypatch):
@@ -854,13 +861,24 @@ def test_batched_scan_makes_one_density_call(monkeypatch):
     original = DensityModel.ray_pdf
 
     def counted(self, rays, z):
-        calls.append(rays.shape[0])
+        calls.append((rays.shape[0], z.size))
         return original(self, rays, z)
 
     monkeypatch.setattr(DensityModel, "ray_pdf", counted)
     model = DensityModel.gaussian(np.zeros(3), _EQUICORRELATED_3)
+    rays = _ring_probes(0.3).shape[0]
     density._scan_support(model, _ring_probes(0.3), ("paper", "weighted"))
-    assert calls == [_ring_probes(0.3).shape[0]]
+    # a user density, which claims no symmetry, reads z and -z in that call
+    density._scan_support(DensityModel.user(3, model.pdf), _ring_probes(0.3), ("paper",))
+    assert calls == [(rays, 161), (rays, 2 * 161)]
+
+
+def test_scan_raises_where_the_integrand_does_not_decay():
+    # f = 1 everywhere: every end doubles 39 times and stays live
+    model = DensityModel.user(2, lambda x: np.ones(x.shape[:-1]))
+    for variants in (("paper",), ("weighted",), ("mirror",)):
+        with pytest.raises(density.QuadratureError, match="does not decay"):
+            density.build_z_plan(model, np.ones(1), variants)
 
 
 def test_gauss_legendre_rules_are_built_once():

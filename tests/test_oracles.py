@@ -45,7 +45,10 @@ def test_sphere_law_applies_to_a_centred_iid_normal_at_beta_2_only():
     # the statistic is scale-free, so sigma is free; a shift is not
     law = tail_law(DensityModel.iid_normal(3, sigma=2.0), 2.0)
     assert law.name == "sphere law"
-    assert law.tail(0.1).value == sphere_tail_exact(3, math.sqrt(3.0) - 0.1).value
+    # the law forms 1 - s^2 without cancelling, so the two agree to rounding
+    assert law.tail(0.1).value == pytest.approx(
+        sphere_tail_exact(3, math.sqrt(3.0) - 0.1).value, rel=1e-14, abs=0.0
+    )
     assert _exact_tail(DensityModel.iid_normal(3, mu=0.3), 2.0) is None
     assert _exact_tail(DensityModel.iid_normal(3), 3.0) is None
     # uniform on the sphere as well, but left to region quadrature
@@ -56,6 +59,19 @@ def test_sphere_law_applies_to_a_centred_iid_normal_at_beta_2_only():
     assert _exact_tail(DensityModel.iid_folded_normal(3), 2.0) is None
     for name in DISCRETE_MODELS:
         assert _exact_tail(name, 2.0) is None
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 10])
+def test_sphere_law_tail_does_not_cancel_at_small_eps(n):
+    # x = 1 - s^2 formed from the threshold s sqrt(n) cancels as eps -> 0
+    # (3.9e-9 off at n = 2, eps = 1e-8); the law forms it as delta / n
+    law = tail_law(DensityModel.iid_normal(n), 2.0)
+    for eps in (1e-8, 1e-6, 1e-3, 0.1):
+        delta = eps * (2.0 * math.sqrt(n) - eps)
+        exact = 0.5 * betainc(0.5 * (n - 1), 0.5, delta / n)
+        got = law.tail(eps)
+        assert abs(got.value - exact) <= got.error_estimate
+        assert got.value == pytest.approx(exact, rel=2e-14, abs=0.0)
 
 
 def test_sphere_tail_shape():
@@ -304,6 +320,20 @@ def test_paper_integrand_differs_from_weighted():
     w = region_tail_integral(model, 0.1, 2.0, "weighted").value
     p = region_tail_integral(model, 0.1, 2.0, "paper").value
     assert abs(w - p) > 1e-3 * w
+
+
+def test_a_shared_region_plan_covers_the_weighted_half_of_a_user_density():
+    # N((-8, -8), I): the paper integrand lives near z = -8, the weighted
+    # one on z > 0 within about 1/16 of z = 0.  The plan's one extent covers
+    # both half-lines, so the user density's weighted read matches the
+    # closed-form gaussian's; a plan with an empty weighted half reads 0.0.
+    gaussian = DensityModel.gaussian(np.array([-8.0, -8.0]), np.eye(2))
+    user = DensityModel.user(2, gaussian.pdf)
+    for eps in (1e-8, 0.01, 0.1 * tail_window(2, 2.0)):
+        exact = region_tail_integral(gaussian, eps, 2.0, "weighted")
+        got = region_tail_integral(user, eps, 2.0, "weighted")
+        assert got.value > 0.0
+        assert abs(got.value - exact.value) <= got.error_estimate + exact.error_estimate
 
 
 def _unfolded_twin(model):
